@@ -216,71 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list available figures, protocols and scales")
 
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the sweep service (HTTP API over a shared result store)",
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve_parser.add_argument(
-        "--port", type=int, default=8765, help="bind port (0 picks a free one)"
-    )
-    serve_parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry a simulation job running longer than this",
-    )
-    serve_parser.add_argument(
-        "--job-retries",
-        type=int,
-        default=1,
-        help="extra attempts a timed-out or crashed job gets before failing",
-    )
-
-    submit_parser = subparsers.add_parser(
-        "submit",
-        help="submit a protocol-comparison sweep to a running sweep service",
-    )
-    submit_parser.add_argument(
-        "--url", default="http://127.0.0.1:8765", help="service base URL"
-    )
-    submit_parser.add_argument(
-        "--protocols",
-        nargs="+",
-        default=["DTS-SS"],
-        choices=list(ALL_PROTOCOLS),
-        help="protocols to sweep (one experiment each)",
-    )
-    submit_parser.add_argument(
-        "--base-rate", type=float, default=2.0, help="base rate in Hz"
-    )
-    submit_parser.add_argument(
-        "--wait-timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="give up if the sweep has not completed after this long",
-    )
-    submit_parser.add_argument(
-        "--verify-local",
-        action="store_true",
-        help="re-run the sweep in-process and fail unless metrics are bit-identical",
-    )
-    submit_parser.add_argument(
-        "--expect-cached",
-        action="store_true",
-        help="fail unless the service answered without any new simulator runs",
-    )
-
-    status_parser = subparsers.add_parser(
-        "status", help="query the status of a submitted sweep"
-    )
-    status_parser.add_argument("sweep_id", help="sweep id returned by `submit`")
-    status_parser.add_argument(
-        "--url", default="http://127.0.0.1:8765", help="service base URL"
-    )
-
     from .lint.cli import add_lint_parser
     from .obs.perfcli import add_perf_parser
 
@@ -411,127 +346,6 @@ def _run_scenarios_run(
     )
 
 
-#: Cache directory `serve` falls back to when --cache-dir is not given; a
-#: service without a persistent store would forget every result on restart.
-DEFAULT_SERVICE_CACHE = ".repro-service-cache"
-
-
-def _run_serve(args, out, orch) -> int:
-    from .orchestrator.store import open_store
-    from .service.server import serve
-
-    cache_dir = orch.get("store") or DEFAULT_SERVICE_CACHE
-    store = open_store(cache_dir)
-    print(
-        f"sweep service: store {cache_dir!r} ({len(store)} records), "
-        f"{args.jobs} worker(s)",
-        file=out,
-        flush=True,
-    )
-    serve(
-        host=args.host,
-        port=args.port,
-        store=store,
-        workers=args.jobs,
-        job_timeout=args.job_timeout,
-        job_retries=args.job_retries,
-        announce=lambda port: print(
-            f"listening on http://{args.host}:{port}", file=out, flush=True
-        ),
-    )
-    print("sweep service: drained and stopped", file=out, flush=True)
-    return 0
-
-
-def _submit_jobs(scenario: ScenarioConfig, protocols: Sequence[str], base_rate: float, runs):
-    from .orchestrator.api import ExperimentSpec
-
-    specs = [
-        ExperimentSpec(
-            scenario=scenario,
-            protocol=protocol,
-            workload=rate_sweep_workload(base_rate),
-            num_runs=runs,
-        )
-        for protocol in protocols
-    ]
-    return [job for spec in specs for job in spec.expand()]
-
-
-def _run_submit(scenario: ScenarioConfig, args, runs, out) -> int:
-    from .orchestrator.jobs import metrics_to_dict
-    from .service.client import ServiceClient, ServiceError
-
-    jobs = _submit_jobs(scenario, args.protocols, args.base_rate, runs)
-    client = ServiceClient(args.url, timeout=args.wait_timeout)
-    try:
-        results = client.run_jobs(jobs, label="cli-submit")
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    from .service.schemas import sweep_id_of
-
-    print(f"sweep {sweep_id_of(jobs)}: {len(results)} job(s) completed", file=out)
-    print(
-        f"  executed {client.last_executed}, cached {client.last_cached}"
-        + (", answered from an existing sweep" if client.last_deduplicated else ""),
-        file=out,
-    )
-    if args.expect_cached and not (client.last_deduplicated or client.last_executed == 0):
-        print(
-            f"error: expected a fully cached sweep but the service executed "
-            f"{client.last_executed} job(s)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.verify_local:
-        from .client import LocalClient
-        from .obs.adapters import WALL_CLOCK_COUNTERS
-
-        def comparable(metrics):
-            data = metrics_to_dict(metrics)
-            data["counters"] = {
-                key: value
-                for key, value in data["counters"].items()
-                if key not in WALL_CLOCK_COUNTERS
-            }
-            return data
-
-        local = LocalClient().run_jobs(jobs, label="cli-verify")
-        mismatched = [
-            index
-            for index, (remote_result, local_result) in enumerate(
-                zip(results, local, strict=True)
-            )
-            if comparable(remote_result.metrics) != comparable(local_result.metrics)
-            or remote_result.extras != local_result.extras
-        ]
-        if mismatched:
-            print(
-                f"error: service metrics differ from the in-process run for "
-                f"job index(es) {mismatched[:5]}",
-                file=sys.stderr,
-            )
-            return 1
-        print("  verified: bit-identical to the in-process run", file=out)
-    return 0
-
-
-def _run_status(args, out) -> int:
-    import json
-
-    from .service.client import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        payload = client.status(args.sweep_id)
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-    return 0
-
-
 def _run_list(out) -> None:
     print("figures:", file=out)
     for name in sorted(FIGURES):
@@ -588,12 +402,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.command == "list":
         _run_list(out)
         return 0
-    if args.command == "serve":
-        return _run_serve(args, out, orch)
-    if args.command == "submit":
-        return _run_submit(scenario, args, args.runs, out)
-    if args.command == "status":
-        return _run_status(args, out)
     if args.command == "figure":
         _run_figure(args.name, scenario, args.runs, out, orch)
         return 0

@@ -23,12 +23,6 @@ knobs every figure function accepts:
   next invocation with the same store.
 
 The same knobs are exposed on the CLI as ``--jobs`` / ``--cache-dir``.
-
-Every figure function also accepts ``client=``: a
-:class:`~repro.client.SweepClient` that executes the sweep.  Passing a
-:class:`~repro.service.client.ServiceClient` reproduces a figure against a
-running sweep service (sharing its warm cache); when omitted, a local
-client is built from the legacy ``jobs`` / ``store`` / ``progress`` knobs.
 """
 
 from __future__ import annotations
@@ -51,7 +45,6 @@ from .scenarios import (
 from .tables import FigureResult, Series
 
 if TYPE_CHECKING:
-    from ..client import SweepClient
     from ..orchestrator.api import ProgressLike, StoreLike
 else:
     # Imported lazily at runtime: the orchestrator's api module imports this
@@ -68,21 +61,17 @@ def _percent(value: float) -> float:
     return 100.0 * value
 
 
-def _client_for(
-    client: Optional["SweepClient"], jobs: int, store: StoreLike, progress: ProgressLike
-) -> "SweepClient":
-    """The client a figure sweep executes through (default: a local one)."""
-    if client is not None:
-        return client
-    from ..client import LocalClient
-
-    return LocalClient(workers=jobs, store=store, progress=progress)
-
-
 def _experiment_spec(**kwargs):
     from ..orchestrator.api import ExperimentSpec
 
     return ExperimentSpec(**kwargs)
+
+
+def _run_sweep(specs, label: str, jobs: int, store: StoreLike, progress: ProgressLike):
+    """Execute one figure's experiments as a single orchestrated sweep."""
+    from ..orchestrator.api import run_experiments
+
+    return run_experiments(specs, workers=jobs, store=store, progress=progress, label=label)
 
 
 def figure2_deadline_sweep(
@@ -93,7 +82,6 @@ def figure2_deadline_sweep(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Figure 2: STS-SS duty cycle and query latency vs the query deadline."""
     scenario = scenario or default_scale()
@@ -109,9 +97,7 @@ def figure2_deadline_sweep(
         )
         for deadline in sweep
     ]
-    results = _client_for(client, jobs, store, progress).run_experiments(
-        specs, label="fig2"
-    )
+    results = _run_sweep(specs, "fig2", jobs, store, progress)
     for deadline, result in zip(sweep, results, strict=True):
         duty.x.append(deadline)
         duty.y.append(_percent(result.metrics.average_duty_cycle))
@@ -148,7 +134,6 @@ def _protocol_sweep(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Shared sweep driver for the rate / query-count comparison figures.
 
@@ -169,9 +154,7 @@ def _protocol_sweep(
         )
         for protocol, x in grid
     ]
-    results = _client_for(client, jobs, store, progress).run_experiments(
-        specs, label=figure_id
-    )
+    results = _run_sweep(specs, figure_id, jobs, store, progress)
     by_protocol: Dict[str, Series] = {}
     for (protocol, x), result in zip(grid, results, strict=True):
         series = by_protocol.get(protocol)
@@ -192,7 +175,6 @@ def figure3_duty_cycle_vs_rate(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Figure 3: average duty cycle vs base rate, three query classes."""
     scenario = scenario or default_scale()
@@ -222,7 +204,6 @@ def figure4_duty_cycle_vs_queries(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Figure 4: average duty cycle vs number of queries per class (0.2 Hz)."""
     scenario = scenario or default_scale()
@@ -252,7 +233,6 @@ def figure5_duty_cycle_by_rank(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Figure 5: distribution of duty cycles over node ranks (one typical run)."""
     scenario = scenario or default_scale()
@@ -271,9 +251,7 @@ def figure5_duty_cycle_by_rank(
         )
         for protocol in protocols
     ]
-    results = _client_for(client, jobs, store, progress).run_experiments(
-        specs, label="Figure 5"
-    )
+    results = _run_sweep(specs, "Figure 5", jobs, store, progress)
     for protocol, result in zip(protocols, results, strict=True):
         by_rank = result.metrics.duty_cycle_by_rank
         figure.series.append(
@@ -294,7 +272,6 @@ def figure6_latency_vs_rate(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Figure 6: average query latency vs base rate (log-scale in the paper)."""
     scenario = scenario or default_scale()
@@ -324,7 +301,6 @@ def figure7_latency_vs_queries(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Figure 7: average query latency vs number of queries per class (0.2 Hz)."""
     scenario = scenario or default_scale()
@@ -356,7 +332,6 @@ def figure8_sleep_interval_histogram(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Figure 8: histogram of sleep-interval lengths with T_BE = 0.
 
@@ -380,9 +355,7 @@ def figure8_sleep_interval_histogram(
         )
         for protocol in protocols
     ]
-    results = _client_for(client, jobs, store, progress).run_experiments(
-        specs, label="Figure 8"
-    )
+    results = _run_sweep(specs, "Figure 8", jobs, store, progress)
     for protocol, result in zip(protocols, results, strict=True):
         histogram = result.metrics.sleep_interval_histogram(
             bin_width=bin_width, max_value=max_interval
@@ -409,7 +382,6 @@ def figure9_break_even_time(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Figure 9: duty cycle vs base rate for several break-even times.
 
@@ -435,9 +407,7 @@ def figure9_break_even_time(
         )
         for t_be, rate in grid
     ]
-    results = _client_for(client, jobs, store, progress).run_experiments(
-        specs, label="Figure 9"
-    )
+    results = _run_sweep(specs, "Figure 9", jobs, store, progress)
     by_tbe: Dict[float, Series] = {}
     for (t_be, rate), result in zip(grid, results, strict=True):
         series = by_tbe.get(t_be)
@@ -457,7 +427,6 @@ def dts_overhead_vs_rate(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Section 4.2.3: DTS phase-update overhead (bits per data report) vs rate."""
     scenario = scenario or default_scale()
@@ -472,9 +441,7 @@ def dts_overhead_vs_rate(
         )
         for rate in rates
     ]
-    results = _client_for(client, jobs, store, progress).run_experiments(
-        specs, label="overhead"
-    )
+    results = _run_sweep(specs, "overhead", jobs, store, progress)
     for rate, result in zip(rates, results, strict=True):
         series.x.append(rate)
         series.y.append(result.extras.get("overhead_bits_per_report", 0.0))
@@ -499,7 +466,6 @@ def _family_sweep(
     jobs: int,
     store: StoreLike,
     progress: ProgressLike,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """One scenario-registry family as a figure: one series per protocol."""
     # Imported here: repro.scenarios sits above the experiments package.
@@ -511,7 +477,9 @@ def _family_sweep(
         base=scenario,
         protocols=protocols,
         num_runs=num_runs,
-        client=_client_for(client, jobs, store, progress),
+        workers=jobs,
+        store=store,
+        progress=progress,
     )
     series = []
     for protocol in protocols:
@@ -536,7 +504,6 @@ def duty_cycle_vs_density(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Average duty cycle over the registry's node-density sweep.
 
@@ -556,7 +523,6 @@ def duty_cycle_vs_density(
         jobs,
         store,
         progress,
-        client=client,
     )
 
 
@@ -567,7 +533,6 @@ def delivery_ratio_under_churn(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Delivery ratio as an increasing fraction of nodes fails mid-run.
 
@@ -587,7 +552,6 @@ def delivery_ratio_under_churn(
         jobs,
         store,
         progress,
-        client=client,
     )
 
 
@@ -598,7 +562,6 @@ def delivery_ratio_vs_shadowing(
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FigureResult:
     """Delivery ratio as log-normal shadowing deepens (propagation layer).
 
@@ -619,7 +582,6 @@ def delivery_ratio_vs_shadowing(
         jobs,
         store,
         progress,
-        client=client,
     )
 
 

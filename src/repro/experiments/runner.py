@@ -362,15 +362,19 @@ def run_protocol_comparison(
     All protocols' replications are flattened into one sweep, so
     ``parallel=N`` overlaps runs *across* protocols, not only within one.
     """
-    from ..orchestrator.api import run_protocol_sweep
+    from ..orchestrator.api import ExperimentSpec, run_experiments
 
-    return run_protocol_sweep(
-        scenario,
-        protocols,
-        workload=workload,
-        queries=queries,
-        num_runs=num_runs,
-        workers=parallel or 1,
-        store=store,
-        progress=progress,
+    specs = [
+        ExperimentSpec(
+            scenario=scenario,
+            protocol=protocol,
+            workload=workload,
+            queries=queries,
+            num_runs=num_runs,
+        )
+        for protocol in protocols
+    ]
+    results = run_experiments(
+        specs, workers=parallel or 1, store=store, progress=progress, label="compare"
     )
+    return {spec.protocol: result for spec, result in zip(specs, results, strict=True)}

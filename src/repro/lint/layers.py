@@ -54,9 +54,7 @@ ORCHESTRATION_PACKAGES = frozenset(
         "experiments",
         "lint",
         "sanitizer",  # the runtime determinism tripwires (patches wall-clock)
-        "service",  # the sweep service (HTTP server, queue, worker pool)
         "cli",  # the top-level repro/cli.py module
-        "client",  # the top-level repro/client.py sweep facade
     }
 )
 
@@ -75,10 +73,6 @@ FIREWALL_EXEMPT_EDGES: Dict[Tuple[str, str], str] = {
     ("scenarios/run.py", "orchestrator"): (
         "run_family is the orchestration entry point of the scenarios "
         "CLI; it wraps Simulator runs, it does not execute inside one"
-    ),
-    ("scenarios/run.py", "client"): (
-        "run_family routes sweeps through the SweepClient facade "
-        "(lazy import, orchestration side of the run)"
     ),
 }
 

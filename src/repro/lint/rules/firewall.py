@@ -18,8 +18,8 @@ class LayerFirewallChecker(ProjectChecker):
     **Invariant.** Modules in the simulation layer (``sim``/``net``/
     ``mac``/``radio``/``routing``/``query``/``core``/``baselines``/
     ``scenarios``) must not import modules in the orchestration layer
-    (``orchestrator``/``obs``/``experiments``/``cli``/``service``/
-    ``client``/``lint``/``sanitizer``) at module level.  Orchestration
+    (``orchestrator``/``obs``/``experiments``/``cli``/``lint``/
+    ``sanitizer``) at module level.  Orchestration
     code may time things, read the environment, and touch host-dependent
     facilities precisely *because* nothing under the simulated clock
     depends on it; one import in the wrong direction and that separation

@@ -47,13 +47,6 @@ def stats_as_mapping(obj: Any) -> Dict[str, float]:
     }
 
 
-#: Counter keys that measure *cost* rather than *outcome*: they legitimately
-#: differ between bit-identical runs (serial vs parallel, warm store, another
-#: host).  Determinism comparisons (``repro submit --verify-local``, the
-#: service test suite) exclude exactly these keys.
-WALL_CLOCK_COUNTERS = ("run.wall_seconds", "run.wall_seconds_per_sim_second")
-
-
 def collect_engine_counters(
     registry: MetricsRegistry, sim: Any, *, wall_seconds: Optional[float] = None
 ) -> None:

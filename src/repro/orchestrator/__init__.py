@@ -8,29 +8,20 @@ process pool (:mod:`~repro.orchestrator.executor`), memoises finished runs
 in an on-disk content-addressed store (:mod:`~repro.orchestrator.store`),
 and reports wall-clock progress (:mod:`~repro.orchestrator.progress`).
 
-Specs and results cross process and wire boundaries through the
-declarative codec registry (:mod:`~repro.orchestrator.codec`), which also
-versions the store's schema.
+Specs and results cross process boundaries through the declarative codec
+registry (:mod:`~repro.orchestrator.codec`), which also versions the
+store's schema.
 
-The high-level entry points live in :mod:`~repro.orchestrator.api`:
-:func:`~repro.orchestrator.api.run_sweep` executes a list of jobs and
-:func:`~repro.orchestrator.api.run_experiments` executes whole experiments
-(replication fan-out plus metric averaging) through the same machinery.
-Both are deprecated shims over the unified :class:`repro.client.SweepClient`
-facade, which is also what the sweep service (:mod:`repro.service`) speaks.
+The sweep entry point is
+:func:`~repro.orchestrator.api.run_experiments_with_jobs` (with
+:func:`~repro.orchestrator.api.run_experiments` as its results-only view):
+it executes whole experiments (replication fan-out plus metric averaging)
+as one job sweep on a :class:`~repro.orchestrator.executor.SweepExecutor`.
 """
 
-from .api import ExperimentSpec, run_experiments, run_protocol_sweep, run_sweep
+from .api import ExperimentSpec, run_experiments, run_experiments_with_jobs
 from .codec import SCHEMA_VERSION, CodecError, codec_for, decode, encode
-from .executor import (
-    ExecutionBackend,
-    JobExecutionError,
-    JobResult,
-    SerialBackend,
-    SweepExecutor,
-    TransientPoolBackend,
-    execute_job,
-)
+from .executor import JobResult, SweepExecutor, execute_job
 from .jobs import (
     RunJob,
     expand_experiment,
@@ -46,18 +37,14 @@ from .store import ResultStore, open_store
 
 __all__ = [
     "CodecError",
-    "ExecutionBackend",
     "ExperimentSpec",
-    "JobExecutionError",
     "JobResult",
     "NullProgress",
     "ProgressReporter",
     "ResultStore",
     "RunJob",
     "SCHEMA_VERSION",
-    "SerialBackend",
     "SweepExecutor",
-    "TransientPoolBackend",
     "codec_for",
     "decode",
     "encode",
@@ -67,8 +54,7 @@ __all__ = [
     "metrics_to_dict",
     "open_store",
     "run_experiments",
-    "run_protocol_sweep",
-    "run_sweep",
+    "run_experiments_with_jobs",
     "scenario_from_dict",
     "scenario_to_dict",
     "workload_from_dict",

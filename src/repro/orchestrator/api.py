@@ -1,30 +1,23 @@
-"""High-level orchestration API: sweeps and whole experiments.
+"""The sweep entry point: whole experiments through one job sweep.
 
-.. deprecated::
-    The module-level entry points here (:func:`run_sweep`,
-    :func:`run_experiments`, :func:`run_experiments_with_jobs`,
-    :func:`run_protocol_sweep`) are kept as compatibility shims over the
-    unified client facade -- new code should construct a
-    :class:`repro.client.LocalClient` (or a
-    :class:`repro.service.client.ServiceClient` for a remote sweep
-    service) and call the corresponding method on it.  The shims delegate
-    verbatim, so results are identical either way.
-
-What stays authoritative here: :class:`ExperimentSpec` (the declarative
-"one experiment" unit) and :func:`assemble_experiment` (folding one
-experiment's per-replication job results into an
-:class:`~repro.experiments.runner.ExperimentResult`), which the facade
-itself uses.  Flattening many experiments into ONE job list is what makes
-figure sweeps parallel even at reduced scale, where each experiment has a
-single replication: the fan-out is across sweep points, not only across
-replications.
+:func:`run_experiments_with_jobs` is the one way the CLI, the figures,
+:func:`repro.scenarios.run.run_family`, the experiment runner and the
+benchmarks run a sweep; :func:`run_experiments` is its results-only view.
+Each :class:`ExperimentSpec` (the declarative "one experiment" unit)
+expands into its replication jobs, all specs' jobs are flattened into ONE
+list and executed by a :class:`~repro.orchestrator.executor.SweepExecutor`,
+and :func:`assemble_experiment` folds each experiment's per-replication
+results back into an :class:`~repro.experiments.runner.ExperimentResult`.
+Flattening is what makes figure sweeps parallel even at reduced scale,
+where each experiment has a single replication: the fan-out is across
+sweep points, not only across replications.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..experiments.metrics import average_metrics
 from ..experiments.runner import ExperimentResult
@@ -50,30 +43,6 @@ def _coerce_progress(progress: ProgressLike, label: str) -> NullProgress:
     if progress is True:
         return ProgressReporter(label=label)
     return progress
-
-
-def run_sweep(
-    jobs: Sequence[RunJob],
-    *,
-    workers: int = 1,
-    store: StoreLike = None,
-    progress: ProgressLike = None,
-    label: str = "sweep",
-) -> List[JobResult]:
-    """Execute ``jobs`` and return one :class:`JobResult` per job, in order.
-
-    .. deprecated:: Shim over ``LocalClient(...).run_jobs(jobs)``.
-
-    ``workers=1`` is a plain in-process loop (deterministic fallback);
-    ``workers>1`` fans out over a process pool.  Both paths produce
-    bit-identical metrics for the same jobs.  ``store`` may be a cache
-    directory path or an open :class:`ResultStore`; jobs found there are
-    returned without running the simulator.
-    """
-    from ..client import LocalClient
-
-    client = LocalClient(workers=workers, store=open_store(store), progress=progress)
-    return client.run_jobs(jobs, label=label)
 
 
 @dataclass(frozen=True)
@@ -135,19 +104,38 @@ def run_experiments_with_jobs(
     store: StoreLike = None,
     progress: ProgressLike = None,
     label: str = "sweep",
-) -> tuple[List[ExperimentResult], List[JobResult]]:
+) -> Tuple[List[ExperimentResult], List[JobResult]]:
     """Run many experiments through one flattened job sweep.
 
-    .. deprecated:: Shim over ``LocalClient(...).run_experiments_with_jobs``.
+    ``workers=1`` is a plain in-process loop; ``workers>1`` fans the jobs
+    out over a process pool, with bit-identical metrics either way.
+    ``store`` may be a cache directory path or an open
+    :class:`ResultStore`; jobs found there are returned without running
+    the simulator.  ``progress`` is ``True`` for a stderr reporter
+    labelled ``label``, or any :class:`NullProgress`-compatible object.
 
     Returns the per-spec :class:`ExperimentResult` objects (input order)
     plus the raw per-job results, whose ``cached`` flags tell callers how
     much of the sweep came from the store.
     """
-    from ..client import LocalClient
-
-    client = LocalClient(workers=workers, store=open_store(store), progress=progress)
-    return client.run_experiments_with_jobs(specs, label=label)
+    specs = list(specs)
+    jobs: List[RunJob] = []
+    spans: List[Tuple[int, int]] = []
+    for spec in specs:
+        expanded = spec.expand()
+        spans.append((len(jobs), len(jobs) + len(expanded)))
+        jobs.extend(expanded)
+    executor = SweepExecutor(
+        workers=workers,
+        store=open_store(store),
+        progress=_coerce_progress(progress, label),
+    )
+    results = executor.run(jobs)
+    assembled = [
+        assemble_experiment(spec, results[start:stop])
+        for spec, (start, stop) in zip(specs, spans, strict=True)
+    ]
+    return assembled, results
 
 
 def run_experiments(
@@ -158,9 +146,7 @@ def run_experiments(
     progress: ProgressLike = None,
     label: str = "sweep",
 ) -> List[ExperimentResult]:
-    """Run many experiments through one flattened job sweep.
-
-    .. deprecated:: Shim over ``LocalClient(...).run_experiments``.
+    """Like :func:`run_experiments_with_jobs`, results only.
 
     Returns one :class:`ExperimentResult` per spec, in input order, with
     metrics identical to calling ``run_experiment`` on each spec serially.
@@ -169,31 +155,3 @@ def run_experiments(
         specs, workers=workers, store=store, progress=progress, label=label
     )
     return assembled
-
-
-def run_protocol_sweep(
-    scenario: ScenarioConfig,
-    protocols: Sequence[str],
-    *,
-    workload: Optional[WorkloadSpec] = None,
-    queries: Optional[Sequence[QuerySpec]] = None,
-    num_runs: Optional[int] = None,
-    workers: int = 1,
-    store: StoreLike = None,
-    progress: ProgressLike = None,
-) -> Dict[str, ExperimentResult]:
-    """Run several protocols under one identical scenario and workload.
-
-    .. deprecated:: Shim over ``LocalClient(...).run_protocol_comparison``.
-    """
-    from ..client import LocalClient
-
-    client = LocalClient(workers=workers, store=open_store(store), progress=progress)
-    return client.run_protocol_comparison(
-        scenario,
-        protocols,
-        workload=workload,
-        queries=queries,
-        num_runs=num_runs,
-        label="compare",
-    )

@@ -7,10 +7,9 @@ to values, nested specs recursively -- and the inverse, by hand, with the
 two directions drifting apart one review at a time.  The codec replaces
 that with a registry: each type registers a :class:`SpecCodec` naming its
 fields and how each one crosses the JSON boundary, and ``encode`` /
-``decode`` are derived from the registration.  The HTTP wire format of
-:mod:`repro.service` reuses exactly these codecs, so a sweep submitted over
-the network and a sweep built in-process serialize identically (which is
-what keeps content digests equal across the two paths).
+``decode`` are derived from the registration.  The result store and the
+job digests use exactly these codecs, so a record read back from disk
+decodes to the spec that produced it.
 
 Versioning is part of the registration: a field declares ``since=N`` (the
 schema version that introduced it) plus a default, and ``decode(cls, data,

@@ -10,31 +10,23 @@ cannot perturb it.
 
 Identical jobs (same content digest) within one sweep are executed once
 and their result fanned out, and jobs already present in the result store
-are not executed at all.
-
-*Where* pending jobs run is a pluggable :class:`ExecutionBackend`:
-the default is a transient :class:`~concurrent.futures.ProcessPoolExecutor`
-(or a plain in-process loop for ``workers=1``), and :mod:`repro.service`
-substitutes its persistent worker pool -- with per-job timeouts and bounded
-retry -- without changing any of the dedupe/store/progress logic here.
+are not executed at all.  Pending jobs run in a plain in-process loop for
+``workers=1`` (or a single pending job), and otherwise on a
+:class:`~concurrent.futures.ProcessPoolExecutor` created for the sweep.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.metrics import RunMetrics
 from ..experiments.runner import run_single
 from .jobs import RunJob, metrics_from_dict, metrics_to_dict
 from .progress import NullProgress
 from .store import ResultStore
-
-#: Signature backends report completions through:
-#: ``on_result(digest, job, metrics, extras, elapsed_seconds)``.
-ResultCallback = Callable[[str, RunJob, RunMetrics, Dict[str, float], float], None]
 
 
 @dataclass
@@ -51,24 +43,11 @@ class JobResult:
     elapsed: float = 0.0
 
 
-class JobExecutionError(RuntimeError):
-    """One or more jobs failed permanently (exhausting any retry budget)."""
-
-    def __init__(self, failures: Sequence[Tuple[RunJob, str]]) -> None:
-        self.failures = list(failures)
-        lines = "; ".join(
-            f"{job.describe()}: {message}" for job, message in self.failures[:3]
-        )
-        suffix = "" if len(self.failures) <= 3 else f" (+{len(self.failures) - 3} more)"
-        super().__init__(f"{len(self.failures)} job(s) failed: {lines}{suffix}")
-
-
 def execute_job(job: RunJob) -> Tuple[RunMetrics, Dict[str, float], float]:
     """Run one job's simulation; returns (metrics, extras, elapsed seconds).
 
-    Module-level so :class:`concurrent.futures.ProcessPoolExecutor` (and the
-    service's persistent worker pool) can ship it to worker processes by
-    reference.
+    Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
+    ship it to worker processes by reference.
     """
     started = time.perf_counter()
     metrics, extras = run_single(job.scenario, job.protocol, job.resolve_queries(), job.seed)
@@ -95,58 +74,6 @@ def _result_from_record(job: RunJob, record: Dict[str, object]) -> JobResult:
     )
 
 
-class ExecutionBackend:
-    """Strategy that runs a batch of unique pending jobs.
-
-    ``execute`` must call ``on_result`` exactly once per pending job (in any
-    order) or raise :class:`JobExecutionError` naming the jobs it could not
-    complete.  Backends do not know about stores, duplicate digests, or
-    progress -- :class:`SweepExecutor` owns all of that.
-    """
-
-    def execute(
-        self, pending: Sequence[Tuple[str, RunJob]], on_result: ResultCallback
-    ) -> None:
-        raise NotImplementedError
-
-
-class SerialBackend(ExecutionBackend):
-    """Run every job in the calling process, in order (the deterministic
-    fallback used by tests and the classic ``run_experiment`` path)."""
-
-    def execute(
-        self, pending: Sequence[Tuple[str, RunJob]], on_result: ResultCallback
-    ) -> None:
-        for digest, job in pending:
-            metrics, extras, elapsed = execute_job(job)
-            on_result(digest, job, metrics, extras, elapsed)
-
-
-class TransientPoolBackend(ExecutionBackend):
-    """Fan jobs out over a process pool created for this batch only."""
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
-        self.workers = workers
-
-    def execute(
-        self, pending: Sequence[Tuple[str, RunJob]], on_result: ResultCallback
-    ) -> None:
-        max_workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(execute_job, job): (digest, job) for digest, job in pending
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    digest, job = futures[future]
-                    metrics, extras, elapsed = future.result()
-                    on_result(digest, job, metrics, extras, elapsed)
-
-
 class SweepExecutor:
     """Executes batches of :class:`RunJob` with caching and fan-out.
 
@@ -163,11 +90,6 @@ class SweepExecutor:
     progress:
         A :class:`~repro.orchestrator.progress.NullProgress`-compatible
         reporter.
-    backend:
-        Optional :class:`ExecutionBackend` that runs the pending jobs.  When
-        given it is used unconditionally (``workers`` is ignored); the
-        default picks :class:`SerialBackend` or :class:`TransientPoolBackend`
-        from ``workers`` exactly as before backends existed.
     """
 
     def __init__(
@@ -176,27 +98,18 @@ class SweepExecutor:
         *,
         store: Optional[ResultStore] = None,
         progress: Optional[NullProgress] = None,
-        backend: Optional[ExecutionBackend] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         self.workers = workers
         self.store = store
         self.progress = progress if progress is not None else NullProgress()
-        self.backend = backend
         #: Counters for the last :meth:`run` call (inspected by benchmarks):
         #: ``last_executed`` counts actual simulator runs, ``last_cached``
         #: counts jobs satisfied from the store or from an identical job
         #: executed in the same sweep.
         self.last_executed = 0
         self.last_cached = 0
-
-    def _backend_for(self, pending_count: int) -> ExecutionBackend:
-        if self.backend is not None:
-            return self.backend
-        if self.workers == 1 or pending_count == 1:
-            return SerialBackend()
-        return TransientPoolBackend(self.workers)
 
     def run(self, jobs: Sequence[RunJob]) -> List[JobResult]:
         """Execute ``jobs`` and return their results in input order."""
@@ -208,11 +121,8 @@ class SweepExecutor:
 
         # Group identical jobs so each unique digest runs at most once.
         by_digest: Dict[str, List[int]] = {}
-        digest_of: List[str] = []
         for index, job in enumerate(jobs):
-            digest = job.digest
-            digest_of.append(digest)
-            by_digest.setdefault(digest, []).append(index)
+            by_digest.setdefault(job.digest, []).append(index)
 
         pending: List[Tuple[str, RunJob]] = []
         for digest, indices in by_digest.items():
@@ -226,17 +136,17 @@ class SweepExecutor:
             else:
                 pending.append((digest, jobs[indices[0]]))
 
-        if pending:
-            def on_result(
-                digest: str,
-                job: RunJob,
-                metrics: RunMetrics,
-                extras: Dict[str, float],
-                elapsed: float,
-            ) -> None:
-                self._complete(digest, job, metrics, extras, elapsed, by_digest, results)
-
-            self._backend_for(len(pending)).execute(pending, on_result)
+        if self.workers > 1 and len(pending) > 1:
+            with ProcessPoolExecutor(max_workers=min(self.workers, len(pending))) as pool:
+                futures = {
+                    pool.submit(execute_job, job): (digest, job) for digest, job in pending
+                }
+                for future in as_completed(futures):
+                    digest, job = futures[future]
+                    self._complete(digest, job, *future.result(), by_digest, results)
+        else:
+            for digest, job in pending:
+                self._complete(digest, job, *execute_job(job), by_digest, results)
 
         self.progress.finish()
         return [result for result in results if result is not None]

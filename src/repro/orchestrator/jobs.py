@@ -16,9 +16,7 @@ boundary (:class:`~repro.experiments.config.ScenarioConfig`,
 specs, and :class:`RunJob` itself) registers its field table once with
 :mod:`repro.orchestrator.codec`, and encode/decode/versioned-decode derive
 from the registration.  The ``*_to_dict`` / ``*_from_dict`` helpers below
-are thin compatibility wrappers over the registry -- the HTTP wire format
-of :mod:`repro.service` uses the very same codecs, so in-process and
-over-the-wire serialization cannot drift apart.
+are thin compatibility wrappers over the registry.
 """
 
 from __future__ import annotations

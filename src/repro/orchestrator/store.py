@@ -3,20 +3,19 @@
 Finished runs are appended as JSONL records keyed by the job's content
 digest (:attr:`repro.orchestrator.jobs.RunJob.digest`).  Because the key is
 derived from the complete job description, a store can be shared freely
-between sweeps -- and, through :mod:`repro.service`, between *users*: any
-sweep that needs the same ``(scenario, protocol, workload, seed)`` point
-gets a cache hit and skips the simulator entirely.
+between sweeps and invocations: any sweep that needs the same
+``(scenario, protocol, workload, seed)`` point gets a cache hit and skips
+the simulator entirely.
 
 Layout
 ------
 Records live under ``<cache_dir>/shards/<p>.jsonl`` where ``<p>`` is the
 first two hex digits of the digest (256 shards).  Sharding keeps individual
-files small under service workloads (appends and compaction rewrite one
-shard, not the whole store) and bounds the cost of a targeted eviction
-rewrite.  An in-memory index (digest -> record) is built once at startup;
+files small (compaction rewrites one shard at a time, not the whole
+store).  An in-memory index (digest -> record) is built once at startup;
 lookups never touch the disk afterwards.
 
-Three maintenance behaviours:
+Two maintenance behaviours:
 
 * **Migration** -- a legacy single-file ``results.jsonl`` store (PR 1-6
   layout) is absorbed into the sharded layout on open.  Records written at
@@ -28,10 +27,6 @@ Three maintenance behaviours:
   leaves a superseded line behind.  :meth:`ResultStore.compact` rewrites
   shards keeping only the newest record per digest (atomic tempfile +
   ``os.replace``).
-* **Eviction** -- with ``max_bytes`` set, the oldest-inserted digests are
-  dropped (and their shards rewritten) until the store fits the bound.  The
-  record just written is never evicted, and for every digest that survives,
-  its newest record is the one kept.
 
 The format stays deliberately simple (one JSON object per line) so a store
 survives interrupted processes: a partially written final line is detected
@@ -43,9 +38,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from .codec import SCHEMA_VERSION, SUPPORTED_VERSIONS, CodecError
 
@@ -64,7 +59,7 @@ def shard_of(digest: str) -> str:
 
 @dataclass
 class StoreStats:
-    """Bookkeeping from the last load/compaction/eviction activity."""
+    """Bookkeeping from the last load/compaction activity."""
 
     #: Records currently indexed.
     records: int = 0
@@ -72,23 +67,10 @@ class StoreStats:
     migrated: int = 0
     #: Superseded or unreadable lines skipped at load time.
     skipped: int = 0
-    #: Digests dropped by eviction since the store was opened.
-    evicted: int = 0
     #: Superseded lines removed by the last :meth:`ResultStore.compact`.
     compacted: int = 0
     #: Shard files currently present.
     shards: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """JSON-safe snapshot (served by the service's health endpoint)."""
-        return {
-            "records": self.records,
-            "migrated": self.migrated,
-            "skipped": self.skipped,
-            "evicted": self.evicted,
-            "compacted": self.compacted,
-            "shards": self.shards,
-        }
 
 
 @dataclass
@@ -97,9 +79,6 @@ class _IndexEntry:
 
     record: Dict[str, Any]
     line_bytes: int = 0
-    # Whether the on-disk shard may hold additional superseded lines for
-    # this digest (cleared by compaction).
-    dirty: bool = field(default=False, repr=False)
 
 
 class ResultStore:
@@ -109,29 +88,20 @@ class ResultStore:
     ----------
     cache_dir:
         Directory holding the store (created if absent).
-    max_bytes:
-        Optional size bound over the *live* records.  When an append pushes
-        the total past the bound, oldest-inserted digests are evicted until
-        it fits again.  ``None`` (the default) never evicts.
     """
 
-    def __init__(
-        self, cache_dir: Union[str, Path], *, max_bytes: Optional[int] = None
-    ) -> None:
+    def __init__(self, cache_dir: Union[str, Path]) -> None:
         self.cache_dir = Path(cache_dir)
         if self.cache_dir.exists() and not self.cache_dir.is_dir():
             raise NotADirectoryError(
                 f"cache dir {str(self.cache_dir)!r} exists and is not a directory"
             )
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes!r}")
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.shard_dir = self.cache_dir / SHARD_DIR_NAME
         self.shard_dir.mkdir(exist_ok=True)
         self.legacy_path = self.cache_dir / LEGACY_STORE_FILENAME
-        self.max_bytes = max_bytes
         self.stats = StoreStats()
-        #: Insertion-ordered index; order is the eviction order.
+        #: Insertion-ordered index.
         self._entries: Dict[str, _IndexEntry] = {}
         self._total_bytes = 0
         self._load()
@@ -152,7 +122,7 @@ class ResultStore:
                     self.stats.skipped += 1
                     continue
 
-    def _adopt(self, record: Dict[str, Any], *, migrated: bool) -> Optional[str]:
+    def _adopt(self, record: Dict[str, Any]) -> Optional[str]:
         """Index one parsed record; returns its digest or ``None`` if bad."""
         version = record.get("version")
         if version == SCHEMA_VERSION:
@@ -166,7 +136,6 @@ class ResultStore:
                 return None
             digest = record["digest"]
             self.stats.migrated += 1
-            migrated = True
         else:
             self.stats.skipped += 1
             return None
@@ -179,10 +148,9 @@ class ResultStore:
             self._total_bytes -= existing.line_bytes
             existing.record = record
             existing.line_bytes = line_bytes
-            existing.dirty = True
             self._total_bytes += line_bytes
         else:
-            self._entries[digest] = _IndexEntry(record, line_bytes, dirty=migrated)
+            self._entries[digest] = _IndexEntry(record, line_bytes)
             self._total_bytes += line_bytes
         return digest
 
@@ -217,12 +185,12 @@ class ResultStore:
         migrated_digests: List[str] = []
         if self.legacy_path.exists():
             for record in self._iter_lines(self.legacy_path):
-                digest = self._adopt(record, migrated=True)
+                digest = self._adopt(record)
                 if digest is not None:
                     migrated_digests.append(digest)
         for shard_path in sorted(self.shard_dir.glob("*.jsonl")):
             for record in self._iter_lines(shard_path):
-                self._adopt(record, migrated=False)
+                self._adopt(record)
         if migrated_digests:
             # Absorb the legacy file into the sharded layout: append the
             # (possibly upgraded) records to their shards, then retire the
@@ -278,15 +246,10 @@ class ResultStore:
         existing = self._entries.pop(digest, None)
         if existing is not None:
             self._total_bytes -= existing.line_bytes
-        # (Re-)inserting moves the digest to the back of the eviction order.
-        self._entries[digest] = _IndexEntry(
-            stored, line_bytes, dirty=existing is not None
-        )
+        self._entries[digest] = _IndexEntry(stored, line_bytes)
         self._total_bytes += line_bytes
         self._append_line(digest, stored)
         self.stats.records = len(self._entries)
-        if self.max_bytes is not None and self._total_bytes > self.max_bytes:
-            self._evict(protect=digest)
 
     # -- maintenance --------------------------------------------------------
 
@@ -322,9 +285,6 @@ class ResultStore:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
             raise
-        for digest, entry in self._entries.items():
-            if shard_of(digest) == prefix:
-                entry.dirty = False
         return on_disk - len(keep)
 
     def compact(self) -> int:
@@ -332,7 +292,7 @@ class ResultStore:
 
         The newest record of every digest is always retained -- compaction
         only removes lines the index has already superseded (older writes of
-        the same digest, evicted digests, unreadable tails).
+        the same digest, unreadable tails).
         """
         removed = 0
         for shard_path in sorted(self.shard_dir.glob("*.jsonl")):
@@ -341,43 +301,17 @@ class ResultStore:
         self.stats.shards = sum(1 for _ in self.shard_dir.glob("*.jsonl"))
         return removed
 
-    def _evict(self, protect: str) -> None:
-        """Drop oldest-inserted digests until the store fits ``max_bytes``.
-
-        ``protect`` (the digest just written) is never evicted, so a store
-        bounded below one record's size still serves its latest write.
-        """
-        assert self.max_bytes is not None
-        dirty_prefixes: Set[str] = set()
-        for digest in list(self._entries):
-            if self._total_bytes <= self.max_bytes:
-                break
-            if digest == protect:
-                continue
-            entry = self._entries.pop(digest)
-            self._total_bytes -= entry.line_bytes
-            self.stats.evicted += 1
-            dirty_prefixes.add(shard_of(digest))
-        for prefix in sorted(dirty_prefixes):
-            self._rewrite_shard(prefix)
-        self.stats.records = len(self._entries)
-        self.stats.shards = sum(1 for _ in self.shard_dir.glob("*.jsonl"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({str(self.cache_dir)!r}, {len(self)} records)"
 
 
 def open_store(
     store: Union[None, str, Path, "ResultStore"],
-    *,
-    max_bytes: Optional[int] = None,
 ) -> Optional["ResultStore"]:
     """Coerce a cache-dir path (or an already-open store) to a store.
 
     ``None`` stays ``None`` -- callers treat that as "caching disabled".
-    ``max_bytes`` applies only when opening a path (an existing store keeps
-    its own policy).
     """
     if store is None or isinstance(store, ResultStore):
         return store
-    return ResultStore(store, max_bytes=max_bytes)
+    return ResultStore(store)

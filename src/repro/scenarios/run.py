@@ -13,17 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from typing import TYPE_CHECKING
-
 from ..experiments.config import ScenarioConfig, default_scale
 from ..experiments.runner import ExperimentResult
 from ..experiments.tables import comparison_table
-from ..orchestrator.api import ExperimentSpec, ProgressLike, StoreLike
+from ..orchestrator.api import (
+    ExperimentSpec,
+    ProgressLike,
+    StoreLike,
+    run_experiments_with_jobs,
+)
 from ..orchestrator.executor import JobResult
 from .registry import ScenarioFamily, ScenarioVariant, get_family
-
-if TYPE_CHECKING:
-    from ..client import SweepClient
 
 #: Protocol a family runs by default (the strongest ESSAT variant); pass
 #: ``protocols=`` explicitly for baseline comparisons.
@@ -79,17 +79,15 @@ def run_family(
     workers: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
-    client: Optional["SweepClient"] = None,
 ) -> FamilyRunResult:
     """Run one scenario family as a single orchestrated sweep.
 
     ``base`` (default: the environment's default scale) seeds the family's
     variants; every variant is run under every protocol in ``protocols``
     with ``num_runs`` replications (default: per the variant's scenario).
-    ``client`` is the :class:`~repro.client.SweepClient` that executes the
-    sweep; when omitted, a local one is built from the legacy ``workers``,
-    ``store``, and ``progress`` knobs -- a warm ``store`` replays the
-    family with zero simulator runs.
+    ``workers``, ``store`` and ``progress`` are passed to
+    :func:`~repro.orchestrator.api.run_experiments_with_jobs` -- a warm
+    ``store`` replays the family with zero simulator runs.
     """
     if isinstance(family, str):
         family = get_family(family)
@@ -120,11 +118,9 @@ def run_family(
         for variant in variants
         for protocol in protocols
     ]
-    if client is None:
-        from ..client import LocalClient
-
-        client = LocalClient(workers=workers, store=store, progress=progress)
-    assembled, job_results = client.run_experiments_with_jobs(specs, label=family.name)
+    assembled, job_results = run_experiments_with_jobs(
+        specs, workers=workers, store=store, progress=progress, label=family.name
+    )
     results = dict(zip(cells, assembled, strict=True))
     return FamilyRunResult(
         family=family,

@@ -192,7 +192,6 @@ class Simulator:
         event.sequence = sequence
         event.callback = callback
         event.args = args
-        event.kwargs = None
         event.cancelled = False
         event.label = label
         event._sim = self
@@ -225,7 +224,6 @@ class Simulator:
         event.sequence = sequence
         event.callback = callback
         event.args = args
-        event.kwargs = None
         event.cancelled = False
         event.label = label
         event._sim = self
@@ -317,11 +315,7 @@ class Simulator:
                         f"({time:.9f} < {self.now:.9f})"
                     )
                 self.now = time
-                kwargs = event.kwargs
-                if kwargs:
-                    event.callback(*event.args, **kwargs)
-                else:
-                    event.callback(*event.args)
+                event.callback(*event.args)
                 fired_this_run += 1
                 heap_len = len(heap)
                 if heap_len > peak:

@@ -15,7 +15,7 @@ per-event budget.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class EventPriority(enum.IntEnum):
@@ -37,9 +37,7 @@ class Event:
     """A single scheduled callback.
 
     Events order by ``(time, priority, sequence)``; the callback and its
-    arguments are excluded from comparison.  ``kwargs`` is ``None`` (not an
-    empty dict) when the callback takes no keyword arguments, so the common
-    positional-only case allocates nothing extra.
+    positional arguments are excluded from comparison.
 
     The engine hands the scheduled :class:`Event` straight back to the
     caller as the cancellation handle; ``_sim``/``_in_heap`` let
@@ -53,7 +51,6 @@ class Event:
         "sequence",
         "callback",
         "args",
-        "kwargs",
         "cancelled",
         "label",
         "_sim",
@@ -67,7 +64,6 @@ class Event:
         sequence: int,
         callback: Callable[..., Any],
         args: tuple = (),
-        kwargs: Optional[dict] = None,
         cancelled: bool = False,
         label: str = "",
     ) -> None:
@@ -76,7 +72,6 @@ class Event:
         self.sequence = sequence
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs
         self.cancelled = cancelled
         self.label = label
         self._sim = None
@@ -104,8 +99,6 @@ class Event:
 
     def fire(self) -> Any:
         """Invoke the callback. The engine calls this; users normally don't."""
-        if self.kwargs:
-            return self.callback(*self.args, **self.kwargs)
         return self.callback(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -19,11 +19,17 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.lint.base import FileContext
 from repro.lint.cache import DEFAULT_CACHE_NAME
 from repro.lint.cli import main as lint_main
 from repro.lint.graph import Layer, build_project_graph
-from repro.lint.layers import FIREWALL_EXEMPT_EDGES
+from repro.lint.layers import (
+    FIREWALL_EXEMPT_EDGES,
+    HOT_PATH_MODULES,
+    ORCHESTRATION_PACKAGES,
+    SIMULATION_PACKAGES,
+)
 from repro.lint.reporters import render_sarif, sarif_dict
 from repro.lint.runner import lint_paths
 
@@ -237,6 +243,25 @@ class TestREP100LayerFirewall:
             """,
         )
         assert lint_paths([root], select=["REP100", "REP101"]).findings == []
+
+
+class TestLayerMap:
+    def test_every_named_module_exists(self) -> None:
+        """A stale layer-map entry (a deleted package or file) must fail."""
+        root = Path(repro.__file__).parent
+        names = set(SIMULATION_PACKAGES) | set(ORCHESTRATION_PACKAGES) | set(HOT_PATH_MODULES)
+        for source, target in FIREWALL_EXEMPT_EDGES:
+            names |= {source, target}
+
+        def resolves(name: str) -> bool:
+            path = root / name
+            return (
+                path.is_file()
+                or (path / "__init__.py").is_file()
+                or path.with_suffix(".py").is_file()
+            )
+
+        assert sorted(name for name in names if not resolves(name)) == []
 
 
 class TestREP101TransitiveHazard:

@@ -21,7 +21,6 @@ from repro.orchestrator import (
     metrics_from_dict,
     metrics_to_dict,
     run_experiments,
-    run_sweep,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -156,8 +155,8 @@ class TestResultStore:
 class TestSweepExecution:
     def test_parallel_matches_serial_bit_for_bit(self) -> None:
         jobs = _jobs(num_runs=4)
-        serial = run_sweep(jobs, workers=1)
-        parallel = run_sweep(jobs, workers=4)
+        serial = SweepExecutor(workers=1).run(jobs)
+        parallel = SweepExecutor(workers=4).run(jobs)
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel, strict=True):
             assert a.job.digest == b.job.digest
@@ -167,8 +166,10 @@ class TestSweepExecution:
     def test_warm_store_returns_cached_without_rerunning(self, tmp_path, monkeypatch) -> None:
         jobs = _jobs(num_runs=2)
         store = ResultStore(tmp_path / "cache")
-        cold = run_sweep(jobs, workers=1, store=store)
+        executor = SweepExecutor(workers=1, store=store)
+        cold = executor.run(jobs)
         assert all(not result.cached for result in cold)
+        assert (executor.last_executed, executor.last_cached) == (2, 0)
         assert len(store) == 2
 
         # Make any simulator execution explode: a warm sweep must not run one.
@@ -176,8 +177,9 @@ class TestSweepExecution:
             "repro.orchestrator.executor.run_single",
             lambda *args, **kwargs: pytest.fail("simulator ran on a warm store"),
         )
-        warm = run_sweep(jobs, workers=1, store=store)
+        warm = executor.run(jobs)
         assert all(result.cached for result in warm)
+        assert (executor.last_executed, executor.last_cached) == (0, 2)
         for a, b in zip(cold, warm, strict=True):
             assert a.metrics == b.metrics
             assert a.extras == b.extras
@@ -185,7 +187,7 @@ class TestSweepExecution:
     def test_interrupted_sweep_resumes_from_store(self, tmp_path) -> None:
         jobs = _jobs(num_runs=3)
         store = ResultStore(tmp_path / "cache")
-        run_sweep(jobs[:2], workers=1, store=store)  # the "interrupted" prefix
+        SweepExecutor(workers=1, store=store).run(jobs[:2])  # the "interrupted" prefix
         executor = SweepExecutor(workers=1, store=ResultStore(tmp_path / "cache"))
         executor.run(jobs)
         assert executor.last_cached == 2
@@ -294,5 +296,5 @@ class TestProgressReporter:
     def test_sweep_with_progress_stream(self) -> None:
         stream = io.StringIO()
         reporter = ProgressReporter(label="sweep", stream=stream, min_interval=0.0)
-        run_sweep(_jobs(num_runs=1), progress=reporter)
+        SweepExecutor(workers=1, progress=reporter).run(_jobs(num_runs=1))
         assert "1/1" in stream.getvalue()

@@ -1,4 +1,4 @@
-"""The sharded result store: layout, legacy migration, compaction, eviction."""
+"""The sharded result store: layout, legacy migration, compaction."""
 
 import json
 import shutil
@@ -23,11 +23,8 @@ FIXTURE_DIGESTS = {
 }
 
 
-def _record(payload: str = "x", size: int = 0) -> dict:
-    record = {"metrics": {"payload": payload}, "extras": {}, "elapsed": 0.0}
-    if size:
-        record["pad"] = "p" * size
-    return record
+def _record(payload: str = "x") -> dict:
+    return {"metrics": {"payload": payload}, "extras": {}, "elapsed": 0.0}
 
 
 def _digest(i: int) -> str:
@@ -147,48 +144,3 @@ class TestCompaction:
         assert store.compact() == 0
         assert store.get(_digest(1))["metrics"]["payload"] == "newest"
 
-
-class TestEviction:
-    def test_eviction_drops_oldest_first_and_protects_last_write(
-        self, tmp_path
-    ) -> None:
-        store = ResultStore(tmp_path)
-        store.put(_digest(0), _record(size=400))
-        bound = store.total_bytes + 100  # room for ~one record
-        bounded = ResultStore(tmp_path, max_bytes=bound)
-        bounded.put(_digest(1), _record(size=400))
-        # The oldest digest went; the just-written one survived.
-        assert _digest(0) not in bounded
-        assert _digest(1) in bounded
-        assert bounded.stats.evicted == 1
-        assert bounded.total_bytes <= bound
-        # The evicted digest's shard is gone from disk too.
-        assert not bounded.shard_path(_digest(0)).exists()
-
-    def test_eviction_never_drops_newest_record_of_survivors(self, tmp_path) -> None:
-        store = ResultStore(tmp_path, max_bytes=100_000)
-        survivor = _digest(9)
-        store.put(survivor, _record(payload="v1", size=200))
-        store.put(survivor, _record(payload="v2", size=200))
-        for i in range(8):
-            store.put(_digest(i), _record(size=200))
-        store.max_bytes = store.total_bytes - 1
-        store.put(_digest(10), _record(size=200))
-        assert store.stats.evicted > 0
-        if survivor in store:
-            assert store.get(survivor)["metrics"]["payload"] == "v2"
-        # Reload agrees with the in-memory index exactly.
-        reopened = ResultStore(tmp_path)
-        assert sorted(reopened.digests()) == sorted(store.digests())
-
-    def test_bound_below_one_record_still_serves_latest(self, tmp_path) -> None:
-        store = ResultStore(tmp_path, max_bytes=1)
-        store.put(_digest(4), _record(size=300))
-        assert _digest(4) in store
-        store.put(_digest(5), _record(size=300))
-        assert _digest(5) in store
-        assert _digest(4) not in store
-
-    def test_rejects_nonpositive_bound(self, tmp_path) -> None:
-        with pytest.raises(ValueError, match="max_bytes"):
-            ResultStore(tmp_path, max_bytes=0)
