@@ -5,9 +5,12 @@ Kept as ``setup.py`` (rather than PEP 621 metadata) so that
 package (PEP 660 editable installs need it; the legacy ``setup.py develop``
 path does not).  Tool configuration (ruff) lives in ``pyproject.toml``.
 
-The dependency extras below are the single source of truth for every CI
-job: ``pip install -e .[test]`` replaces the hand-rolled per-job package
-lists the workflows used to carry.
+The package itself runs on the standard library alone, so it has no
+runtime dependencies.  The dependency extras below are the single source of
+truth for every CI job: ``pip install -e .[test]`` replaces the hand-rolled
+per-job package lists the workflows used to carry.  scipy and networkx are
+test oracles only: the suite checks the stdlib Student-t quantile and the
+topology's connectivity queries against them.
 """
 
 from setuptools import find_packages, setup
@@ -22,15 +25,14 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=[
-        "networkx",
-    ],
+    install_requires=[],
     extras_require={
         # Everything the tier-1 suite and the benchmark harness import.
         "test": [
             "pytest",
             "pytest-benchmark",
             "hypothesis",
+            "networkx",
             "scipy",
         ],
         # Lint tooling used by the CI `lint` and `lint-determinism` jobs.

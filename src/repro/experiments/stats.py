@@ -3,7 +3,10 @@
 The paper reports 90 % confidence intervals over five replications for every
 data point (e.g. "the 90% confidence intervals of all protocols are within
 ±2.3%").  These helpers compute the same quantities for
-:class:`~repro.experiments.runner.ExperimentResult` replications.
+:class:`~repro.experiments.runner.ExperimentResult` replications.  The
+Student-t critical values are exact and use the standard library only
+(bisection on the regularized incomplete beta function), so an interval
+never depends on which optional packages are installed.
 """
 
 from __future__ import annotations
@@ -12,23 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-try:  # scipy gives exact Student-t quantiles; fall back to a small table.
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy is installed in this project
-    _scipy_stats = None
-
-#: Two-sided Student-t critical values for common confidence levels, indexed
-#: by degrees of freedom (used only when scipy is unavailable).
-_T_TABLE_90 = {1: 6.314, 2: 2.920, 3: 2.353, 4: 2.132, 5: 2.015, 6: 1.943, 7: 1.895, 8: 1.860, 9: 1.833}
-_T_TABLE_95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262}
-_T_TABLE_99 = {1: 63.657, 2: 9.925, 3: 5.841, 4: 4.604, 5: 4.032, 6: 3.707, 7: 3.499, 8: 3.355, 9: 3.250}
-
-#: Confidence level -> (table, large-dof normal-approximation critical value).
-_T_TABLES = {
-    0.90: (_T_TABLE_90, 1.645),
-    0.95: (_T_TABLE_95, 1.960),
-    0.99: (_T_TABLE_99, 2.576),
-}
+#: Lentz's continued fraction stops once a step changes the value by less
+#: than this relative amount, or after ``_MAX_FRACTION_TERMS`` terms;
+#: ``_TINY`` keeps its denominators off zero.
+_FRACTION_EPS = 1e-15
+_MAX_FRACTION_TERMS = 10_000
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -73,28 +65,80 @@ def sample_std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - centre) ** 2 for v in values) / (len(values) - 1))
 
 
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (modified Lentz)."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    value = d
+    for m in range(1, _MAX_FRACTION_TERMS):
+        m2 = 2 * m
+        for numerator in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > _TINY else _TINY
+            step = c * d
+            value *= step
+        if abs(step - 1.0) < _FRACTION_EPS:
+            break
+    return value
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta ``I_x(a, b)``, given ``y = 1 - x`` exactly.
+
+    Passing ``y`` separately keeps full precision when ``x`` is close to 1.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    # The fraction converges fast only below its mean; use the symmetry
+    # I_x(a, b) = 1 - I_y(b, a) above it.
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _t_two_sided_tail(t: float, dof: int) -> float:
+    """``P(|T| > t)`` for a Student-t variable with ``dof`` degrees of freedom."""
+    t2 = t * t
+    return _incomplete_beta(dof / 2.0, 0.5, dof / (dof + t2), t2 / (dof + t2))
+
+
 def _t_critical(confidence: float, dof: int) -> float:
+    """The ``t`` with ``P(|T| <= t) = confidence``, bisected to machine precision."""
     if dof <= 0:
         return 0.0
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    # Without scipy, use the table whose confidence level is closest to the
-    # requested one (ties break toward the lower level).
-    level = min(_T_TABLES, key=lambda c: (abs(c - confidence), c))
-    table, normal_critical = _T_TABLES[level]
-    if dof in table:
-        return table[dof]
-    # Beyond the tabulated dof the t distribution is close to normal; the
-    # normal critical value under-covers by < 4% already at dof = 10.
-    return normal_critical
+    alpha = 1.0 - confidence
+    low, high = 0.0, 1.0
+    while _t_two_sided_tail(high, dof) > alpha:
+        low, high = high, 2.0 * high
+    while True:
+        middle = 0.5 * (low + high)
+        if not low < middle < high:
+            return high
+        if _t_two_sided_tail(middle, dof) > alpha:
+            low = middle
+        else:
+            high = middle
 
 
 def t_critical(confidence: float, dof: int) -> float:
     """Two-sided Student-t critical value for ``confidence`` at ``dof``.
 
     Public entry point for consumers outside this module (the perf-history
-    regression check uses it to build prediction bounds); scipy-exact when
-    available, table-backed otherwise.
+    regression check uses it to build prediction bounds).  Exact to about
+    1e-10 relative error: the quantile is bisected on the regularized
+    incomplete beta function, using the standard library only.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")

@@ -10,21 +10,22 @@ the generators the scenario registry builds on:
   a handful of cluster centres),
 * :meth:`Topology.corridor` -- a noisy chain along an elongated strip,
 
-and exposes the resulting disk-graph connectivity both as neighbour sets and
-as a :mod:`networkx` graph.  Two serializable specs travel with a scenario:
-:class:`TopologySpec` names which generator (and parameters) to use, and
-:class:`FailureSchedule` describes scheduled permanent node failures that the
-experiment runner turns into simulator events.
+and exposes the resulting disk-graph connectivity as neighbour sets, plus
+the multi-hop queries built on them (:meth:`Topology.is_connected`,
+:meth:`Topology.connected_component_of`).  Two serializable specs travel
+with a scenario: :class:`TopologySpec` names which generator (and
+parameters) to use, and :class:`FailureSchedule` describes scheduled
+permanent node failures that the experiment runner turns into simulator
+events.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..sim.rng import RandomStreams
 from .spec import KindParamsSpec
@@ -285,27 +286,23 @@ class Topology:
             if other != node_id and self.positions[other].distance_to(origin) <= radius
         ]
 
-    def to_graph(self) -> nx.Graph:
-        """Connectivity as a :class:`networkx.Graph` (edges weighted by distance)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.node_ids)
-        for a in self.node_ids:
-            for b in self._neighbors[a]:
-                if a < b:
-                    graph.add_edge(a, b, weight=self.distance(a, b))
-        return graph
-
     def is_connected(self) -> bool:
         """Whether the connectivity graph is a single connected component."""
-        graph = self.to_graph()
-        if graph.number_of_nodes() == 0:
+        if not self.positions:
             return True
-        return nx.is_connected(graph)
+        return len(self.connected_component_of(next(iter(self.positions)))) == len(self.positions)
 
     def connected_component_of(self, node_id: int) -> FrozenSet[int]:
-        """All nodes reachable from ``node_id`` over multi-hop links."""
-        graph = self.to_graph()
-        return frozenset(nx.node_connected_component(graph, node_id))
+        """All nodes reachable from ``node_id`` over multi-hop links (BFS)."""
+        neighbors = self._neighbors
+        reached = {node_id}
+        queue = deque([node_id])
+        while queue:
+            for other in neighbors[queue.popleft()]:
+                if other not in reached:
+                    reached.add(other)
+                    queue.append(other)
+        return frozenset(reached)
 
     # ------------------------------------------------------------------ #
     # mutation (used by failure-injection and mobility experiments)

@@ -12,7 +12,7 @@ Three consumers of :class:`~repro.obs.history.PerfHistory`:
 * :func:`check_regression` replaces the crude ">2x below baseline" CI floor
   with a statistical bound once a cell has enough recorded samples: the
   current measurement is compared against a one-sided Student-t prediction
-  bound computed from the recorded history (the scipy-free t-table in
+  bound computed from the recorded history (the exact Student-t quantile in
   :mod:`repro.experiments.stats` supplies the critical values).  With fewer
   than ``min_samples`` recorded samples the old multiplicative floor is the
   fallback, so a young history is never less safe than the old gate.

@@ -17,10 +17,12 @@ from repro.experiments.lifetime import (
 from repro.experiments.metrics import RunMetrics
 from repro.experiments.stats import (
     IntervalEstimate,
+    _t_critical,
     confidence_interval,
     interval_from_runs,
     mean,
     sample_std,
+    t_critical,
 )
 from repro.routing.tree import RoutingTree
 
@@ -67,52 +69,37 @@ class TestStats:
         assert "0.5" in text and "90%" in text and "n=5" in text
 
 
-class TestTCriticalFallback:
-    """The scipy-free Student-t fallback (regression for the table picker)."""
+class TestTCritical:
+    """The stdlib Student-t quantile, checked against scipy as the oracle."""
 
-    @pytest.fixture(autouse=True)
-    def _without_scipy(self, monkeypatch: pytest.MonkeyPatch):
-        from repro.experiments import stats as stats_module
+    CONFIDENCES = (0.5, 0.8, 0.9, 0.92, 0.95, 0.975, 0.99, 0.999)
+    DOFS = (*range(1, 41), 50, 100, 120, 1000, 100000)
 
-        monkeypatch.setattr(stats_module, "_scipy_stats", None)
-        self.stats = stats_module
+    def test_matches_scipy_quantile(self) -> None:
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for confidence in self.CONFIDENCES:
+            for dof in self.DOFS:
+                exact = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+                assert _t_critical(confidence, dof) == pytest.approx(exact, rel=1e-9), (
+                    confidence,
+                    dof,
+                )
 
-    def test_confidence_99_uses_the_99_table(self) -> None:
-        # Pre-fix: any confidence > 0.9 silently used the 95% table (2.776).
-        assert self.stats._t_critical(0.99, 4) == pytest.approx(4.604)
+    def test_confidence_between_table_levels_is_exact(self) -> None:
+        # The old scipy-less table snapped 0.92 to its 90% row (2.353).
+        assert _t_critical(0.92, 3) == pytest.approx(2.6054, abs=1e-4)
 
-    def test_nearest_table_is_picked(self) -> None:
-        assert self.stats._t_critical(0.92, 3) == pytest.approx(2.353)  # 90% table
-        assert self.stats._t_critical(0.94, 3) == pytest.approx(3.182)  # 95% table
-
-    def test_dof_beyond_table_uses_normal_approximation(self) -> None:
-        # Pre-fix: dof > 9 reused the dof=9 row (1.833 / 2.262).
-        assert self.stats._t_critical(0.90, 30) == pytest.approx(1.645)
-        assert self.stats._t_critical(0.95, 120) == pytest.approx(1.960)
-        assert self.stats._t_critical(0.99, 50) == pytest.approx(2.576)
+    def test_moderate_dof_is_not_the_normal_quantile(self) -> None:
+        # The old scipy-less table used the normal 1.645 beyond 9 dof.
+        assert _t_critical(0.90, 30) == pytest.approx(1.6973, abs=1e-4)
 
     def test_zero_dof_is_zero(self) -> None:
-        assert self.stats._t_critical(0.9, 0) == 0.0
+        assert _t_critical(0.9, 0) == 0.0
 
-    def test_confidence_interval_end_to_end_without_scipy(self) -> None:
-        samples = [1.0, 2.0, 3.0, 4.0, 5.0]
-        narrow = self.stats.confidence_interval(samples, confidence=0.9)
-        wide = self.stats.confidence_interval(samples, confidence=0.99)
-        assert wide.half_width > narrow.half_width
-        assert narrow.contains(3.0)
-
-
-def test_t_tables_agree_with_scipy_when_available() -> None:
-    from repro.experiments import stats as stats_module
-
-    if stats_module._scipy_stats is None:  # pragma: no cover - scipy installed here
-        pytest.skip("scipy not installed")
-    for confidence, (table, normal_critical) in stats_module._T_TABLES.items():
-        for dof, tabulated in table.items():
-            exact = float(stats_module._scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-            assert tabulated == pytest.approx(exact, abs=5e-3)
-        exact_normal = float(stats_module._scipy_stats.norm.ppf(0.5 + confidence / 2.0))
-        assert normal_critical == pytest.approx(exact_normal, abs=5e-3)
+    def test_invalid_confidence_is_rejected(self) -> None:
+        for confidence in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError):
+                t_critical(confidence, 4)
 
 
 @settings(max_examples=50, deadline=None)

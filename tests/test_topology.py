@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.topology import (
@@ -94,12 +94,6 @@ class TestConnectivityQueries:
     def test_nodes_within_radius(self) -> None:
         topo = Topology.from_positions([(0, 0), (100, 0), (400, 0)], comm_range=150.0)
         assert topo.nodes_within(0, 300.0) == [1]
-
-    def test_graph_export(self) -> None:
-        topo = Topology.line(num_nodes=5, spacing=10.0, comm_range=15.0)
-        graph = topo.to_graph()
-        assert graph.number_of_nodes() == 5
-        assert graph.number_of_edges() == 4
 
     def test_is_connected(self) -> None:
         connected = Topology.line(num_nodes=3, spacing=10.0, comm_range=15.0)
@@ -303,3 +297,43 @@ def test_property_neighbor_relation_is_symmetric(num_nodes: int, comm_range: flo
         for b in topo.neighbors(a):
             assert a in topo.neighbors(b)
             assert topo.distance(a, b) <= comm_range + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coordinates=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
+        ),
+        max_size=25,
+    ),
+    comm_range=st.floats(min_value=10.0, max_value=200.0, allow_nan=False),
+    removals=st.lists(st.integers(min_value=0, max_value=24), max_size=25),
+)
+@example(coordinates=[], comm_range=10.0, removals=[])
+@example(coordinates=[(0.0, 0.0), (5.0, 0.0)], comm_range=10.0, removals=[0, 1])
+def test_property_connectivity_matches_networkx(
+    coordinates: list, comm_range: float, removals: list
+) -> None:
+    """BFS connectivity agrees with networkx after every node removal."""
+    nx = pytest.importorskip("networkx")
+    topo = Topology.from_positions(coordinates, comm_range=comm_range)
+
+    def check() -> None:
+        graph = nx.Graph()
+        graph.add_nodes_from(topo.node_ids)
+        graph.add_edges_from((a, b) for a in topo.node_ids for b in topo.neighbors(a))
+        if not topo.node_ids:
+            # networkx leaves connectivity of the null graph undefined.
+            assert topo.is_connected()
+            return
+        assert topo.is_connected() == nx.is_connected(graph)
+        for node in topo.node_ids:
+            assert topo.connected_component_of(node) == nx.node_connected_component(graph, node)
+
+    check()
+    for node in removals:
+        if node in topo.positions:
+            topo.remove_node(node)
+            check()
