@@ -102,6 +102,39 @@ class TestTCritical:
                 t_critical(confidence, 4)
 
 
+#: Published two-sided Student-t critical values (three decimals), the table
+#: the scipy-less path used to read; kept here as reference data.
+_PUBLISHED_T_TABLES = {
+    0.90: {1: 6.314, 2: 2.920, 3: 2.353, 4: 2.132, 5: 2.015, 6: 1.943, 7: 1.895, 8: 1.860, 9: 1.833},
+    0.95: {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262},
+    0.99: {1: 63.657, 2: 9.925, 3: 5.841, 4: 4.604, 5: 4.032, 6: 3.707, 7: 3.499, 8: 3.355, 9: 3.250},
+}
+
+
+class TestTCriticalFallback:
+    """Where the old scipy-less table was right, the exact quantile agrees."""
+
+    def test_confidence_99_uses_the_99_table(self) -> None:
+        # Before the table picker was fixed, any confidence > 0.9 read the 95% row (2.776).
+        assert _t_critical(0.99, 4) == pytest.approx(4.604, abs=5e-4)
+        for dof, tabulated in _PUBLISHED_T_TABLES[0.99].items():
+            assert _t_critical(0.99, dof) == pytest.approx(tabulated, abs=5e-4), dof
+
+
+def test_t_tables_agree_with_scipy_when_available() -> None:
+    for confidence, table in _PUBLISHED_T_TABLES.items():
+        for dof, tabulated in table.items():
+            assert _t_critical(confidence, dof) == pytest.approx(tabulated, abs=5e-4)
+    try:
+        from scipy import stats as scipy_stats
+    except ImportError:  # pragma: no cover - scipy is in the test extra
+        return
+    for confidence, table in _PUBLISHED_T_TABLES.items():
+        for dof, tabulated in table.items():
+            exact = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+            assert tabulated == pytest.approx(exact, abs=5e-3)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=20))
 def test_property_interval_contains_sample_mean(values: list[float]) -> None:
