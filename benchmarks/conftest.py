@@ -8,17 +8,19 @@ wall-clock cost of the sweep; every sweep is executed exactly once
 (``rounds=1``) because a single run already takes seconds to minutes.
 
 The orchestrator benchmark (``test_orchestrator_bench.py``) additionally records
-its serial / parallel / warm-store wall-clock numbers into
-``BENCH_orchestrator.json`` at the repository root via
-:func:`record_orchestrator_bench`, so the sweep-throughput trajectory is
-machine-readable from this PR onward.
+its serial / parallel / warm-store wall-clock numbers via
+:func:`record_orchestrator_bench`, and the hot-path benchmark its events/sec
+cells via :func:`record_hotpath_bench`.
 
-All ``BENCH_*.json`` snapshots are written atomically (tempfile +
-``os.replace``), so an interrupted benchmark run cannot corrupt the
-committed artifacts.  Setting ``REPRO_PERF_HISTORY`` to a file path
-additionally appends each snapshot to that append-only perf-history JSONL
-(see :mod:`repro.obs.history`) -- opt-in via the environment so casual
-local benchmark runs do not grow the committed history.
+The committed ``BENCH_orchestrator.json`` / ``BENCH_hotpath.json``
+snapshots at the repository root are rewritten only on request
+(``REPRO_BENCH_WRITE=1``), so an ordinary test run leaves the working tree
+clean.  They are written atomically (tempfile + ``os.replace``), so an
+interrupted benchmark run cannot corrupt them.  Setting
+``REPRO_PERF_HISTORY`` to a file path appends each recorded benchmark to
+that append-only perf-history JSONL (see :mod:`repro.obs.history`) --
+opt-in via the environment so casual local benchmark runs do not grow the
+committed history.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from repro.obs.history import PerfHistory, atomic_write_text, entry_from_bench
 
 #: Environment variable selecting the perf-history file to append to.
 PERF_HISTORY_ENV_VAR = "REPRO_PERF_HISTORY"
+
+#: Environment variable that, set to ``1``, rewrites the ``BENCH_*.json``
+#: snapshots at the repository root.
+BENCH_WRITE_ENV_VAR = "REPRO_BENCH_WRITE"
 
 #: Where the orchestrator benchmark numbers land (repository root).
 ORCHESTRATOR_BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_orchestrator.json"
@@ -82,25 +88,22 @@ def _append_history(bench: str, results: dict) -> None:
         history.append(entry)
         print(f"perf history: recorded {bench} entry {entry.label()} -> {history.path}")
     except Exception as error:  # history persistence is best-effort
-        # Never fail the benchmark session over history bookkeeping; the
-        # BENCH_*.json snapshot is already on disk.
+        # Never fail the benchmark session over history bookkeeping.
         print(f"perf history: failed to record {bench} entry: {error}", file=sys.stderr)
 
 
 def pytest_sessionfinish(session, exitstatus) -> None:
-    """Emit the benchmark JSON artifacts for whichever benchmarks ran."""
-    if _orchestrator_bench:
-        atomic_write_text(
-            ORCHESTRATOR_BENCH_PATH,
-            json.dumps(_orchestrator_bench, indent=2, sort_keys=True) + "\n",
-        )
-        _append_history("orchestrator", _orchestrator_bench)
-    if _hotpath_bench:
-        atomic_write_text(
-            HOTPATH_BENCH_PATH,
-            json.dumps(_hotpath_bench, indent=2, sort_keys=True) + "\n",
-        )
-        _append_history("hotpath", _hotpath_bench)
+    """Emit the benchmark artifacts for whichever benchmarks ran."""
+    write = os.environ.get(BENCH_WRITE_ENV_VAR, "").strip() == "1"
+    for bench, results, path in (
+        ("orchestrator", _orchestrator_bench, ORCHESTRATOR_BENCH_PATH),
+        ("hotpath", _hotpath_bench, HOTPATH_BENCH_PATH),
+    ):
+        if not results:
+            continue
+        if write:
+            atomic_write_text(path, json.dumps(results, indent=2, sort_keys=True) + "\n")
+        _append_history(bench, results)
 
 
 @pytest.fixture(scope="session")

@@ -14,11 +14,14 @@ whenever the node finishes sending or receiving a data report.
 
 Implementation notes
 --------------------
-* ``checkState`` is deferred by a zero-delay event so that a chain of
-  bookkeeping updates (e.g. "last child report arrived -> aggregate -> hand
-  the report to the MAC") completes before the sleep decision is made;
-  otherwise the node could power down between two steps of the same logical
-  action.
+* ``checkState`` is deferred to the end of the current instant
+  (:meth:`~repro.sim.engine.Simulator.defer`) so that a chain of bookkeeping
+  updates (e.g. "last child report arrived -> aggregate -> hand the report
+  to the MAC") completes before the sleep decision is made; otherwise the
+  node could power down between two steps of the same logical action.  The
+  check runs after every HIGH and NORMAL event of that instant, and in
+  request order among its LOW events, without touching the event heap.
+  Repeated requests before it runs coalesce into one check.
 * The node never sleeps while the MAC still holds frames to transmit, and the
   radio itself refuses to sleep mid-reception or mid-transmission.
 * The break-even time defaults to the one implied by the radio's power
@@ -74,9 +77,7 @@ class SafeSleep:
         "_next_wakeup",
         "_do_check_cb",
         "_check_state_cb",
-        "_schedule_in",
-        "_reschedule",
-        "_check_event",
+        "_defer",
         "_mac_has_pending",
     )
 
@@ -112,12 +113,7 @@ class SafeSleep:
         self._next_wakeup = table.next_wakeup
         self._do_check_cb = self._do_check
         self._check_state_cb = self.check_state
-        self._schedule_in = sim.schedule_in
-        self._reschedule = sim.reschedule
-        # The deferred-check event object, reused across checks: the
-        # ``_check_pending`` flag guarantees it is never queued twice, so
-        # after it fires it can simply be re-keyed instead of re-allocated.
-        self._check_event = None
+        self._defer = sim.defer
         # Bind the MAC's has_pending property getter once: the descriptor
         # dispatch per check was measurable.  Falls back to a plain closure
         # for MAC implementations exposing has_pending as an attribute.
@@ -142,13 +138,7 @@ class SafeSleep:
         if self._check_pending or not self.enabled:
             return
         self._check_pending = True
-        event = self._check_event
-        if event is None:
-            self._check_event = self._schedule_in(
-                0.0, self._do_check_cb, priority=_LOW, label="safe_sleep.check"
-            )
-        else:
-            self._reschedule(event, 0.0)
+        self._defer(self._do_check_cb)
 
     def _do_check(self) -> None:
         self._check_pending = False

@@ -12,13 +12,14 @@ from ..layers import Layer
 from .._ast_util import dotted_name
 
 #: Calls whose invocation order is observable simulation behaviour: event
-#: scheduling, trace emission, and TimingTable writes (which fire listener
+#: scheduling and end-of-instant deferral (deferred callbacks fire in call
+#: order), trace emission, and TimingTable writes (which fire listener
 #: notifications that re-evaluate Safe Sleep and may schedule events).
 _ORDER_SENSITIVE_CALLS = frozenset(
     {
         "schedule_at",
         "schedule_in",
-        "reschedule",
+        "defer",
         "call_every",
         "emit",
         "set_next_receive",

@@ -68,9 +68,14 @@ _OFF = RadioState.OFF
 _RX = RadioState.RX
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transmission:
-    """Book-keeping for one frame currently on the air."""
+    """Book-keeping for one frame currently on the air.
+
+    Compared by identity: each instance is one frame on the air, and the
+    covering lists' ``remove``/``in`` then never fall back to a field-wise
+    comparison.
+    """
 
     sender: int
     packet: Packet

@@ -3,7 +3,7 @@
 The paper evaluates ESSAT in ns-2; this module provides the equivalent
 substrate: a deterministic, heap-based discrete-event simulator with
 
-* ``schedule_at`` / ``schedule_in`` / ``cancel`` primitives,
+* ``schedule_at`` / ``schedule_in`` / ``defer`` / ``cancel`` primitives,
 * a monotonically non-decreasing simulation clock,
 * named pseudo-random streams (see :mod:`repro.sim.rng`) so that independent
   model components (MAC backoff, node placement, query start times) draw from
@@ -23,20 +23,37 @@ handle (no separate handle allocation).  Cancellation is *lazy*: a cancelled
 event stays queued until the run loop reaches it, and a counter tracks how
 many cancelled entries the heap still holds.  :attr:`pending_events` (live
 events only) is therefore O(1) -- ``queued_events - cancelled entries`` --
-while :attr:`queued_events` is the raw heap length including cancelled
-entries not yet popped, i.e. queue memory pressure rather than remaining
-work.
+while :attr:`queued_events` is the raw queue length (heap plus deferral
+deque) including cancelled entries not yet popped, i.e. queue memory
+pressure rather than remaining work.
+
+Zero-delay, low-priority work that runs once per model event (Safe Sleep's
+deferred sleep decision) does not touch the heap at all: :meth:`Simulator.defer`
+appends a ``(now, LOW, sequence, callback)`` tuple to an end-of-instant
+deque.  The run loop fires the deque head whenever that tuple sorts before
+the live heap top, which is exactly where ``schedule_in(0.0, callback,
+priority=LOW)`` would have fired it: after every HIGH and NORMAL event of
+the current instant and every earlier-sequenced LOW one, before any later
+LOW event and before the clock advances.  The deque is therefore always
+sorted and only ever holds entries of the current instant.  Deferred
+callbacks take a sequence number and count as scheduled, pending and
+processed events like heap events; they return no handle and cannot be
+cancelled.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, ClassVar, Iterable, Optional, Protocol
 
 from .events import Event, EventHandle, EventPriority
 from .rng import RandomStreams
 from .trace import TraceRecorder
+
+#: Hoisted: :meth:`Simulator.defer` runs once per Safe Sleep check.
+_LOW = EventPriority.LOW
 
 
 class SimulationError(RuntimeError):
@@ -73,6 +90,7 @@ class Simulator:
     __slots__ = (
         "now",
         "_heap",
+        "_deferred",
         "_sequence",
         "_running",
         "_stopped",
@@ -95,6 +113,9 @@ class Simulator:
         #: only the run loop advances it.
         self.now: float = 0.0
         self._heap: list = []
+        #: End-of-instant queue of ``(now, LOW, sequence, callback)`` tuples
+        #: (see :meth:`defer`).
+        self._deferred: deque = deque()
         self._sequence: int = 0
         self._running: bool = False
         self._stopped: bool = False
@@ -117,16 +138,17 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live events still in the queue (excluding cancelled ones).
+        """Number of live events still queued (excluding cancelled ones),
+        deferred callbacks included.
 
         O(1): the lazy-deletion counter tracks cancelled entries, so this no
         longer scans the heap.
         """
-        return len(self._heap) - self._cancelled_in_heap
+        return len(self._heap) - self._cancelled_in_heap + len(self._deferred)
 
     @property
     def scheduled_events(self) -> int:
-        """Total events ever pushed (schedules + reschedules), fired or not."""
+        """Total events ever scheduled or deferred, fired or not."""
         return self._sequence
 
     @property
@@ -149,13 +171,14 @@ class Simulator:
 
     @property
     def queued_events(self) -> int:
-        """Number of heap entries, including cancelled events not yet popped.
+        """Number of queued entries (heap and deferred), including cancelled
+        events not yet popped.
 
         Cancelled events stay in the heap until the run loop reaches them, so
         this count can exceed :attr:`pending_events`; it measures queue memory
         pressure rather than remaining work.
         """
-        return len(self._heap)
+        return len(self._heap) + len(self._deferred)
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -231,28 +254,18 @@ class Simulator:
         heappush(self._heap, (time, priority, sequence, event))
         return event
 
-    def reschedule(self, event: Event, delay: float) -> EventHandle:
-        """Re-arm a previously *fired* event ``delay`` seconds from now.
+    def defer(self, callback: Callable[[], Any]) -> None:
+        """Run ``callback()`` at the end of the current instant.
 
-        The caller must guarantee the event is not currently queued (it has
-        already fired, or was never scheduled); the engine re-keys it with a
-        fresh sequence number, so heap ordering is identical to scheduling a
-        brand-new event with the same callback.  Reusing the object skips
-        the per-event allocation on tight notify-then-re-check loops (Safe
-        Sleep schedules one deferred check after nearly every model event).
+        Fires exactly where ``schedule_in(0.0, callback,
+        priority=EventPriority.LOW)`` would -- after the HIGH and NORMAL
+        events of this instant and every LOW event scheduled before it --
+        but from a deque instead of the heap: no :class:`Event`, no heap
+        push or pop.  The deferral cannot be cancelled; callers that need
+        coalescing keep their own pending flag (as Safe Sleep does).
         """
-        if event._in_heap:
-            raise SimulationError("cannot reschedule an event that is still queued")
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event with negative delay {delay!r}")
-        time = self.now + delay
         self._sequence = sequence = self._sequence + 1
-        event.time = time
-        event.sequence = sequence
-        event.cancelled = False
-        event._in_heap = True
-        heappush(self._heap, (time, event.priority, sequence, event))
-        return event
+        self._deferred.append((self.now, _LOW, sequence, callback))
 
     # ------------------------------------------------------------------ #
     # execution
@@ -287,6 +300,8 @@ class Simulator:
         budget = math.inf if max_events is None else max_events
         heap = self._heap
         pop = heappop
+        deferred = self._deferred
+        popleft = deferred.popleft
         # Peak tracking lives in a local (one len+compare per fired event);
         # sampled at event boundaries, where callback scheduling bursts from
         # the previous event are already in the heap.
@@ -294,8 +309,27 @@ class Simulator:
         if len(heap) > peak:
             peak = len(heap)
         try:
-            while heap:
+            while True:
                 if self._stopped:
+                    break
+                if deferred:
+                    # Every deferred entry belongs to the current instant,
+                    # so the clock stays put; the entry goes first unless a
+                    # heap entry (live or cancelled) sorts before it.
+                    head = deferred[0]
+                    if not heap or head < heap[0]:
+                        if head[0] > horizon:
+                            break
+                        popleft()
+                        head[3]()
+                        fired_this_run += 1
+                        heap_len = len(heap)
+                        if heap_len > peak:
+                            peak = heap_len
+                        if fired_this_run >= budget:
+                            break
+                        continue
+                elif not heap:
                     break
                 entry = heap[0]
                 event = entry[3]
@@ -345,6 +379,8 @@ class Simulator:
 
     def peek_next_time(self) -> Optional[float]:
         """Return the time of the next pending event, or ``None`` if empty."""
+        if self._deferred:
+            return self.now
         heap = self._heap
         while heap:
             entry = heap[0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.channel import WirelessChannel
+from repro.net.channel import Transmission, WirelessChannel
 from repro.net.loss import NoLoss, PerLinkLoss, ScriptedLoss, UniformLoss
 from repro.net.packet import Packet
 from repro.net.topology import Topology
@@ -292,6 +292,17 @@ class TestUnregisterAccounting:
 
 
 class TestCarrierSense:
+    def test_transmissions_with_identical_fields_stay_distinct(self) -> None:
+        packet = Packet(src=0, dst=1)
+        first = Transmission(sender=0, packet=packet, start=0.0, end=0.01)
+        second = Transmission(sender=0, packet=packet, start=0.0, end=0.01)
+        assert first != second
+        assert second not in [first]
+        covering = [first, second]
+        covering.remove(second)
+        assert len(covering) == 1
+        assert covering[0] is first
+
     def test_is_busy_when_neighbor_transmits(self) -> None:
         topo = Topology.line(3, spacing=100.0, comm_range=120.0)
         sim, channel, radios, inboxes = _build_channel(topo)

@@ -143,6 +143,14 @@ class TestREP003SetOrder:
         """
         assert codes(violating, SIM_PATH) == ["REP003"]
 
+    def test_fires_on_set_iteration_feeding_deferral(self) -> None:
+        violating = """
+            def request_checks(sim, schedulers):
+                for scheduler in set(schedulers):
+                    sim.defer(scheduler.check)
+        """
+        assert codes(violating, SIM_PATH) == ["REP003"]
+
     def test_fires_on_set_annotated_parameter_accumulation(self) -> None:
         violating = """
             from typing import Set

@@ -277,28 +277,170 @@ def test_property_cancelled_events_never_fire(entries: list[tuple[float, bool]])
     assert len(set(fired)) == len(fired)
 
 
-class TestReschedule:
-    def test_rescheduled_event_fires_with_fresh_ordering(self) -> None:
-        from repro.sim.engine import Simulator
+class TestDefer:
+    def test_deferred_callback_runs_where_a_zero_delay_low_event_would(
+        self, sim: Simulator
+    ) -> None:
+        order = []
 
-        sim = Simulator()
-        fired: list = []
-        handle = sim.schedule_in(0.0, lambda: fired.append(sim.now))
-        sim.run(until=0.0)
-        assert fired == [0.0]
-        # Re-arm the same (already fired) event object instead of allocating
-        # a new one; it must fire again at the new time.
-        sim.schedule_at(1.0, lambda: fired.append("other"))
-        sim.reschedule(handle, 2.0)
-        sim.run(until=3.0)
-        assert fired == [0.0, "other", 2.0]
+        def first() -> None:
+            order.append("first")
+            sim.defer(lambda: order.append("deferred"))
+            sim.schedule_in(0.0, lambda: order.append("later low"), priority=EventPriority.LOW)
+            sim.schedule_in(0.0, lambda: order.append("normal"))
+            sim.schedule_in(0.0, lambda: order.append("high"), priority=EventPriority.HIGH)
 
-    def test_reschedule_rejects_queued_event(self) -> None:
-        import pytest
+        sim.schedule_at(1.0, lambda: order.append("earlier low"), priority=EventPriority.LOW)
+        sim.schedule_at(1.0, first, priority=EventPriority.HIGH)
+        sim.schedule_at(2.0, lambda: order.append("next instant"))
+        sim.run()
+        assert order == [
+            "first",
+            "high",
+            "normal",
+            "earlier low",
+            "deferred",
+            "later low",
+            "next instant",
+        ]
 
-        from repro.sim.engine import SimulationError, Simulator
+    def test_deferred_callbacks_count_as_events(self, sim: Simulator) -> None:
+        sim.schedule_at(1.0, lambda: sim.defer(lambda: None))
+        sim.defer(lambda: None)
+        assert sim.scheduled_events == 2
+        assert sim.pending_events == 2
+        assert sim.queued_events == 2
+        sim.run()
+        assert sim.scheduled_events == 3
+        assert sim.processed_events == 3
+        assert sim.pending_events == 0
+        assert sim.cancelled_events == 0
 
-        sim = Simulator()
-        handle = sim.schedule_in(1.0, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.reschedule(handle, 2.0)
+    def test_peek_next_time_is_now_while_deferred_entries_wait(self, sim: Simulator) -> None:
+        sim.schedule_at(5.0, lambda: None)
+        sim.schedule_at(2.0, lambda: sim.defer(lambda: None))
+        sim.run(until=2.0, max_events=1)
+        assert sim.now == 2.0
+        assert sim.peek_next_time() == 2.0
+        sim.run(until=2.0)
+        assert sim.peek_next_time() == 5.0
+
+    def test_stop_leaves_deferred_entries_queued(self, sim: Simulator) -> None:
+        fired = []
+
+        def stop_after_deferring() -> None:
+            sim.defer(lambda: fired.append(sim.now))
+            sim.stop()
+
+        sim.schedule_at(1.0, stop_after_deferring)
+        sim.run(until=10.0)
+        # Stopped with a deferred entry pending: the clock must not jump to
+        # the horizon past it.
+        assert fired == []
+        assert sim.now == 1.0
+        assert sim.pending_events == 1
+        assert sim.run(until=10.0) == 10.0
+        assert fired == [1.0]
+
+    def test_max_events_cut_off_resumes_deferred_entries(self, sim: Simulator) -> None:
+        fired = []
+        sim.schedule_at(1.0, lambda: [sim.defer(lambda i=i: fired.append(i)) for i in range(3)])
+        sim.schedule_at(3.0, lambda: fired.append("later"))
+        assert sim.run(until=5.0, max_events=2) == 1.0
+        assert fired == [0]
+        assert sim.run(until=5.0) == 5.0
+        assert fired == [0, 1, 2, "later"]
+
+
+#: Heap priorities a replayed program can schedule with.
+_HEAP_KINDS = {
+    "high": EventPriority.HIGH,
+    "normal": EventPriority.NORMAL,
+    "low": EventPriority.LOW,
+}
+_ACTION_KINDS = (*_HEAP_KINDS, "defer", "stop", "cancel")
+
+#: One action a fired callback takes: (kind, target program index, delay).
+_actions = st.tuples(
+    st.sampled_from(_ACTION_KINDS),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+)
+
+
+def _replay(program, use_defer: bool):
+    """Run ``program`` once; zero-delay LOW work goes through ``defer`` or
+    through the heap.  Returns the fire log and the state after each run."""
+    bodies, initial, runs = program
+    sim = Simulator(seed=0)
+    log: list = []
+    handles: list = []
+    budget = [40]
+
+    def act(kind: str, target: int, delay: float) -> None:
+        if kind == "stop":
+            sim.stop()
+            return
+        if kind == "cancel":
+            if handles:
+                handles[target % len(handles)].cancel()
+            return
+        if budget[0] == 0:
+            return
+        budget[0] -= 1
+        tag = (kind, target, sim.scheduled_events)
+
+        def callback() -> None:
+            log.append((tag, sim.now))
+            for action in bodies[target % len(bodies)]:
+                act(*action)
+
+        if kind != "defer":
+            handles.append(sim.schedule_in(delay, callback, priority=_HEAP_KINDS[kind]))
+        elif use_defer:
+            sim.defer(callback)
+        else:
+            sim.schedule_in(0.0, callback, priority=EventPriority.LOW)
+
+    for action in initial:
+        act(*action)
+    states = []
+    for delta, max_events in runs:
+        until = None if delta is None else sim.now + delta
+        end = sim.run(until=until, max_events=max_events)
+        states.append(
+            (
+                end,
+                sim.now,
+                sim.processed_events,
+                sim.scheduled_events,
+                sim.pending_events,
+                sim.cancelled_events,
+                sim.peek_next_time(),
+            )
+        )
+    return log, states
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(
+        st.lists(st.lists(_actions, max_size=4), min_size=1, max_size=8),
+        st.lists(_actions, min_size=1, max_size=6),
+        st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0])),
+                st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+)
+def test_property_defer_fires_exactly_like_a_zero_delay_low_event(program) -> None:
+    """``defer(cb)`` is observably ``schedule_in(0.0, cb, priority=LOW)``:
+    same fire order and times, same counters and ``peek_next_time`` after
+    every run -- across same-instant LOW heap events, callbacks that
+    schedule at ``now`` or defer again, ``stop()``, ``max_events`` cut-offs
+    resumed by later runs, and runs that end with deferred work pending."""
+    assert _replay(program, use_defer=True) == _replay(program, use_defer=False)
