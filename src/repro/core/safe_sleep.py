@@ -210,6 +210,4 @@ class SafeSleep:
     def _schedule_recheck(self, when: float) -> None:
         if when <= self._sim.now:
             return
-        self._sim.schedule_at(
-            when, self._check_state_cb, priority=_LOW, label="safe_sleep.recheck"
-        )
+        self._sim.schedule_at(when, self._check_state_cb, priority=_LOW)

@@ -225,7 +225,7 @@ def install_failure_schedule(
         handler(node_id)
 
     for time, node_id in events:
-        sim.schedule_at(time, fail, node_id, label=f"scenario.fail.{node_id}")
+        sim.schedule_at(time, fail, node_id)
     return events
 
 

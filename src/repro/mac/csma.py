@@ -78,10 +78,9 @@ class CsmaMac(Mac):
         "_pending_acks",
         "_attempt_handle",
         "_ack_handle",
-        "_attempt_label",
-        "_ack_label",
-        "_tx_done_label",
         "_slot_time",
+        "_cw_min",
+        "_cw_max",
         "_difs",
         "_use_acks",
         "_on_attempt_timer_cb",
@@ -133,12 +132,11 @@ class CsmaMac(Mac):
         # extra call frame per backoff on the busiest path in the MAC.
         self._attempt_handle = None
         self._ack_handle = None
-        self._attempt_label = f"mac{node_id}.attempt"
-        self._ack_label = f"mac{node_id}.ack_timeout"
-        # Precomputed so the per-frame hot path does not rebuild the label,
-        # chase config attributes, or re-bind callback methods.
-        self._tx_done_label = f"mac{node_id}.tx_done"
+        # Precomputed so the per-frame hot path does not chase config
+        # attributes or re-bind callback methods.
         self._slot_time = self.config.slot_time
+        self._cw_min = self.config.cw_min
+        self._cw_max = self.config.cw_max
         self._difs = self.config.difs
         self._use_acks = self.config.use_acks
         self._on_attempt_timer_cb = self._on_attempt_timer
@@ -208,9 +206,7 @@ class CsmaMac(Mac):
         packet = self._queue.pop()
         if packet is None:
             return
-        self._current = _Outgoing(
-            packet=packet, enqueued_at=self._sim.now, cw=self.config.cw_min
-        )
+        self._current = _Outgoing(packet=packet, enqueued_at=self._sim.now, cw=self._cw_min)
         self._start_attempt()
 
     def _start_attempt(self) -> None:
@@ -247,17 +243,18 @@ class CsmaMac(Mac):
         if handle is not None:
             handle.cancel()
         self._attempt_handle = self._sim.schedule_in(
-            delay if delay > slot_time else slot_time,
-            self._on_attempt_timer_cb,
-            label=self._attempt_label,
+            delay if delay > slot_time else slot_time, self._on_attempt_timer_cb
         )
 
     def _draw_backoff(self, initial: bool = False) -> float:
         assert self._current is not None
         self.stats.backoffs += 1
-        window = min(self._current.cw, self.config.cw_max)
-        if initial:
-            window = min(window, self.config.cw_min)
+        window = self._current.cw
+        cw_max = self._cw_max
+        if window > cw_max:
+            window = cw_max
+        if initial and window > self._cw_min:
+            window = self._cw_min
         slots = self._randbelow(window + 1)
         return slots * self._slot_time
 
@@ -275,7 +272,7 @@ class CsmaMac(Mac):
             return
         if radio_state is not RadioState.IDLE or self._channel.is_busy(self.node_id):
             # Still busy: double the contention window and retry.
-            self._current.cw = min(self._current.cw * 2 + 1, self.config.cw_max)
+            self._current.cw = min(self._current.cw * 2 + 1, self._cw_max)
             self.stats.deferrals += 1
             self._defer(
                 self._channel.time_until_idle(self.node_id)
@@ -302,7 +299,7 @@ class CsmaMac(Mac):
                 dst=packet.dst,
                 attempt=self._current.attempts,
             )
-        self._sim.schedule_in(airtime, self._on_tx_complete_cb, label=self._tx_done_label)
+        self._sim.schedule_in(airtime, self._on_tx_complete_cb)
 
     def _on_tx_complete(self) -> None:
         if self._current is None:
@@ -329,9 +326,7 @@ class CsmaMac(Mac):
         handle = self._ack_handle
         if handle is not None:
             handle.cancel()
-        self._ack_handle = self._sim.schedule_in(
-            timeout, self._on_ack_timeout_cb, label=self._ack_label
-        )
+        self._ack_handle = self._sim.schedule_in(timeout, self._on_ack_timeout_cb)
 
     def _on_ack_timeout(self) -> None:
         self._ack_handle = None
@@ -346,7 +341,7 @@ class CsmaMac(Mac):
             self._complete_current(success=False)
             return
         self.stats.retransmissions += 1
-        self._current.cw = min(self._current.cw * 2 + 1, self.config.cw_max)
+        self._current.cw = min(self._current.cw * 2 + 1, self._cw_max)
         self._defer(self.config.difs + self._draw_backoff())
 
     def _complete_current(self, success: bool) -> None:

@@ -28,9 +28,20 @@ maintains a per-node *active-transmission index* (``_covering``): when a
 frame starts, it is appended to the index entry of the sender and of every
 in-range node (snapshotted on the transmission as ``covered``), and removed
 when it ends.  ``is_busy`` is then a dict lookup and ``time_until_idle`` a
-max over the handful of frames audible at one node.  Per-sender neighbour
-tuples are cached and invalidated via the topology's ``version`` counter so
-node removal (failure injection) and mobility stay correct.
+max over the handful of frames audible at one node.
+
+A frame's start is one pass over a cached per-sender *fan-out table*
+(``_fanout``): sender -> ``(covered ids, covering lists, attached
+(id, radio) pairs)``.  The covered ids are ``(sender,) + neighbours``; the
+covering lists are the persistent ``_covering`` entries in that order; the
+attached pairs keep neighbour order, so the ``receivers`` dict and the
+delivery order are those of the topology's neighbour sets.  The unit-disk
+loop appends the frame to every cached list, then walks only the attached
+radios, and the transmission points at the shared cached tuples (they are
+never mutated; ``unregister`` only rebinds a frame's references to ``()``),
+so no per-frame list or tuple is built.  The table is flushed when the
+topology's ``version`` changes (node removal, mobility) and on every
+``register``/``unregister``, which change the attached pairs.
 
 Propagation strategies
 ----------------------
@@ -39,9 +50,11 @@ The default :class:`~repro.net.propagation.UnitDiskPropagation` keeps the
 original inlined loop (guarded by ``self._unit_disk``, mirroring the
 ``_lossless`` fast flag), so the paper's channel is bit-for-bit unchanged
 and pays nothing for the indirection.  Non-default models
-(log-distance shadowing, SINR capture) filter the audible set per link
-budget and resolve collisions per SINR over this same per-node
-transmission index.
+(log-distance shadowing, SINR capture) run the model-aware loop: it reads
+its neighbours from the same fan-out table, filters the audible set per
+link budget and resolves collisions per SINR over this same per-node
+transmission index.  Under the unit-disk model that loop is the reference
+the fast loop is tested against.
 """
 
 from __future__ import annotations
@@ -89,6 +102,11 @@ class Transmission:
     #: The covering lists themselves, in ``covered`` order: the frame's end
     #: removes itself from each without re-resolving the per-node dict.
     covered_lists: Tuple[list, ...] = ()
+
+
+#: One fan-out table entry: ``(covered ids, covering lists, attached
+#: (id, radio) pairs)`` of a sender (see :meth:`WirelessChannel._fanout`).
+Fanout = Tuple[Tuple[int, ...], Tuple[List[Transmission], ...], Tuple[Tuple[int, Radio], ...]]
 
 
 class ChannelStats:
@@ -140,9 +158,10 @@ class WirelessChannel:
         "_active",
         "_covering",
         "_draining",
-        "_neighbor_cache",
+        "_fanout_cache",
         "_topology_version",
         "_finish_transmission_cb",
+        "_end_drain_cb",
         "stats",
     )
 
@@ -183,14 +202,15 @@ class WirelessChannel:
         #: (the radio stays busy until every frame that overlapped its
         #: corrupted reception has ended; see ``_finish_transmission``).
         self._draining: Dict[int, object] = {}
-        #: sender id -> cached neighbour tuple (iteration order preserved
-        #: from the topology's frozensets); flushed when the topology's
-        #: ``version`` changes.
-        self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
+        #: sender id -> its fan-out table entry (see :meth:`_fanout`);
+        #: flushed when the topology's ``version`` changes and on every
+        #: ``register``/``unregister``.
+        self._fanout_cache: Dict[int, Fanout] = {}
         self._topology_version: int = topology.version
-        #: Pre-bound end-of-frame callback (one bound-method allocation per
-        #: transmission otherwise).
+        #: Pre-bound end-of-frame and end-of-drain callbacks (one
+        #: bound-method allocation per scheduled event otherwise).
         self._finish_transmission_cb = self._finish_transmission
+        self._end_drain_cb = self._end_drain
         self.stats = ChannelStats()
 
     # ------------------------------------------------------------------ #
@@ -213,6 +233,8 @@ class WirelessChannel:
             raise ValueError(f"node {node_id} is already registered on the channel")
         self._attached[node_id] = (radio, deliver)
         self._covering.setdefault(node_id, [])
+        # Every cached fan-out whose neighbours include this node is stale.
+        self._fanout_cache.clear()
 
     def unregister(self, node_id: int) -> None:
         """Detach a node (permanent failure); in-flight frames to it are lost.
@@ -257,7 +279,8 @@ class WirelessChannel:
             own.covered_lists = ()
             for receiver in own.receivers:
                 own.receivers[receiver] = False
-        self._neighbor_cache.pop(node_id, None)
+        # The dead node is gone from every cached attached-pairs tuple.
+        self._fanout_cache.clear()
 
     def set_loss_model(self, loss_model: LossModel) -> None:
         """Replace the loss model (used by failure-injection experiments)."""
@@ -289,16 +312,30 @@ class WirelessChannel:
     # transmission
     # ------------------------------------------------------------------ #
 
-    def _neighbors_of(self, sender: int) -> Tuple[int, ...]:
-        """Cached neighbour tuple of ``sender`` for the current topology."""
+    def _fanout(self, sender: int) -> Fanout:
+        """Cached fan-out table entry of ``sender`` for the current topology.
+
+        ``(covered ids, covering lists, attached (id, radio) pairs)``: the
+        covered ids are ``(sender,) + neighbours`` in the topology's
+        iteration order, the covering lists are the ``_covering`` entries of
+        those ids, and the attached pairs are the registered neighbours with
+        their radios, in neighbour order.
+        """
         topology = self._topology
         if topology.version != self._topology_version:
-            self._neighbor_cache.clear()
+            self._fanout_cache.clear()
             self._topology_version = topology.version
-        neighbors = self._neighbor_cache.get(sender)
-        if neighbors is None:
-            neighbors = self._neighbor_cache[sender] = tuple(topology.neighbors(sender))
-        return neighbors
+        entry = self._fanout_cache.get(sender)
+        if entry is None:
+            covered = (sender,) + tuple(topology.neighbors(sender))
+            covering = self._covering
+            attached = self._attached
+            entry = self._fanout_cache[sender] = (
+                covered,
+                tuple(covering[node] for node in covered),
+                tuple((node, attached[node][0]) for node in covered[1:] if node in attached),
+            )
+        return entry
 
     def transmit(self, sender: int, packet: Packet, duration: float) -> Optional[Transmission]:
         """Put ``packet`` on the air from ``sender`` for ``duration`` seconds.
@@ -322,7 +359,7 @@ class WirelessChannel:
         stats = self.stats
         trace = sim.trace
         tracing = trace.enabled
-        transmission = Transmission(sender=sender, packet=packet, start=now, end=now + duration)
+        transmission = Transmission(sender, packet, now, now + duration)
         self._active[sender] = transmission
         stats.transmissions += 1
         stats.bytes_transmitted += packet.size_bytes
@@ -336,11 +373,7 @@ class WirelessChannel:
                 size=packet.size_bytes,
             )
 
-        neighbors = self._neighbors_of(sender)
-        covering = self._covering
-        sender_list = covering[sender]
-        sender_list.append(transmission)
-        covered_lists = [sender_list]
+        covered, covered_lists, neighbor_radios = self._fanout(sender)
         receivers = transmission.receivers
         collisions = 0
         missed_asleep = 0
@@ -348,17 +381,12 @@ class WirelessChannel:
         off = _OFF
         rx = _RX
         if self._unit_disk:
-            for neighbor in neighbors:
-                # The carrier-sense index hears the energy whatever the
-                # neighbour's radio (or registration) state.
-                neighbor_list = covering[neighbor]
-                neighbor_list.append(transmission)
-                covered_lists.append(neighbor_list)
-
-                neighbor_attached = attached.get(neighbor)
-                if neighbor_attached is None:
-                    continue
-                neighbor_radio = neighbor_attached[0]
+            # The carrier-sense index hears the energy at the sender and at
+            # every neighbour, whatever the neighbour's radio (or
+            # registration) state.
+            for entries in covered_lists:
+                entries.append(transmission)
+            for neighbor, neighbor_radio in neighbor_radios:
                 locked_tx = neighbor_radio._rx_lock
                 if locked_tx is not None:
                     # The neighbour is already receiving another frame: that frame
@@ -383,6 +411,8 @@ class WirelessChannel:
                 neighbor_radio._set_state(rx)
                 receivers[neighbor] = True
                 neighbor_radio._rx_lock = transmission
+            transmission.covered = covered
+            transmission.covered_lists = covered_lists
         else:
             # Model-aware loop: the audible set is the link-budget-filtered
             # subset of the disk neighbours (a frame below sensitivity is
@@ -390,11 +420,15 @@ class WirelessChannel:
             # locked receiver asks the model to resolve the collision over
             # the frames audible there (the per-node transmission index).
             model = self._model
-            neighbors = model.audible(sender, neighbors)
+            covering = self._covering
+            sender_list = covering[sender]
+            sender_list.append(transmission)
+            audible_lists = [sender_list]
+            neighbors = model.audible(sender, covered[1:])
             for neighbor in neighbors:
                 audible_here = covering[neighbor]
                 audible_here.append(transmission)
-                covered_lists.append(audible_here)
+                audible_lists.append(audible_here)
 
                 neighbor_attached = attached.get(neighbor)
                 if neighbor_attached is None:
@@ -434,19 +468,18 @@ class WirelessChannel:
                 neighbor_radio._set_state(rx)
                 receivers[neighbor] = True
                 neighbor_radio._rx_lock = transmission
+            transmission.covered = (sender,) + neighbors
+            transmission.covered_lists = tuple(audible_lists)
         if collisions:
             stats.collisions += collisions
         if missed_asleep:
             stats.missed_asleep += missed_asleep
-        transmission.covered = (sender,) + neighbors
-        transmission.covered_lists = tuple(covered_lists)
 
         sim.schedule_at(
             transmission.end,
             self._finish_transmission_cb,
             transmission,
             priority=EventPriority.HIGH,
-            label="channel.tx_end",
         )
         return transmission
 
@@ -504,10 +537,9 @@ class WirelessChannel:
                                 horizon = other.end
                         self._draining[receiver] = self._sim.schedule_at(
                             horizon,
-                            self._end_drain,
+                            self._end_drain_cb,
                             receiver,
                             priority=EventPriority.HIGH,
-                            label="channel.rx_drain",
                         )
                         draining = True
                 if not draining:

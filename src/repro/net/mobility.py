@@ -132,7 +132,7 @@ class RandomWaypointMobility:
     def _schedule_next(self) -> None:
         next_time = self._sim.now + self.update_interval
         if next_time <= self._until:
-            self._sim.schedule_at(next_time, self._tick, label="mobility.tick")
+            self._sim.schedule_at(next_time, self._tick)
 
     def _tick(self) -> None:
         now = self._sim.now

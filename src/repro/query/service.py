@@ -237,8 +237,6 @@ class _QueryRuntime:
     spec: QuerySpec
     participating_children: List[int]
     is_source: bool
-    #: Event label shared by this query's period/send/timeout events.
-    label: str = ""
     #: In-flight per-period collection state, keyed by report index.
     #: Completed periods are pruned (see :attr:`completed`).
     collections: Dict[int, CollectionState] = field(default_factory=dict)
@@ -358,7 +356,6 @@ class QueryService:
             spec=query,
             participating_children=participating_children,
             is_source=is_source,
-            label=f"query{query.query_id}.node{self.node_id}",
         )
         self._queries[query.query_id] = runtime
         self.policy.query_registered(
@@ -394,7 +391,6 @@ class QueryService:
             self._on_period_start_cb,
             runtime.spec.query_id,
             report_index,
-            label=runtime.label,
         )
 
     def _on_period_start(self, query_id: int, report_index: int) -> None:
@@ -424,7 +420,6 @@ class QueryService:
                 self._on_collection_timeout_cb,
                 query_id,
                 report_index,
-                label=runtime.label,
             )
 
         self._check_ready(runtime, report_index)
@@ -607,7 +602,6 @@ class QueryService:
             self._submit_buffered_cb,
             report.query_id,
             report.report_index,
-            label=runtime.label,
         )
 
     def _submit_buffered(self, query_id: int, report_index: int) -> None:

@@ -195,7 +195,6 @@ class Radio:
                 self.profile.t_on_to_off,
                 self._complete_turn_off,
                 priority=EventPriority.HIGH,
-                label=f"radio{self.node_id}.turn_off",
             )
         else:
             self._complete_turn_off()
@@ -220,7 +219,6 @@ class Radio:
             wake_start,
             self.wake_up,
             priority=EventPriority.HIGH,
-            label=f"radio{self.node_id}.scheduled_wake",
         )
         return True
 
@@ -257,7 +255,6 @@ class Radio:
             start,
             self.wake_up,
             priority=EventPriority.HIGH,
-            label=f"radio{self.node_id}.advanced_wake",
         )
 
     def wake_up(self) -> None:
@@ -275,7 +272,6 @@ class Radio:
                 self.profile.t_off_to_on,
                 self._complete_turn_on,
                 priority=EventPriority.HIGH,
-                label=f"radio{self.node_id}.turn_on",
             )
         else:
             self._complete_turn_on()

@@ -27,6 +27,9 @@ while :attr:`queued_events` is the raw queue length (heap plus deferral
 deque) including cancelled entries not yet popped, i.e. queue memory
 pressure rather than remaining work.
 
+Events carry no label; an event is identified by its callback
+(``Event.__repr__`` prints its qualified name).
+
 Zero-delay, low-priority work that runs once per model event (Safe Sleep's
 deferred sleep decision) does not touch the heap at all: :meth:`Simulator.defer`
 appends a ``(now, LOW, sequence, callback)`` tuple to an end-of-instant
@@ -190,7 +193,6 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = EventPriority.NORMAL,
-        label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``time``.
 
@@ -216,7 +218,6 @@ class Simulator:
         event.callback = callback
         event.args = args
         event.cancelled = False
-        event.label = label
         event._sim = self
         event._in_heap = True
         heappush(self._heap, (time, priority, sequence, event))
@@ -228,7 +229,6 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = EventPriority.NORMAL,
-        label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` after a relative ``delay`` (>= 0 s).
 
@@ -248,7 +248,6 @@ class Simulator:
         event.callback = callback
         event.args = args
         event.cancelled = False
-        event.label = label
         event._sim = self
         event._in_heap = True
         heappush(self._heap, (time, priority, sequence, event))
@@ -403,7 +402,6 @@ class Simulator:
         *,
         start: Optional[float] = None,
         count: Optional[int] = None,
-        label: str = "",
     ) -> "PeriodicHandle":
         """Schedule ``callback`` every ``period`` seconds.
 
@@ -411,7 +409,7 @@ class Simulator:
         """
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period!r}")
-        handle = PeriodicHandle(self, period, callback, count=count, label=label)
+        handle = PeriodicHandle(self, period, callback, count=count)
         first = self.now + period if start is None else start
         handle._arm(first)
         return handle
@@ -430,7 +428,6 @@ class PeriodicHandle:
         "_period",
         "_callback",
         "_remaining",
-        "_label",
         "_cancelled",
         "_current",
         "fired",
@@ -442,13 +439,11 @@ class PeriodicHandle:
         period: float,
         callback: Callable[[], Any],
         count: Optional[int] = None,
-        label: str = "",
     ) -> None:
         self._sim = sim
         self._period = period
         self._callback = callback
         self._remaining = count
-        self._label = label
         self._cancelled = False
         self._current: Optional[EventHandle] = None
         self.fired = 0
@@ -456,7 +451,7 @@ class PeriodicHandle:
     def _arm(self, when: float) -> None:
         if self._cancelled:
             return
-        self._current = self._sim.schedule_at(when, self._fire, label=self._label)
+        self._current = self._sim.schedule_at(when, self._fire)
 
     def _fire(self) -> None:
         if self._cancelled:

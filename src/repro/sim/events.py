@@ -52,7 +52,6 @@ class Event:
         "callback",
         "args",
         "cancelled",
-        "label",
         "_sim",
         "_in_heap",
     )
@@ -65,7 +64,6 @@ class Event:
         callback: Callable[..., Any],
         args: tuple = (),
         cancelled: bool = False,
-        label: str = "",
     ) -> None:
         self.time = time
         self.priority = priority
@@ -73,7 +71,6 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = cancelled
-        self.label = label
         self._sim = None
         self._in_heap = False
 
@@ -112,6 +109,6 @@ class Event:
 
 #: Backwards-compatible alias: the engine used to wrap every :class:`Event`
 #: in a separate handle object, but the event itself now exposes the same
-#: user-facing surface (``time``, ``label``, ``cancelled``, ``cancel()``),
+#: user-facing surface (``time``, ``cancelled``, ``cancel()``),
 #: so scheduling no longer allocates a second object per event.
 EventHandle = Event

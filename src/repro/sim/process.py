@@ -20,19 +20,17 @@ class Timer:
     previous event first, so callers never have to track stale handles.
     """
 
-    __slots__ = ("_sim", "_callback", "_label", "_priority", "_handle", "fired_count")
+    __slots__ = ("_sim", "_callback", "_priority", "_handle", "fired_count")
 
     def __init__(
         self,
         sim: Simulator,
         callback: Callable[[], Any],
         *,
-        label: str = "",
         priority: int = EventPriority.NORMAL,
     ) -> None:
         self._sim = sim
         self._callback = callback
-        self._label = label
         self._priority = priority
         self._handle: Optional[EventHandle] = None
         self.fired_count = 0
@@ -59,9 +57,7 @@ class Timer:
         handle = self._handle
         if handle is not None:
             handle.cancel()
-        self._handle = self._sim.schedule_at(
-            time, self._fire, priority=self._priority, label=self._label
-        )
+        self._handle = self._sim.schedule_at(time, self._fire, priority=self._priority)
 
     def start_in(self, delay: float) -> None:
         """(Re-)arm the timer to fire ``delay`` seconds from now."""

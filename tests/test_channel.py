@@ -7,7 +7,7 @@ import pytest
 from repro.net.channel import Transmission, WirelessChannel
 from repro.net.loss import NoLoss, PerLinkLoss, ScriptedLoss, UniformLoss
 from repro.net.packet import Packet
-from repro.net.topology import Topology
+from repro.net.topology import Position, Topology
 from repro.radio.energy import IDEAL
 from repro.radio.radio import Radio
 from repro.radio.states import RadioState
@@ -289,6 +289,68 @@ class TestUnregisterAccounting:
         sim.run()
         assert 0 not in frames["a"].receivers
         assert 0 not in frames["b"].receivers
+
+
+class TestFanoutInvalidation:
+    """The per-sender fan-out table must follow registration and topology.
+
+    ``transmit`` walks a cached ``(covered ids, covering lists, attached
+    (id, radio) pairs)`` entry per sender.  Each test builds the sender's
+    entry with a first frame, changes what it caches, and sends again.
+    """
+
+    def test_node_registered_after_neighbors_first_frame_receives(self) -> None:
+        topo = Topology.line(2, spacing=50.0, comm_range=100.0)
+        sim = Simulator(seed=0)
+        channel = WirelessChannel(sim, topo)
+        radios = {node: Radio(sim, node, IDEAL) for node in topo.node_ids}
+        inbox = []
+        channel.register(0, radios[0], lambda packet, start: None)
+        sim.schedule_at(0.000, channel.transmit, 0, Packet(src=0, dst=1), 0.001)
+        sim.schedule_at(
+            0.002, channel.register, 1, radios[1], lambda packet, start: inbox.append(packet)
+        )
+        sim.schedule_at(0.003, channel.transmit, 0, Packet(src=0, dst=1), 0.001)
+        sim.run()
+        # A stale entry would still list no attached neighbour for node 0.
+        assert len(inbox) == 1
+        assert channel.stats.deliveries == 1
+
+    def test_unregistered_neighbor_is_not_locked_by_later_frames(self) -> None:
+        topo = Topology.line(3, spacing=50.0, comm_range=100.0)
+        sim, channel, radios, inboxes = _build_channel(topo)
+        frames = {}
+
+        def start(key):
+            frames[key] = channel.transmit(0, Packet(src=0, dst=1), 0.001)
+
+        sim.schedule_at(0.000, start, "before")
+        sim.schedule_at(0.002, channel.unregister, 1)
+        sim.schedule_at(0.003, start, "after")
+        sim.run()
+        # A stale entry would lock the dead radio into RX for good.
+        assert 1 not in frames["after"].receivers
+        assert radios[1].state is RadioState.IDLE
+        assert radios[1]._rx_lock is None
+        radios[1].finalize()
+        assert radios[1].tracker.time_in_state(RadioState.RX) == pytest.approx(0.001)
+        assert len(inboxes[1]) == 1
+        assert len(inboxes[2]) == 2
+
+    def test_topology_change_refreshes_fanout(self) -> None:
+        # 0 -- 1 -- 2 with 2 out of range of 0 until it moves next to 0.
+        topo = Topology.line(3, spacing=100.0, comm_range=120.0)
+        sim, channel, radios, inboxes = _build_channel(topo)
+        busy_at_2 = []
+        sim.schedule_at(0.000, channel.transmit, 0, Packet(src=0, dst=1), 0.001)
+        sim.schedule_at(0.002, topo.update_positions, {2: Position(50.0, 0.0)})
+        sim.schedule_at(0.003, channel.transmit, 0, Packet(src=0, dst=2), 0.001)
+        sim.schedule_at(0.0035, lambda: busy_at_2.append(channel.is_busy(2)))
+        sim.run()
+        # A stale entry would keep node 2 outside 0's fan-out.
+        assert busy_at_2 == [True]
+        assert len(inboxes[2]) == 1
+        assert len(inboxes[1]) == 2
 
 
 class TestCarrierSense:

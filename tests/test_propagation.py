@@ -518,7 +518,7 @@ class TestRandomWaypoint:
         topology = Topology.random(num_nodes=8, area=(200.0, 200.0), comm_range=80.0, seed=3)
         channel = WirelessChannel(sim, topology)
         before = {n: topology.positions[n] for n in topology.node_ids}
-        channel._neighbors_of(0)  # warm the per-sender neighbour cache
+        channel._fanout(0)  # warm the per-sender fan-out table
         mobility = RandomWaypointMobility(
             sim, topology, speed_min=1.0, speed_max=3.0, pause=1.0, update_interval=0.5
         )
@@ -530,9 +530,9 @@ class TestRandomWaypoint:
         width, height = topology.area
         for position in topology.positions.values():
             assert 0.0 <= position.x <= width and 0.0 <= position.y <= height
-        # The channel's cached neighbour tuples follow the rebuilt sets.
+        # The channel's cached fan-out entries follow the rebuilt sets.
         for node in topology.node_ids:
-            assert channel._neighbors_of(node) == tuple(topology.neighbors(node))
+            assert channel._fanout(node)[0] == (node, *topology.neighbors(node))
 
     def test_movement_is_deterministic_per_seed(self) -> None:
         def final_positions(seed: int):
