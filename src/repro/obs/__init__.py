@@ -23,34 +23,16 @@ in :mod:`repro.sim.trace`.
 
 The ``repro perf`` CLI (``python -m repro.cli perf record|report|diff|check``)
 is the operational front end; see :mod:`repro.obs.perfcli`.
+
+The package re-exports only the per-run pieces (:class:`MetricsRegistry`,
+:func:`collect_run_counters`, :func:`stats_as_mapping`), which every
+simulation and store replay needs.  :mod:`~repro.obs.history`,
+:mod:`~repro.obs.report` and :mod:`~repro.obs.perfcli` are imported from
+their own modules: they pull in ``subprocess`` and ``platform``, which a
+figure replay has no use for.
 """
 
 from .adapters import collect_run_counters, stats_as_mapping
-from .history import (
-    HISTORY_SCHEMA_VERSION,
-    PerfEntry,
-    PerfHistory,
-    atomic_write_text,
-    current_commit,
-    entry_from_bench,
-    host_fingerprint,
-)
 from .metrics import MetricsRegistry
-from .report import RegressionFinding, check_regression, diff_breakdown, trajectory_figure
 
-__all__ = [
-    "HISTORY_SCHEMA_VERSION",
-    "MetricsRegistry",
-    "PerfEntry",
-    "PerfHistory",
-    "RegressionFinding",
-    "atomic_write_text",
-    "check_regression",
-    "collect_run_counters",
-    "current_commit",
-    "diff_breakdown",
-    "entry_from_bench",
-    "host_fingerprint",
-    "stats_as_mapping",
-    "trajectory_figure",
-]
+__all__ = ["MetricsRegistry", "collect_run_counters", "stats_as_mapping"]

@@ -18,7 +18,6 @@ are not executed at all.  Pending jobs run in a plain in-process loop for
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -137,6 +136,9 @@ class SweepExecutor:
                 pending.append((digest, jobs[indices[0]]))
 
         if self.workers > 1 and len(pending) > 1:
+            # Imported here so a warm replay never loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             with ProcessPoolExecutor(max_workers=min(self.workers, len(pending))) as pool:
                 futures = {
                     pool.submit(execute_job, job): (digest, job) for digest, job in pending

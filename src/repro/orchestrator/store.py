@@ -31,16 +31,25 @@ Two maintenance behaviours:
 The format stays deliberately simple (one JSON object per line) so a store
 survives interrupted processes: a partially written final line is detected
 and ignored on load, and everything before it is reused.
+
+Byte accounting
+---------------
+:attr:`ResultStore.total_bytes` charges each live record the bytes of its
+line on disk.  Every line is ``json.dumps(record, sort_keys=True) + "\n"``,
+which is ASCII, so a write serialises the record once and uses that string
+both for the charge and for the append.  Loading parses each line once and
+charges its record ``len(line) + 1`` without re-serialising it.  A record
+absorbed from a legacy file (upgraded from v3/v4 or not) is charged the
+re-encoded line appended to its shard, not the legacy line.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .codec import SCHEMA_VERSION, SUPPORTED_VERSIONS, CodecError
 
@@ -50,6 +59,11 @@ LEGACY_STORE_FILENAME = "results.jsonl"
 STORE_FILENAME = LEGACY_STORE_FILENAME
 #: Subdirectory holding the per-prefix shard files.
 SHARD_DIR_NAME = "shards"
+
+
+def _encode(record: Dict[str, Any]) -> str:
+    """The JSONL line stored for ``record``; ASCII, so its length is its bytes."""
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 def shard_of(digest: str) -> str:
@@ -108,21 +122,23 @@ class ResultStore:
 
     # -- loading ------------------------------------------------------------
 
-    def _iter_lines(self, path: Path) -> Iterator[Dict[str, Any]]:
-        with path.open("r", encoding="utf-8") as handle:
+    def _iter_lines(self, path: Path) -> Iterator[Tuple[Dict[str, Any], int]]:
+        """Each parsed record of ``path`` with the bytes its line occupies."""
+        with path.open("rb") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    yield json.loads(line)
-                except json.JSONDecodeError:
+                    record = json.loads(line)
+                except (json.JSONDecodeError, UnicodeDecodeError):
                     # A run interrupted mid-append leaves a truncated last
                     # line; everything before it is still valid.
                     self.stats.skipped += 1
                     continue
+                yield record, len(line) + 1
 
-    def _adopt(self, record: Dict[str, Any]) -> Optional[str]:
+    def _adopt(self, record: Dict[str, Any], line_bytes: int) -> Optional[str]:
         """Index one parsed record; returns its digest or ``None`` if bad."""
         version = record.get("version")
         if version == SCHEMA_VERSION:
@@ -139,20 +155,22 @@ class ResultStore:
         else:
             self.stats.skipped += 1
             return None
-        line_bytes = len(json.dumps(record, sort_keys=True)) + 1
         existing = self._entries.get(digest)
         if existing is not None:
             # Last write wins; the superseded line stays on disk until the
             # next compaction of its shard.
             self.stats.skipped += 1
-            self._total_bytes -= existing.line_bytes
             existing.record = record
-            existing.line_bytes = line_bytes
-            self._total_bytes += line_bytes
+            self._charge(existing, line_bytes)
         else:
             self._entries[digest] = _IndexEntry(record, line_bytes)
             self._total_bytes += line_bytes
         return digest
+
+    def _charge(self, entry: _IndexEntry, line_bytes: int) -> None:
+        """Charge ``entry`` ``line_bytes``, replacing its previous charge."""
+        self._total_bytes += line_bytes - entry.line_bytes
+        entry.line_bytes = line_bytes
 
     def _upgrade(self, record: Dict[str, Any], version: int) -> Optional[Dict[str, Any]]:
         """Re-encode a v3/v4 record at the current schema version.
@@ -184,13 +202,13 @@ class ResultStore:
     def _load(self) -> None:
         migrated_digests: List[str] = []
         if self.legacy_path.exists():
-            for record in self._iter_lines(self.legacy_path):
-                digest = self._adopt(record)
+            for record, line_bytes in self._iter_lines(self.legacy_path):
+                digest = self._adopt(record, line_bytes)
                 if digest is not None:
                     migrated_digests.append(digest)
         for shard_path in sorted(self.shard_dir.glob("*.jsonl")):
-            for record in self._iter_lines(shard_path):
-                self._adopt(record)
+            for record, line_bytes in self._iter_lines(shard_path):
+                self._adopt(record, line_bytes)
         if migrated_digests:
             # Absorb the legacy file into the sharded layout: append the
             # (possibly upgraded) records to their shards, then retire the
@@ -199,7 +217,9 @@ class ResultStore:
             for digest in migrated_digests:
                 entry = self._entries.get(digest)
                 if entry is not None:
-                    self._append_line(digest, entry.record)
+                    line = _encode(entry.record)
+                    self._append_line(digest, line)
+                    self._charge(entry, len(line))
             self.legacy_path.unlink()
         self.stats.records = len(self._entries)
         self.stats.shards = sum(1 for _ in self.shard_dir.glob("*.jsonl"))
@@ -230,10 +250,10 @@ class ResultStore:
         """The shard file a digest's records live in."""
         return self.shard_dir / f"{shard_of(digest)}.jsonl"
 
-    def _append_line(self, digest: str, record: Dict[str, Any]) -> None:
+    def _append_line(self, digest: str, line: str) -> None:
         path = self.shard_path(digest)
         with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -242,13 +262,13 @@ class ResultStore:
         stored = dict(record)
         stored["digest"] = digest
         stored["version"] = SCHEMA_VERSION
-        line_bytes = len(json.dumps(stored, sort_keys=True)) + 1
+        line = _encode(stored)
         existing = self._entries.pop(digest, None)
         if existing is not None:
             self._total_bytes -= existing.line_bytes
-        self._entries[digest] = _IndexEntry(stored, line_bytes)
-        self._total_bytes += line_bytes
-        self._append_line(digest, stored)
+        self._entries[digest] = _IndexEntry(stored, len(line))
+        self._total_bytes += len(line)
+        self._append_line(digest, line)
         self.stats.records = len(self._entries)
 
     # -- maintenance --------------------------------------------------------
@@ -260,24 +280,25 @@ class ResultStore:
         over the shard, so readers never observe a half-written file.
         """
         path = self.shard_dir / f"{prefix}.jsonl"
-        keep = [
-            entry.record
+        keep = {
+            digest: _encode(entry.record)
             for digest, entry in self._entries.items()
             if shard_of(digest) == prefix
-        ]
+        }
         on_disk = 0
         if path.exists():
-            with path.open("r", encoding="utf-8") as handle:
+            with path.open("rb") as handle:
                 on_disk = sum(1 for line in handle if line.strip())
         if not keep:
             if path.exists():
                 path.unlink()
             return on_disk
+        import tempfile
+
         fd, tmp_name = tempfile.mkstemp(dir=self.shard_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for record in keep:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.writelines(keep.values())
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
@@ -285,6 +306,10 @@ class ResultStore:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
             raise
+        # Charge each record its rewritten line, which a hand-edited or
+        # foreign-formatted original need not have matched.
+        for digest, line in keep.items():
+            self._charge(self._entries[digest], len(line))
         return on_disk - len(keep)
 
     def compact(self) -> int:

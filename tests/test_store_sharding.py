@@ -67,6 +67,16 @@ class TestShardLayout:
         assert len(reopened) == 1
         assert reopened.stats.skipped == 1
 
+    def test_undecodable_line_is_skipped_on_load(self, tmp_path) -> None:
+        store = ResultStore(tmp_path)
+        store.put(_digest(1), _record())
+        with store.shard_path(_digest(1)).open("ab") as handle:
+            handle.write(b'{"digest": "\xff\xfe"}\n')  # not UTF-8
+        reopened = ResultStore(tmp_path)
+        assert len(reopened) == 1
+        assert reopened.stats.skipped == 1
+        assert reopened.total_bytes == store.total_bytes
+
 
 class TestLegacyMigration:
     def test_current_version_single_file_is_absorbed(self, tmp_path) -> None:
@@ -144,3 +154,94 @@ class TestCompaction:
         assert store.compact() == 0
         assert store.get(_digest(1))["metrics"]["payload"] == "newest"
 
+
+
+def _live_line_bytes(cache_dir: Path) -> int:
+    """Bytes of the newest line of every digest across the shard files."""
+    newest = {}
+    for shard in sorted((cache_dir / "shards").glob("*.jsonl")):
+        for line in shard.read_bytes().splitlines(keepends=True):
+            try:
+                newest[json.loads(line)["digest"]] = len(line)
+            except ValueError:
+                continue
+    return sum(newest.values())
+
+
+def _shard_file_bytes(cache_dir: Path) -> int:
+    return sum(shard.stat().st_size for shard in (cache_dir / "shards").glob("*.jsonl"))
+
+
+class TestByteAccounting:
+    """``total_bytes`` is the bytes the live lines occupy on disk."""
+
+    def _fill(self, cache_dir: Path) -> ResultStore:
+        store = ResultStore(cache_dir)
+        for i in range(4):
+            store.put(_digest(i), _record(payload="p" * (10 * i + 1)))
+        # Rewritten with a longer payload: the superseded line stays on disk
+        # but is no longer charged.
+        store.put(_digest(2), _record(payload="q" * 100))
+        return store
+
+    def test_put_charges_the_live_lines_on_disk(self, tmp_path) -> None:
+        store = self._fill(tmp_path)
+        assert store.total_bytes == _live_line_bytes(tmp_path)
+        assert store.total_bytes < _shard_file_bytes(tmp_path)
+
+    def test_reopened_store_reports_the_writers_total(self, tmp_path) -> None:
+        written = self._fill(tmp_path).total_bytes
+        reopened = ResultStore(tmp_path)
+        assert reopened.total_bytes == written
+        assert reopened.stats.skipped == 1  # the superseded line
+
+    def test_compacted_total_equals_shard_file_sizes(self, tmp_path) -> None:
+        store = self._fill(tmp_path)
+        written = store.total_bytes
+        assert store.compact() == 1
+        assert store.total_bytes == written == _shard_file_bytes(tmp_path)
+        assert ResultStore(tmp_path).total_bytes == written
+
+    def test_truncated_tail_is_not_charged(self, tmp_path) -> None:
+        store = self._fill(tmp_path)
+        with store.shard_path(_digest(1)).open("a", encoding="utf-8") as handle:
+            handle.write('{"digest": "' + _digest(1) + '", "truncat')
+        reopened = ResultStore(tmp_path)
+        assert reopened.total_bytes == store.total_bytes
+        assert reopened.get(_digest(1))["metrics"]["payload"] == "p" * 11
+
+    @pytest.mark.parametrize("era", ["store_v3", "store_v4"])
+    def test_migrated_fixture_is_charged_its_shard_lines(self, era, tmp_path) -> None:
+        shutil.copy(FIXTURES / era / "results.jsonl", tmp_path / "results.jsonl")
+        store = ResultStore(tmp_path)
+        # The shards hold exactly the re-encoded lines.  (The v3 lines differ
+        # in size from them; the v4 lines happen not to.)
+        assert store.total_bytes == _shard_file_bytes(tmp_path) == _live_line_bytes(tmp_path)
+        assert ResultStore(tmp_path).total_bytes == store.total_bytes
+
+    def test_absorbed_legacy_line_is_charged_its_reencoded_line(self, tmp_path) -> None:
+        digest = _digest(9)
+        record = dict(_record(payload="legacy"), digest=digest, version=SCHEMA_VERSION)
+        # A compact, unsorted legacy line: shorter than the line the store
+        # appends for it.
+        legacy_line = json.dumps(record, separators=(",", ":")) + "\n"
+        (tmp_path / "results.jsonl").write_text(legacy_line)
+        store = ResultStore(tmp_path)
+        appended = store.shard_path(digest).read_bytes()
+        assert appended == (json.dumps(record, sort_keys=True) + "\n").encode()
+        assert store.total_bytes == len(appended) != len(legacy_line)
+        assert ResultStore(tmp_path).total_bytes == store.total_bytes
+
+    def test_foreign_formatted_line_is_charged_as_on_disk_until_compacted(
+        self, tmp_path
+    ) -> None:
+        digest = _digest(5)
+        record = dict(_record(payload="spaced"), digest=digest, version=SCHEMA_VERSION)
+        shard = tmp_path / "shards" / f"{shard_of(digest)}.jsonl"
+        shard.parent.mkdir(parents=True)
+        shard.write_text(json.dumps(record, indent=None, separators=(" , ", " : ")) + "\n")
+        store = ResultStore(tmp_path)
+        assert store.total_bytes == shard.stat().st_size
+        assert store.compact() == 0
+        assert store.total_bytes == shard.stat().st_size
+        assert shard.read_text() == json.dumps(record, sort_keys=True) + "\n"
