@@ -14,7 +14,7 @@ decodes to the spec that produced it.
 Versioning is part of the registration: a field declares ``since=N`` (the
 schema version that introduced it) plus a default, and ``decode(cls, data,
 version=...)`` fills the default when asked to read an older record.  The
-result store uses this to load v3/v4 records through the current codec.
+result store uses this to load v3/v4/v5 records through the current codec.
 
 Wire compatibility: for every registered type the encoded key names and
 value shapes are identical to the retired hand-written helpers, so a v4
@@ -40,11 +40,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, T
 #: decode -- see ``SUPPORTED_VERSIONS``), but digests are intentionally
 #: re-keyed so pre-codec store entries migrate through the version-aware
 #: load path instead of being trusted blindly.
-SCHEMA_VERSION = 5
+#: v6: result-store lines carry ``metrics.sleep_intervals`` as base64 of
+#: packed little-endian float64 instead of a JSON list (see
+#: :mod:`repro.orchestrator.store`); records and their field layout are
+#: unchanged in memory.  The bump makes a v5 reader skip a v6 line as an
+#: unknown version instead of decoding the packed string as a list of
+#: characters, and re-keys digests so v5 entries migrate on open.
+SCHEMA_VERSION = 6
 
 #: Record versions :func:`decode` knows how to read.  Older versions load
 #: with version-gated fields filled from their registered defaults.
-SUPPORTED_VERSIONS = (3, 4, SCHEMA_VERSION)
+SUPPORTED_VERSIONS = (3, 4, 5, SCHEMA_VERSION)
 
 _MISSING = object()
 

@@ -351,7 +351,7 @@ class RunJob:
 
         ``version`` overrides the payload's embedded ``version`` field; the
         store's migration path passes the record version explicitly when
-        loading pre-v5 records.
+        loading records written at an older version.
         """
         if version is None:
             version = int(data.get("version", SCHEMA_VERSION))

@@ -15,14 +15,41 @@ files small (compaction rewrites one shard at a time, not the whole
 store).  An in-memory index (digest -> record) is built once at startup;
 lookups never touch the disk afterwards.
 
+Line format
+-----------
+Each line is one record, ``json.dumps(record, sort_keys=True) + "\n"``,
+with one exception.  ``record["metrics"]["sleep_intervals"]`` (every sleep
+interval of the run, kept in full for the Figure 8 histogram) is most of a
+record, and parsing it back from decimal text dominated opening a store.
+When that field is a non-empty list whose items are all ``float``, the
+line stores it as a string instead: base64 (``binascii``) of the values
+packed as little-endian IEEE-754 float64 (``struct`` format ``"<Nd"``).
+Loading a current-version line unpacks the string back into the same list
+of floats, bit for bit (``-0.0``, subnormals, ``inf`` and NaN payloads
+included), so :meth:`ResultStore.get` after a reopen returns exactly the
+record :meth:`ResultStore.put` was given.  Any other value (an empty list,
+a list holding an ``int``) stays a JSON list.  A string in that field is
+the packed form's and cannot be stored, so ``put`` rejects it.  The packed
+form exists from schema v6 on; a reader of an older version skips a v6
+line as an unknown version (a cache miss) rather than misreading it.  Only
+this module knows the packed form: the codec, the executor and the
+figures only ever see the list.
+
 Two maintenance behaviours:
 
-* **Migration** -- a legacy single-file ``results.jsonl`` store (PR 1-6
-  layout) is absorbed into the sharded layout on open.  Records written at
-  schema v3/v4 are decoded through the version-aware codec
-  (:mod:`repro.orchestrator.codec`), re-encoded at the current version, and
-  re-keyed under the job's *current* digest, so a pre-codec cache keeps its
-  warm results across the schema bump.
+* **Migration** -- records written at an older supported schema version
+  (v3/v4/v5) are decoded through the version-aware codec
+  (:mod:`repro.orchestrator.codec`), re-encoded at the current version,
+  and re-keyed under the job's *current* digest, so an old cache keeps its
+  warm results across the schema bump.  Migration is persisted on the open
+  that performs it: each upgraded record's current line is appended to the
+  shard of its new digest, then every shard that held old-version lines is
+  rewritten from the index without them (like compaction, the rewrite
+  keeps only indexed records).  The next open migrates nothing
+  and parses only current lines, and :meth:`ResultStore.compact` never
+  sees a record whose line lives only in memory.  A legacy single-file
+  ``results.jsonl`` store (the pre-shard layout) is absorbed the same way: its
+  records are appended to their shards and the file is retired.
 * **Compaction** -- appends are last-write-wins, so a digest written twice
   leaves a superseded line behind.  :meth:`ResultStore.compact` rewrites
   shards keeping only the newest record per digest (atomic tempfile +
@@ -35,21 +62,23 @@ and ignored on load, and everything before it is reused.
 Byte accounting
 ---------------
 :attr:`ResultStore.total_bytes` charges each live record the bytes of its
-line on disk.  Every line is ``json.dumps(record, sort_keys=True) + "\n"``,
-which is ASCII, so a write serialises the record once and uses that string
-both for the charge and for the append.  Loading parses each line once and
-charges its record ``len(line) + 1`` without re-serialising it.  A record
-absorbed from a legacy file (upgraded from v3/v4 or not) is charged the
-re-encoded line appended to its shard, not the legacy line.
+line on disk.  Every line is ASCII, so a write serialises the record once
+and uses that string both for the charge and for the append.  Loading
+parses each line once and charges its record ``len(line) + 1`` without
+re-serialising it.  A record absorbed from a legacy file or upgraded from
+an older version is charged the re-encoded line appended to its shard, not
+the old line.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Set, Tuple, Union
 
 from .codec import SCHEMA_VERSION, SUPPORTED_VERSIONS, CodecError
 
@@ -61,9 +90,46 @@ STORE_FILENAME = LEGACY_STORE_FILENAME
 SHARD_DIR_NAME = "shards"
 
 
+#: The metrics field a line stores as packed float64 (see "Line format").
+_PACKED_FIELD = "sleep_intervals"
+
+
 def _encode(record: Dict[str, Any]) -> str:
-    """The JSONL line stored for ``record``; ASCII, so its length is its bytes."""
+    """The JSONL line stored for ``record``; ASCII, so its length is its bytes.
+
+    ``record`` itself is not modified: a packed field goes into a copy.
+    """
+    metrics = record.get("metrics")
+    if isinstance(metrics, dict):
+        values = metrics.get(_PACKED_FIELD)
+        if isinstance(values, str):
+            raise ValueError(
+                f"metrics[{_PACKED_FIELD!r}] is a string, which the store reserves "
+                "for its packed float64 form"
+            )
+        if type(values) is list and values and all(type(v) is float for v in values):
+            metrics = dict(metrics)
+            # One expression, so each large intermediate is freed as soon
+            # as the next one is built.
+            metrics[_PACKED_FIELD] = binascii.b2a_base64(
+                struct.pack("<%dd" % len(values), *values), newline=False
+            ).decode("ascii")
+            record = dict(record, metrics=metrics)
     return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _unpack(record: Dict[str, Any]) -> None:
+    """Turn a current-version line's packed field back into its list, in place.
+
+    Raises ``ValueError`` or ``struct.error`` if the string is not packed
+    float64.
+    """
+    metrics = record.get("metrics")
+    if isinstance(metrics, dict):
+        packed = metrics.get(_PACKED_FIELD)
+        if isinstance(packed, str):
+            raw = binascii.a2b_base64(packed)
+            metrics[_PACKED_FIELD] = list(struct.unpack("<%dd" % (len(raw) // 8), raw))
 
 
 def shard_of(digest: str) -> str:
@@ -122,7 +188,7 @@ class ResultStore:
 
     # -- loading ------------------------------------------------------------
 
-    def _iter_lines(self, path: Path) -> Iterator[Tuple[Dict[str, Any], int]]:
+    def _iter_lines(self, path: Path) -> Iterator[Tuple[Any, int]]:
         """Each parsed record of ``path`` with the bytes its line occupies."""
         with path.open("rb") as handle:
             for line in handle:
@@ -138,12 +204,20 @@ class ResultStore:
                     continue
                 yield record, len(line) + 1
 
-    def _adopt(self, record: Dict[str, Any], line_bytes: int) -> Optional[str]:
+    def _adopt(self, record: Any, line_bytes: int) -> Optional[str]:
         """Index one parsed record; returns its digest or ``None`` if bad."""
+        if not isinstance(record, dict):
+            self.stats.skipped += 1
+            return None
         version = record.get("version")
         if version == SCHEMA_VERSION:
             digest = record.get("digest")
             if not digest:
+                self.stats.skipped += 1
+                return None
+            try:
+                _unpack(record)
+            except (ValueError, struct.error):
                 self.stats.skipped += 1
                 return None
         elif version in SUPPORTED_VERSIONS:
@@ -173,7 +247,7 @@ class ResultStore:
         entry.line_bytes = line_bytes
 
     def _upgrade(self, record: Dict[str, Any], version: int) -> Optional[Dict[str, Any]]:
-        """Re-encode a v3/v4 record at the current schema version.
+        """Re-encode a v3/v4/v5 record at the current schema version.
 
         The job payload is decoded through the version-aware codec and
         re-digested, so the upgraded record is indistinguishable from one
@@ -200,26 +274,40 @@ class ResultStore:
         }
 
     def _load(self) -> None:
-        migrated_digests: List[str] = []
+        # Digests whose current line must be appended to their shard (every
+        # record absorbed from a legacy file or upgraded inside a shard),
+        # and the shards that held old-version lines.
+        to_append: Dict[str, None] = {}
+        stale_shards: Set[str] = set()
         if self.legacy_path.exists():
             for record, line_bytes in self._iter_lines(self.legacy_path):
                 digest = self._adopt(record, line_bytes)
                 if digest is not None:
-                    migrated_digests.append(digest)
+                    to_append[digest] = None
+        absorbed = bool(to_append)
         for shard_path in sorted(self.shard_dir.glob("*.jsonl")):
             for record, line_bytes in self._iter_lines(shard_path):
-                self._adopt(record, line_bytes)
-        if migrated_digests:
-            # Absorb the legacy file into the sharded layout: append the
-            # (possibly upgraded) records to their shards, then retire the
-            # legacy file.  Appending before unlinking means a crash in
-            # between leaves duplicates, not losses; compaction cleans up.
-            for digest in migrated_digests:
-                entry = self._entries.get(digest)
-                if entry is not None:
-                    line = _encode(entry.record)
-                    self._append_line(digest, line)
-                    self._charge(entry, len(line))
+                old = isinstance(record, dict) and record.get("version") != SCHEMA_VERSION
+                digest = self._adopt(record, line_bytes)
+                if digest is None:
+                    continue
+                if old:
+                    to_append[digest] = None
+                    stale_shards.add(shard_path.stem)
+                else:
+                    # The newest record's current line is already in place.
+                    to_append.pop(digest, None)
+        # Persist what this open absorbed or upgraded: append before
+        # retiring the old lines, so a crash in between leaves duplicates,
+        # not losses (the next open or compaction cleans up).
+        for digest in to_append:
+            entry = self._entries[digest]
+            line = _encode(entry.record)
+            self._append_line(digest, line)
+            self._charge(entry, len(line))
+        for prefix in sorted(stale_shards):
+            self._rewrite_shard(prefix)
+        if absorbed:
             self.legacy_path.unlink()
         self.stats.records = len(self._entries)
         self.stats.shards = sum(1 for _ in self.shard_dir.glob("*.jsonl"))

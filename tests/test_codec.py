@@ -117,9 +117,9 @@ class TestRoundTrips:
 
 class TestVersionGating:
     def test_supported_versions_cover_current(self) -> None:
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION == 6
         assert SCHEMA_VERSION in SUPPORTED_VERSIONS
-        assert set(SUPPORTED_VERSIONS) == {3, 4, 5}
+        assert set(SUPPORTED_VERSIONS) == {3, 4, 5, 6}
 
     def test_v3_metrics_without_counters_decode_to_empty(self) -> None:
         data = metrics_to_dict(_sample_metrics())
