@@ -12,6 +12,12 @@ its serial / parallel / warm-store wall-clock numbers via
 :func:`record_orchestrator_bench`, and the hot-path benchmark its events/sec
 cells via :func:`record_hotpath_bench`.
 
+The rate-sweep figure benchmarks (Figures 3, 5, 6, 8 and the headline
+claims) share one session-scoped result store, :func:`sweep_store`: their
+sweeps overlap (the headline test re-runs Figure 3's and Figure 6's jobs),
+and a job one of them ran is replayed by the next instead of re-simulated.
+A warm replay is bit-identical to the run that stored it.
+
 The committed ``BENCH_orchestrator.json`` / ``BENCH_hotpath.json``
 snapshots at the repository root are rewritten only on request
 (``REPRO_BENCH_WRITE=1``), so an ordinary test run leaves the working tree
@@ -34,6 +40,8 @@ import pytest
 
 from repro.experiments.config import ScenarioConfig, default_scale
 from repro.obs.history import PerfHistory, atomic_write_text, entry_from_bench
+from repro.orchestrator.progress import NullProgress
+from repro.orchestrator.store import ResultStore
 
 #: Environment variable selecting the perf-history file to append to.
 PERF_HISTORY_ENV_VAR = "REPRO_PERF_HISTORY"
@@ -110,6 +118,39 @@ def pytest_sessionfinish(session, exitstatus) -> None:
 def scenario() -> ScenarioConfig:
     """The scenario used by every figure benchmark (reduced or paper scale)."""
     return default_scale()
+
+
+@pytest.fixture(scope="session")
+def sweep_store(tmp_path_factory) -> ResultStore:
+    """The result store shared by the rate-sweep figure benchmarks."""
+    return ResultStore(tmp_path_factory.mktemp("sweep-store"))
+
+
+class StoreUse(NullProgress):
+    """Counts one test's executed and replayed jobs against the shared store."""
+
+    def __init__(self, store: ResultStore) -> None:
+        self.store = store
+        self.stored_before = len(store)
+        self.executed = 0
+        self.cached = 0
+
+    def job_done(self, *, cached: bool, label: str = "") -> None:
+        if cached:
+            self.cached += 1
+        else:
+            self.executed += 1
+
+    def assert_stored_jobs_replayed(self) -> None:
+        """Only jobs the store lacked ran; each one added exactly one record."""
+        print(f"sweep store: {self.executed} executed, {self.cached} replayed")
+        assert self.executed == len(self.store) - self.stored_before
+
+
+@pytest.fixture()
+def store_use(sweep_store) -> StoreUse:
+    """A progress reporter counting this test's use of :func:`sweep_store`."""
+    return StoreUse(sweep_store)
 
 
 @pytest.fixture()

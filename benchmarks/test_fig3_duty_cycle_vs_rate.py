@@ -14,9 +14,16 @@ from repro.experiments.figures import figure3_duty_cycle_vs_rate
 from repro.experiments.scenarios import base_rates
 
 
-def test_fig3_duty_cycle_vs_rate(scenario, run_once) -> None:
-    figure = run_once(figure3_duty_cycle_vs_rate, scenario, rates=base_rates())
+def test_fig3_duty_cycle_vs_rate(scenario, run_once, store_use) -> None:
+    figure = run_once(
+        figure3_duty_cycle_vs_rate,
+        scenario,
+        rates=base_rates(),
+        store=store_use.store,
+        progress=store_use,
+    )
     print_figure(figure)
+    store_use.assert_stored_jobs_replayed()
 
     rates = figure.x_values()
     top_rate = max(rates)

@@ -18,9 +18,16 @@ def _mean_over_ranks(series, ranks) -> float:
     return sum(values) / len(values)
 
 
-def test_fig5_duty_cycle_by_rank(scenario, run_once) -> None:
-    figure = run_once(figure5_duty_cycle_by_rank, scenario, base_rate_hz=5.0)
+def test_fig5_duty_cycle_by_rank(scenario, run_once, store_use) -> None:
+    figure = run_once(
+        figure5_duty_cycle_by_rank,
+        scenario,
+        base_rate_hz=5.0,
+        store=store_use.store,
+        progress=store_use,
+    )
     print_figure(figure)
+    store_use.assert_stored_jobs_replayed()
 
     nts = figure.get("NTS-SS")
     sts = figure.get("STS-SS")

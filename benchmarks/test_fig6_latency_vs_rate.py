@@ -14,9 +14,16 @@ from repro.experiments.figures import figure6_latency_vs_rate
 from repro.experiments.scenarios import base_rates
 
 
-def test_fig6_latency_vs_rate(scenario, run_once) -> None:
-    figure = run_once(figure6_latency_vs_rate, scenario, rates=base_rates())
+def test_fig6_latency_vs_rate(scenario, run_once, store_use) -> None:
+    figure = run_once(
+        figure6_latency_vs_rate,
+        scenario,
+        rates=base_rates(),
+        store=store_use.store,
+        progress=store_use,
+    )
     print_figure(figure)
+    store_use.assert_stored_jobs_replayed()
 
     for rate in figure.x_values():
         nts = figure.get("NTS-SS").value_at(rate)

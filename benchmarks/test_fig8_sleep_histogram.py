@@ -15,9 +15,16 @@ from conftest import print_figure
 from repro.experiments.figures import MICA2_BREAK_EVEN, figure8_sleep_interval_histogram
 
 
-def test_fig8_sleep_interval_histogram(scenario, run_once) -> None:
-    figure = run_once(figure8_sleep_interval_histogram, scenario, base_rate_hz=5.0)
+def test_fig8_sleep_interval_histogram(scenario, run_once, store_use) -> None:
+    figure = run_once(
+        figure8_sleep_interval_histogram,
+        scenario,
+        base_rate_hz=5.0,
+        store=store_use.store,
+        progress=store_use,
+    )
     print_figure(figure)
+    store_use.assert_stored_jobs_replayed()
 
     for protocol in ("NTS-SS", "STS-SS", "DTS-SS"):
         series = figure.get(protocol)

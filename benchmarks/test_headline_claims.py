@@ -19,21 +19,23 @@ from repro.experiments.figures import (
 from repro.experiments.scenarios import base_rates
 
 
-def _run_headline(scenario):
+def _run_headline(scenario, store_use):
     rates = base_rates()
+    store, progress = store_use.store, store_use
     figure3 = figure3_duty_cycle_vs_rate(
-        scenario, rates=rates, protocols=("DTS-SS", "SPAN")
+        scenario, rates=rates, protocols=("DTS-SS", "SPAN"), store=store, progress=progress
     )
     figure6 = figure6_latency_vs_rate(
-        scenario, rates=rates, protocols=("DTS-SS", "PSM", "SYNC")
+        scenario, rates=rates, protocols=("DTS-SS", "PSM", "SYNC"), store=store, progress=progress
     )
     return figure3, figure6, headline_claims(figure3, figure6)
 
 
-def test_headline_claims(scenario, run_once) -> None:
-    figure3, figure6, claims = run_once(_run_headline, scenario)
+def test_headline_claims(scenario, run_once, store_use) -> None:
+    figure3, figure6, claims = run_once(_run_headline, scenario, store_use)
     print_figure(figure3)
     print_figure(figure6)
+    store_use.assert_stored_jobs_replayed()
     print()
     for key, value in claims.items():
         print(f"  {key} = {value:.1f}%")

@@ -40,7 +40,7 @@ engineered like the engine and channel:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Set
+from typing import AbstractSet, Callable, Dict, List, Optional, Protocol, Set
 
 from ..net.node import Node
 from ..net.packet import DataReportPacket, Packet
@@ -347,10 +347,11 @@ class QueryService:
 
         sources = self._resolve_sources(query)
         is_source = self.node_id in sources
+        tree = self._tree
         participating_children = [
             child
-            for child in self._tree.children(self.node_id)
-            if self._tree.subtree_contains_any(child, sources)
+            for child in tree.children(self.node_id)
+            if tree.subtree_contains_any(child, sources)
         ]
         runtime = _QueryRuntime(
             spec=query,
@@ -368,14 +369,16 @@ class QueryService:
         if is_source or participating_children:
             self._schedule_period_driver(runtime, report_index=0)
 
-    def _resolve_sources(self, query: QuerySpec) -> Set[int]:
-        if isinstance(query.sources, frozenset):
-            return set(query.sources)
-        if query.sources is SourceSelection.LEAVES:
-            return set(self._tree.leaves)
-        if query.sources is SourceSelection.ALL_NODES:
-            return set(self._tree.nodes)
-        raise ValueError(f"unsupported source selection {query.sources!r}")
+    def _resolve_sources(self, query: QuerySpec) -> AbstractSet[int]:
+        """The query's sources as a shared, read-only set (never copied per node)."""
+        sources = query.sources
+        if isinstance(sources, frozenset):
+            return sources
+        if sources is SourceSelection.LEAVES:
+            return self._tree.leaf_set
+        if sources is SourceSelection.ALL_NODES:
+            return self._tree.node_set
+        raise ValueError(f"unsupported source selection {sources!r}")
 
     # ------------------------------------------------------------------ #
     # period driver

@@ -12,6 +12,13 @@ Two notions of depth appear in the paper and must not be confused:
 * the **rank** of a node is the maximum hop count to any of its descendants
   (leaves have rank 0); NTS-SS's idle-listening time and STS-SS's schedule
   are expressed in terms of rank.
+
+Every node registers every query, and each registration asks for the
+tree's sources and for which children's subtrees hold one.  The views those
+questions read -- the sorted node and leaf lists, their frozensets and each
+node's subtree -- are therefore computed once per tree shape: ``_rebuild``
+(run after every mutation) stores the node and leaf views and empties the
+per-node subtree cache, which fills on first use.
 """
 
 from __future__ import annotations
@@ -43,6 +50,11 @@ class RoutingTree:
         self._children: Dict[int, List[int]] = {}
         self._levels: Dict[int, int] = {}
         self._ranks: Dict[int, int] = {}
+        self._sorted_nodes: List[int] = []
+        self._sorted_leaves: List[int] = []
+        self._node_set: FrozenSet[int] = frozenset()
+        self._leaf_set: FrozenSet[int] = frozenset()
+        self._subtrees: Dict[int, FrozenSet[int]] = {}
         self._rebuild()
 
     # ------------------------------------------------------------------ #
@@ -83,14 +95,27 @@ class RoutingTree:
             ranks[node] = 0 if not kids else 1 + max(ranks[kid] for kid in kids)
         self._ranks = ranks
 
+        # Views read by every query registration, valid until the next mutation.
+        sorted_nodes = sorted(nodes)
+        self._sorted_nodes = sorted_nodes
+        self._sorted_leaves = [node for node in sorted_nodes if not children[node]]
+        self._node_set = frozenset(sorted_nodes)
+        self._leaf_set = frozenset(self._sorted_leaves)
+        self._subtrees = {}
+
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
 
     @property
     def nodes(self) -> List[int]:
-        """All node ids in the tree, sorted."""
-        return sorted(self._levels)
+        """All node ids in the tree, sorted (a fresh list the caller may mutate)."""
+        return list(self._sorted_nodes)
+
+    @property
+    def node_set(self) -> FrozenSet[int]:
+        """All node ids in the tree, as a frozenset shared until the next mutation."""
+        return self._node_set
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._levels
@@ -135,16 +160,27 @@ class RoutingTree:
 
     @property
     def leaves(self) -> List[int]:
-        """All leaf nodes, sorted."""
-        return [node for node in self.nodes if not self._children[node]]
+        """All leaf nodes, sorted (a fresh list the caller may mutate)."""
+        return list(self._sorted_leaves)
+
+    @property
+    def leaf_set(self) -> FrozenSet[int]:
+        """All leaf nodes, as a frozenset shared until the next mutation."""
+        return self._leaf_set
 
     @property
     def interior_nodes(self) -> List[int]:
         """All non-leaf nodes, sorted."""
-        return [node for node in self.nodes if self._children[node]]
+        return [node for node in self._sorted_nodes if self._children[node]]
 
     def subtree(self, node_id: int) -> FrozenSet[int]:
-        """All nodes in the subtree rooted at ``node_id`` (including itself)."""
+        """All nodes in the subtree rooted at ``node_id`` (including itself).
+
+        Traversed once per node per tree shape, then served from a cache.
+        """
+        cached = self._subtrees.get(node_id)
+        if cached is not None:
+            return cached
         self._require(node_id)
         result: Set[int] = set()
         queue = deque([node_id])
@@ -152,14 +188,12 @@ class RoutingTree:
             node = queue.popleft()
             result.add(node)
             queue.extend(self._children[node])
-        return frozenset(result)
+        subtree = self._subtrees[node_id] = frozenset(result)
+        return subtree
 
     def subtree_contains_any(self, node_id: int, targets: Iterable[int]) -> bool:
         """Whether the subtree under ``node_id`` contains any of ``targets``."""
-        target_set = set(targets)
-        if not target_set:
-            return False
-        return bool(self.subtree(node_id) & target_set)
+        return not self.subtree(node_id).isdisjoint(targets)
 
     def path_to_root(self, node_id: int) -> List[int]:
         """The node sequence from ``node_id`` up to and including the root."""
@@ -174,7 +208,7 @@ class RoutingTree:
     def nodes_by_rank(self) -> Dict[int, List[int]]:
         """Group node ids by rank (used for the Figure 5 duty-cycle-by-rank plot)."""
         grouped: Dict[int, List[int]] = {}
-        for node in self.nodes:
+        for node in self._sorted_nodes:
             grouped.setdefault(self._ranks[node], []).append(node)
         return grouped
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import random
 import time
-import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, NoReturn, Optional, Tuple
@@ -86,6 +85,9 @@ class TripwireHit:
 
 def _call_site_stack(limit: int = 12) -> str:
     """The formatted stack of the offending call, sanitizer frames removed."""
+    # Imported here: only a tripped wire needs it, and it pulls in textwrap.
+    import traceback
+
     frames = traceback.extract_stack()
     package_dir = os.path.dirname(__file__)
     kept = [frame for frame in frames if not frame.filename.startswith(package_dir)]

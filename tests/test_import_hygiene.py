@@ -5,7 +5,8 @@ worker and store replay pays its import cost.  This checks which modules an
 import pulls in rather than how long it takes, so a new import of a heavy
 package fails here deterministically instead of showing up as benchmark
 drift.  The warm-replay path also leaves out the process pool and the
-perf-history tooling, which it never uses.  The checks run in a subprocess
+perf-history tooling, which it never uses, and the runner leaves out the
+stack formatting only a tripped sanitizer wire needs.  The checks run in a subprocess
 because the test session itself has already imported scipy, numpy and
 networkx (they are test oracles).
 """
@@ -58,6 +59,19 @@ import repro.orchestrator.store
 print(json.dumps(sorted(name for name in {REPLAY_UNUSED!r} if name in sys.modules)))
 """
 
+#: Modules only a tripped sanitizer wire needs (to format its stack); every
+#: process that runs a simulation imports the runner and the sanitizer.
+TRIPWIRE_ONLY = ("traceback", "textwrap")
+
+_RUNNER_PROGRAM = f"""
+import json
+import sys
+
+import repro.experiments.runner
+
+print(json.dumps(sorted(name for name in {TRIPWIRE_ONLY!r} if name in sys.modules)))
+"""
+
 #: A two-job sweep on a two-worker pool, checked against the serial run.
 _POOL_PROGRAM = """
 import json
@@ -102,6 +116,10 @@ def test_entry_points_import_no_heavy_packages() -> None:
 
 def test_replay_path_imports_no_pool_or_perf_history() -> None:
     assert _run(_REPLAY_PROGRAM) == []
+
+
+def test_runner_imports_no_stack_formatting() -> None:
+    assert _run(_RUNNER_PROGRAM) == []
 
 
 def test_pool_sweep_still_runs_and_matches_serial() -> None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.protocol import EssatProtocolSuite
 from repro.experiments.runner import install_failure_schedule
@@ -14,7 +16,7 @@ from repro.query.aggregation import AggregationFunction
 from repro.query.query import QuerySpec, SourceSelection
 from repro.query.service import GreedySendPolicy, QueryService
 from repro.radio.energy import IDEAL
-from repro.routing.tree import build_routing_tree
+from repro.routing.tree import RoutingTree, build_routing_tree
 from repro.sim.engine import Simulator
 
 
@@ -366,3 +368,134 @@ class TestPeriodWatermark:
         marks.mark(2)
         assert marks.through == 3
         assert marks.sparse == set()
+
+
+# ---------------------------------------------------------------------- #
+# Registration: sources and participating children
+# ---------------------------------------------------------------------- #
+
+
+class _RecordingPolicy(GreedySendPolicy):
+    """Records what each registration hands the policy."""
+
+    __slots__ = ("registered",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.registered: list = []
+
+    def query_registered(self, query, *, participating_children=(), is_source=False, **kwargs):
+        self.registered.append((query.query_id, list(participating_children), is_source))
+        super().query_registered(query, **kwargs)
+
+
+def _naive_subtree(parent: dict, node: int) -> set:
+    """Members whose path up through ``parent`` passes ``node``."""
+    members = set()
+    for member in {node, *parent, *parent.values()}:
+        current = member
+        while current != node and current in parent:
+            current = parent[current]
+        if current == node:
+            members.add(member)
+    return members
+
+
+@st.composite
+def _random_tree_parents(draw):
+    size = draw(st.integers(min_value=1, max_value=12))
+    ids = draw(st.permutations(list(range(size))))
+    parent = {
+        ids[position]: ids[draw(st.integers(min_value=0, max_value=position - 1))]
+        for position in range(1, size)
+    }
+    return size, ids[0], parent
+
+
+class TestRegistrationMatchesNaiveDefinitions:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=_random_tree_parents(), explicit=st.data())
+    def test_sources_and_participating_children(self, shape, explicit) -> None:
+        size, root, parent = shape
+        sim = Simulator(seed=0)
+        network = build_network(
+            sim, Topology.line(size, spacing=10.0, comm_range=15.0), power_profile=IDEAL
+        )
+        tree = RoutingTree(root=root, parent=dict(parent))
+        nodes = set(range(size))
+        children = {node: sorted(c for c, up in parent.items() if up == node) for node in nodes}
+        explicit_sources = [
+            frozenset(),
+            frozenset({1000}),
+            frozenset(explicit.draw(st.sets(st.sampled_from(sorted(nodes)), max_size=4))),
+            frozenset(explicit.draw(st.sets(st.sampled_from(sorted(nodes)), max_size=2))) | {-5},
+        ]
+        selections = [SourceSelection.LEAVES, SourceSelection.ALL_NODES, *explicit_sources]
+        queries = [
+            QuerySpec(query_id=query_id, period=1.0, sources=sources)
+            for query_id, sources in enumerate(selections)
+        ]
+        policies = {}
+        for node_id in sorted(nodes):
+            policies[node_id] = _RecordingPolicy()
+            service = QueryService(sim, network.node(node_id), tree, policy=policies[node_id])
+            for query in queries:
+                service.register_query(query)
+        leaves = {node for node in nodes if not children[node]}
+        for query_id, selection in enumerate(selections):
+            if selection is SourceSelection.LEAVES:
+                sources = leaves
+            elif selection is SourceSelection.ALL_NODES:
+                sources = nodes
+            else:
+                sources = set(selection)
+            for node_id in sorted(nodes):
+                expected_children = [
+                    child for child in children[node_id] if _naive_subtree(parent, child) & sources
+                ]
+                assert policies[node_id].registered[query_id] == (
+                    query_id,
+                    expected_children,
+                    node_id in sources,
+                )
+
+
+def test_paper_dts_registration_traverses_each_subtree_at_most_once(monkeypatch) -> None:
+    """Registering the paper DTS cell's queries walks each node's subtree once.
+
+    Counted from outside: every subtree traversal starts a ``deque`` in the
+    routing-tree module.
+    """
+    import repro.routing.tree as tree_module
+    from repro.experiments.config import paper_scale
+    from repro.experiments.runner import build_protocol_suite, build_scenario_topology
+    from repro.experiments.scenarios import query_count_workload
+    from repro.orchestrator.jobs import RunJob
+
+    scenario = paper_scale()
+    queries = RunJob(
+        scenario=scenario, protocol="DTS-SS", workload=query_count_workload(10), seed=1
+    ).resolve_queries()
+    sim = Simulator(seed=1)
+    topology = build_scenario_topology(scenario, 1)
+    network = build_network(sim, topology, power_profile=scenario.power_profile)
+    tree = build_routing_tree(
+        topology,
+        root=topology.center_node(),
+        max_distance_from_root=scenario.max_distance_from_root,
+    )
+    suite = build_protocol_suite("DTS-SS", sim, network, tree, on_root_delivery=None)
+
+    traversals = []
+    real_deque = tree_module.deque
+
+    def counting_deque(*args, **kwargs):
+        traversals.append(args)
+        return real_deque(*args, **kwargs)
+
+    monkeypatch.setattr(tree_module, "deque", counting_deque)
+    suite.register_queries(queries)
+    assert len(queries) == 30
+    registrations = sum(len(node.service.registered_queries()) for node in suite.nodes.values())
+    assert registrations == 30 * len(tree)
+    assert len(traversals) <= len(tree)

@@ -269,3 +269,152 @@ def test_property_tree_invariants_on_random_topologies(num_nodes: int, seed: int
             assert tree.rank(node) == 0
     # Every node of the root's connected component is spanned.
     assert set(tree.nodes) == set(topo.connected_component_of(root))
+
+
+# ---------------------------------------------------------------------- #
+# Oracle for the views cached per tree shape
+# ---------------------------------------------------------------------- #
+
+#: Ids that are never part of a generated tree.
+OUT_OF_TREE_IDS = (1000, 1001, -1)
+
+
+def naive_children(parent: dict, node: int) -> list:
+    return sorted(child for child, up in parent.items() if up == node)
+
+
+def naive_path_up(parent: dict, node: int) -> list:
+    path = [node]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    return path
+
+
+def naive_subtree(parent: dict, root: int, node: int) -> frozenset:
+    members = set(parent) | {root}
+    return frozenset(member for member in members if node in naive_path_up(parent, member))
+
+
+def assert_views_match_naive(tree: RoutingTree, targets_pool: list) -> None:
+    """Every derived view equals a recomputation from ``tree.parent`` alone."""
+    parent = dict(tree.parent)
+    nodes = sorted(set(parent) | {tree.root})
+    leaves = [node for node in nodes if not naive_children(parent, node)]
+    assert tree.nodes == nodes
+    assert tree.leaves == leaves
+    assert tree.interior_nodes == [node for node in nodes if node not in leaves]
+    assert tree.node_set == frozenset(nodes)
+    assert tree.leaf_set == frozenset(leaves)
+    for node in nodes:
+        subtree = naive_subtree(parent, tree.root, node)
+        level = len(naive_path_up(parent, node)) - 1
+        assert tree.subtree(node) == subtree
+        assert tree.level(node) == level
+        assert tree.rank(node) == max(
+            len(naive_path_up(parent, member)) - 1 - level for member in subtree
+        )
+        for targets in targets_pool:
+            assert tree.subtree_contains_any(node, targets) == bool(subtree & set(targets))
+    # The list views are fresh copies: mutating one leaves the tree intact.
+    tree.nodes.clear()
+    tree.leaves.clear()
+    tree.interior_nodes.clear()
+    assert tree.nodes == nodes
+    assert tree.leaves == leaves
+
+
+@st.composite
+def random_trees(draw, max_nodes: int = 14):
+    """A random rooted tree over shuffled ids (so id order is not tree order)."""
+    size = draw(st.integers(min_value=1, max_value=max_nodes))
+    ids = draw(st.permutations(list(range(size))))
+    parent = {
+        ids[position]: ids[draw(st.integers(min_value=0, max_value=position - 1))]
+        for position in range(1, size)
+    }
+    return RoutingTree(root=ids[0], parent=parent)
+
+
+#: One mutation step: (operation, node pick, second pick); picks index into
+#: the currently valid choices.
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(("reparent", "remove_node", "remove_subtree", "attach_subtree")),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    max_size=12,
+)
+
+
+def apply_mutation(
+    tree: RoutingTree, detached: list, operation: str, pick: int, other: int
+) -> None:
+    """Apply one valid mutation; detached subtrees are kept for re-attachment."""
+    non_root = sorted(tree.parent)
+    parent = dict(tree.parent)
+    if operation == "reparent" and non_root:
+        node = non_root[pick % len(non_root)]
+        below = naive_subtree(parent, tree.root, node)
+        targets = [candidate for candidate in tree.nodes if candidate not in below]
+        tree.reparent(node, targets[other % len(targets)])
+    elif operation == "remove_node" and non_root:
+        node = non_root[pick % len(non_root)]
+        orphans = naive_children(parent, node)
+        shapes = []
+        for orphan in orphans:
+            members = naive_subtree(parent, tree.root, orphan)
+            shapes.append((orphan, {m: parent[m] for m in members if m != orphan}))
+        assert tree.remove_node(node) == orphans
+        detached.extend(shapes)
+    elif operation == "remove_subtree" and non_root:
+        node = non_root[pick % len(non_root)]
+        members = naive_subtree(parent, tree.root, node)
+        assert tree.remove_subtree(node) == members
+        detached.append((node, {m: parent[m] for m in members if m != node}))
+    elif operation == "attach_subtree" and detached:
+        subtree_root, edges = detached.pop(pick % len(detached))
+        nodes = tree.nodes
+        tree.attach_subtree(subtree_root, nodes[other % len(nodes)], edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=random_trees(), mutations=MUTATIONS, data=st.data())
+def test_cached_views_match_naive_recomputation_through_mutations(
+    tree: RoutingTree, mutations: list, data
+) -> None:
+    detached: list = []
+    for step in range(len(mutations) + 1):
+        in_tree = tree.nodes
+        targets_pool = [
+            [],
+            frozenset(),
+            list(OUT_OF_TREE_IDS),
+            frozenset(data.draw(st.sets(st.sampled_from(in_tree), max_size=3))),
+            set(data.draw(st.sets(st.sampled_from(in_tree), max_size=2))) | {OUT_OF_TREE_IDS[0]},
+            # Ids that left the tree through an earlier mutation.
+            [member for shape in detached for member in (shape[0], *shape[1])],
+        ]
+        assert_views_match_naive(tree, targets_pool)
+        if step < len(mutations):
+            apply_mutation(tree, detached, *mutations[step])
+
+
+def test_subtree_cache_is_dropped_by_every_mutation() -> None:
+    tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 2, 4: 0})
+    assert tree.subtree(1) == frozenset({1, 2, 3})
+    assert tree.leaf_set == frozenset({3, 4})
+    tree.reparent(3, 4)
+    assert tree.subtree(1) == frozenset({1, 2})
+    assert tree.subtree(4) == frozenset({4, 3})
+    assert tree.leaf_set == frozenset({2, 3})
+    tree.remove_node(4)
+    assert tree.subtree(0) == frozenset({0, 1, 2})
+    assert tree.leaves == [2]
+    tree.attach_subtree(4, 2, {3: 4})
+    assert tree.subtree(1) == frozenset({1, 2, 4, 3})
+    assert tree.leaf_set == frozenset({3})
+    tree.remove_subtree(2)
+    assert tree.subtree(0) == frozenset({0, 1})
+    assert tree.leaf_set == frozenset({1})
+    assert not tree.subtree_contains_any(1, {2, 3, 4})
