@@ -20,8 +20,9 @@ import os
 import time
 
 from repro.experiments.scenarios import rate_sweep_workload
-from repro.orchestrator import ResultStore, SweepExecutor
 from repro.orchestrator.api import ExperimentSpec, run_experiments
+from repro.orchestrator.executor import SweepExecutor
+from repro.orchestrator.store import ResultStore
 
 #: The sweep: two ESSAT protocols at the rate-sweep end points.
 SWEEP_PROTOCOLS = ("DTS-SS", "STS-SS")

@@ -23,13 +23,14 @@ Run with:  python examples/fire_monitoring_adaptive_workload.py
 
 from __future__ import annotations
 
-from repro.core import EssatMaintenance, EssatProtocolSuite
-from repro.net import build_network
+from repro.core.maintenance import EssatMaintenance
+from repro.core.protocol import EssatProtocolSuite
+from repro.net.node import build_network
 from repro.net.topology import generate_connected_random_topology
-from repro.query import QuerySpec
-from repro.radio import MICA2_TYPICAL
-from repro.routing import build_routing_tree
-from repro.sim import Simulator
+from repro.query.query import QuerySpec
+from repro.radio.energy import MICA2_TYPICAL
+from repro.routing.tree import build_routing_tree
+from repro.sim.engine import Simulator
 
 PHASE_1_END = 40.0
 PHASE_2_END = 80.0

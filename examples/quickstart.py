@@ -12,13 +12,14 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.core import EssatProtocolSuite
-from repro.net import build_network
+from repro.core.protocol import EssatProtocolSuite
+from repro.net.node import build_network
 from repro.net.topology import generate_connected_random_topology
-from repro.query import AggregationFunction, QuerySpec
-from repro.radio import MICA2_TYPICAL
-from repro.routing import build_routing_tree
-from repro.sim import Simulator
+from repro.query.aggregation import AggregationFunction
+from repro.query.query import QuerySpec
+from repro.radio.energy import MICA2_TYPICAL
+from repro.routing.tree import build_routing_tree
+from repro.sim.engine import Simulator
 
 
 def main() -> None:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.net import build_network
+from repro.net.node import build_network
 from repro.net.topology import generate_connected_random_topology
-from repro.radio import IDEAL
-from repro.routing import FloodSetup, build_routing_tree
-from repro.sim import Simulator
+from repro.radio.energy import IDEAL
+from repro.routing.flood import FloodSetup
+from repro.routing.tree import build_routing_tree
+from repro.sim.engine import Simulator
 
 
 def main() -> None:

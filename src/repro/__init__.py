@@ -16,6 +16,15 @@ The package is organised as:
   reproduction harness,
 * :mod:`repro.orchestrator` -- parallel sweep execution with a
   content-addressed result store (``--jobs`` / ``--cache-dir``).
+
+Import every name from the module that defines it, e.g.
+``from repro.core.protocol import EssatProtocolSuite``: apart from
+:mod:`repro.lint` and :mod:`repro.scenarios`, each package's
+``__init__`` is only its docstring.  Importing a module therefore loads
+only what it uses, and the runner imports a protocol's code only when it
+builds that protocol.  A warm ``repro figure fig3`` replay loads 64
+``repro`` modules and no protocol; when the packages re-exported their
+submodules it loaded 89.
 """
 
 __version__ = "1.0.0"

@@ -1,19 +1,1 @@
 """Baseline power-management protocols the paper compares against."""
-
-from .always_on import AlwaysOnSuite
-from .psm import PsmConfig, PsmPowerManager, PsmSendPolicy, PsmSuite
-from .span import SpanConfig, SpanSuite
-from .sync import SyncConfig, SyncPowerManager, SyncSuite
-
-__all__ = [
-    "AlwaysOnSuite",
-    "SyncSuite",
-    "SyncConfig",
-    "SyncPowerManager",
-    "PsmSuite",
-    "PsmConfig",
-    "PsmPowerManager",
-    "PsmSendPolicy",
-    "SpanSuite",
-    "SpanConfig",
-]

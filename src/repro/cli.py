@@ -369,7 +369,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         # worker processes (which re-exec the interpreter) inherit it.
         import os
 
-        from .sanitizer import ENV_FLAG, install
+        from .sanitizer.runtime import ENV_FLAG, install
 
         os.environ[ENV_FLAG] = "1"
         install()

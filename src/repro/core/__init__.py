@@ -9,46 +9,3 @@
 * :mod:`~repro.core.analysis` -- the closed-form models (Equations 1-3),
 * :class:`~repro.core.maintenance.EssatMaintenance` -- failure handling.
 """
-
-from .analysis import (
-    AggregationCost,
-    estimate_aggregation_cost,
-    nts_duty_cycle,
-    nts_receive_time,
-    sts_optimal_deadline,
-    sts_query_latency,
-    sts_receive_time,
-)
-from .dts import DynamicTrafficShaper
-from .maintenance import EssatMaintenance, FailureHandlingReport
-from .nts import NoTrafficShaping
-from .protocol import SHAPER_CLASSES, EssatNode, EssatProtocolSuite, protocol_name
-from .safe_sleep import SafeSleep, SafeSleepStats
-from .shaper import ShaperStats, TrafficShaper
-from .sts import StaticTrafficShaper
-from .timing import QueryTiming, TimingTable
-
-__all__ = [
-    "SafeSleep",
-    "SafeSleepStats",
-    "TimingTable",
-    "QueryTiming",
-    "TrafficShaper",
-    "ShaperStats",
-    "NoTrafficShaping",
-    "StaticTrafficShaper",
-    "DynamicTrafficShaper",
-    "EssatNode",
-    "EssatProtocolSuite",
-    "EssatMaintenance",
-    "FailureHandlingReport",
-    "SHAPER_CLASSES",
-    "protocol_name",
-    "AggregationCost",
-    "estimate_aggregation_cost",
-    "nts_receive_time",
-    "nts_duty_cycle",
-    "sts_query_latency",
-    "sts_receive_time",
-    "sts_optimal_deadline",
-]

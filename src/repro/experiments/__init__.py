@@ -1,125 +1,1 @@
 """Experiment harness: scenario configs, metrics, runner, figure reproduction."""
-
-from .config import (
-    FULL_SCALE_ENV_VAR,
-    ScenarioConfig,
-    default_scale,
-    full_scale_requested,
-    paper_scale,
-    reduced_scale,
-    smoke_scale,
-)
-from .figures import (
-    dts_overhead_vs_rate,
-    figure2_deadline_sweep,
-    figure3_duty_cycle_vs_rate,
-    figure4_duty_cycle_vs_queries,
-    figure5_duty_cycle_by_rank,
-    figure6_latency_vs_rate,
-    figure7_latency_vs_queries,
-    figure8_sleep_interval_histogram,
-    figure9_break_even_time,
-    headline_claims,
-)
-from .lifetime import (
-    DEFAULT_BATTERY_CAPACITY_J,
-    LifetimeEstimate,
-    compare_lifetimes,
-    estimate_lifetime,
-    lifetime_by_rank,
-)
-from .metrics import (
-    DeliveryLog,
-    DeliveryRecord,
-    RunMetrics,
-    average_metrics,
-    collect_metrics,
-    expected_periods,
-)
-from .runner import (
-    ALL_PROTOCOLS,
-    BASELINE_PROTOCOLS,
-    ESSAT_PROTOCOLS,
-    ExperimentResult,
-    build_protocol_suite,
-    run_experiment,
-    run_protocol_comparison,
-    run_single,
-)
-from .scenarios import (
-    BREAK_EVEN_TIMES,
-    DUTY_CYCLE_PROTOCOLS,
-    ESSAT_ONLY,
-    LATENCY_PROTOCOLS,
-    base_rates,
-    deadline_sweep_workload,
-    deadlines,
-    query_count_workload,
-    query_counts,
-    rate_sweep_workload,
-)
-from .stats import (
-    IntervalEstimate,
-    confidence_interval,
-    interval_from_runs,
-    metric_interval,
-    sample_std,
-)
-from .tables import FigureResult, Series, comparison_table
-
-__all__ = [
-    "IntervalEstimate",
-    "confidence_interval",
-    "metric_interval",
-    "interval_from_runs",
-    "sample_std",
-    "LifetimeEstimate",
-    "estimate_lifetime",
-    "lifetime_by_rank",
-    "compare_lifetimes",
-    "DEFAULT_BATTERY_CAPACITY_J",
-    "ScenarioConfig",
-    "paper_scale",
-    "reduced_scale",
-    "smoke_scale",
-    "default_scale",
-    "full_scale_requested",
-    "FULL_SCALE_ENV_VAR",
-    "RunMetrics",
-    "DeliveryLog",
-    "DeliveryRecord",
-    "collect_metrics",
-    "average_metrics",
-    "expected_periods",
-    "ExperimentResult",
-    "run_experiment",
-    "run_single",
-    "run_protocol_comparison",
-    "build_protocol_suite",
-    "ALL_PROTOCOLS",
-    "ESSAT_PROTOCOLS",
-    "BASELINE_PROTOCOLS",
-    "DUTY_CYCLE_PROTOCOLS",
-    "LATENCY_PROTOCOLS",
-    "ESSAT_ONLY",
-    "BREAK_EVEN_TIMES",
-    "base_rates",
-    "query_counts",
-    "deadlines",
-    "rate_sweep_workload",
-    "query_count_workload",
-    "deadline_sweep_workload",
-    "figure2_deadline_sweep",
-    "figure3_duty_cycle_vs_rate",
-    "figure4_duty_cycle_vs_queries",
-    "figure5_duty_cycle_by_rank",
-    "figure6_latency_vs_rate",
-    "figure7_latency_vs_queries",
-    "figure8_sleep_interval_histogram",
-    "figure9_break_even_time",
-    "dts_overhead_vs_rate",
-    "headline_claims",
-    "FigureResult",
-    "Series",
-    "comparison_table",
-]

@@ -18,11 +18,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
-from ..baselines.always_on import AlwaysOnSuite
-from ..baselines.psm import PsmSuite
-from ..baselines.span import SpanSuite
-from ..baselines.sync import SyncSuite
-from ..core.protocol import EssatProtocolSuite
 from ..net.loss import build_loss_from_spec
 from ..net.mobility import install_mobility
 from ..net.node import Network, build_network
@@ -37,7 +32,6 @@ from ..obs.adapters import collect_run_counters
 from ..query.query import QuerySpec
 from ..query.workload import WorkloadSpec
 from ..routing.tree import RoutingTree, build_routing_tree
-from ..sanitizer import maybe_install_from_env
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
 from ..sim.trace import TraceRecorder
@@ -93,9 +87,15 @@ def build_protocol_suite(
     on_root_delivery,
     break_even_time: Optional[float] = None,
 ):
-    """Instantiate the named protocol over an already-built network."""
+    """Instantiate the named protocol over an already-built network.
+
+    Each suite's module is imported by the branch that builds it, so a run
+    loads one protocol's code and a store replay loads none.
+    """
     name = protocol.upper()
     if name in ("NTS-SS", "STS-SS", "DTS-SS"):
+        from ..core.protocol import EssatProtocolSuite
+
         shaper = name.split("-")[0].lower()
         return EssatProtocolSuite(
             sim,
@@ -106,12 +106,20 @@ def build_protocol_suite(
             on_root_delivery=on_root_delivery,
         )
     if name == "SYNC":
+        from ..baselines.sync import SyncSuite
+
         return SyncSuite(sim, network, tree, on_root_delivery=on_root_delivery)
     if name == "PSM":
+        from ..baselines.psm import PsmSuite
+
         return PsmSuite(sim, network, tree, on_root_delivery=on_root_delivery)
     if name == "SPAN":
+        from ..baselines.span import SpanSuite
+
         return SpanSuite(sim, network, tree, on_root_delivery=on_root_delivery)
     if name == "ALWAYS-ON":
+        from ..baselines.always_on import AlwaysOnSuite
+
         return AlwaysOnSuite(sim, network, tree, on_root_delivery=on_root_delivery)
     raise ValueError(f"unknown protocol {protocol!r}; expected one of {ALL_PROTOCOLS}")
 
@@ -250,6 +258,9 @@ def run_single(
     # Honour REPRO_SANITIZE=1 in every process that executes simulations
     # (CLI, pytest, spawn-pool sweep workers inherit the environment).
     # Runs outside the armed window, so the flag read itself never trips.
+    # Imported here so a store replay never loads the sanitizer.
+    from ..sanitizer.runtime import maybe_install_from_env
+
     maybe_install_from_env()
     sim = Simulator(seed=seed, trace=trace if trace is not None else TraceRecorder(enabled=False))
     if topology is None:

@@ -1,16 +1,1 @@
 """MAC-layer substrate: CSMA/CA with backoff and acknowledgements."""
-
-from .base import Mac, MacConfig, ReceiveCallback, SendDoneCallback
-from .csma import CsmaMac
-from .queue import TransmitQueue
-from .stats import MacStats
-
-__all__ = [
-    "Mac",
-    "MacConfig",
-    "ReceiveCallback",
-    "SendDoneCallback",
-    "CsmaMac",
-    "TransmitQueue",
-    "MacStats",
-]

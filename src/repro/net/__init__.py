@@ -1,81 +1,1 @@
 """Network substrate: packets, topology, propagation, wireless channel, nodes."""
-
-from .addresses import BROADCAST, is_broadcast, validate_node_id
-from .channel import ChannelStats, Transmission, WirelessChannel
-from .loss import (
-    GilbertElliottLoss,
-    LossSpec,
-    NoLoss,
-    PerLinkLoss,
-    ScriptedLoss,
-    UniformLoss,
-    build_loss_from_spec,
-)
-from .mobility import MobilitySpec, RandomWaypointMobility, install_mobility
-from .node import Network, Node, build_network
-from .propagation import (
-    LogDistanceShadowing,
-    PropagationSpec,
-    SinrCapture,
-    UnitDiskPropagation,
-    build_propagation_from_spec,
-)
-from .packet import (
-    ACK_BYTES,
-    CONTROL_BYTES,
-    DEFAULT_DATA_REPORT_BYTES,
-    AckPacket,
-    AdvertisementPacket,
-    AtimPacket,
-    BeaconPacket,
-    CoordinatorAnnouncement,
-    DataReportPacket,
-    Packet,
-    PhaseRequestPacket,
-    PhaseUpdatePacket,
-    SetupPacket,
-)
-from .topology import Position, Topology, generate_connected_random_topology
-
-__all__ = [
-    "BROADCAST",
-    "is_broadcast",
-    "validate_node_id",
-    "WirelessChannel",
-    "ChannelStats",
-    "Transmission",
-    "NoLoss",
-    "UniformLoss",
-    "PerLinkLoss",
-    "ScriptedLoss",
-    "GilbertElliottLoss",
-    "LossSpec",
-    "build_loss_from_spec",
-    "MobilitySpec",
-    "RandomWaypointMobility",
-    "install_mobility",
-    "PropagationSpec",
-    "UnitDiskPropagation",
-    "LogDistanceShadowing",
-    "SinrCapture",
-    "build_propagation_from_spec",
-    "Network",
-    "Node",
-    "build_network",
-    "Packet",
-    "DataReportPacket",
-    "AckPacket",
-    "SetupPacket",
-    "PhaseRequestPacket",
-    "PhaseUpdatePacket",
-    "BeaconPacket",
-    "AtimPacket",
-    "AdvertisementPacket",
-    "CoordinatorAnnouncement",
-    "DEFAULT_DATA_REPORT_BYTES",
-    "ACK_BYTES",
-    "CONTROL_BYTES",
-    "Position",
-    "Topology",
-    "generate_connected_random_topology",
-]

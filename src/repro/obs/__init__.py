@@ -24,15 +24,10 @@ in :mod:`repro.sim.trace`.
 The ``repro perf`` CLI (``python -m repro.cli perf record|report|diff|check``)
 is the operational front end; see :mod:`repro.obs.perfcli`.
 
-The package re-exports only the per-run pieces (:class:`MetricsRegistry`,
-:func:`collect_run_counters`, :func:`stats_as_mapping`), which every
-simulation and store replay needs.  :mod:`~repro.obs.history`,
-:mod:`~repro.obs.report` and :mod:`~repro.obs.perfcli` are imported from
-their own modules: they pull in ``subprocess`` and ``platform``, which a
+Every name is imported from the module that defines it; this package
+exports nothing.  A simulation or store replay loads only
+:mod:`~repro.obs.metrics` and :mod:`~repro.obs.adapters`:
+:mod:`~repro.obs.history`, :mod:`~repro.obs.report` and
+:mod:`~repro.obs.perfcli` pull in ``subprocess`` and ``platform``, which a
 figure replay has no use for.
 """
-
-from .adapters import collect_run_counters, stats_as_mapping
-from .metrics import MetricsRegistry
-
-__all__ = ["MetricsRegistry", "collect_run_counters", "stats_as_mapping"]

@@ -18,45 +18,3 @@ The sweep entry point is
 it executes whole experiments (replication fan-out plus metric averaging)
 as one job sweep on a :class:`~repro.orchestrator.executor.SweepExecutor`.
 """
-
-from .api import ExperimentSpec, run_experiments, run_experiments_with_jobs
-from .codec import SCHEMA_VERSION, CodecError, codec_for, decode, encode
-from .executor import JobResult, SweepExecutor, execute_job
-from .jobs import (
-    RunJob,
-    expand_experiment,
-    metrics_from_dict,
-    metrics_to_dict,
-    scenario_from_dict,
-    scenario_to_dict,
-    workload_from_dict,
-    workload_to_dict,
-)
-from .progress import NullProgress, ProgressReporter
-from .store import ResultStore, open_store
-
-__all__ = [
-    "CodecError",
-    "ExperimentSpec",
-    "JobResult",
-    "NullProgress",
-    "ProgressReporter",
-    "ResultStore",
-    "RunJob",
-    "SCHEMA_VERSION",
-    "SweepExecutor",
-    "codec_for",
-    "decode",
-    "encode",
-    "execute_job",
-    "expand_experiment",
-    "metrics_from_dict",
-    "metrics_to_dict",
-    "open_store",
-    "run_experiments",
-    "run_experiments_with_jobs",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "workload_from_dict",
-    "workload_to_dict",
-]

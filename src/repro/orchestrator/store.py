@@ -351,12 +351,14 @@ class ResultStore:
         stored["digest"] = digest
         stored["version"] = SCHEMA_VERSION
         line = _encode(stored)
+        # Write before indexing: a failed append (disk full, no permission)
+        # must leave the index describing what is on disk.
+        self._append_line(digest, line)
         existing = self._entries.pop(digest, None)
         if existing is not None:
             self._total_bytes -= existing.line_bytes
         self._entries[digest] = _IndexEntry(stored, len(line))
         self._total_bytes += len(line)
-        self._append_line(digest, line)
         self.stats.records = len(self._entries)
 
     # -- maintenance --------------------------------------------------------

@@ -1,39 +1,1 @@
 """Query-service substrate: periodic queries with in-network aggregation."""
-
-from .aggregation import AggregationFunction, PartialAggregate, merge_all
-from .query import QuerySpec, SourceSelection
-from .report import CollectionState, DataReport
-from .service import (
-    GreedySendPolicy,
-    QueryService,
-    QueryServiceStats,
-    RootDeliveryCallback,
-    SendPolicy,
-)
-from .workload import (
-    DEFAULT_CLASS_RATE_RATIO,
-    DEFAULT_START_WINDOW,
-    WorkloadSpec,
-    aggregate_report_rate,
-    generate_queries,
-)
-
-__all__ = [
-    "AggregationFunction",
-    "PartialAggregate",
-    "merge_all",
-    "QuerySpec",
-    "SourceSelection",
-    "DataReport",
-    "CollectionState",
-    "QueryService",
-    "QueryServiceStats",
-    "SendPolicy",
-    "GreedySendPolicy",
-    "RootDeliveryCallback",
-    "WorkloadSpec",
-    "generate_queries",
-    "aggregate_report_rate",
-    "DEFAULT_CLASS_RATE_RATIO",
-    "DEFAULT_START_WINDOW",
-]

@@ -5,54 +5,3 @@ Provides the radio state machine with power-state transition latencies
 computation (:mod:`repro.radio.energy`), and duty-cycle / sleep-interval
 accounting (:mod:`repro.radio.duty_cycle`).
 """
-
-from .duty_cycle import (
-    DutyCycleTracker,
-    StateInterval,
-    fraction_shorter_than,
-    histogram_sleep_intervals,
-)
-from .energy import (
-    IDEAL,
-    MICA2_TYPICAL,
-    MICA2_WORST,
-    PROFILES,
-    WLAN,
-    ZEBRANET,
-    PowerProfile,
-    break_even_time,
-    sleep_energy_saving,
-)
-from .radio import Radio, RadioError
-from .states import (
-    ACTIVE_STATES,
-    CARRIER_SENSE_CAPABLE_STATES,
-    RECEPTION_CAPABLE_STATES,
-    RadioState,
-    is_active,
-    is_asleep,
-)
-
-__all__ = [
-    "Radio",
-    "RadioError",
-    "RadioState",
-    "ACTIVE_STATES",
-    "RECEPTION_CAPABLE_STATES",
-    "CARRIER_SENSE_CAPABLE_STATES",
-    "is_active",
-    "is_asleep",
-    "PowerProfile",
-    "break_even_time",
-    "sleep_energy_saving",
-    "IDEAL",
-    "MICA2_TYPICAL",
-    "MICA2_WORST",
-    "ZEBRANET",
-    "WLAN",
-    "PROFILES",
-    "DutyCycleTracker",
-    "StateInterval",
-    "histogram_sleep_intervals",
-    "fraction_shorter_than",
-]

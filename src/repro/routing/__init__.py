@@ -1,14 +1,1 @@
 """Routing substrate: tree construction, flooding setup, failure repair."""
-
-from .flood import FloodSetup
-from .maintenance import RepairResult, TreeMaintenance
-from .tree import RoutingError, RoutingTree, build_routing_tree
-
-__all__ = [
-    "RoutingTree",
-    "RoutingError",
-    "build_routing_tree",
-    "FloodSetup",
-    "TreeMaintenance",
-    "RepairResult",
-]

@@ -9,8 +9,9 @@ patches the hazardous entry points -- ``time.*``, module-level
 ``random.*``, ``os.environ`` reads -- with call-site-recording tripwires,
 and wraps the known hot-site sets with an iteration guard, so *any*
 determinism violation that actually executes during a simulation becomes
-a hard :class:`DeterminismViolation` with the offending stack trace,
-instead of a bit-level divergence discovered two sweeps later.
+a hard :class:`~repro.sanitizer.runtime.DeterminismViolation` with the
+offending stack trace, instead of a bit-level divergence discovered two
+sweeps later.
 
 Three ways in, all equivalent:
 
@@ -24,33 +25,3 @@ simulation layer never imports orchestration code): orchestration is free
 to time sweeps and read configuration between runs, exactly as the layer
 map allows.
 """
-
-from __future__ import annotations
-
-from .runtime import (
-    ENV_FLAG,
-    DeterminismViolation,
-    Sanitizer,
-    TripwireHit,
-    active,
-    enabled_by_env,
-    install,
-    maybe_install_from_env,
-    sanitized,
-    uninstall,
-)
-from .sets import GuardedSet
-
-__all__ = [
-    "DeterminismViolation",
-    "ENV_FLAG",
-    "GuardedSet",
-    "Sanitizer",
-    "TripwireHit",
-    "active",
-    "enabled_by_env",
-    "install",
-    "maybe_install_from_env",
-    "sanitized",
-    "uninstall",
-]

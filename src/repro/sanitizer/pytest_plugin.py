@@ -22,8 +22,9 @@ def determinism_sanitizer() -> Iterator[Sanitizer]:
 
     Any ``time.*`` / global ``random.*`` / ``os.environ`` read (or raw
     hot-site set iteration) executed while a :class:`Simulator` is
-    running raises :class:`~repro.sanitizer.DeterminismViolation` with
-    the offending stack.  Uninstalls afterwards unless the sanitizer was
+    running raises
+    :class:`~repro.sanitizer.runtime.DeterminismViolation` with the
+    offending stack.  Uninstalls afterwards unless the sanitizer was
     already installed process-wide (e.g. ``REPRO_SANITIZE=1`` on the
     whole pytest run).
     """

@@ -7,25 +7,3 @@ discrete-event simulator: an event heap with a simulation clock
 (:class:`~repro.sim.rng.RandomStreams`) and a structured trace recorder
 (:class:`~repro.sim.trace.TraceRecorder`).
 """
-
-from .engine import PeriodicHandle, SimulationError, Simulator
-from .events import Event, EventHandle, EventPriority
-from .process import Timer
-from .rng import RandomStreams, derive_seed
-from .trace import TraceRecord, TraceRecorder
-from . import units
-
-__all__ = [
-    "Simulator",
-    "SimulationError",
-    "PeriodicHandle",
-    "Event",
-    "EventHandle",
-    "EventPriority",
-    "Timer",
-    "RandomStreams",
-    "derive_seed",
-    "TraceRecord",
-    "TraceRecorder",
-    "units",
-]

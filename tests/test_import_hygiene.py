@@ -6,13 +6,17 @@ import pulls in rather than how long it takes, so a new import of a heavy
 package fails here deterministically instead of showing up as benchmark
 drift.  The warm-replay path also leaves out the process pool and the
 perf-history tooling, which it never uses, and the runner leaves out the
-stack formatting only a tripped sanitizer wire needs.  The checks run in a subprocess
+stack formatting only a tripped sanitizer wire needs.  Package
+``__init__`` modules export nothing, so importing a name loads only the
+module that defines it: a replay loads no protocol, and a run loads only the
+protocol it builds.  The checks run in a subprocess
 because the test session itself has already imported scipy, numpy and
 networkx (they are test oracles).
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -72,6 +76,69 @@ import repro.experiments.runner
 print(json.dumps(sorted(name for name in {TRIPWIRE_ONLY!r} if name in sys.modules)))
 """
 
+#: Protocol and tooling code a store replay never runs.
+REPLAY_UNLOADED = ("repro.core", "repro.baselines", "repro.sanitizer", "repro.query.service")
+
+_REPLAY_MODULES_PROGRAM = """
+import json
+import sys
+
+import repro.experiments.figures
+import repro.experiments.runner
+import repro.orchestrator.jobs
+import repro.orchestrator.store
+
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
+"""
+
+
+def _suite_program(protocol: str) -> str:
+    """Assembles a smoke-scale run of ``protocol`` up to its protocol suite."""
+    return f"""
+import json
+import sys
+
+from repro.experiments.config import smoke_scale
+from repro.experiments.runner import build_protocol_suite, build_scenario_topology
+from repro.net.node import build_network
+from repro.routing.tree import build_routing_tree
+from repro.sim.engine import Simulator
+
+scenario = smoke_scale()
+sim = Simulator(seed=1)
+topology = build_scenario_topology(scenario, 1)
+network = build_network(sim, topology, power_profile=scenario.power_profile)
+tree = build_routing_tree(topology, root=topology.center_node())
+suite = build_protocol_suite({protocol!r}, sim, network, tree, on_root_delivery=lambda *_: None)
+print(json.dumps([type(suite).__module__, sorted(sys.modules)]))
+"""
+
+
+def _within(modules, prefixes):
+    """The modules that are, or sit under, one of ``prefixes``."""
+    return [
+        name
+        for name in modules
+        if any(name == prefix or name.startswith(prefix + ".") for prefix in prefixes)
+    ]
+
+
+#: The packages whose ``__init__`` holds only a docstring.
+DOCSTRING_ONLY_PACKAGES = (
+    "sim",
+    "net",
+    "radio",
+    "mac",
+    "routing",
+    "query",
+    "core",
+    "baselines",
+    "experiments",
+    "orchestrator",
+    "obs",
+    "sanitizer",
+)
+
 #: A two-job sweep on a two-worker pool, checked against the serial run.
 _POOL_PROGRAM = """
 import json
@@ -129,3 +196,29 @@ def test_pool_sweep_still_runs_and_matches_serial() -> None:
         "loaded_after": True,
         "same": [True, True],
     }
+
+
+def test_replay_modules_load_no_protocol_or_sanitizer() -> None:
+    assert _within(_run(_REPLAY_MODULES_PROGRAM), REPLAY_UNLOADED) == []
+
+
+def test_suite_build_loads_only_its_protocol() -> None:
+    suite, loaded = _run(_suite_program("DTS-SS"))
+    assert suite == "repro.core.protocol"
+    assert _within(loaded, ["repro.baselines"]) == []
+    suite, loaded = _run(_suite_program("PSM"))
+    assert suite == "repro.baselines.psm"
+    assert _within(loaded, ["repro.core"]) == []
+
+
+def test_package_inits_import_nothing() -> None:
+    """Re-exports would load every submodule with the package."""
+    found = []
+    for package in DOCSTRING_ONLY_PACKAGES:
+        path = REPO_ROOT / "src" / "repro" / package / "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                found.append(f"{package}/__init__.py:{node.lineno}")
+    assert found == []

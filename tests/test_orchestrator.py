@@ -11,25 +11,22 @@ from repro.experiments.config import smoke_scale
 from repro.experiments.metrics import RunMetrics
 from repro.experiments.runner import run_experiment, run_protocol_comparison
 from repro.experiments.scenarios import rate_sweep_workload
-from repro.orchestrator import (
-    ExperimentSpec,
-    ProgressReporter,
-    ResultStore,
+from repro.orchestrator.api import ExperimentSpec, run_experiments
+from repro.orchestrator.executor import SweepExecutor
+from repro.orchestrator.jobs import (
     RunJob,
-    SweepExecutor,
     expand_experiment,
     metrics_from_dict,
     metrics_to_dict,
-    run_experiments,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from repro.orchestrator.jobs import (
     query_from_dict,
     query_to_dict,
+    scenario_from_dict,
+    scenario_to_dict,
     workload_from_dict,
     workload_to_dict,
 )
+from repro.orchestrator.progress import ProgressReporter
+from repro.orchestrator.store import ResultStore
 from repro.query.query import QuerySpec, SourceSelection
 from repro.radio.energy import MICA2_TYPICAL
 

@@ -21,10 +21,9 @@ from repro.experiments.runner import run_single
 from repro.experiments.scenarios import rate_sweep_workload
 from repro.query.service import _PeriodWatermark
 from repro.query.workload import generate_queries
-from repro.sanitizer import (
+from repro.sanitizer.runtime import (
     ENV_FLAG,
     DeterminismViolation,
-    GuardedSet,
     active,
     enabled_by_env,
     install,
@@ -32,6 +31,7 @@ from repro.sanitizer import (
     sanitized,
     uninstall,
 )
+from repro.sanitizer.sets import GuardedSet
 from repro.sim.engine import Simulator
 
 

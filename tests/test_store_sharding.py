@@ -1,6 +1,7 @@
 """The sharded result store: layout, line format, migration, compaction."""
 
 import binascii
+import errno
 import json
 import math
 import shutil
@@ -335,6 +336,25 @@ class TestByteAccounting:
         reopened = ResultStore(tmp_path)
         assert reopened.total_bytes == store.total_bytes
         assert reopened.get(_digest(1))["metrics"]["payload"] == "p" * 11
+
+    @pytest.mark.parametrize("digest", [_digest(2), _digest(7)], ids=["overwrite", "new"])
+    def test_failed_append_leaves_the_store_unchanged(
+        self, digest, tmp_path, monkeypatch
+    ) -> None:
+        store = self._fill(tmp_path)
+        before = {d: store.get(d) for d in store.digests()}
+        written = store.total_bytes
+
+        def disk_full(digest: str, line: str) -> None:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(store, "_append_line", disk_full)
+        with pytest.raises(OSError):
+            store.put(digest, _record(payload="lost"))
+        assert {d: store.get(d) for d in store.digests()} == before
+        assert len(store) == len(before) == store.stats.records
+        assert store.get(_digest(2))["metrics"]["payload"] == "q" * 100
+        assert store.total_bytes == written == _live_line_bytes(tmp_path)
 
     @pytest.mark.parametrize("era", ERAS)
     def test_migrated_fixture_is_charged_its_shard_lines(self, era, tmp_path) -> None:
