@@ -19,8 +19,8 @@ The subsystem is pluggable:
 * :mod:`repro.lint.graph` -- the project import/call graph the
   whole-program rules share (one build per lint run),
 * :mod:`repro.lint.rules` -- the file-local REP001..REP007 rules and the
-  whole-program REP100 (layer firewall), REP101 (transitive wall-clock /
-  environment reachability), REP102 (codec schema drift),
+  whole-program REP100 (layer firewall) and REP101 (transitive wall-clock /
+  environment reachability),
 * :mod:`repro.lint.runner` -- file walking, suppression handling
   (``# reprolint: disable=REP0xx reason=...``) and the meta-rule REP000,
 * :mod:`repro.lint.cache` -- the incremental cache keyed on content

@@ -35,8 +35,7 @@ def add_lint_parser(subparsers: Any) -> None:
             "hot-path __slots__, REP005 no PYTHONHASHSEED hazards, REP006 "
             "guarded trace emission, REP007 listener copy-on-write, plus "
             "the whole-program pass: REP100 layer firewall, REP101 "
-            "transitive wall-clock/env reachability, REP102 codec "
-            "schema-drift."
+            "transitive wall-clock/env reachability."
         ),
     )
     parser.add_argument(

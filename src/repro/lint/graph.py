@@ -2,13 +2,11 @@
 
 File-local rules (REP001..REP007) see one AST at a time, so they cannot
 answer the questions refactors actually raise: *which package* a new
-import pulls in (layer firewall), whether a simulation function reaches
+import pulls in (layer firewall), or whether a simulation function reaches
 ``time.time()`` three calls away through an orchestration helper
-(transitive reachability), or whether a codec field table still matches
-the dataclass it encodes (schema drift).  This module builds one graph per
-lint run from the same :class:`~repro.lint.base.FileContext` objects the
-per-file rules consume, and every :class:`~repro.lint.base.ProjectChecker`
-shares it.
+(transitive reachability).  This module builds one graph per lint run from
+the same :class:`~repro.lint.base.FileContext` objects the per-file rules
+consume, and every :class:`~repro.lint.base.ProjectChecker` shares it.
 
 The graph is a *static over-approximation* resolved through names only:
 
@@ -38,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .base import FileContext
 from .layers import Layer
-from ._ast_util import decorator_info, dotted_name
+from ._ast_util import dotted_name
 
 #: Call targets (canonical dotted prefixes) that constitute a determinism
 #: hazard when reached from simulation code.  ``time.`` is a prefix match
@@ -124,17 +122,12 @@ class FunctionNode:
 
 @dataclass(slots=True)
 class ClassInfo:
-    """A class definition as the schema-drift rule needs to see it."""
+    """A class definition as ``self.<method>`` call resolution sees it."""
 
     qualname: str
     module: str
-    lineno: int
-    is_dataclass: bool
     #: Raw (unresolved) dotted base-class expressions, in source order.
     bases: List[str]
-    #: Instance fields: annotated assignments in the class body, minus
-    #: ``ClassVar`` declarations, as ``(name, lineno)`` in source order.
-    fields: List[Tuple[str, int]]
     #: Names of methods defined directly on the class.
     methods: Set[str]
 
@@ -243,35 +236,6 @@ class ProjectGraph:
             return None
         target = f"{origin}.{rest}" if rest else origin
         return self.classes.get(target)
-
-    def dataclass_fields(self, info: ClassInfo) -> Optional[List[Tuple[str, int, str]]]:
-        """``(name, lineno, owner_module_relative)`` for every instance field,
-        base classes first (dataclass field order), subclass overrides folded.
-
-        Returns ``None`` when a non-``object`` base cannot be resolved in
-        the graph -- the field set would be incomplete, so callers skip the
-        comparison instead of reporting half-truths.
-        """
-        collected: Dict[str, Tuple[str, int, str]] = {}
-
-        def visit(current: ClassInfo) -> bool:
-            owner = self.modules.get(current.module)
-            for base in current.bases:
-                if base.split(".")[-1] in ("object", "Protocol", "Generic", "Enum"):
-                    continue
-                resolved = self.resolve_class(owner, base) if owner else None
-                if resolved is None:
-                    return False
-                if not visit(resolved):
-                    return False
-            relative = owner.relative if owner else current.module
-            for name, lineno in current.fields:
-                collected[name] = (name, lineno, relative)
-            return True
-
-        if not visit(info):
-            return None
-        return list(collected.values())
 
     # -- hazard reachability ------------------------------------------
 
@@ -382,19 +346,10 @@ def _collect_definitions(graph: ProjectGraph, context: FileContext, module: Modu
 
 
 def _collect_class(graph: ProjectGraph, module: ModuleNode, node: ast.ClassDef) -> None:
-    is_dataclass, _ = decorator_info(node)
     bases = [base for base in (dotted_name(expr) for expr in node.bases) if base is not None]
-    fields: List[Tuple[str, int]] = []
     methods: Set[str] = set()
     for statement in node.body:
-        if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
-            annotation = dotted_name(statement.annotation)
-            if annotation is None and isinstance(statement.annotation, ast.Subscript):
-                annotation = dotted_name(statement.annotation.value)
-            if annotation is not None and annotation.split(".")[-1] == "ClassVar":
-                continue
-            fields.append((statement.target.id, statement.lineno))
-        elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods.add(statement.name)
             qualname = f"{module.name}.{node.name}.{statement.name}"
             function = FunctionNode(
@@ -403,13 +358,7 @@ def _collect_class(graph: ProjectGraph, module: ModuleNode, node: ast.ClassDef) 
             module.functions[f"{node.name}.{statement.name}"] = function
             graph.functions[qualname] = function
     info = ClassInfo(
-        qualname=f"{module.name}.{node.name}",
-        module=module.name,
-        lineno=node.lineno,
-        is_dataclass=is_dataclass,
-        bases=bases,
-        fields=fields,
-        methods=methods,
+        qualname=f"{module.name}.{node.name}", module=module.name, bases=bases, methods=methods
     )
     module.classes[node.name] = info
     graph.classes[info.qualname] = info

@@ -8,7 +8,6 @@ it enforces, why the invariant exists, and which test or PR motivated it.
 from __future__ import annotations
 
 from . import (
-    codec_drift,
     firewall,
     hashseed,
     ordering,
@@ -20,7 +19,6 @@ from . import (
 )
 
 __all__ = [
-    "codec_drift",
     "firewall",
     "hashseed",
     "ordering",

@@ -8,9 +8,9 @@ process pool (:mod:`~repro.orchestrator.executor`), memoises finished runs
 in an on-disk content-addressed store (:mod:`~repro.orchestrator.store`),
 and reports wall-clock progress (:mod:`~repro.orchestrator.progress`).
 
-Specs and results cross process boundaries through the declarative codec
-registry (:mod:`~repro.orchestrator.codec`), which also versions the
-store's schema.
+Specs and results cross process boundaries through
+:mod:`~repro.orchestrator.codec`, which derives each dataclass's wire form
+from its fields and versions the store's schema.
 
 The sweep entry point is
 :func:`~repro.orchestrator.api.run_experiments_with_jobs` (with

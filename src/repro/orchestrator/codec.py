@@ -1,31 +1,55 @@
-"""Declarative spec codec: register a type's fields once, derive the rest.
+"""Spec codec: each dataclass's wire form, derived from its own fields.
 
-Before this module the orchestrator carried ~20 hand-written
-``*_to_dict`` / ``*_from_dict`` pairs, one per serializable spec type, each
-repeating the same shape: list every field, convert tuples to lists, enums
-to values, nested specs recursively -- and the inverse, by hand, with the
-two directions drifting apart one review at a time.  The codec replaces
-that with a registry: each type registers a :class:`SpecCodec` naming its
-fields and how each one crosses the JSON boundary, and ``encode`` /
-``decode`` are derived from the registration.  The result store and the
-job digests use exactly these codecs, so a record read back from disk
-decodes to the spec that produced it.
+Every spec that crosses the JSON boundary -- a :class:`RunJob`, its
+scenario, workload or queries, the scenario's nested specs, and the run's
+:class:`RunMetrics` -- is a dataclass, and its field list is written once,
+on the dataclass.  :func:`codec_for` derives the wire form from
+``dataclasses.fields`` and the field annotations:
 
-Versioning is part of the registration: a field declares ``since=N`` (the
-schema version that introduced it) plus a default, and ``decode(cls, data,
-version=...)`` fills the default when asked to read an older record.  The
-result store uses this to load v3/v4/v5 records through the current codec.
+* scalars and ``Optional`` scalars pass through unchanged;
+* tuples become lists (a tuple of tuples a list of lists) and decode back
+  to tuples;
+* an ``Enum`` is stored by its value;
+* ``Dict[int, _]`` gets string keys; ``Dict[str, _]`` and ``List[_]`` are
+  copied;
+* a nested dataclass -- plain, ``Optional``, or an optional tuple of them --
+  encodes recursively, and its decode runs at the containing record's
+  schema version.
 
-Wire compatibility: for every registered type the encoded key names and
-value shapes are identical to the retired hand-written helpers, so a v4
-record's payload decodes through the same field table as a v5 one -- only
-the ``counters`` field (since v4) is version-gated today.
+Field metadata carries the two exceptions to that rule:
+
+* ``since``: the schema version that introduced the field.  Data written
+  at an older version, or data without the key, decodes to the dataclass
+  default.  Every other missing key is a :class:`CodecError`: almost every
+  spec field has a default, and falling back to it would let a corrupted
+  record decode silently.
+* ``codec``: an explicit ``(encode, decode)`` pair for a polymorphic field.
+
+Derivation runs once per class, on first use, and is cached; decoding a
+record walks the prebuilt field table.  An annotation without a wire form,
+a ``since`` outside ``1..SCHEMA_VERSION``, or a field gated after the
+oldest supported version without a default raises :class:`CodecError` when
+the class is derived.  The result store and the job digests use exactly
+these codecs, and the store loads v3/v4/v5 records through them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 #: Bump when the job or record serialization format changes; digests embed
 #: this so stale store entries are never mistaken for current ones.
@@ -35,11 +59,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, T
 #: pluggable propagation layer).
 #: v4: RunMetrics gained the per-run observability ``counters`` snapshot
 #: (engine/network/protocol totals plus wall-clock cost).
-#: v5: serialization moved to the declarative codec registry and the result
-#: store became sharded; the field layout is unchanged (v3/v4 records still
-#: decode -- see ``SUPPORTED_VERSIONS``), but digests are intentionally
-#: re-keyed so pre-codec store entries migrate through the version-aware
-#: load path instead of being trusted blindly.
+#: v5: the result store became sharded; the field layout is unchanged
+#: (v3/v4 records still decode -- see ``SUPPORTED_VERSIONS``), but digests
+#: are intentionally re-keyed so older store entries migrate through the
+#: version-aware load path instead of being trusted blindly.
 #: v6: result-store lines carry ``metrics.sleep_intervals`` as base64 of
 #: packed little-endian float64 instead of a JSON list (see
 #: :mod:`repro.orchestrator.store`); records and their field layout are
@@ -49,282 +72,167 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, T
 SCHEMA_VERSION = 6
 
 #: Record versions :func:`decode` knows how to read.  Older versions load
-#: with version-gated fields filled from their registered defaults.
+#: with ``since``-gated fields filled from their dataclass defaults.
 SUPPORTED_VERSIONS = (3, 4, 5, SCHEMA_VERSION)
-
-_MISSING = object()
 
 T = TypeVar("T")
 
+Encoder = Callable[[Any], Any]
+#: Decoders take the raw value and the record's schema version.
+Decoder = Callable[[Any, int], Any]
+#: ``(encode, decode)`` for one annotation; ``None`` means pass-through.
+Conversion = Optional[Tuple[Encoder, Decoder]]
+#: ``(name, encode, decode, since, default)``: one derived field.  ``None``
+#: converters pass the value through; ``default`` is a zero-argument
+#: factory, set only for ``since``-gated fields.
+FieldEntry = Tuple[str, Optional[Encoder], Optional[Decoder], int, Optional[Callable[[], Any]]]
+
+_SCALARS = (int, float, str, bool)
+_NONE_TYPE = type(None)
+
 
 class CodecError(ValueError):
-    """A value could not be encoded or decoded against a registration."""
+    """A class has no derivable wire form, or data does not fit it."""
 
-
-class Field:
-    """One field of a registered type: its name and JSON conversions.
-
-    ``encode`` maps the attribute value to a JSON-safe value; ``decode`` is
-    its inverse.  ``since`` is the schema version that introduced the field:
-    decoding data of an older version (or data where the key is absent)
-    falls back to ``default`` / ``default_factory`` instead of raising.
-    """
-
-    __slots__ = ("name", "encode", "decode", "since", "default", "default_factory", "versioned")
-
-    def __init__(
-        self,
-        name: str,
-        encode: Callable[[Any], Any],
-        decode: Callable[..., Any],
-        *,
-        since: int = 1,
-        default: Any = _MISSING,
-        default_factory: Optional[Callable[[], Any]] = None,
-    ) -> None:
-        self.name = name
-        self.encode = encode
-        self.decode = decode
-        self.since = since
-        self.default = default
-        self.default_factory = default_factory
-        #: Whether ``decode`` takes ``(data, version)`` instead of ``(data)``
-        #: -- set for nested fields so the record's version threads through
-        #: the whole decode tree (see :func:`versioned_decoder`).
-        self.versioned = bool(getattr(decode, "_codec_versioned", False))
-
-    def has_default(self) -> bool:
-        """Whether decoding may fall back to a default for this field."""
-        return self.default is not _MISSING or self.default_factory is not None
-
-    def make_default(self) -> Any:
-        """The fallback value used when decoding pre-``since`` data."""
-        if self.default_factory is not None:
-            return self.default_factory()
-        return self.default
-
-
-def _identity(value: Any) -> Any:
-    return value
-
-
-def versioned_decoder(fn: Callable[[Any, int], Any]) -> Callable[[Any, int], Any]:
-    """Mark ``fn`` as a ``(data, version)`` decoder.
-
-    :meth:`SpecCodec.decode` passes the record's schema version to marked
-    decoders, which is how nested registered types are decoded at the
-    version of the record that contains them rather than the current one.
-    """
-    fn._codec_versioned = True  # type: ignore[attr-defined]
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# Field constructors (the vocabulary registrations are written in)
-# ---------------------------------------------------------------------------
-
-def atom(name: str, **kwargs: Any) -> Field:
-    """A field whose value is already JSON-safe (numbers, strings, None)."""
-    return Field(name, _identity, _identity, **kwargs)
-
-
-def seq(name: str, **kwargs: Any) -> Field:
-    """A flat tuple field: encodes to a list, decodes back to a tuple."""
-    return Field(name, list, tuple, **kwargs)
-
-
-def pairs(name: str, **kwargs: Any) -> Field:
-    """A tuple-of-pairs field (``((k, v), ...)`` <-> ``[[k, v], ...]``)."""
-    return Field(
-        name,
-        lambda value: [list(pair) for pair in value],
-        lambda data: tuple((k, v) for k, v in data),
-        **kwargs,
-    )
-
-
-def enum_member(name: str, enum_cls: Type[enum.Enum], **kwargs: Any) -> Field:
-    """An enum field stored by value."""
-    return Field(name, lambda member: member.value, enum_cls, **kwargs)
-
-
-def int_keyed(name: str, **kwargs: Any) -> Field:
-    """A ``{int: float}`` field (JSON object keys are strings)."""
-    return Field(
-        name,
-        lambda value: {str(k): v for k, v in value.items()},
-        lambda data: {int(k): v for k, v in data.items()},
-        **kwargs,
-    )
-
-
-def mapping(name: str, **kwargs: Any) -> Field:
-    """A plain string-keyed dict field (defensively copied both ways)."""
-    return Field(name, dict, dict, **kwargs)
-
-
-def value_list(name: str, **kwargs: Any) -> Field:
-    """A list of JSON-safe values (defensively copied both ways)."""
-    return Field(name, list, list, **kwargs)
-
-
-def custom(
-    name: str, encode: Callable[[Any], Any], decode: Callable[[Any], Any], **kwargs: Any
-) -> Field:
-    """A field with explicit conversion callables (polymorphic values)."""
-    return Field(name, encode, decode, **kwargs)
-
-
-def nested(name: str, cls: type, **kwargs: Any) -> Field:
-    """A field holding another registered type, encoded recursively.
-
-    Decoding threads the containing record's schema version down into the
-    nested payload, so a version-gated field anywhere in the tree honours
-    the record it came from.
-    """
-    return Field(
-        name, encode, versioned_decoder(lambda data, version: decode(cls, data, version)), **kwargs
-    )
-
-
-def optional_nested(name: str, cls: type, **kwargs: Any) -> Field:
-    """Like :func:`nested` but passing ``None`` through unchanged."""
-    return Field(
-        name,
-        lambda value: None if value is None else encode(value),
-        versioned_decoder(
-            lambda data, version: None if data is None else decode(cls, data, version)
-        ),
-        **kwargs,
-    )
-
-
-def nested_list(name: str, cls: type, **kwargs: Any) -> Field:
-    """An optional sequence of registered values (``None`` passes through)."""
-    return Field(
-        name,
-        lambda value: None if value is None else [encode(item) for item in value],
-        versioned_decoder(
-            lambda data, version: None
-            if data is None
-            else tuple(decode(cls, item, version) for item in data)
-        ),
-        **kwargs,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The codec and its registry
-# ---------------------------------------------------------------------------
 
 class SpecCodec:
-    """Field-table codec for one type.
+    """The derived field table of one dataclass."""
 
-    ``construct`` defaults to calling the class with the decoded fields as
-    keyword arguments, which fits every frozen dataclass spec in the tree.
-    """
+    __slots__ = ("cls", "fields")
 
-    __slots__ = ("cls", "fields", "construct", "_by_name")
-
-    def __init__(
-        self,
-        cls: type,
-        fields: Sequence[Field],
-        *,
-        construct: Optional[Callable[[Dict[str, Any]], Any]] = None,
-    ) -> None:
+    def __init__(self, cls: Type[Any]) -> None:
         self.cls = cls
-        self.fields: Tuple[Field, ...] = tuple(fields)
-        self.construct = construct if construct is not None else (lambda kwargs: cls(**kwargs))
-        self._by_name = {spec_field.name: spec_field for spec_field in self.fields}
-        if len(self._by_name) != len(self.fields):
-            raise CodecError(f"duplicate field names registering {cls.__name__}")
+        hints = get_type_hints(cls)
+        self.fields: Tuple[FieldEntry, ...] = tuple(
+            _derive_field(cls, spec_field, hints[spec_field.name])
+            for spec_field in dataclasses.fields(cls)
+        )
 
     def encode(self, obj: Any) -> Dict[str, Any]:
-        """JSON-safe dict of ``obj`` (field registration order)."""
-        return {
-            spec_field.name: spec_field.encode(getattr(obj, spec_field.name))
-            for spec_field in self.fields
-        }
+        """JSON-safe dict of ``obj`` (dataclass field order)."""
+        out: Dict[str, Any] = {}
+        for name, to_wire, _, _, _ in self.fields:
+            value = getattr(obj, name)
+            out[name] = value if to_wire is None else to_wire(value)
+        return out
 
     def decode(self, data: Dict[str, Any], version: int = SCHEMA_VERSION) -> Any:
-        """Rebuild an instance from ``data`` written at schema ``version``.
-
-        Fields introduced after ``version`` (or absent from ``data``) fall
-        back to their registered default; a missing field with no default is
-        a :class:`CodecError`, because silently guessing would let a
-        corrupted record masquerade as a real result.
-        """
+        """Rebuild an instance from ``data`` written at schema ``version``."""
         kwargs: Dict[str, Any] = {}
-        for spec_field in self.fields:
-            present = spec_field.since <= version and spec_field.name in data
-            if present:
-                raw = data[spec_field.name]
-                if spec_field.versioned:
-                    kwargs[spec_field.name] = spec_field.decode(raw, version)
-                else:
-                    kwargs[spec_field.name] = spec_field.decode(raw)
-            elif spec_field.has_default():
-                kwargs[spec_field.name] = spec_field.make_default()
+        for name, _, from_wire, since, default in self.fields:
+            if since <= version and name in data:
+                raw = data[name]
+                kwargs[name] = raw if from_wire is None else from_wire(raw, version)
+            elif default is not None:
+                kwargs[name] = default()
             else:
                 raise CodecError(
-                    f"field {spec_field.name!r} of {self.cls.__name__} missing from "
-                    f"v{version} data and has no registered default"
+                    f"field {name!r} of {self.cls.__name__} missing from v{version} data"
                 )
-        return self.construct(kwargs)
-
-    def field_names(self) -> Tuple[str, ...]:
-        """The registered field names, in registration order."""
-        return tuple(spec_field.name for spec_field in self.fields)
+        return self.cls(**kwargs)
 
 
-_REGISTRY: Dict[type, SpecCodec] = {}
+def _derive_field(cls: type, spec_field: dataclasses.Field[Any], hint: Any) -> FieldEntry:
+    where = f"{cls.__name__}.{spec_field.name}"
+    since = int(spec_field.metadata.get("since", 1))
+    if not 1 <= since <= SCHEMA_VERSION:
+        raise CodecError(f"{where}: since={since} is outside 1..{SCHEMA_VERSION}")
+    default = _default_of(spec_field) if "since" in spec_field.metadata else None
+    if default is None and since > min(SUPPORTED_VERSIONS):
+        raise CodecError(f"{where}: gated at since={since} but has no default")
+    pair = spec_field.metadata.get("codec")
+    if pair is not None:
+        to_wire, from_wire_unversioned = pair
+        return (
+            spec_field.name,
+            to_wire,
+            lambda data, version: from_wire_unversioned(data),
+            since,
+            default,
+        )
+    conversion = _conversion(hint, where)
+    if conversion is None:
+        return spec_field.name, None, None, since, default
+    return spec_field.name, conversion[0], conversion[1], since, default
 
 
-def register(
-    cls: Type[T],
-    *fields: Field,
-    construct: Optional[Callable[[Dict[str, Any]], T]] = None,
-) -> SpecCodec:
-    """Register ``cls`` with its field table; returns the codec.
+def _default_of(spec_field: dataclasses.Field[Any]) -> Optional[Callable[[], Any]]:
+    if spec_field.default_factory is not dataclasses.MISSING:
+        return spec_field.default_factory
+    if spec_field.default is not dataclasses.MISSING:
+        value = spec_field.default
+        return lambda: value
+    return None
 
-    Re-registering a type replaces its codec (tests exercise synthetic
-    registrations); production registrations happen once at import time in
-    :mod:`repro.orchestrator.jobs`.
-    """
-    codec = SpecCodec(cls, fields, construct=construct)
-    _REGISTRY[cls] = codec
-    return codec
+
+def _conversion(hint: Any, where: str) -> Conversion:
+    """The wire conversion of one annotation (see the module docstring)."""
+    if hint in _SCALARS:
+        return None
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        enum_cls: Type[enum.Enum] = hint
+        return _enum_value, lambda data, version: enum_cls(data)
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        nested_cls: type = hint
+        return encode, lambda data, version: decode(nested_cls, data, version)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union and len(args) == 2 and _NONE_TYPE in args:
+        inner = _conversion(args[1] if args[0] is _NONE_TYPE else args[0], where)
+        if inner is None:
+            return None
+        inner_encode, inner_decode = inner
+        return (
+            lambda value: None if value is None else inner_encode(value),
+            lambda data, version: None if data is None else inner_decode(data, version),
+        )
+    if origin is tuple:
+        items = args[:1] if len(args) == 2 and args[1] is Ellipsis else args
+        conversions = [_conversion(item, where) for item in items]
+        if all(conversion is None for conversion in conversions):
+            return list, lambda data, version: tuple(data)
+        item = conversions[0] if len(conversions) == 1 else None
+        if item is not None:
+            item_encode, item_decode = item
+            return (
+                lambda value: [item_encode(element) for element in value],
+                lambda data, version: tuple(item_decode(element, version) for element in data),
+            )
+    if origin is dict and _conversion(args[1], where) is None:
+        if args[0] is int:
+            return _str_keys, lambda data, version: {int(k): v for k, v in data.items()}
+        if args[0] is str:
+            return dict, lambda data, version: dict(data)
+    if origin is list and _conversion(args[0], where) is None:
+        return list, lambda data, version: list(data)
+    raise CodecError(f"{where}: no wire form for annotation {hint!r}")
+
+
+def _enum_value(member: enum.Enum) -> Any:
+    return member.value
+
+
+def _str_keys(value: Dict[int, Any]) -> Dict[str, Any]:
+    return {str(k): v for k, v in value.items()}
+
+
+_CODECS: Dict[type, SpecCodec] = {}
 
 
 def codec_for(cls: type) -> SpecCodec:
-    """The codec registered for ``cls`` (walking the MRO for subclasses)."""
-    for base in cls.__mro__:
-        codec = _REGISTRY.get(base)
-        if codec is not None:
-            return codec
-    raise CodecError(f"no codec registered for {cls.__name__}")
+    """The codec of dataclass ``cls``, derived on first use and cached."""
+    codec = _CODECS.get(cls)
+    if codec is None:
+        if not dataclasses.is_dataclass(cls):
+            raise CodecError(f"{cls.__name__} is not a dataclass, so it has no wire form")
+        codec = _CODECS[cls] = SpecCodec(cls)
+    return codec
 
 
 def encode(obj: Any) -> Dict[str, Any]:
-    """Encode ``obj`` through its registered codec."""
+    """Encode the dataclass instance ``obj`` to a JSON-safe dict."""
     return codec_for(type(obj)).encode(obj)
 
 
 def decode(cls: Type[T], data: Dict[str, Any], version: int = SCHEMA_VERSION) -> T:
     """Decode ``data`` (written at schema ``version``) into a ``cls``."""
     return codec_for(cls).decode(data, version)
-
-
-def registered_types() -> List[type]:
-    """Every type currently registered (registration order)."""
-    return list(_REGISTRY)
-
-
-def register_kind_params(cls: Type[T]) -> SpecCodec:
-    """Register a :class:`~repro.net.spec.KindParamsSpec` subclass.
-
-    All four scenario-axis specs share the ``kind`` + normalized ``params``
-    shape, so their registration is one call instead of four field tables.
-    """
-    return register(cls, atom("kind"), pairs("params"))

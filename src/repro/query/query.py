@@ -9,8 +9,8 @@ deadline ``D`` (defaulting to the period, as in the paper's experiments).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import FrozenSet, Optional, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, FrozenSet, Optional, Union
 
 from .aggregation import AggregationFunction
 
@@ -22,6 +22,19 @@ class SourceSelection(enum.Enum):
     LEAVES = "leaves"
     #: Every node of the routing tree contributes a sample (TAG-style).
     ALL_NODES = "all_nodes"
+
+
+def _query_sources_encode(sources: Union[FrozenSet[int], SourceSelection]) -> Dict[str, Any]:
+    """A query's sources are polymorphic: a policy or explicit node ids."""
+    if isinstance(sources, SourceSelection):
+        return {"policy": sources.value}
+    return {"nodes": sorted(sources)}
+
+
+def _query_sources_decode(data: Dict[str, Any]) -> Union[FrozenSet[int], SourceSelection]:
+    if "policy" in data:
+        return SourceSelection(data["policy"])
+    return frozenset(data["nodes"])
 
 
 @dataclass(frozen=True)
@@ -55,7 +68,12 @@ class QuerySpec:
     query_id: int
     period: float
     start_time: float = 0.0
-    sources: Union[FrozenSet[int], SourceSelection] = SourceSelection.LEAVES
+    #: ``codec``: the wire form of this polymorphic field
+    #: (see :mod:`repro.orchestrator.codec`).
+    sources: Union[FrozenSet[int], SourceSelection] = field(
+        default=SourceSelection.LEAVES,
+        metadata={"codec": (_query_sources_encode, _query_sources_decode)},
+    )
     aggregation: AggregationFunction = AggregationFunction.AVG
     deadline: Optional[float] = None
     duration: Optional[float] = None

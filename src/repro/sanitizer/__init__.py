@@ -1,7 +1,7 @@
 """Runtime determinism sanitizer: tripwires for what static analysis
 structurally cannot see.
 
-reprolint's whole-program pass (REP100..REP102) resolves *names*; it is
+reprolint's whole-program pass (REP100, REP101) resolves *names*; it is
 blind to ``getattr`` indirection, C extensions, callbacks stored in
 containers, and any future compiled fast path (the ROADMAP's 10x-kernel
 item).  This package is the dynamic counterpart: an opt-in mode that

@@ -1,36 +1,56 @@
-"""The declarative spec codec: round trips, version gating, wrapper compat."""
+"""The derived spec codec: round trips, wire pins, version gating, and the
+errors derivation raises."""
 
+import dataclasses
 import json
+from typing import Optional, Set, Tuple, get_args, get_type_hints
 
 import pytest
 
-from repro.experiments.config import smoke_scale
+from repro.experiments.config import ScenarioConfig, smoke_scale
 from repro.experiments.metrics import RunMetrics
 from repro.experiments.scenarios import rate_sweep_workload
+from repro.mac.base import MacConfig
+from repro.net.loss import LossSpec
 from repro.net.mobility import MobilitySpec
-from repro.net.topology import FailureSchedule
-from repro.orchestrator import codec
+from repro.net.propagation import PropagationSpec
+from repro.net.topology import FailureSchedule, TopologySpec
 from repro.orchestrator.codec import (
     SCHEMA_VERSION,
     SUPPORTED_VERSIONS,
     CodecError,
-    atom,
     codec_for,
     decode,
     encode,
-    nested,
-    registered_types,
 )
-from repro.orchestrator.jobs import (
-    RunJob,
-    metrics_from_dict,
-    metrics_to_dict,
-    scenario_from_dict,
-    scenario_to_dict,
-    workload_from_dict,
-    workload_to_dict,
-)
+from repro.orchestrator.jobs import RunJob, metrics_from_dict, metrics_to_dict, query_to_dict
+from repro.query.aggregation import AggregationFunction
 from repro.query.query import QuerySpec, SourceSelection
+from repro.query.workload import WorkloadSpec
+from repro.radio.energy import PowerProfile
+
+#: Every dataclass a result-store record crosses the JSON boundary as:
+#: ``RunJob`` and ``RunMetrics`` and everything their fields nest.
+WIRE_TYPES = (
+    PowerProfile,
+    MacConfig,
+    TopologySpec,
+    PropagationSpec,
+    LossSpec,
+    MobilitySpec,
+    FailureSchedule,
+    ScenarioConfig,
+    WorkloadSpec,
+    QuerySpec,
+    RunMetrics,
+    RunJob,
+)
+
+#: ``RunJob.digest`` values computed before the codec was derived from the
+#: dataclasses: the wire form of explicit and policy query sources, of a
+#: failure schedule's explicit events, and of the optional nested specs.
+FIXED_QUERY_JOB_DIGEST = "447a5776c4f5f036a78cc24d131185b42251937387cd520dbd916ef61b557e46"
+FAILURE_MOBILITY_JOB_DIGEST = "f41997a6602126c24e529c8660d91831867688291cc329c8069ccb55bb973fb6"
 
 
 def _sample_metrics() -> RunMetrics:
@@ -52,7 +72,7 @@ def _sample_metrics() -> RunMetrics:
 
 
 def _sample_instances():
-    """One representative instance per registered type."""
+    """One representative instance per wire type."""
     scenario = smoke_scale().with_overrides(
         failure_schedule=FailureSchedule(
             fraction=0.1, window=(3.0, 9.0), explicit=((4.5, 7),)
@@ -86,11 +106,30 @@ def _sample_instances():
     return instances
 
 
+def _nested_dataclasses(cls: type) -> Set[type]:
+    """``cls`` plus every dataclass reachable through its field annotations."""
+    found = {cls}
+    pending = [cls]
+    while pending:
+        for hint in get_type_hints(pending.pop()).values():
+            stack = [hint]
+            while stack:
+                current = stack.pop()
+                stack.extend(get_args(current))
+                if dataclasses.is_dataclass(current) and current not in found:
+                    found.add(current)
+                    pending.append(current)
+    return found
+
+
 class TestRoundTrips:
-    def test_every_registered_type_round_trips_through_json(self) -> None:
+    def test_wire_types_are_what_records_reach(self) -> None:
+        reached = _nested_dataclasses(RunJob) | _nested_dataclasses(RunMetrics)
+        assert reached == set(WIRE_TYPES)
+
+    def test_every_wire_type_round_trips_through_json(self) -> None:
         instances = _sample_instances()
-        missing = [t.__name__ for t in registered_types() if t not in instances]
-        assert not missing, f"no sample instance for registered type(s) {missing}"
+        assert set(instances) == set(WIRE_TYPES)
         for cls, instance in instances.items():
             wire = json.loads(json.dumps(encode(instance)))
             rebuilt = decode(cls, wire)
@@ -107,12 +146,66 @@ class TestRoundTrips:
         )
         assert decode(RunJob, json.loads(json.dumps(encode(job)))) == job
 
-    def test_encode_requires_registration(self) -> None:
-        class Unregistered:
+    def test_encode_requires_dataclass(self) -> None:
+        class NotADataclass:
             pass
 
-        with pytest.raises(CodecError, match="no codec registered"):
-            encode(Unregistered())
+        with pytest.raises(CodecError, match="not a dataclass"):
+            encode(NotADataclass())
+
+
+class TestWirePins:
+    """The wire form is pinned by digest, not just by round trip."""
+
+    def test_fixed_query_job_digest(self) -> None:
+        job = RunJob(
+            scenario=smoke_scale(),
+            protocol="DTS-SS",
+            seed=5,
+            queries=(
+                QuerySpec(
+                    query_id=1,
+                    period=0.5,
+                    start_time=1.25,
+                    sources=frozenset({7, 2, 5}),
+                    aggregation=AggregationFunction.MAX,
+                    deadline=0.4,
+                    duration=8.0,
+                ),
+                QuerySpec(query_id=2, period=1.0, sources=SourceSelection.ALL_NODES),
+            ),
+        )
+        assert encode(job)["queries"][0]["sources"] == {"nodes": [2, 5, 7]}
+        assert encode(job)["queries"][1]["sources"] == {"policy": "all_nodes"}
+        assert job.digest == FIXED_QUERY_JOB_DIGEST
+
+    def test_failure_schedule_and_mobility_job_digest(self) -> None:
+        scenario = smoke_scale().with_overrides(
+            failure_schedule=FailureSchedule(
+                fraction=0.1, window=(3.0, 9.0), explicit=((4.5, 7), (6.0, 3))
+            ),
+            mobility=MobilitySpec(kind="waypoint", params=(("speed", 1.5),)),
+        )
+        job = RunJob(
+            scenario=scenario, protocol="PSM", seed=11, workload=rate_sweep_workload(2.0)
+        )
+        wire = encode(job)["scenario"]
+        assert wire["failure_schedule"]["explicit"] == [[4.5, 7], [6.0, 3]]
+        assert wire["mobility"] == {"kind": "waypoint", "params": [["speed", 1.5]]}
+        assert job.digest == FAILURE_MOBILITY_JOB_DIGEST
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    value: int
+    extra: str = dataclasses.field(default="fallback", metadata={"since": 4})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    maybe: Optional[_Inner] = None
+    many: Optional[Tuple[_Inner, ...]] = None
 
 
 class TestVersionGating:
@@ -134,27 +227,26 @@ class TestVersionGating:
         with pytest.raises(CodecError, match="protocol"):
             metrics_from_dict(data)
 
+    def test_missing_ungated_field_with_default_raises(self) -> None:
+        # `seed` has a dataclass default but no `since`: a record without
+        # it is corrupt, not old, and must not decode to the default.
+        data = encode(smoke_scale())
+        del data["seed"]
+        with pytest.raises(CodecError, match="seed"):
+            decode(ScenarioConfig, data)
+
     def test_nested_decode_threads_record_version(self) -> None:
-        # A synthetic pair of types: the inner one gained a field at v4, the
-        # outer one nests it.  Decoding the outer at v3 must thread v3 down.
-        class Inner:
-            def __init__(self, value, extra="default"):
-                self.value = value
-                self.extra = extra
-
-        class Outer:
-            def __init__(self, inner):
-                self.inner = inner
-
-        codec.register(Inner, atom("value"), atom("extra", since=4, default="fallback"))
-        codec.register(Outer, nested("inner", Inner))
-        try:
-            wire = {"inner": {"value": 1, "extra": "written-at-v4"}}
-            assert decode(Outer, wire, version=4).inner.extra == "written-at-v4"
-            assert decode(Outer, wire, version=3).inner.extra == "fallback"
-        finally:
-            codec._REGISTRY.pop(Inner, None)
-            codec._REGISTRY.pop(Outer, None)
+        # The inner type gained `extra` at v4; decoding the outer record at
+        # v3 must thread v3 down through plain, optional and tuple nesting.
+        written = _Inner(1, "written-at-v4")
+        wire = json.loads(
+            json.dumps(encode(_Outer(inner=written, maybe=written, many=(written,))))
+        )
+        assert decode(_Outer, wire, version=4) == _Outer(written, written, (written,))
+        old = _Inner(1, "fallback")
+        assert decode(_Outer, wire, version=3) == _Outer(old, old, (old,))
+        wire.update(maybe=None, many=None)
+        assert decode(_Outer, wire, version=3) == _Outer(old)
 
     def test_run_job_from_dict_honours_embedded_version(self) -> None:
         job = RunJob(
@@ -168,21 +260,62 @@ class TestVersionGating:
         assert RunJob.from_dict(v3) == job
 
 
+class TestDerivation:
+    def test_since_beyond_schema_version_raises(self) -> None:
+        @dataclasses.dataclass
+        class FromTheFuture:
+            late: int = dataclasses.field(default=0, metadata={"since": SCHEMA_VERSION + 1})
+
+        with pytest.raises(CodecError, match="since="):
+            codec_for(FromTheFuture)
+
+    def test_gated_field_without_default_raises(self) -> None:
+        @dataclasses.dataclass
+        class GatedNoDefault:
+            late: int = dataclasses.field(metadata={"since": 4})
+
+        with pytest.raises(CodecError, match="no default"):
+            codec_for(GatedNoDefault)
+
+    def test_unhandled_annotation_raises(self) -> None:
+        @dataclasses.dataclass
+        class Unhandled:
+            members: Set[int]
+
+        with pytest.raises(CodecError, match="Unhandled.members"):
+            codec_for(Unhandled)
+
+    def test_derivation_is_cached(self) -> None:
+        assert codec_for(RunMetrics) is codec_for(RunMetrics)
+
+
 class TestWrapperCompat:
-    """The retired hand-written helpers survive as shims over the codec."""
+    """The named entry points other modules call are the codec itself."""
+
+    def test_metrics_and_query_helpers_match_codec(self) -> None:
+        metrics = _sample_metrics()
+        assert metrics_to_dict(metrics) == encode(metrics)
+        query = QuerySpec(query_id=3, period=2.0)
+        assert query_to_dict(query) == encode(query)
 
     def test_scenario_wrappers_match_codec(self) -> None:
         scenario = smoke_scale()
-        assert scenario_to_dict(scenario) == encode(scenario)
-        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        job = RunJob(scenario=scenario, protocol="PSM", seed=2, workload=rate_sweep_workload(1.0))
+        assert job.to_dict()["scenario"] == encode(scenario)
+        assert decode(ScenarioConfig, json.loads(json.dumps(encode(scenario)))) == scenario
+        assert RunJob.from_dict(job.to_dict()).scenario == scenario
 
     def test_workload_wrappers_match_codec(self) -> None:
         workload = rate_sweep_workload(5.0)
-        assert workload_to_dict(workload) == encode(workload)
-        assert workload_from_dict(workload_to_dict(workload)) == workload
+        job = RunJob(scenario=smoke_scale(), protocol="PSM", seed=2, workload=workload)
+        assert job.to_dict()["workload"] == encode(workload)
+        assert decode(WorkloadSpec, json.loads(json.dumps(encode(workload)))) == workload
+        assert RunJob.from_dict(job.to_dict()).workload == workload
 
     def test_subclass_resolves_through_mro(self) -> None:
+        # `kind` and `params` are declared on the shared base class.
         assert codec_for(MobilitySpec).cls is MobilitySpec
+        assert [entry[0] for entry in codec_for(MobilitySpec).fields] == ["kind", "params"]
 
     def test_digest_is_stable_and_content_sensitive(self) -> None:
         scenario = smoke_scale()

@@ -472,7 +472,6 @@ class TestCli:
             "REP007",
             "REP100",
             "REP101",
-            "REP102",
         ):
             assert code in text
 

@@ -1,4 +1,4 @@
-"""Whole-program lint tests: the project graph, REP100/101/102, the
+"""Whole-program lint tests: the project graph, REP100/101, the
 incremental cache, and the SARIF reporter.
 
 The fixtures build a synthetic ``src/repro/...`` tree under ``tmp_path``
@@ -49,7 +49,6 @@ def make_tree(tmp_path: Path) -> Path:
       ``time.time`` -> REP101.
     * ``net.node`` imports ``net.channel`` (sim -> sim; extends the
       firewall chain but is itself clean).
-    * ``orchestrator.jobs`` registers a drifted codec table -> REP102.
     """
     root = tmp_path / "src" / "repro"
     write_module(root, "net/__init__.py", "")
@@ -87,53 +86,6 @@ def make_tree(tmp_path: Path) -> Path:
             return time.time()
         """,
     )
-    write_module(root, "orchestrator/__init__.py", "")
-    write_module(
-        root,
-        "orchestrator/codec.py",
-        """
-        SCHEMA_VERSION = 5
-        SUPPORTED_VERSIONS = (3, 4, SCHEMA_VERSION)
-
-
-        class Field:
-            pass
-
-
-        def atom(name, **kwargs):
-            return Field()
-
-
-        def register(cls, *fields, construct=None):
-            return None
-        """,
-    )
-    write_module(
-        root,
-        "orchestrator/jobs.py",
-        """
-        from dataclasses import dataclass
-
-        from .codec import atom, register
-
-
-        @dataclass(frozen=True)
-        class Spec:
-            alpha: int
-            beta: float
-            gamma: str = "x"
-
-
-        register(
-            Spec,
-            atom("alpha"),
-            atom("beta"),
-            atom("betta"),
-            atom("late", since=4),
-            atom("bogus", since=9),
-        )
-        """,
-    )
     return root
 
 
@@ -151,9 +103,7 @@ def findings_for(root: Path, code: str) -> list:
 class TestProjectGraph:
     def test_module_names_and_layers(self, tmp_path: Path) -> None:
         graph = build_project_graph(contexts_for(make_tree(tmp_path)))
-        assert {"net", "net.channel", "net.node", "obs.metrics", "orchestrator.codec"} <= set(
-            graph.modules
-        )
+        assert {"net", "net.channel", "net.node", "obs.metrics"} <= set(graph.modules)
         assert graph.modules["net"].is_package
         assert graph.modules["net.channel"].layer is Layer.SIMULATION
         assert graph.modules["obs.metrics"].layer is Layer.ORCHESTRATION
@@ -303,97 +253,6 @@ class TestREP101TransitiveHazard:
         assert [f.code for f in findings_for(root, "REP001")] == ["REP001"]
 
 
-class TestREP102CodecDrift:
-    def test_drifted_table_is_caught(self, tmp_path: Path) -> None:
-        findings = findings_for(make_tree(tmp_path), "REP102")
-        messages = "\n".join(f.message for f in findings)
-        assert "codec field `betta` does not exist" in messages
-        assert "`Spec.gamma`" in messages and "no codec entry" in messages
-        assert "since=9" in messages and "SCHEMA_VERSION" in messages
-        assert "since=4" in messages and "no default" in messages
-        assert all(f.path.endswith("orchestrator/jobs.py") for f in findings)
-
-    def test_duplicate_field_is_caught(self, tmp_path: Path) -> None:
-        root = make_tree(tmp_path)
-        write_module(
-            root,
-            "orchestrator/jobs.py",
-            """
-            from dataclasses import dataclass
-
-            from .codec import atom, register
-
-
-            @dataclass(frozen=True)
-            class Spec:
-                alpha: int
-
-
-            register(Spec, atom("alpha"), atom("alpha"))
-            """,
-        )
-        findings = findings_for(root, "REP102")
-        assert [f.message for f in findings] == [
-            "duplicate codec field `alpha` for Spec"
-        ]
-
-    def test_silent_on_matching_table(self, tmp_path: Path) -> None:
-        root = make_tree(tmp_path)
-        write_module(
-            root,
-            "orchestrator/jobs.py",
-            """
-            from dataclasses import dataclass
-
-            from .codec import atom, register
-
-
-            @dataclass(frozen=True)
-            class Spec:
-                alpha: int
-                beta: float
-                gamma: str = "x"
-
-
-            register(
-                Spec,
-                atom("alpha"),
-                atom("beta"),
-                atom("gamma", since=5, default="x"),
-            )
-            """,
-        )
-        assert findings_for(root, "REP102") == []
-
-    def test_dynamic_entries_disable_missing_field_check(self, tmp_path: Path) -> None:
-        root = make_tree(tmp_path)
-        write_module(
-            root,
-            "orchestrator/jobs.py",
-            """
-            from dataclasses import dataclass
-
-            from .codec import atom, register
-
-
-            @dataclass(frozen=True)
-            class Spec:
-                alpha: int
-                beta: float
-
-
-            def dynamic():
-                return atom("beta")
-
-
-            register(Spec, atom("alpha"), dynamic())
-            """,
-        )
-        # `beta` is contributed dynamically: the table is incomplete, so
-        # the missing-field comparison would be a half-truth and is skipped.
-        assert findings_for(root, "REP102") == []
-
-
 class TestIncrementalCache:
     def test_warm_run_replays_identical_findings(self, tmp_path: Path) -> None:
         root = make_tree(tmp_path)
@@ -432,7 +291,7 @@ class TestIncrementalCache:
         cache = tmp_path / DEFAULT_CACHE_NAME
         cache.write_text("{not json", encoding="utf-8")
         result = lint_paths([root], cache_path=cache)
-        assert result.files_checked == 8
+        assert result.files_checked == 5
 
     def test_cache_stores_raw_findings_pre_suppression(self, tmp_path: Path) -> None:
         root = make_tree(tmp_path)
@@ -480,7 +339,7 @@ class TestSarifReporter:
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "reprolint"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"REP000", "REP100", "REP101", "REP102"} <= rule_ids
+        assert {"REP000", "REP100", "REP101"} <= rule_ids
         assert run["results"], "fixture tree must produce findings"
         for item in run["results"]:
             assert item["ruleId"] in rule_ids
@@ -499,4 +358,4 @@ class TestSarifReporter:
         assert lint_main(["--format", "sarif", "--no-cache", str(root)], out=out) == 1
         payload = json.loads(out.getvalue())
         codes = {item["ruleId"] for item in payload["runs"][0]["results"]}
-        assert {"REP100", "REP101", "REP102"} <= codes
+        assert {"REP100", "REP101"} <= codes

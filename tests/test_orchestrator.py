@@ -7,27 +7,18 @@ import json
 
 import pytest
 
-from repro.experiments.config import smoke_scale
+from repro.experiments.config import ScenarioConfig, smoke_scale
 from repro.experiments.metrics import RunMetrics
 from repro.experiments.runner import run_experiment, run_protocol_comparison
 from repro.experiments.scenarios import rate_sweep_workload
 from repro.orchestrator.api import ExperimentSpec, run_experiments
+from repro.orchestrator.codec import decode, encode
 from repro.orchestrator.executor import SweepExecutor
-from repro.orchestrator.jobs import (
-    RunJob,
-    expand_experiment,
-    metrics_from_dict,
-    metrics_to_dict,
-    query_from_dict,
-    query_to_dict,
-    scenario_from_dict,
-    scenario_to_dict,
-    workload_from_dict,
-    workload_to_dict,
-)
+from repro.orchestrator.jobs import RunJob, expand_experiment, metrics_from_dict, metrics_to_dict
 from repro.orchestrator.progress import ProgressReporter
 from repro.orchestrator.store import ResultStore
 from repro.query.query import QuerySpec, SourceSelection
+from repro.query.workload import WorkloadSpec
 from repro.radio.energy import MICA2_TYPICAL
 
 
@@ -46,20 +37,20 @@ class TestSerialization:
         scenario = smoke_scale().with_overrides(
             power_profile=MICA2_TYPICAL, break_even_time=0.0025, measure_from=1.0
         )
-        restored = scenario_from_dict(scenario_to_dict(scenario))
+        restored = decode(ScenarioConfig, encode(scenario))
         assert restored == scenario
 
     def test_workload_round_trip(self) -> None:
         workload = rate_sweep_workload(2.5, deadline=0.3)
-        assert workload_from_dict(workload_to_dict(workload)) == workload
+        assert decode(WorkloadSpec, encode(workload)) == workload
 
     def test_query_round_trip_policy_and_explicit_sources(self) -> None:
         policy_query = QuerySpec(query_id=1, period=0.5, start_time=2.0)
         explicit_query = QuerySpec(
             query_id=2, period=1.0, sources=frozenset({3, 1, 2}), deadline=0.75
         )
-        assert query_from_dict(query_to_dict(policy_query)) == policy_query
-        restored = query_from_dict(query_to_dict(explicit_query))
+        assert decode(QuerySpec, encode(policy_query)) == policy_query
+        restored = decode(QuerySpec, encode(explicit_query))
         assert restored == explicit_query
         assert restored.sources == frozenset({1, 2, 3})
 

@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import pytest
 
-from repro.experiments.config import smoke_scale
+from repro.experiments.config import ScenarioConfig, smoke_scale
 from repro.experiments.runner import run_single
 from repro.net.channel import WirelessChannel
 from repro.net.loss import GilbertElliottLoss, LossSpec, build_loss_from_spec
@@ -43,17 +43,8 @@ from repro.net.propagation import (
 )
 from repro.net.topology import Topology
 from repro.orchestrator.api import ExperimentSpec, run_experiments
-from repro.orchestrator.jobs import (
-    RunJob,
-    loss_spec_from_dict,
-    loss_spec_to_dict,
-    mobility_spec_from_dict,
-    mobility_spec_to_dict,
-    propagation_spec_from_dict,
-    propagation_spec_to_dict,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from repro.orchestrator.codec import decode, encode
+from repro.orchestrator.jobs import RunJob
 from repro.query.workload import WorkloadSpec
 from repro.radio.radio import Radio
 from repro.radio.energy import IDEAL
@@ -112,15 +103,15 @@ class TestSpecs:
         propagation = PropagationSpec.make("sinr", capture_db=6.0, sigma_db=2.0)
         loss = LossSpec.make("gilbert-elliott", loss_bad=0.5)
         mobility = MobilitySpec.make(speed=2.0)
-        assert propagation_spec_from_dict(propagation_spec_to_dict(propagation)) == propagation
-        assert loss_spec_from_dict(loss_spec_to_dict(loss)) == loss
-        assert mobility_spec_from_dict(mobility_spec_to_dict(mobility)) == mobility
-        assert mobility_spec_from_dict(mobility_spec_to_dict(None)) is None
+        assert decode(PropagationSpec, encode(propagation)) == propagation
+        assert decode(LossSpec, encode(loss)) == loss
+        assert decode(MobilitySpec, encode(mobility)) == mobility
+        assert decode(ScenarioConfig, encode(smoke_scale())).mobility is None
 
         scenario = smoke_scale().with_overrides(
             propagation=propagation, loss=loss, mobility=mobility
         )
-        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        assert decode(ScenarioConfig, encode(scenario)) == scenario
 
     def test_propagation_axes_produce_distinct_digests(self) -> None:
         base = smoke_scale()

@@ -19,7 +19,8 @@ from repro.net.topology import (
     TopologySpec,
     build_topology_from_spec,
 )
-from repro.orchestrator.jobs import RunJob, scenario_from_dict, scenario_to_dict
+from repro.orchestrator.codec import decode, encode
+from repro.orchestrator.jobs import RunJob
 from repro.query.workload import WorkloadSpec
 from repro.radio.energy import IDEAL
 from repro.routing.tree import build_routing_tree
@@ -143,7 +144,7 @@ class TestRegistry:
             if family.name == "paper":
                 continue
             for variant in family.variants(base):
-                restored = scenario_from_dict(scenario_to_dict(variant.scenario))
+                restored = decode(ScenarioConfig, encode(variant.scenario))
                 assert restored == variant.scenario
                 job = RunJob(
                     scenario=variant.scenario,
