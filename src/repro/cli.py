@@ -216,11 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list available figures, protocols and scales")
 
-    from .lint.cli import add_lint_parser
+    # A stub: everything after `lint` goes to the lint package's own parser,
+    # so only a lint call imports it.  With no option prefix, `--help` and
+    # the lint flags reach that parser unparsed.
+    lint_parser = subparsers.add_parser(
+        "lint",
+        add_help=False,
+        prefix_chars="\0",
+        help="run the hot-path and ordering invariant checks (reprolint)",
+    )
+    lint_parser.add_argument("lint_args", nargs=argparse.REMAINDER)
+
     from .obs.perfcli import add_perf_parser
 
     add_perf_parser(subparsers)
-    add_lint_parser(subparsers)
     return parser
 
 
@@ -381,9 +390,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return run_perf(args, out)
     if args.command == "lint":
         # Static analysis likewise needs no scenario or orchestrator state.
-        from .lint.cli import run_lint
+        from .lint.cli import main as lint_main
 
-        return run_lint(args, out)
+        return lint_main(args.lint_args, out)
     scenario = SCALES[args.scale]()
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -17,46 +17,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return None
-
-
-def import_map(tree: ast.AST) -> Dict[str, str]:
-    """Map local names to the canonical dotted origin they were imported as.
-
-    ``import time as t`` maps ``t -> time``; ``from random import Random``
-    maps ``Random -> random.Random``.  Relative imports keep their module
-    tail (``from .rng import derive_seed`` maps to ``rng.derive_seed``),
-    which is enough for the stdlib-focused rules here.
-    """
-    mapping: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                mapping[alias.asname or alias.name.split(".", 1)[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            for alias in node.names:
-                origin = f"{module}.{alias.name}" if module else alias.name
-                mapping[alias.asname or alias.name] = origin
-    return mapping
-
-
-def resolve_call_target(func: ast.AST, imports: Dict[str, str]) -> Optional[str]:
-    """Canonical dotted target of a call through the file's imports.
-
-    ``time.perf_counter()`` resolves to ``time.perf_counter`` when ``time``
-    was imported; ``pc()`` resolves to ``time.perf_counter`` after
-    ``from time import perf_counter as pc``.  Calls on local objects
-    (``self.x.y()``) resolve through the object name if it happens to be an
-    import alias, else ``None``.
-    """
-    dotted = dotted_name(func)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    origin = imports.get(head)
-    if origin is None:
-        return None
-    return f"{origin}.{rest}" if rest else origin
 
 
 def decorator_info(node: ast.ClassDef) -> Tuple[bool, bool]:

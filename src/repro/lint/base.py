@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Type
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (graph uses FileContext)
-    from .graph import ProjectGraph
+from typing import Dict, Iterator, List, Optional, Sequence, Type
 
 from .findings import Finding
 from .layers import Layer, is_hot_path, layer_of, package_relative
@@ -58,7 +55,7 @@ class Checker:
     layer map so allow-listing is declarative.
     """
 
-    #: The rule code, e.g. ``"REP001"``.
+    #: The rule code, e.g. ``"REP003"``.
     code: str = ""
     #: Short kebab-case rule name for ``--list-rules`` output.
     name: str = ""
@@ -87,38 +84,6 @@ class Checker:
         import inspect
 
         return inspect.cleandoc(cls.__doc__ or "")
-
-
-class ProjectChecker(Checker):
-    """Base class for whole-program rules (REP100..).
-
-    Project checkers run once per lint run over the shared
-    :class:`~repro.lint.graph.ProjectGraph` instead of once per file, so
-    they can see import chains and call chains that cross module
-    boundaries.  They do not participate in the per-file pass
-    (:meth:`check` returns nothing); ``lint_source`` on a single blob
-    therefore never fires them, and the runner anchors their findings at
-    real source locations so the ordinary suppression syntax applies.
-    """
-
-    #: Marks the checker for the runner's project pass.
-    project: bool = True
-
-    def applies_to(self, context: FileContext) -> bool:
-        return False
-
-    def check(self, context: FileContext) -> List[Finding]:
-        return []
-
-    def check_project(self, graph: "ProjectGraph") -> List[Finding]:
-        """Return every violation found in the whole-program graph."""
-        raise NotImplementedError
-
-    def project_finding(
-        self, path: str, line: int, col: int, message: str
-    ) -> Finding:
-        """Build a :class:`Finding` at an explicit location."""
-        return Finding(path=path, line=line, col=col, code=self.code, message=message)
 
 
 #: code -> checker class.  Populated by :func:`register` at import time of
@@ -160,7 +125,3 @@ def select_checkers(codes: Optional[Sequence[str]] = None) -> List[Checker]:
     if codes is None:
         return [checker() for checker in all_checkers()]
     return [get_checker(code)() for code in codes]
-
-
-#: Convenience alias for rule implementations that want a node predicate.
-NodePredicate = Callable[[ast.AST], bool]

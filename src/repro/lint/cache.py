@@ -2,12 +2,9 @@
 
 Pre-commit's common case is an unchanged (or one-file) tree, so re-parsing
 a hundred files per commit is pure waste.  The cache stores, per file, the
-SHA-256 of its source plus the *raw* (pre-suppression) findings and the
-parsed suppression comments; on a hit the file is neither parsed nor
-checked, and suppression accounting replays from the cached records.
-Whole-program findings are keyed on the digest of the entire file set: any
-changed, added, or removed file invalidates them as a unit (a one-file
-edit can create or destroy a cross-module chain anywhere).
+SHA-256 of its source plus its findings; on a hit the file is neither
+parsed nor checked.  Every rule is file-local, so one file's edit never
+changes another file's findings.
 
 The cache is an implementation detail of speed, never of truth: a
 fingerprint of the rule set and the cache schema version guards every
@@ -20,31 +17,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Bump when the on-disk cache layout changes.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 #: Default cache location (repo root / current working directory).
 DEFAULT_CACHE_NAME = ".reprolint_cache.json"
+
+#: One file's cached state: its source digest and its findings as dicts.
+FileEntry = Tuple[str, List[Dict[str, Any]]]
 
 
 def source_digest(source: str) -> str:
     """Content hash of one file's source text."""
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def tree_digest(file_digests: Dict[str, str]) -> str:
-    """Digest of the whole linted file set (paths and contents)."""
-    hasher = hashlib.sha256()
-    for path in sorted(file_digests):
-        hasher.update(path.encode("utf-8"))
-        hasher.update(b"\0")
-        hasher.update(file_digests[path].encode("ascii"))
-        hasher.update(b"\0")
-    return hasher.hexdigest()
 
 
 def rules_fingerprint(codes: Sequence[str]) -> str:
@@ -53,28 +41,15 @@ def rules_fingerprint(codes: Sequence[str]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(slots=True)
-class FileEntry:
-    """Cached per-file lint state."""
-
-    digest: str
-    #: Raw findings as dicts (pre-suppression; replayed on every run).
-    findings: List[Dict[str, Any]] = field(default_factory=list)
-    #: Parsed suppressions as dicts (line/codes/reason/own_line).
-    suppressions: List[Dict[str, Any]] = field(default_factory=list)
-
-
 class LintCache:
     """Load/consult/update/save cycle for one lint run."""
 
-    __slots__ = ("path", "fingerprint", "files", "project_digest", "project_findings")
+    __slots__ = ("path", "fingerprint", "files")
 
     def __init__(self, path: Path, fingerprint: str) -> None:
         self.path = path
         self.fingerprint = fingerprint
         self.files: Dict[str, FileEntry] = {}
-        self.project_digest: Optional[str] = None
-        self.project_findings: List[Dict[str, Any]] = []
 
     @classmethod
     def load(cls, path: Path, fingerprint: str) -> "LintCache":
@@ -90,25 +65,16 @@ class LintCache:
         files = data.get("files")
         if isinstance(files, dict):
             for file_path, entry in files.items():
-                if not isinstance(entry, dict) or "digest" not in entry:
-                    continue
-                cache.files[file_path] = FileEntry(
-                    digest=str(entry["digest"]),
-                    findings=list(entry.get("findings", ())),
-                    suppressions=list(entry.get("suppressions", ())),
-                )
-        project = data.get("project")
-        if isinstance(project, dict):
-            digest = project.get("tree_digest")
-            cache.project_digest = str(digest) if digest is not None else None
-            cache.project_findings = list(project.get("findings", ()))
+                if isinstance(entry, dict) and "digest" in entry:
+                    findings = list(entry.get("findings", ()))
+                    cache.files[file_path] = (str(entry["digest"]), findings)
         return cache
 
-    def lookup(self, path: str, digest: str) -> Optional[FileEntry]:
-        """The cached entry for ``path`` iff its content is unchanged."""
+    def lookup(self, path: str, digest: str) -> Optional[List[Dict[str, Any]]]:
+        """The cached findings for ``path`` iff its content is unchanged."""
         entry = self.files.get(path)
-        if entry is not None and entry.digest == digest:
-            return entry
+        if entry is not None and entry[0] == digest:
+            return entry[1]
         return None
 
     def save(self) -> None:
@@ -118,16 +84,8 @@ class LintCache:
             "schema": CACHE_SCHEMA,
             "fingerprint": self.fingerprint,
             "files": {
-                path: {
-                    "digest": entry.digest,
-                    "findings": entry.findings,
-                    "suppressions": entry.suppressions,
-                }
-                for path, entry in sorted(self.files.items())
-            },
-            "project": {
-                "tree_digest": self.project_digest,
-                "findings": self.project_findings,
+                path: {"digest": digest, "findings": findings}
+                for path, (digest, findings) in sorted(self.files.items())
             },
         }
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, List, Optional, TextIO, Union
+from typing import List, Optional, TextIO, Union
 
 from .base import all_checkers
 from .cache import DEFAULT_CACHE_NAME
@@ -23,19 +23,13 @@ def default_target() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
-def add_lint_parser(subparsers: Any) -> None:
-    """Register the ``lint`` subcommand on the top-level CLI."""
-    parser = subparsers.add_parser(
-        "lint",
-        help="run the determinism & hot-path invariant checks (reprolint)",
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser behind ``repro lint`` and ``python -m repro.lint``."""
+    parser = argparse.ArgumentParser(
+        prog="repro lint",
         description=(
-            "AST-based static analysis enforcing the determinism contract: "
-            "REP001 no wall-clock in simulation layers, REP002 no global "
-            "random, REP003 no order-sensitive set iteration, REP004 "
-            "hot-path __slots__, REP005 no PYTHONHASHSEED hazards, REP006 "
-            "guarded trace emission, REP007 listener copy-on-write, plus "
-            "the whole-program pass: REP100 layer firewall, REP101 "
-            "transitive wall-clock/env reachability."
+            "AST-based static checks of the hot-path and ordering invariants "
+            "that the determinism tests cannot see (`--list-rules` prints them)."
         ),
     )
     parser.add_argument(
@@ -79,6 +73,7 @@ def add_lint_parser(subparsers: Any) -> None:
             + " for full-tree runs; explicit path runs always cache)"
         ),
     )
+    return parser
 
 
 def _list_rules(out: TextIO) -> int:
@@ -97,21 +92,22 @@ def _cache_path(args: argparse.Namespace) -> Optional[Path]:
 
     Explicit ``--cache-path`` always wins; ``--no-cache`` always wins over
     that.  Otherwise only the default full-tree run caches (in the current
-    directory) -- ad-hoc single-file invocations would otherwise thrash
-    the tree-level cache key on every call.
+    directory) -- a save keeps only the files just linted, so an ad-hoc
+    single-file invocation would otherwise empty the full-tree cache.
     """
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    explicit = getattr(args, "cache_path", None)
-    if explicit:
-        return Path(explicit)
+    if args.cache_path:
+        return Path(args.cache_path)
     if args.paths:
         return None
     return Path(DEFAULT_CACHE_NAME)
 
 
-def run_lint(args: argparse.Namespace, out: TextIO) -> int:
-    """Execute the ``lint`` subcommand; returns the process exit code."""
+def main(argv: Optional[List[str]] = None, out: Optional[TextIO] = None) -> int:
+    """Run ``repro lint`` with ``argv``; returns the process exit code."""
+    out = out if out is not None else sys.stdout
+    args = build_parser().parse_args(argv)
     if args.list_rules:
         return _list_rules(out)
     select = None
@@ -128,26 +124,3 @@ def run_lint(args: argparse.Namespace, out: TextIO) -> int:
     render = {"json": render_json, "sarif": render_sarif}.get(args.format, render_text)
     print(render(result), file=out)
     return 0 if result.clean else 1
-
-
-class _StandaloneSubparsers:
-    """Adapter so ``add_lint_parser`` can build the standalone parser too --
-    ``repro lint`` and ``python -m repro.lint`` share one flag definition."""
-
-    def __init__(self) -> None:
-        self.parser: Optional[argparse.ArgumentParser] = None
-
-    def add_parser(self, _name: str, **kwargs: Any) -> argparse.ArgumentParser:
-        kwargs.pop("help", None)
-        self.parser = argparse.ArgumentParser(prog="repro lint", **kwargs)
-        return self.parser
-
-
-def main(argv: Optional[List[str]] = None, out: Optional[TextIO] = None) -> int:
-    """Standalone entry point for ``python -m repro.lint``."""
-    out = out if out is not None else sys.stdout
-    standalone = _StandaloneSubparsers()
-    add_lint_parser(standalone)
-    assert standalone.parser is not None
-    args = standalone.parser.parse_args(argv)
-    return run_lint(args, out)

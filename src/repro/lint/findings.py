@@ -18,8 +18,8 @@ class Finding:
     line / col:
         1-based line and 0-based column of the offending node.
     code:
-        The rule code (``REP001``..``REP007``, or ``REP000`` for
-        suppression-hygiene findings emitted by the runner itself).
+        The rule code (``REP003`` ...), or ``REP000`` for a file that
+        does not parse (emitted by the runner itself).
     message:
         Human-readable description of the violation.
     """

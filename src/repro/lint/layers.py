@@ -13,14 +13,16 @@ The determinism contract distinguishes two worlds:
   feeds back into simulated behaviour.
 
 Rules consult :func:`layer_of` so the allow-list is a single, reviewable
-table instead of scattered per-rule special cases.
+table instead of scattered per-rule special cases.  That simulation code
+imports no orchestration module at all is checked at runtime, by
+``tests/test_import_hygiene.py``.
 """
 
 from __future__ import annotations
 
 import enum
 from pathlib import PurePosixPath
-from typing import Dict, Optional, Tuple, Union
+from typing import Union
 
 
 class Layer(enum.Enum):
@@ -57,42 +59,6 @@ ORCHESTRATION_PACKAGES = frozenset(
         "cli",  # the top-level repro/cli.py module
     }
 )
-
-#: Simulation -> orchestration edges the layer firewall (REP100) and the
-#: transitive-reachability rule (REP101) allow *on purpose*.  The key is
-#: ``(source, target package)`` where ``source`` is either a simulation
-#: package name (every module in it) or one package-relative file; the
-#: value is the reviewable reason.  This is the cross-module counterpart
-#: of an inline suppression: a single table instead of a comment per
-#: import line, because the exemption is architectural, not local.
-FIREWALL_EXEMPT_EDGES: Dict[Tuple[str, str], str] = {
-    ("scenarios", "experiments"): (
-        "scenario families are declarative plans over ScenarioConfig; "
-        "nothing flows back into simulated behaviour"
-    ),
-    ("scenarios/run.py", "orchestrator"): (
-        "run_family is the orchestration entry point of the scenarios "
-        "CLI; it wraps Simulator runs, it does not execute inside one"
-    ),
-}
-
-
-def firewall_exemption(source_relative: str, target_package: str) -> Optional[str]:
-    """The documented reason a simulation->orchestration edge is allowed,
-    or ``None`` when the edge is a violation.
-
-    ``source_relative`` is the importing module's package-relative path
-    (``scenarios/run.py``); both the exact file and its top-level package
-    are consulted.
-    """
-    head = source_relative.split("/", 1)[0]
-    if head.endswith(".py"):
-        head = head[: -len(".py")]
-    for key in ((source_relative, target_package), (head, target_package)):
-        reason = FIREWALL_EXEMPT_EDGES.get(key)
-        if reason is not None:
-            return reason
-    return None
 
 #: Modules whose classes sit on the per-event hot path.  REP004 (``__slots__``
 #: required) and REP006 (guarded trace emission) apply only here: these are

@@ -66,10 +66,8 @@ def sarif_dict(result: LintResult) -> Dict[str, Any]:
     rules: List[Dict[str, Any]] = [
         {
             "id": META_CODE,
-            "name": "suppression-hygiene",
-            "shortDescription": {
-                "text": "Suppression without a reason, stale suppression, or parse failure"
-            },
+            "name": "parse-failure",
+            "shortDescription": {"text": "The file does not parse"},
             "defaultConfiguration": {"level": "error"},
         }
     ]

@@ -7,24 +7,6 @@ it enforces, why the invariant exists, and which test or PR motivated it.
 
 from __future__ import annotations
 
-from . import (
-    firewall,
-    hashseed,
-    ordering,
-    randomness,
-    reachability,
-    slots,
-    tracing,
-    wallclock,
-)
+from . import ordering, slots, tracing
 
-__all__ = [
-    "firewall",
-    "hashseed",
-    "ordering",
-    "randomness",
-    "reachability",
-    "slots",
-    "tracing",
-    "wallclock",
-]
+__all__ = ["ordering", "slots", "tracing"]

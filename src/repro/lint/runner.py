@@ -1,58 +1,21 @@
-"""File walking, suppression handling, and the lint entry points.
+"""File walking and the lint entry points.
 
-Suppression syntax (inline, on the offending line)::
-
-    something_hazardous()  # reprolint: disable=REP001 reason=why it is safe
-
-Multiple codes separate with commas (``disable=REP001,REP005``).  The
-``reason=`` clause is *mandatory*: a suppression without one, and a
-suppression that no longer suppresses anything, are both reported as
-``REP000`` findings -- suppressions are part of the determinism contract
-and must stay reviewable and alive.  ``REP000`` itself cannot be
-suppressed.
+A file that does not parse is reported as ``REP000`` rather than raised:
+one broken file must not hide the findings of the rest of the tree.
 """
 
 from __future__ import annotations
 
-import io
-import re
-import tokenize
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from .base import Checker, FileContext, ProjectChecker, select_checkers
-from .cache import FileEntry, LintCache, rules_fingerprint, source_digest, tree_digest
+from .base import Checker, FileContext, select_checkers
+from .cache import FileEntry, LintCache, rules_fingerprint, source_digest
 from .findings import Finding
 
-#: The meta-rule code for suppression hygiene and parse failures.
+#: The meta-rule code for files that do not parse.
 META_CODE = "REP000"
-
-_SUPPRESSION_RE = re.compile(
-    r"#\s*reprolint:\s*disable=(?P<codes>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*)"
-    r"(?:\s+reason=(?P<reason>.*\S))?"
-)
-
-
-@dataclass(slots=True)
-class Suppression:
-    """One parsed inline suppression comment.
-
-    A trailing comment suppresses findings on its own line; a stand-alone
-    comment line (nothing but the comment) suppresses the line below it,
-    for statements too long to carry the comment inline.
-    """
-
-    line: int
-    codes: List[str]
-    reason: Optional[str]
-    own_line: bool = False
-    used: bool = False
-
-    @property
-    def target_line(self) -> int:
-        """The source line this suppression applies to."""
-        return self.line + 1 if self.own_line else self.line
 
 
 @dataclass(slots=True)
@@ -75,135 +38,39 @@ class LintResult:
         return not self.findings
 
 
-def parse_suppressions(source: str) -> List[Suppression]:
-    """Extract every inline suppression comment from ``source``.
-
-    Tokenize-based on purpose: a suppression lives in a *comment*, so the
-    syntax can be quoted verbatim inside docstrings and string literals
-    (this module does) without creating a live suppression.
-    """
-    suppressions: List[Suppression] = []
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError):  # unparsable tail; the
-        return suppressions  # AST pass reports the syntax error itself
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        match = _SUPPRESSION_RE.search(token.string)
-        if match is None:
-            continue
-        codes = [code.strip() for code in match.group("codes").split(",")]
-        line, col = token.start
-        suppressions.append(
-            Suppression(
-                line=line,
-                codes=codes,
-                reason=match.group("reason"),
-                own_line=not token.line[:col].strip(),
-            )
-        )
-    return suppressions
-
-
-def _apply_suppressions(
-    path: str, findings: List[Finding], suppressions: List[Suppression]
-) -> List[Finding]:
-    """Drop suppressed findings; add REP000 findings for bad suppressions."""
-    by_line: Dict[int, List[Suppression]] = {}
-    for suppression in suppressions:
-        by_line.setdefault(suppression.target_line, []).append(suppression)
-
-    kept: List[Finding] = []
-    for finding in findings:
-        if finding.code == META_CODE:
-            kept.append(finding)
-            continue
-        suppressed = False
-        for suppression in by_line.get(finding.line, []):
-            if finding.code in suppression.codes:
-                suppression.used = True
-                suppressed = True
-        if not suppressed:
-            kept.append(finding)
-
-    for suppression in suppressions:
-        if suppression.reason is None:
-            kept.append(
-                Finding(
-                    path=path,
-                    line=suppression.line,
-                    col=0,
-                    code=META_CODE,
-                    message=(
-                        "suppression without a reason; write "
-                        "`# reprolint: disable=<CODE> reason=<why this is safe>`"
-                    ),
-                )
-            )
-        elif not suppression.used:
-            kept.append(
-                Finding(
-                    path=path,
-                    line=suppression.line,
-                    col=0,
-                    code=META_CODE,
-                    message=(
-                        "unused suppression for "
-                        + ",".join(suppression.codes)
-                        + "; the rule no longer fires here -- delete the comment"
-                    ),
-                )
-            )
-    return kept
-
-
-def _check_file(
-    source: str, path: str, checkers: Sequence[Checker]
-) -> Tuple[List[Finding], List[Suppression], Optional[FileContext]]:
-    """Run the per-file rules on one source blob.
-
-    Returns the *raw* (pre-suppression) findings, the parsed suppression
-    comments, and the parsed context (``None`` on a syntax error, which
-    is itself a REP000 finding).
-    """
+def _check_file(source: str, path: str, checkers: Sequence[Checker]) -> List[Finding]:
+    """Run the rules on one source blob (a syntax error is a REP000 finding)."""
     try:
         context = FileContext(path, source)
     except SyntaxError as error:
-        finding = Finding(
-            path=path,
-            line=error.lineno or 1,
-            col=error.offset or 0,
-            code=META_CODE,
-            message=f"file does not parse: {error.msg}",
-        )
-        return [finding], [], None
+        return [
+            Finding(
+                path=path,
+                line=error.lineno or 1,
+                col=error.offset or 0,
+                code=META_CODE,
+                message=f"file does not parse: {error.msg}",
+            )
+        ]
     findings: List[Finding] = []
     for checker in checkers:
-        if isinstance(checker, ProjectChecker):
-            continue
         if checker.applies_to(context):
             findings.extend(checker.check(context))
-    return findings, parse_suppressions(source), context
+    return findings
 
 
 def lint_source(
     source: str,
     path: str = "fixture.py",
     select: Optional[Sequence[str]] = None,
-    checkers: Optional[Sequence[Checker]] = None,
 ) -> List[Finding]:
     """Lint one in-memory source blob (the test-fixture entry point).
 
     ``path`` drives the layer map, so fixtures choose their regime by
-    naming themselves e.g. ``src/repro/sim/fixture.py`` (simulation) or
-    ``src/repro/obs/fixture.py`` (orchestration).  Whole-program rules
-    (REP100..) need a file *set* and therefore only run via
-    :func:`lint_paths`.
+    naming themselves e.g. ``src/repro/core/fixture.py`` (simulation) or
+    ``src/repro/mac/csma.py`` (a hot-path module).
     """
-    active = list(checkers) if checkers is not None else select_checkers(select)
-    findings, suppressions, _ = _check_file(source, path, active)
-    findings = _apply_suppressions(path, findings, suppressions)
+    findings = _check_file(source, path, select_checkers(select))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
 
@@ -233,115 +100,32 @@ def lint_paths(
 ) -> LintResult:
     """Lint every ``.py`` file under ``paths`` and aggregate the findings.
 
-    Runs the per-file rules on each file, builds the project graph once,
-    runs the whole-program rules (REP100..) over it, then applies inline
-    suppressions to the combined findings per file -- so one suppression
-    syntax covers both rule families.
-
     ``cache_path`` enables the incremental cache: unchanged files replay
-    their cached raw findings and suppressions without being parsed, and
-    whole-program findings replay when *no* file in the set changed.
+    their cached findings without being parsed.
     """
     checkers = select_checkers(select)
-    file_checkers = [c for c in checkers if not isinstance(c, ProjectChecker)]
-    project_checkers = [c for c in checkers if isinstance(c, ProjectChecker)]
-
     cache: Optional[LintCache] = None
     if cache_path is not None:
         fingerprint = rules_fingerprint([c.code for c in checkers])
         cache = LintCache.load(Path(cache_path), fingerprint)
 
     files = iter_python_files(paths)
-    digests: Dict[str, str] = {}
-    sources: Dict[str, str] = {}
-    raw: Dict[str, List[Finding]] = {}
-    suppressions: Dict[str, List[Suppression]] = {}
-    contexts: Dict[str, Optional[FileContext]] = {}
-
+    result = LintResult(files_checked=len(files))
+    entries: Dict[str, FileEntry] = {}
     for file_path in files:
         path = str(file_path)
         source = file_path.read_text(encoding="utf-8")
         digest = source_digest(source)
-        digests[path] = digest
-        sources[path] = source
-        entry = cache.lookup(path, digest) if cache is not None else None
-        if entry is not None:
-            raw[path] = [Finding(**f) for f in entry.findings]
-            suppressions[path] = [Suppression(**s) for s in entry.suppressions]
+        cached = cache.lookup(path, digest) if cache is not None else None
+        if cached is not None:
+            findings = [Finding(**f) for f in cached]
         else:
-            raw[path], suppressions[path], contexts[path] = _check_file(
-                source, path, file_checkers
-            )
-
-    project_findings: List[Finding] = []
-    if project_checkers:
-        project_findings = _project_findings(
-            project_checkers, files, sources, digests, contexts, cache
-        )
+            findings = _check_file(source, path, checkers)
+        entries[path] = (digest, [f.as_dict() for f in findings])
+        result.findings.extend(findings)
 
     if cache is not None:
-        cache.files = {
-            path: _cache_entry(digests[path], raw[path], suppressions[path])
-            for path in digests
-        }
+        cache.files = entries
         cache.save()
-
-    result = LintResult(files_checked=len(files))
-    by_path: Dict[str, List[Finding]] = {path: list(raw[path]) for path in digests}
-    for finding in project_findings:
-        by_path.setdefault(finding.path, []).append(finding)
-    for path, findings in by_path.items():
-        result.findings.extend(
-            _apply_suppressions(path, findings, suppressions.get(path, []))
-        )
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return result
-
-
-def _project_findings(
-    project_checkers: Sequence[ProjectChecker],
-    files: Sequence[Path],
-    sources: Dict[str, str],
-    digests: Dict[str, str],
-    contexts: Dict[str, Optional[FileContext]],
-    cache: Optional[LintCache],
-) -> List[Finding]:
-    """Run (or replay) the whole-program rules for this file set."""
-    digest = tree_digest(digests)
-    if cache is not None and cache.project_digest == digest:
-        findings = [Finding(**f) for f in cache.project_findings]
-        return findings
-
-    # Build the graph: parse the cache-hit files the per-file pass skipped.
-    from .graph import build_project_graph
-
-    graph_contexts: List[FileContext] = []
-    for file_path in files:
-        path = str(file_path)
-        if path not in contexts:
-            try:
-                contexts[path] = FileContext(path, sources[path])
-            except SyntaxError:
-                contexts[path] = None
-        context = contexts[path]
-        if context is not None:
-            graph_contexts.append(context)
-    graph = build_project_graph(graph_contexts)
-
-    findings = []
-    for checker in project_checkers:
-        findings.extend(checker.check_project(graph))
-    if cache is not None:
-        cache.project_digest = digest
-        cache.project_findings = [f.as_dict() for f in findings]
-    return findings
-
-
-def _cache_entry(
-    digest: str, findings: Sequence[Finding], supps: Sequence[Suppression]
-) -> FileEntry:
-    return FileEntry(
-        digest=digest,
-        findings=[f.as_dict() for f in findings],
-        suppressions=[asdict(s) for s in supps],
-    )

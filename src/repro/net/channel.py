@@ -282,11 +282,6 @@ class WirelessChannel:
         # The dead node is gone from every cached attached-pairs tuple.
         self._fanout_cache.clear()
 
-    def set_loss_model(self, loss_model: LossModel) -> None:
-        """Replace the loss model (used by failure-injection experiments)."""
-        self._loss_model = loss_model
-        self._lossless = isinstance(loss_model, NoLoss)
-
     # ------------------------------------------------------------------ #
     # carrier sense
     # ------------------------------------------------------------------ #

@@ -50,8 +50,6 @@ class Radio:
         "_state",
         "tracker",
         "_wake_listeners",
-        "_sleep_listeners",
-        "_state_listeners",
         "_idle_listeners",
         "_rx_lock",
         "_pending_wake",
@@ -83,8 +81,6 @@ class Radio:
             # OFF state immediately so accounting is correct.
             self.tracker.record_state(sim.now, RadioState.OFF)
         self._wake_listeners: List[Callable[[], None]] = []
-        self._sleep_listeners: List[Callable[[], None]] = []
-        self._state_listeners: List[Callable[[RadioState, RadioState], None]] = []
         self._idle_listeners: List[Callable[[], None]] = []
         #: The in-flight transmission this radio is locked onto, if any.
         #: Owned and maintained by the WirelessChannel (kept here because a
@@ -153,21 +149,11 @@ class Radio:
         """
         self._wake_listeners = [*self._wake_listeners, listener]
 
-    def on_sleep(self, listener: Callable[[], None]) -> None:
-        """Register ``listener`` to run every time the radio turns fully off."""
-        self._sleep_listeners = [*self._sleep_listeners, listener]
-
-    def on_state_change(self, listener: Callable[[RadioState, RadioState], None]) -> None:
-        """Register ``listener(old_state, new_state)`` for every state change."""
-        self._state_listeners = [*self._state_listeners, listener]
-
     def on_enter_idle(self, listener: Callable[[], None]) -> None:
         """Register ``listener()`` to run whenever the radio enters IDLE.
 
-        Fast-path variant of :meth:`on_state_change` for consumers that only
-        care about return-to-idle (Safe Sleep): the listener is invoked only
-        on IDLE entries instead of on every transition.  Idle listeners run
-        before any :meth:`on_state_change` listeners for the same transition.
+        Safe Sleep re-evaluates on return-to-idle, so the listener runs only
+        on IDLE entries instead of on every transition.
         """
         self._idle_listeners = [*self._idle_listeners, listener]
 
@@ -337,8 +323,6 @@ class Radio:
     def _complete_turn_off(self) -> None:
         self._pending_transition = None
         self._set_state(RadioState.OFF)
-        for listener in self._sleep_listeners:
-            listener()
         if self._wake_requested_during_turn_off:
             self._wake_requested_during_turn_off = False
             self.wake_up()
@@ -398,7 +382,3 @@ class Radio:
             if idle_listeners:
                 for listener in idle_listeners:
                     listener()
-        listeners = self._state_listeners
-        if listeners:
-            for listener in listeners:
-                listener(old_state, new_state)

@@ -1,11 +1,9 @@
-"""Runtime determinism sanitizer: tripwires for what static analysis
-structurally cannot see.
+"""Runtime determinism sanitizer: tripwires for hazards that execute.
 
-reprolint's whole-program pass (REP100, REP101) resolves *names*; it is
-blind to ``getattr`` indirection, C extensions, callbacks stored in
-containers, and any future compiled fast path (the ROADMAP's 10x-kernel
-item).  This package is the dynamic counterpart: an opt-in mode that
-patches the hazardous entry points -- ``time.*``, module-level
+A static check resolves *names*; it is blind to ``getattr`` indirection,
+C extensions, callbacks stored in containers, and any future compiled
+fast path.  This package checks what actually runs instead.  It is an
+opt-in mode that patches the hazardous entry points -- ``time.*``, module-level
 ``random.*``, ``os.environ`` reads -- with call-site-recording tripwires,
 and wraps the known hot-site sets with an iteration guard, so *any*
 determinism violation that actually executes during a simulation becomes

@@ -13,8 +13,8 @@ sanitizer did not exist.
 ``os.environ`` is guarded at the class level (``os._Environ.__getitem__``)
 so ``environ[...]``, ``environ.get(...)`` and ``"X" in environ`` all
 funnel through one tripwire.  ``datetime.datetime.now`` is a method of a C
-type and cannot be patched; the static rules (REP001/REP101) own that
-family.  Named RNG streams (:mod:`repro.sim.rng`) hold their own
+type and cannot be patched; a read that changes a result fails the
+goldens instead.  Named RNG streams (:mod:`repro.sim.rng`) hold their own
 ``random.Random`` instances and are untouched -- only the *module-level*
 functions backed by the shared global state are hazards.
 """

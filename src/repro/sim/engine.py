@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, ClassVar, Iterable, Optional, Protocol
+from typing import Any, Callable, ClassVar, Optional, Protocol
 
 from .events import Event, EventHandle, EventPriority
 from .rng import RandomStreams
@@ -68,8 +68,8 @@ class RunWatcher(Protocol):
 
     The runtime determinism sanitizer (:mod:`repro.sanitizer`) installs
     itself here from the *orchestration* side -- the engine only holds
-    the slot, so the simulation layer never imports wall-clock code and
-    the layer firewall (REP100) stays intact.
+    the slot, so the simulation layer never imports orchestration code
+    (``tests/test_import_hygiene.py`` checks that).
     """
 
     def arm(self) -> None: ...
@@ -413,11 +413,6 @@ class Simulator:
         first = self.now + period if start is None else start
         handle._arm(first)
         return handle
-
-    def drain(self, events: Iterable[EventHandle]) -> None:
-        """Cancel every handle in ``events`` (convenience for teardown)."""
-        for handle in events:
-            handle.cancel()
 
 
 class PeriodicHandle:

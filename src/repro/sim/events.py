@@ -94,10 +94,6 @@ class Event:
             if self._in_heap and self._sim is not None:
                 self._sim._cancelled_in_heap += 1
 
-    def fire(self) -> Any:
-        """Invoke the callback. The engine calls this; users normally don't."""
-        return self.callback(*self.args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         state = "cancelled" if self.cancelled else "pending"

@@ -4,8 +4,8 @@ Python randomizes ``str``/``bytes`` hashing per process unless
 ``PYTHONHASHSEED`` is pinned, so any simulation behaviour that leaks dict
 or set *iteration order* of string-keyed containers into event timing,
 float accumulation, or RNG draws would produce different results from one
-process to the next.  reprolint's REP003/REP005 police the sources of such
-leaks statically; this test is the end-to-end proof: two fresh
+process to the next, and so would ``hash()`` of a string reaching control
+flow.  This test is the end-to-end proof that none does: two fresh
 subprocesses with *different* hash seeds must produce byte-identical
 metrics and an identical trace digest.
 

@@ -9,9 +9,12 @@ perf-history tooling, which it never uses, and the runner leaves out the
 stack formatting only a tripped sanitizer wire needs.  Package
 ``__init__`` modules export nothing, so importing a name loads only the
 module that defines it: a replay loads no protocol, and a run loads only the
-protocol it builds.  The checks run in a subprocess
-because the test session itself has already imported scipy, numpy and
-networkx (they are test oracles).
+protocol it builds.  The simulation packages import no orchestration
+module, so nothing under the simulated clock can reach wall-clock timing,
+the store or the CLI through an import, and a figure call loads none of the
+lint package.  The checks run in a subprocess because the test session
+itself has already imported scipy, numpy and networkx (they are test
+oracles).
 """
 
 from __future__ import annotations
@@ -123,6 +126,48 @@ def _within(modules, prefixes):
     ]
 
 
+#: The packages that run under the simulated clock.
+SIMULATION_PACKAGES = ("sim", "net", "mac", "radio", "routing", "query", "core", "baselines")
+
+#: What runs around the simulator: it may time things, read the environment
+#: and write the store, so no simulation module may import any of it.
+ORCHESTRATION_PACKAGES = (
+    "orchestrator",
+    "obs",
+    "experiments",
+    "scenarios",
+    "lint",
+    "sanitizer",
+    "cli",
+)
+
+_SIMULATION_PROGRAM = f"""
+import importlib
+import json
+import pkgutil
+import sys
+
+for package in {SIMULATION_PACKAGES!r}:
+    module = importlib.import_module("repro." + package)
+    for info in pkgutil.walk_packages(module.__path__, module.__name__ + "."):
+        importlib.import_module(info.name)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+_FIGURE_PROGRAM = """
+import io
+import json
+import sys
+
+from repro.cli import main
+
+argv = ["--scale", "smoke", "--runs", "1", "--cache-dir", {store!r}, "figure", "fig3"]
+assert main(argv, out=io.StringIO()) == 0  # cold: fills the store
+assert main(argv, out=io.StringIO()) == 0  # warm: replays it
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
+"""
+
+
 #: The packages whose ``__init__`` holds only a docstring.
 DOCSTRING_ONLY_PACKAGES = (
     "sim",
@@ -137,6 +182,7 @@ DOCSTRING_ONLY_PACKAGES = (
     "orchestrator",
     "obs",
     "sanitizer",
+    "lint",
 )
 
 #: A two-job sweep on a two-worker pool, checked against the serial run.
@@ -222,3 +268,15 @@ def test_package_inits_import_nothing() -> None:
             ):
                 found.append(f"{package}/__init__.py:{node.lineno}")
     assert found == []
+
+
+def test_simulation_packages_import_no_orchestration_module() -> None:
+    loaded = _run(_SIMULATION_PROGRAM)
+    assert "repro.core.protocol" in loaded and "repro.baselines.span" in loaded
+    assert _within(loaded, ["repro." + name for name in ORCHESTRATION_PACKAGES]) == []
+
+
+def test_figure_call_loads_no_lint_module(tmp_path) -> None:
+    loaded = _run(_FIGURE_PROGRAM.format(store=str(tmp_path / "store")))
+    assert "repro.orchestrator.store" in loaded
+    assert _within(loaded, ["repro.lint"]) == []
