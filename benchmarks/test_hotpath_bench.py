@@ -57,7 +57,7 @@ from repro.net.propagation import PropagationSpec, build_propagation_from_spec
 from repro.orchestrator.api import ExperimentSpec, run_experiments
 from repro.orchestrator.jobs import RunJob
 from repro.routing.tree import build_routing_tree
-from repro.scenarios.registry import get_family
+from repro.scenarios.families import get_family
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -179,7 +179,7 @@ def _parallel_sweep(scenario, workload, serial_events: int) -> dict:
         for protocol in PROTOCOLS
     ]
     started = time.perf_counter()
-    run_experiments(specs, workers=workers)
+    run_experiments(specs, jobs=workers)
     seconds = time.perf_counter() - started
     return {
         "workers": workers,

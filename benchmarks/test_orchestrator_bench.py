@@ -3,8 +3,8 @@
 Runs one reduced-scale multi-point sweep three ways through
 :func:`repro.orchestrator.api.run_experiments`:
 
-1. serial (``workers=1``, no store),
-2. parallel (``workers=min(4, cpu_count)``),
+1. serial (``jobs=1``, no store),
+2. parallel (``jobs=min(4, cpu_count)``),
 3. a warm-store replay (every job a cache hit, zero simulator runs),
 
 asserts all three produce identical metrics, and records the wall-clock
@@ -54,12 +54,12 @@ def test_orchestrator_sweep_throughput(
     specs = _sweep_specs(scenario)
     workers = min(4, os.cpu_count() or 1)
 
-    serial, serial_s = _timed(lambda: run_experiments(specs, workers=1))
-    parallel, parallel_s = _timed(lambda: run_experiments(specs, workers=workers))
+    serial, serial_s = _timed(lambda: run_experiments(specs, jobs=1))
+    parallel, parallel_s = _timed(lambda: run_experiments(specs, jobs=workers))
 
     store = ResultStore(tmp_path / "bench-store")
-    _, cold_store_s = _timed(lambda: run_experiments(specs, workers=1, store=store))
-    warm, warm_s = _timed(lambda: run_experiments(specs, workers=1, store=store))
+    _, cold_store_s = _timed(lambda: run_experiments(specs, jobs=1, store=store))
+    warm, warm_s = _timed(lambda: run_experiments(specs, jobs=1, store=store))
 
     # Correctness: all execution modes agree bit-for-bit.
     for a, b, c in zip(serial, parallel, warm, strict=True):
@@ -98,4 +98,4 @@ def test_orchestrator_sweep_throughput(
 
     # One extra serial pass under pytest-benchmark so this sweep shows up in
     # the benchmark table alongside the figure sweeps.
-    run_once(run_experiments, specs, workers=1)
+    run_once(run_experiments, specs, jobs=1)

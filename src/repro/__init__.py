@@ -18,13 +18,12 @@ The package is organised as:
   content-addressed result store (``--jobs`` / ``--cache-dir``).
 
 Import every name from the module that defines it, e.g.
-``from repro.core.protocol import EssatProtocolSuite``: apart from
-:mod:`repro.scenarios`, each package's ``__init__`` is only its
-docstring.  Importing a module therefore loads only what it uses, and the
-runner imports a protocol's code only when it builds that protocol.  A
-warm ``repro figure fig3`` replay loads 54 ``repro`` modules, no protocol
-and no lint module; when the packages re-exported their submodules it
-loaded 89.
+``from repro.core.protocol import EssatProtocolSuite``: each package's
+``__init__`` is only its docstring.  Importing a module therefore loads
+only what it uses, and the runner imports a protocol's code only when it
+builds that protocol.  A warm ``repro figure fig3`` replay loads 53
+``repro`` modules, no protocol and no lint module; when the packages
+re-exported their submodules it loaded 89.
 """
 
 __version__ = "1.0.0"

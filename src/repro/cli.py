@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios", help="work with the scenario registry (families beyond the paper)"
     )
     scenarios_sub = scenarios_parser.add_subparsers(dest="scenarios_command", required=True)
-    scenarios_sub.add_parser("list", help="list registered scenario families")
+    scenarios_sub.add_parser("list", help="list the built-in scenario families")
     scenarios_run = scenarios_sub.add_parser(
         "run", help="run one scenario family as a single orchestrated sweep"
     )
@@ -276,9 +276,7 @@ def _run_compare(
         protocols,
         workload=workload,
         num_runs=runs,
-        parallel=orch.get("jobs"),
-        store=orch.get("store"),
-        progress=orch.get("progress"),
+        **orch,
     )
     rows: Dict[str, Dict[str, float]] = {}
     for protocol in protocols:
@@ -312,7 +310,7 @@ def _rebuild_topology(scenario: ScenarioConfig):
 
 
 def _run_scenarios_list(scenario: ScenarioConfig, out) -> None:
-    from .scenarios import all_families
+    from .scenarios.families import all_families
 
     print("scenario families (x = sweep axis, variants at the selected scale):", file=out)
     for family in all_families():
@@ -331,7 +329,8 @@ def _run_scenarios_run(
     out,
     orch,
 ) -> None:
-    from .scenarios import DEFAULT_FAMILY_PROTOCOLS, get_family, run_family
+    from .scenarios.families import get_family
+    from .scenarios.run import DEFAULT_FAMILY_PROTOCOLS, run_family
 
     try:
         family = get_family(name)
@@ -343,9 +342,7 @@ def _run_scenarios_run(
         base=scenario,
         protocols=protocols or DEFAULT_FAMILY_PROTOCOLS,
         num_runs=runs,
-        workers=orch.get("jobs") or 1,
-        store=orch.get("store"),
-        progress=orch.get("progress"),
+        **orch,
     )
     print(f"# scenario family {family.name}: {family.description}", file=out)
     print(result.table(), file=out)
@@ -362,7 +359,7 @@ def _run_list(out) -> None:
     print("  headline  the abstract's duty-cycle and latency reduction claims", file=out)
     print("protocols: " + ", ".join(ALL_PROTOCOLS), file=out)
     print("scales   : " + ", ".join(sorted(SCALES)), file=out)
-    from .scenarios import family_names
+    from .scenarios.families import family_names
 
     print("scenario families: " + ", ".join(family_names()), file=out)
     print("                   (details: `scenarios list`; run: `scenarios run <name>`)", file=out)

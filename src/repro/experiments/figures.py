@@ -71,7 +71,7 @@ def _run_sweep(specs, label: str, jobs: int, store: StoreLike, progress: Progres
     """Execute one figure's experiments as a single orchestrated sweep."""
     from ..orchestrator.api import run_experiments
 
-    return run_experiments(specs, workers=jobs, store=store, progress=progress, label=label)
+    return run_experiments(specs, jobs=jobs, store=store, progress=progress, label=label)
 
 
 def figure2_deadline_sweep(
@@ -467,9 +467,10 @@ def _family_sweep(
     store: StoreLike,
     progress: ProgressLike,
 ) -> FigureResult:
-    """One scenario-registry family as a figure: one series per protocol."""
+    """One built-in scenario family as a figure: one series per protocol."""
     # Imported here: repro.scenarios sits above the experiments package.
-    from ..scenarios import get_family, run_family
+    from ..scenarios.families import get_family
+    from ..scenarios.run import run_family
 
     family = get_family(family_name)
     outcome = run_family(
@@ -477,7 +478,7 @@ def _family_sweep(
         base=scenario,
         protocols=protocols,
         num_runs=num_runs,
-        workers=jobs,
+        jobs=jobs,
         store=store,
         progress=progress,
     )

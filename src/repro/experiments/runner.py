@@ -8,7 +8,7 @@ thin loop over :func:`run_experiment`.
 
 Execution is delegated to :mod:`repro.orchestrator`: one replication is a
 content-addressed :class:`~repro.orchestrator.jobs.RunJob`, so experiments
-can fan out over worker processes (``parallel=N``) and memoise finished
+can fan out over worker processes (``jobs=N``) and memoise finished
 runs in an on-disk store (``store=...``) without changing their results.
 """
 
@@ -244,16 +244,13 @@ def run_single(
     seed: int,
     *,
     topology: Optional[Topology] = None,
-    trace: Optional[TraceRecorder] = None,
 ) -> tuple[RunMetrics, Dict[str, float]]:
     """Run one replication; returns its metrics and protocol-specific extras.
 
-    ``trace`` installs a caller-provided :class:`TraceRecorder` (e.g. one
-    wired to a streaming JSONL sink with ``store_records=False`` for
-    paper-scale event logs); the default recorder is disabled, so tracing
-    never costs an untraced run anything.  Tracing is observation-only:
-    the simulation schedule (and therefore every metric) is bit-identical
-    with or without it.
+    The simulator's :class:`TraceRecorder` is disabled, so a run pays
+    nothing for tracing.  Tracing is observation-only: a traced run
+    (``tests/golden/make_hotpath_golden.py``'s ``trace_snapshot``) has the
+    same schedule, and therefore the same metrics, as this one.
     """
     # Honour REPRO_SANITIZE=1 in every process that executes simulations
     # (CLI, pytest, spawn-pool sweep workers inherit the environment).
@@ -262,7 +259,7 @@ def run_single(
     from ..sanitizer.runtime import maybe_install_from_env
 
     maybe_install_from_env()
-    sim = Simulator(seed=seed, trace=trace if trace is not None else TraceRecorder(enabled=False))
+    sim = Simulator(seed=seed, trace=TraceRecorder(enabled=False))
     if topology is None:
         topology = build_scenario_topology(scenario, seed)
     network = build_network(
@@ -325,7 +322,7 @@ def run_experiment(
     workload: Optional[WorkloadSpec] = None,
     queries: Optional[Sequence[QuerySpec]] = None,
     num_runs: Optional[int] = None,
-    parallel: Optional[int] = None,
+    jobs: int = 1,
     store=None,
     progress=None,
 ) -> ExperimentResult:
@@ -335,10 +332,10 @@ def run_experiment(
     replication's seed, as in the paper where query start times vary per run)
     or ``queries`` (fixed across replications) must be provided.
 
-    Execution routes through :mod:`repro.orchestrator`: ``parallel=N`` fans
-    the replications out over ``N`` worker processes (``None``/``1`` keeps
-    the deterministic in-process path, which produces bit-identical
-    metrics), and ``store`` (a cache directory or an open
+    Execution routes through :mod:`repro.orchestrator`: ``jobs=N`` fans
+    the replications out over ``N`` worker processes (``1`` keeps the
+    in-process path; the metrics are bit-identical either way), and
+    ``store`` (a cache directory or an open
     :class:`~repro.orchestrator.store.ResultStore`) memoises finished
     replications so repeated or interrupted experiments skip the simulator.
     """
@@ -352,9 +349,7 @@ def run_experiment(
         queries=queries,
         num_runs=num_runs,
     )
-    return run_experiments(
-        [spec], workers=parallel or 1, store=store, progress=progress
-    )[0]
+    return run_experiments([spec], jobs=jobs, store=store, progress=progress)[0]
 
 
 def run_protocol_comparison(
@@ -364,14 +359,14 @@ def run_protocol_comparison(
     workload: Optional[WorkloadSpec] = None,
     queries: Optional[Sequence[QuerySpec]] = None,
     num_runs: Optional[int] = None,
-    parallel: Optional[int] = None,
+    jobs: int = 1,
     store=None,
     progress=None,
 ) -> Dict[str, ExperimentResult]:
     """Run several protocols under the identical scenario and workload.
 
     All protocols' replications are flattened into one sweep, so
-    ``parallel=N`` overlaps runs *across* protocols, not only within one.
+    ``jobs=N`` overlaps runs *across* protocols, not only within one.
     """
     from ..orchestrator.api import ExperimentSpec, run_experiments
 
@@ -385,7 +380,5 @@ def run_protocol_comparison(
         )
         for protocol in protocols
     ]
-    results = run_experiments(
-        specs, workers=parallel or 1, store=store, progress=progress, label="compare"
-    )
+    results = run_experiments(specs, jobs=jobs, store=store, progress=progress, label="compare")
     return {spec.protocol: result for spec, result in zip(specs, results, strict=True)}

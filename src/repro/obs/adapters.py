@@ -1,12 +1,16 @@
-"""Adapters from existing stats objects to a :class:`MetricsRegistry`.
+"""One flat counters dict from the stats objects a finished run already keeps.
 
 The models already count everything interesting -- ``ChannelStats`` on the
 channel, ``MacStats`` per node, ``ShaperStats`` / ``SafeSleepStats`` /
 ``QueryServiceStats`` per ESSAT node, ``PropagationStats`` on non-default
-propagation models, and event totals on the engine itself.  These adapters
-fold all of them into one registry at the end of a run, producing the flat
-``counters`` dict that travels on
+propagation models, and event totals on the engine itself.
+:func:`collect_run_counters` folds all of them into the sorted
+``{name: value}`` dict that travels on
 :class:`~repro.experiments.metrics.RunMetrics`.
+
+Names are dotted ``layer.metric`` (``engine.events_processed``,
+``channel.collisions``, ``mac.frames_sent``); per-node stats are summed
+into network-wide totals.
 
 Everything here is duck-typed (``getattr`` probes, ``as_dict()`` /
 dataclass-field fallbacks) so this module imports nothing from the model
@@ -19,8 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 from typing import Any, Dict, Mapping, Optional
-
-from .metrics import MetricsRegistry
 
 
 def stats_as_mapping(obj: Any) -> Dict[str, float]:
@@ -47,10 +49,33 @@ def stats_as_mapping(obj: Any) -> Dict[str, float]:
     }
 
 
-def collect_engine_counters(
-    registry: MetricsRegistry, sim: Any, *, wall_seconds: Optional[float] = None
-) -> None:
-    """Engine internals: event totals, heap high-water mark, wall-clock cost."""
+def _add_stats(counters: Dict[str, float], prefix: str, stats: Any) -> None:
+    """Add one stats object's counts into ``counters`` as ``prefix.<key>``.
+
+    Called once per node, this sums per-node stats into network-wide
+    totals.  Counts never decrease, so a negative one is a model bug.
+    """
+    for key, value in stats_as_mapping(stats).items():
+        if value < 0:
+            raise ValueError(f"counter {prefix}.{key} cannot decrease (inc by {value!r})")
+        name = f"{prefix}.{key}"
+        counters[name] = counters.get(name, 0.0) + value
+
+
+def collect_run_counters(
+    sim: Any,
+    network: Any = None,
+    suite: Any = None,
+    *,
+    wall_seconds: Optional[float] = None,
+) -> Dict[str, float]:
+    """One flat ``{name: value}`` snapshot of a finished run, keys sorted.
+
+    The per-run entry point :func:`~repro.experiments.runner.run_single`
+    calls this once after ``sim.run`` returns; the result becomes
+    ``RunMetrics.counters`` and rides through the orchestrator store.
+    """
+    counters: Dict[str, float] = {}
     for name, attr in (
         ("engine.events_processed", "processed_events"),
         ("engine.events_scheduled", "scheduled_events"),
@@ -60,70 +85,33 @@ def collect_engine_counters(
     ):
         value = getattr(sim, attr, None)
         if isinstance(value, (int, float)):
-            registry.gauge(name).set(float(value))
+            counters[name] = float(value)
     sim_time = getattr(sim, "now", None)
     if isinstance(sim_time, (int, float)):
-        registry.gauge("engine.sim_time").set(float(sim_time))
+        counters["engine.sim_time"] = float(sim_time)
         if wall_seconds is not None:
-            registry.gauge("run.wall_seconds").set(float(wall_seconds))
+            wall = float(wall_seconds)
+            counters["run.wall_seconds"] = wall
             if sim_time > 0:
-                registry.gauge("run.wall_seconds_per_sim_second").set(
-                    float(wall_seconds) / float(sim_time)
-                )
-
-
-def collect_network_counters(registry: MetricsRegistry, network: Any) -> None:
-    """Channel totals, propagation-model totals, and network-wide MAC sums."""
-    channel = getattr(network, "channel", None)
-    registry.count_from("channel", stats_as_mapping(getattr(channel, "stats", None)))
-    propagation = getattr(channel, "propagation", None)
-    registry.count_from(
-        "propagation", stats_as_mapping(getattr(propagation, "stats", None))
-    )
-    nodes = getattr(network, "nodes", None) or {}
-    for node in nodes.values():
-        mac = getattr(node, "mac", None)
-        registry.count_from("mac", stats_as_mapping(getattr(mac, "stats", None)))
-
-
-def collect_suite_counters(registry: MetricsRegistry, suite: Any) -> None:
-    """Protocol-layer sums over the suite's per-node stats objects.
-
-    ESSAT suites expose ``nodes`` (id -> per-node protocol state with
-    ``shaper`` / ``service`` / ``safe_sleep``); baselines without those
-    attributes simply contribute nothing.
-    """
-    nodes = getattr(suite, "nodes", None)
-    if not isinstance(nodes, dict):
-        return
-    for essat_node in nodes.values():
-        for prefix, attr in (
-            ("shaper", "shaper"),
-            ("query_service", "service"),
-            ("safe_sleep", "safe_sleep"),
-        ):
-            component = getattr(essat_node, attr, None)
-            registry.count_from(prefix, stats_as_mapping(getattr(component, "stats", None)))
-
-
-def collect_run_counters(
-    sim: Any,
-    network: Any = None,
-    suite: Any = None,
-    *,
-    wall_seconds: Optional[float] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> Dict[str, float]:
-    """One flat ``{name: value}`` snapshot of a finished run.
-
-    The per-run entry point :func:`~repro.experiments.runner.run_single`
-    calls this once after ``sim.run`` returns; the result becomes
-    ``RunMetrics.counters`` and rides through the orchestrator store.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    collect_engine_counters(registry, sim, wall_seconds=wall_seconds)
+                counters["run.wall_seconds_per_sim_second"] = wall / float(sim_time)
     if network is not None:
-        collect_network_counters(registry, network)
-    if suite is not None:
-        collect_suite_counters(registry, suite)
-    return registry.snapshot()
+        channel = getattr(network, "channel", None)
+        _add_stats(counters, "channel", getattr(channel, "stats", None))
+        propagation = getattr(channel, "propagation", None)
+        _add_stats(counters, "propagation", getattr(propagation, "stats", None))
+        for node in (getattr(network, "nodes", None) or {}).values():
+            _add_stats(counters, "mac", getattr(getattr(node, "mac", None), "stats", None))
+    # ESSAT suites expose ``nodes`` (id -> per-node protocol state with
+    # ``shaper`` / ``service`` / ``safe_sleep``); baselines without those
+    # attributes simply contribute nothing.
+    essat_nodes = getattr(suite, "nodes", None)
+    if isinstance(essat_nodes, dict):
+        for essat_node in essat_nodes.values():
+            for prefix, attr in (
+                ("shaper", "shaper"),
+                ("query_service", "service"),
+                ("safe_sleep", "safe_sleep"),
+            ):
+                component = getattr(essat_node, attr, None)
+                _add_stats(counters, prefix, getattr(component, "stats", None))
+    return dict(sorted(counters.items()))

@@ -100,14 +100,14 @@ def assemble_experiment(
 def run_experiments_with_jobs(
     specs: Sequence[ExperimentSpec],
     *,
-    workers: int = 1,
+    jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
     label: str = "sweep",
 ) -> Tuple[List[ExperimentResult], List[JobResult]]:
     """Run many experiments through one flattened job sweep.
 
-    ``workers=1`` is a plain in-process loop; ``workers>1`` fans the jobs
+    ``jobs=1`` is a plain in-process loop; ``jobs>1`` fans the jobs
     out over a process pool, with bit-identical metrics either way.
     ``store`` may be a cache directory path or an open
     :class:`ResultStore`; jobs found there are returned without running
@@ -119,18 +119,18 @@ def run_experiments_with_jobs(
     much of the sweep came from the store.
     """
     specs = list(specs)
-    jobs: List[RunJob] = []
+    run_jobs: List[RunJob] = []
     spans: List[Tuple[int, int]] = []
     for spec in specs:
         expanded = spec.expand()
-        spans.append((len(jobs), len(jobs) + len(expanded)))
-        jobs.extend(expanded)
+        spans.append((len(run_jobs), len(run_jobs) + len(expanded)))
+        run_jobs.extend(expanded)
     executor = SweepExecutor(
-        workers=workers,
+        workers=jobs,
         store=open_store(store),
         progress=_coerce_progress(progress, label),
     )
-    results = executor.run(jobs)
+    results = executor.run(run_jobs)
     assembled = [
         assemble_experiment(spec, results[start:stop])
         for spec, (start, stop) in zip(specs, spans, strict=True)
@@ -141,7 +141,7 @@ def run_experiments_with_jobs(
 def run_experiments(
     specs: Sequence[ExperimentSpec],
     *,
-    workers: int = 1,
+    jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
     label: str = "sweep",
@@ -152,6 +152,6 @@ def run_experiments(
     metrics identical to calling ``run_experiment`` on each spec serially.
     """
     assembled, _ = run_experiments_with_jobs(
-        specs, workers=workers, store=store, progress=progress, label=label
+        specs, jobs=jobs, store=store, progress=progress, label=label
     )
     return assembled

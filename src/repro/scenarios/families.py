@@ -1,7 +1,18 @@
-"""The built-in scenario families.
+"""Scenario families: named, serializable families of experiment setups.
 
-Three families reproduce the paper's own setup at its three scales; the
-rest open evaluation axes the paper never explored:
+A *scenario family* is a named generator of :class:`ScenarioVariant` objects
+-- concrete ``(ScenarioConfig, WorkloadSpec)`` pairs positioned on a sweep
+axis (cluster count, node density, failure fraction, ...).  Families are
+pure functions of a base :class:`~repro.experiments.config.ScenarioConfig`,
+so one definition serves every scale: the same ``density`` family produces
+a seconds-long smoke sweep or the paper-scale study depending on the base
+it is given.  Because a variant is nothing but a ``ScenarioConfig`` (which
+serializes into :class:`~repro.orchestrator.jobs.RunJob` digests), every
+family is sweepable, cacheable, and resumable through the orchestrator with
+no per-family execution code.
+
+Three built-in families reproduce the paper's own setup at its three
+scales; the rest open evaluation axes the paper never explored:
 
 * ``clustered`` -- hot-spot deployments (sweep over the number of clusters),
 * ``corridor`` -- noisy multi-hop chains (sweep over the chain depth),
@@ -22,13 +33,13 @@ paper's unit disk:
   bad-state drop probability,
 * ``mobile`` -- random-waypoint node mobility, swept by node speed.
 
-Every builder derives its variants from the base scale it is handed, so the
-same family definition serves smoke tests and paper-scale studies.
+They are the :data:`FAMILIES` table at the bottom of this module.
 """
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List
 
 from ..experiments.config import ScenarioConfig, paper_scale, reduced_scale, smoke_scale
 from ..experiments.scenarios import rate_sweep_workload
@@ -38,7 +49,62 @@ from ..net.propagation import PropagationSpec
 from ..net.topology import FailureSchedule, TopologySpec
 from ..query.workload import WorkloadSpec
 from ..radio.energy import IDEAL, MICA2_TYPICAL, MICA2_WORST, ZEBRANET
-from .registry import ScenarioVariant, register_family
+
+
+@dataclass(frozen=True)
+class ScenarioVariant:
+    """One concrete point of a scenario family's sweep."""
+
+    #: Human-readable point label, e.g. ``"clusters=3"`` or ``"fail=20%"``.
+    label: str
+    #: Position on the family's sweep axis (for figures and tables).
+    x: float
+    #: The fully-specified scenario; hashes into job digests as-is.
+    scenario: ScenarioConfig
+    #: The query workload run against the scenario.
+    workload: WorkloadSpec
+
+
+#: Builder signature: base scale in, concrete variants out.
+VariantBuilder = Callable[[ScenarioConfig], List[ScenarioVariant]]
+
+
+@dataclass(frozen=True)
+class ScenarioFamily:
+    """A named scenario generator."""
+
+    name: str
+    description: str
+    #: Axis label of the sweep the family's variants span.
+    x_label: str
+    builder: VariantBuilder = field(repr=False)
+
+    def variants(self, base: ScenarioConfig) -> List[ScenarioVariant]:
+        """Concrete variants of this family derived from ``base``."""
+        built = self.builder(base)
+        if not built:
+            raise ValueError(f"scenario family {self.name!r} produced no variants")
+        return built
+
+
+def get_family(name: str) -> ScenarioFamily:
+    """The built-in family called ``name`` (raises ``KeyError`` if absent)."""
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        known = ", ".join(family_names())
+        raise KeyError(f"unknown scenario family {name!r}; known families: {known}") from None
+
+
+def family_names() -> List[str]:
+    """Names of every built-in family, sorted."""
+    return sorted(FAMILIES)
+
+
+def all_families() -> List[ScenarioFamily]:
+    """Every built-in family, sorted by name."""
+    return [FAMILIES[name] for name in family_names()]
+
 
 #: Base rate (Hz) of the default one-query-per-class workload families run.
 DEFAULT_FAMILY_BASE_RATE = 2.0
@@ -79,12 +145,6 @@ def _workload() -> WorkloadSpec:
     return rate_sweep_workload(DEFAULT_FAMILY_BASE_RATE)
 
 
-@register_family(
-    "paper",
-    "the paper's Section 5 setup: 80 nodes uniform-random in 500x500 m "
-    "(always full scale, regardless of the base)",
-    x_label="num_nodes",
-)
 def paper_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     scenario = paper_scale()
     return [
@@ -94,11 +154,6 @@ def paper_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     ]
 
 
-@register_family(
-    "reduced",
-    "the reduced benchmark scale: 36 nodes, 40 s runs (ignores the base scale)",
-    x_label="num_nodes",
-)
 def reduced_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     scenario = reduced_scale()
     return [
@@ -108,11 +163,6 @@ def reduced_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     ]
 
 
-@register_family(
-    "smoke",
-    "the seconds-long functional-test scale: 12 nodes, 12 s runs (ignores the base scale)",
-    x_label="num_nodes",
-)
 def smoke_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     scenario = smoke_scale()
     return [
@@ -122,12 +172,6 @@ def smoke_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     ]
 
 
-@register_family(
-    "clustered",
-    "hot-spot deployments: nodes gathered around 2-4 cluster centres with "
-    "sparse inter-cluster bridges",
-    x_label="clusters",
-)
 def clustered_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     for clusters in CLUSTER_COUNTS:
@@ -145,12 +189,6 @@ def clustered_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     return variants
 
 
-@register_family(
-    "corridor",
-    "noisy multi-hop chains along an elongated strip (pipelines, tunnels); "
-    "sweeps the chain depth",
-    x_label="hops",
-)
 def corridor_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     width = 0.4 * base.comm_range
@@ -172,11 +210,6 @@ def corridor_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     return variants
 
 
-@register_family(
-    "density",
-    "node-density sweep: 0.75x to 2x the base node count in the unchanged area",
-    x_label="num_nodes",
-)
 def density_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     for factor in DENSITY_FACTORS:
@@ -192,11 +225,6 @@ def density_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     return variants
 
 
-@register_family(
-    "size",
-    "network-size sweep: area and node count grown together at constant density",
-    x_label="num_nodes",
-)
 def size_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     width, height = base.area
@@ -215,12 +243,6 @@ def size_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     return variants
 
 
-@register_family(
-    "radio-profiles",
-    "the paper's referenced radios (ideal, MICA2 typical/worst, ZebraNet) "
-    "swept by wake-up latency",
-    x_label="wakeup_ms",
-)
 def radio_profiles_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     for profile in RADIO_PROFILES:
@@ -235,12 +257,6 @@ def radio_profiles_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     return variants
 
 
-@register_family(
-    "shadowed",
-    "log-distance path loss with log-normal shadowing; links near the "
-    "range edge fade out as sigma grows (propagation layer)",
-    x_label="sigma_db",
-)
 def shadowed_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     for sigma in SHADOWING_SIGMAS_DB:
@@ -256,12 +272,6 @@ def shadowed_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     return variants
 
 
-@register_family(
-    "capture",
-    "SINR-based reception: a frame survives a collision when its SINR "
-    "clears the capture threshold (propagation layer)",
-    x_label="capture_db",
-)
 def capture_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     for threshold in CAPTURE_THRESHOLDS_DB:
@@ -277,12 +287,6 @@ def capture_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     return variants
 
 
-@register_family(
-    "bursty",
-    "Gilbert-Elliott bursty/asymmetric link loss swept by the bad-state "
-    "drop probability (propagation layer)",
-    x_label="loss_bad",
-)
 def bursty_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     for loss_bad in BURSTY_BAD_LOSS:
@@ -298,12 +302,6 @@ def bursty_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     return variants
 
 
-@register_family(
-    "mobile",
-    "random-waypoint node mobility swept by node speed; the routing tree "
-    "is built from the initial placement (propagation layer)",
-    x_label="speed_mps",
-)
 def mobile_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     for speed in MOBILE_SPEEDS_MPS:
@@ -319,12 +317,6 @@ def mobile_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     return variants
 
 
-@register_family(
-    "churn",
-    "scheduled mid-run node failures: 0-30% of the tree's non-root nodes "
-    "fail permanently between 25% and 75% of the run",
-    x_label="failed_pct",
-)
 def churn_family(base: ScenarioConfig) -> List[ScenarioVariant]:
     variants = []
     for fraction in CHURN_FRACTIONS:
@@ -343,3 +335,100 @@ def churn_family(base: ScenarioConfig) -> List[ScenarioVariant]:
             )
         )
     return variants
+
+
+#: Every built-in family, by name.  Plain data: a lookup needs no import
+#: side effect, and a caller with a family of its own passes the
+#: :class:`ScenarioFamily` itself to :func:`~repro.scenarios.run.run_family`.
+FAMILIES: Dict[str, ScenarioFamily] = {
+    family.name: family
+    for family in (
+        ScenarioFamily(
+            "paper",
+            "the paper's Section 5 setup: 80 nodes uniform-random in 500x500 m "
+            "(always full scale, regardless of the base)",
+            x_label="num_nodes",
+            builder=paper_family,
+        ),
+        ScenarioFamily(
+            "reduced",
+            "the reduced benchmark scale: 36 nodes, 40 s runs (ignores the base scale)",
+            x_label="num_nodes",
+            builder=reduced_family,
+        ),
+        ScenarioFamily(
+            "smoke",
+            "the seconds-long functional-test scale: 12 nodes, 12 s runs (ignores the base scale)",
+            x_label="num_nodes",
+            builder=smoke_family,
+        ),
+        ScenarioFamily(
+            "clustered",
+            "hot-spot deployments: nodes gathered around 2-4 cluster centres with "
+            "sparse inter-cluster bridges",
+            x_label="clusters",
+            builder=clustered_family,
+        ),
+        ScenarioFamily(
+            "corridor",
+            "noisy multi-hop chains along an elongated strip (pipelines, tunnels); "
+            "sweeps the chain depth",
+            x_label="hops",
+            builder=corridor_family,
+        ),
+        ScenarioFamily(
+            "density",
+            "node-density sweep: 0.75x to 2x the base node count in the unchanged area",
+            x_label="num_nodes",
+            builder=density_family,
+        ),
+        ScenarioFamily(
+            "size",
+            "network-size sweep: area and node count grown together at constant density",
+            x_label="num_nodes",
+            builder=size_family,
+        ),
+        ScenarioFamily(
+            "radio-profiles",
+            "the paper's referenced radios (ideal, MICA2 typical/worst, ZebraNet) "
+            "swept by wake-up latency",
+            x_label="wakeup_ms",
+            builder=radio_profiles_family,
+        ),
+        ScenarioFamily(
+            "shadowed",
+            "log-distance path loss with log-normal shadowing; links near the "
+            "range edge fade out as sigma grows (propagation layer)",
+            x_label="sigma_db",
+            builder=shadowed_family,
+        ),
+        ScenarioFamily(
+            "capture",
+            "SINR-based reception: a frame survives a collision when its SINR "
+            "clears the capture threshold (propagation layer)",
+            x_label="capture_db",
+            builder=capture_family,
+        ),
+        ScenarioFamily(
+            "bursty",
+            "Gilbert-Elliott bursty/asymmetric link loss swept by the bad-state "
+            "drop probability (propagation layer)",
+            x_label="loss_bad",
+            builder=bursty_family,
+        ),
+        ScenarioFamily(
+            "mobile",
+            "random-waypoint node mobility swept by node speed; the routing tree "
+            "is built from the initial placement (propagation layer)",
+            x_label="speed_mps",
+            builder=mobile_family,
+        ),
+        ScenarioFamily(
+            "churn",
+            "scheduled mid-run node failures: 0-30% of the tree's non-root nodes "
+            "fail permanently between 25% and 75% of the run",
+            x_label="failed_pct",
+            builder=churn_family,
+        ),
+    )
+}

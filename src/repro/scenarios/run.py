@@ -23,7 +23,7 @@ from ..orchestrator.api import (
     run_experiments_with_jobs,
 )
 from ..orchestrator.executor import JobResult
-from .registry import ScenarioFamily, ScenarioVariant, get_family
+from .families import ScenarioFamily, ScenarioVariant, get_family
 
 #: Protocol a family runs by default (the strongest ESSAT variant); pass
 #: ``protocols=`` explicitly for baseline comparisons.
@@ -76,7 +76,7 @@ def run_family(
     base: Optional[ScenarioConfig] = None,
     protocols: Sequence[str] = DEFAULT_FAMILY_PROTOCOLS,
     num_runs: Optional[int] = None,
-    workers: int = 1,
+    jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
 ) -> FamilyRunResult:
@@ -85,7 +85,7 @@ def run_family(
     ``base`` (default: the environment's default scale) seeds the family's
     variants; every variant is run under every protocol in ``protocols``
     with ``num_runs`` replications (default: per the variant's scenario).
-    ``workers``, ``store`` and ``progress`` are passed to
+    ``jobs``, ``store`` and ``progress`` are passed to
     :func:`~repro.orchestrator.api.run_experiments_with_jobs` -- a warm
     ``store`` replays the family with zero simulator runs.
     """
@@ -119,7 +119,7 @@ def run_family(
         for protocol in protocols
     ]
     assembled, job_results = run_experiments_with_jobs(
-        specs, workers=workers, store=store, progress=progress, label=family.name
+        specs, jobs=jobs, store=store, progress=progress, label=family.name
     )
     results = dict(zip(cells, assembled, strict=True))
     return FamilyRunResult(

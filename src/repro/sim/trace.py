@@ -2,10 +2,9 @@
 
 Model components emit trace records (radio state changes, packet
 transmissions, sleep decisions, phase shifts, ...) through a shared
-:class:`TraceRecorder`.  Metrics code and tests consume the records; the
-recorder can be disabled entirely for large benchmark runs, filtered to a
-subset of categories, or pointed at streaming *sinks* (below) so paper-scale
-runs can be traced without holding every record in RAM.
+:class:`TraceRecorder`.  Metrics code and tests consume the records, either
+from the in-memory buffer or through a listener; the recorder can be
+disabled entirely for large benchmark runs.
 
 Hot-path contract: emission must be *free* when recording is disabled.
 :meth:`TraceRecorder.emit` takes its payload as ``**data`` keyword
@@ -19,55 +18,12 @@ on the public :attr:`TraceRecorder.enabled` flag::
 
 Cold call sites (setup, failures, once-per-report events) may call ``emit``
 unconditionally; it still checks ``enabled`` itself.
-
-Acceptance and drop accounting
-------------------------------
-A record is *accepted* when it clears the ``enabled`` flag and the
-``categories`` allow-list.  Every accepted record is delivered to all
-listeners and all sinks, unconditionally -- ``max_records`` only bounds the
-in-memory buffer, never the stream.  The counters obey, between any two
-``clear()`` calls::
-
-    emitted == len(records) + dropped        (when store_records=True)
-    emitted, len(records) == 0, dropped == 0 (when store_records=False)
-
-where ``emitted`` counts accepted records and ``dropped`` counts accepted
-records *not retained in the buffer* because it was full.  With
-``store_records=False`` there is no buffer at all (streaming-only mode), so
-nothing is ever "dropped" -- sinks still see every accepted record.
-``clear()`` empties the buffer and resets both counters; listeners and
-sinks are unaffected.
-
-Sinks
------
-A sink is anything with ``write(record)`` and ``close()``.
-:class:`JsonlTraceSink` streams accepted records to a JSONL file with an
-O(1) memory footprint; :class:`RotatingJsonlSink` additionally rotates the
-file at a byte threshold and prunes the oldest rotations, bounding *disk*
-as well.  Both write deterministic output (sorted keys, compact
-separators), so two identical runs produce byte-identical logs --
-:func:`read_jsonl_trace` replays a log back into :class:`TraceRecord`
-objects.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -92,259 +48,32 @@ class TraceRecord:
     data: Dict[str, Any] = field(default_factory=dict)
 
 
-def record_to_json(record: TraceRecord) -> str:
-    """One deterministic JSON line for ``record`` (no trailing newline).
-
-    Keys are sorted and separators compact so identical runs serialize to
-    byte-identical logs; payload values without a JSON representation fall
-    back to ``repr`` (deterministic for the value types models emit).
-    """
-    return json.dumps(
-        {
-            "time": record.time,
-            "category": record.category,
-            "node": record.node,
-            "data": record.data,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-        default=repr,
-    )
-
-
-def record_from_json(line: str) -> TraceRecord:
-    """Inverse of :func:`record_to_json`."""
-    data = json.loads(line)
-    return TraceRecord(
-        time=float(data["time"]),
-        category=str(data["category"]),
-        node=data.get("node"),
-        data=dict(data.get("data", {})),
-    )
-
-
-class JsonlTraceSink:
-    """Streams accepted records to a JSONL file, one line per record.
-
-    Memory use is O(1): each record is serialized and written immediately
-    (buffered by the underlying file object), never retained.  Use together
-    with ``TraceRecorder(store_records=False, sinks=[...])`` to trace
-    paper-scale runs without a full in-RAM record list.
-
-    Also usable as a context manager; :meth:`close` flushes and closes the
-    file and is idempotent.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w", encoding="utf-8")
-        self.written = 0
-
-    def write(self, record: TraceRecord) -> None:
-        """Append one record as a JSON line."""
-        self._handle.write(record_to_json(record))
-        self._handle.write("\n")
-        self.written += 1
-
-    def flush(self) -> None:
-        """Flush buffered lines to the OS."""
-        if not self._handle.closed:
-            self._handle.flush()
-
-    def close(self) -> None:
-        """Flush and close the file (idempotent)."""
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlTraceSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class RotatingJsonlSink:
-    """A JSONL sink that rotates the file at a byte threshold.
-
-    The active file is always ``path``; when writing a record would push it
-    past ``max_bytes`` the file is closed and renamed to ``path.1``,
-    ``path.2``, ... (increasing = newer) and a fresh ``path`` is opened.  At
-    most ``max_files`` rotated files are kept -- the oldest are deleted --
-    so total disk use is bounded by roughly ``(max_files + 1) * max_bytes``.
-    A record larger than ``max_bytes`` still lands alone in a fresh file
-    (records are never split or silently discarded).
-
-    Replay order is ``rotated_paths()`` (oldest first) followed by the
-    active ``path``.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        max_bytes: int = 10_000_000,
-        max_files: int = 5,
-    ) -> None:
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes!r}")
-        if max_files < 0:
-            raise ValueError(f"max_files must be >= 0, got {max_files!r}")
-        self.path = Path(path)
-        self.max_bytes = max_bytes
-        self.max_files = max_files
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w", encoding="utf-8")
-        self._bytes = 0
-        self._next_index = 1
-        self.written = 0
-        self.rotations = 0
-
-    def write(self, record: TraceRecord) -> None:
-        """Append one record, rotating first if it would overflow the file."""
-        line = record_to_json(record) + "\n"
-        size = len(line.encode("utf-8"))
-        if self._bytes > 0 and self._bytes + size > self.max_bytes:
-            self._rotate()
-        self._handle.write(line)
-        self._bytes += size
-        self.written += 1
-
-    def _rotate(self) -> None:
-        self._handle.close()
-        rotated = self.path.with_name(f"{self.path.name}.{self._next_index}")
-        os.replace(self.path, rotated)
-        self._next_index += 1
-        self.rotations += 1
-        # Prune the oldest rotations beyond the retention budget.
-        keep_from = self._next_index - 1 - self.max_files
-        for index in range(1, keep_from + 1):
-            stale = self.path.with_name(f"{self.path.name}.{index}")
-            try:
-                stale.unlink()
-            except FileNotFoundError:
-                pass
-        self._handle = self.path.open("w", encoding="utf-8")
-        self._bytes = 0
-
-    def rotated_paths(self) -> List[Path]:
-        """The rotated files still on disk, oldest first."""
-        paths = []
-        for index in range(1, self._next_index):
-            rotated = self.path.with_name(f"{self.path.name}.{index}")
-            if rotated.exists():
-                paths.append(rotated)
-        return paths
-
-    def flush(self) -> None:
-        """Flush buffered lines to the OS."""
-        if not self._handle.closed:
-            self._handle.flush()
-
-    def close(self) -> None:
-        """Flush and close the active file (idempotent)."""
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "RotatingJsonlSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def read_jsonl_trace(
-    paths: Union[str, Path, Sequence[Union[str, Path]]],
-) -> Iterator[TraceRecord]:
-    """Replay one or more JSONL trace files as :class:`TraceRecord` objects.
-
-    Accepts a single path or a sequence (pass a rotating sink's
-    ``rotated_paths() + [sink.path]`` to replay in emission order).
-    Streaming: one record is materialized at a time.
-    """
-    if isinstance(paths, (str, Path)):
-        paths = [paths]
-    for path in paths:
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield record_from_json(line)
-
-
 class TraceRecorder:
     """Collects :class:`TraceRecord` objects emitted by model components.
 
-    See the module docstring for the acceptance / drop-accounting contract.
-
-    Parameters
-    ----------
-    enabled:
-        Master switch; when ``False``, :meth:`emit` is a no-op.
-    categories:
-        Optional allow-list; records in other categories are not accepted.
-    max_records:
-        Bound on the in-memory buffer.  Accepted records beyond the bound
-        still reach every listener and sink but are counted in
-        :attr:`dropped` instead of buffered.
-    store_records:
-        ``False`` disables the in-memory buffer entirely (streaming-only
-        mode for sink-based tracing of large runs); :attr:`records` stays
-        empty and :attr:`dropped` stays 0.
-    sinks:
-        Initial sinks (objects with ``write(record)`` / ``close()``); more
-        can be attached with :meth:`add_sink`.
+    ``enabled`` is the master switch; when ``False``, :meth:`emit` is a
+    no-op.  Every emitted record is delivered to each listener, then
+    appended to the buffer.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        categories: Optional[Iterable[str]] = None,
-        max_records: Optional[int] = None,
-        *,
-        store_records: bool = True,
-        sinks: Optional[Iterable[Any]] = None,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._categories: Optional[Set[str]] = set(categories) if categories else None
-        self._max_records = max_records
-        self._store_records = store_records
         self._records: List[TraceRecord] = []
         self._listeners: List[Callable[[TraceRecord], None]] = []
-        self._sinks: List[Any] = list(sinks) if sinks else []
-        #: Accepted records not retained in the buffer (full ``max_records``).
-        self.dropped = 0
-        #: Accepted records since the last :meth:`clear` (delivered to every
-        #: listener and sink regardless of buffering).
-        self.emitted = 0
-
-    # ------------------------------------------------------------------ #
-    # emission
-    # ------------------------------------------------------------------ #
 
     def emit(
         self, time: float, category: str, node: Optional[int] = None, **data: Any
     ) -> None:
-        """Emit a record; a no-op when recording is disabled or filtered out."""
+        """Emit a record; a no-op when recording is disabled."""
         if not self.enabled:
             return
-        if self._categories is not None and category not in self._categories:
-            return
         record = TraceRecord(time=time, category=category, node=node, data=data)
-        self.emitted += 1
         for listener in self._listeners:
             listener(record)
-        for sink in self._sinks:
-            sink.write(record)
-        if not self._store_records:
-            return
-        if self._max_records is not None and len(self._records) >= self._max_records:
-            self.dropped += 1
-            return
         self._records.append(record)
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Register a callback invoked synchronously for every accepted record.
+        """Register a callback invoked synchronously for every emitted record.
 
         Copy-on-write (parity with ``TimingTable.subscribe``): an in-flight
         ``emit`` keeps notifying the listener list it started with.
@@ -361,34 +90,6 @@ class TraceRecorder:
         self._listeners = [
             existing for existing in self._listeners if existing != listener
         ]
-
-    def add_sink(self, sink: Any) -> None:
-        """Attach a sink; every subsequently accepted record is written to it."""
-        self._sinks = [*self._sinks, sink]
-
-    def remove_sink(self, sink: Any) -> None:
-        """Detach a sink (idempotent).  The sink is not closed."""
-        self._sinks = [existing for existing in self._sinks if existing is not sink]
-
-    @property
-    def sinks(self) -> List[Any]:
-        """The currently attached sinks."""
-        return list(self._sinks)
-
-    def close_sinks(self) -> None:
-        """Close every attached sink (they stay attached; ``close`` is
-        idempotent on the built-in sinks)."""
-        for sink in self._sinks:
-            sink.close()
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-
-    @property
-    def store_records(self) -> bool:
-        """Whether accepted records are buffered in memory."""
-        return self._store_records
 
     @property
     def records(self) -> List[TraceRecord]:
@@ -419,11 +120,5 @@ class TraceRecorder:
         return {record.category for record in self._records}
 
     def clear(self) -> None:
-        """Empty the buffer and reset the ``emitted``/``dropped`` counters.
-
-        Listeners and sinks are unaffected (sinks keep whatever they already
-        wrote); the accounting invariant restarts from zero.
-        """
+        """Empty the buffer; listeners are unaffected."""
         self._records.clear()
-        self.dropped = 0
-        self.emitted = 0

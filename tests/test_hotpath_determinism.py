@@ -90,8 +90,8 @@ class TestParallelMatchesSerial:
             )
             for protocol in ("DTS-SS", "PSM")
         ]
-        serial = run_experiments(specs, workers=1)
-        parallel = run_experiments(specs, workers=min(2, os.cpu_count() or 1))
+        serial = run_experiments(specs, jobs=1)
+        parallel = run_experiments(specs, jobs=min(2, os.cpu_count() or 1))
         for a, b in zip(serial, parallel, strict=True):
             assert a.metrics.average_duty_cycle == b.metrics.average_duty_cycle
             assert a.metrics.average_query_latency == b.metrics.average_query_latency

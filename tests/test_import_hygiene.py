@@ -12,7 +12,9 @@ module that defines it: a replay loads no protocol, and a run loads only the
 protocol it builds.  The simulation packages import no orchestration
 module, so nothing under the simulated clock can reach wall-clock timing,
 the store or the CLI through an import, and a figure call loads none of the
-lint package.  The checks run in a subprocess because the test session
+lint package.  Nor does a simulation module bind a wall-clock function, a
+method of ``random``'s global instance or the environment as a global,
+where the sanitizer's patches cannot reach it.  The checks run in a subprocess because the test session
 itself has already imported scipy, numpy and networkx (they are test
 oracles).
 """
@@ -154,6 +156,46 @@ for package in {SIMULATION_PACKAGES!r}:
 print(json.dumps(sorted(sys.modules)))
 """
 
+#: Module globals no simulation module may hold.  The sanitizer patches the
+#: ``time``, ``random`` and ``os`` attributes when a run starts, so a name
+#: bound at import (``from time import perf_counter``) would keep the
+#: unpatched object and read the wall clock, global randomness or the
+#: environment unseen.  ``from random import Random`` stays legal: a seeded
+#: instance is deterministic.
+_BOUND_NAMES_PROGRAM = f"""
+import importlib
+import json
+import os
+import pkgutil
+import random
+import sys
+import time
+
+forbidden = {{}}
+for name in ("time", "perf_counter", "monotonic", "process_time", "thread_time"):
+    for suffix in ("", "_ns"):
+        forbidden[id(getattr(time, name + suffix))] = "time." + name + suffix
+forbidden[id(os.environ)] = "os.environ"
+forbidden[id(os.getenv)] = "os.getenv"
+
+for package in {SIMULATION_PACKAGES!r}:
+    module = importlib.import_module("repro." + package)
+    for info in pkgutil.walk_packages(module.__path__, module.__name__ + "."):
+        importlib.import_module(info.name)
+
+packages = ["repro." + package for package in {SIMULATION_PACKAGES!r}]
+hits = []
+for module_name, module in sorted(sys.modules.items()):
+    if ".".join(module_name.split(".")[:2]) not in packages:
+        continue
+    for name, value in sorted(vars(module).items()):
+        if id(value) in forbidden:
+            hits.append(f"{{module_name}}.{{name}} is {{forbidden[id(value)]}}")
+        elif getattr(value, "__self__", None) is random._inst:
+            hits.append(f"{{module_name}}.{{name}} is random.{{value.__name__}}")
+print(json.dumps(hits))
+"""
+
 _FIGURE_PROGRAM = """
 import io
 import json
@@ -183,6 +225,7 @@ DOCSTRING_ONLY_PACKAGES = (
     "obs",
     "sanitizer",
     "lint",
+    "scenarios",
 )
 
 #: A two-job sweep on a two-worker pool, checked against the serial run.
@@ -274,6 +317,10 @@ def test_simulation_packages_import_no_orchestration_module() -> None:
     loaded = _run(_SIMULATION_PROGRAM)
     assert "repro.core.protocol" in loaded and "repro.baselines.span" in loaded
     assert _within(loaded, ["repro." + name for name in ORCHESTRATION_PACKAGES]) == []
+
+
+def test_simulation_modules_bind_no_clock_randomness_or_environment() -> None:
+    assert _run(_BOUND_NAMES_PROGRAM) == []
 
 
 def test_figure_call_loads_no_lint_module(tmp_path) -> None:

@@ -1,94 +1,93 @@
-"""Tests for the metrics registry, the adapters, and counters-on-RunMetrics.
+"""Tests for the run counters, the stats adapters, and counters-on-RunMetrics.
 
-Covers the ISSUE-6 registry pillar: instrument semantics, snapshot
-flattening, the duck-typed stats adapters on a real smoke run, the engine's
-new derived counters, and the counters dict's trip through the orchestrator
-serialization (schema v4).
+Covers the duck-typed stats adapters, the counters dict they build from a
+real smoke run (per-node sums, sorted keys), the engine's derived counters,
+and the counters dict's trip through the orchestrator serialization
+(schema v4).
 """
 
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments.config import smoke_scale
-from repro.experiments.metrics import RunMetrics, average_metrics
-from repro.experiments.runner import run_single
+from repro.experiments.metrics import DeliveryLog, RunMetrics, average_metrics
+from repro.experiments.runner import build_protocol_suite, build_scenario_topology, run_single
 from repro.experiments.scenarios import rate_sweep_workload
+from repro.net.node import build_network
 from repro.obs.adapters import collect_run_counters, stats_as_mapping
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.orchestrator.jobs import SCHEMA_VERSION, metrics_from_dict, metrics_to_dict
 from repro.query.workload import generate_queries
+from repro.routing.tree import build_routing_tree
 from repro.sim.engine import Simulator
 
 
-class TestInstruments:
-    def test_counter_increments_and_rejects_negatives(self) -> None:
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
+@pytest.fixture(scope="module")
+def smoke_run():
+    """A finished smoke-scale DTS-SS run: ``(sim, network, suite)``."""
+    scenario = smoke_scale()
+    sim = Simulator(seed=2)
+    topology = build_scenario_topology(scenario, 2)
+    network = build_network(
+        sim, topology, power_profile=scenario.power_profile, mac_config=scenario.mac_config
+    )
+    tree = build_routing_tree(
+        topology,
+        root=topology.center_node(),
+        max_distance_from_root=scenario.max_distance_from_root,
+    )
+    suite = build_protocol_suite(
+        "DTS-SS",
+        sim,
+        network,
+        tree,
+        on_root_delivery=DeliveryLog(),
+        break_even_time=scenario.break_even_time,
+    )
+    suite.register_queries(generate_queries(rate_sweep_workload(2.0), seed=2))
+    sim.run(until=scenario.duration)
+    network.finalize()
+    return sim, network, suite
 
-    def test_gauge_moves_both_ways(self) -> None:
-        gauge = Gauge("g")
-        gauge.set(5.0)
-        gauge.set(2.0)
-        assert gauge.value == 2.0
 
-    def test_histogram_summary(self) -> None:
-        histogram = Histogram("h")
-        histogram.observe_many([2.0, 4.0, 9.0])
-        assert histogram.count == 3
-        assert histogram.sum == 15.0
-        assert histogram.mean == 5.0
-        assert (histogram.min, histogram.max) == (2.0, 9.0)
-
-    def test_empty_histogram_mean_is_zero(self) -> None:
-        assert Histogram("h").mean == 0.0
+def _summed(prefix: str, stats_objects) -> dict:
+    totals: dict = {}
+    for stats in stats_objects:
+        for key, value in stats_as_mapping(stats).items():
+            totals[f"{prefix}.{key}"] = totals.get(f"{prefix}.{key}", 0.0) + value
+    return totals
 
 
-class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self) -> None:
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert len(registry) == 1
+class TestRunCounters:
+    def test_per_node_stats_are_summed(self, smoke_run) -> None:
+        sim, network, suite = smoke_run
+        counters = collect_run_counters(sim, network, suite)
+        for prefix, stats_objects in (
+            ("mac", [node.mac.stats for node in network.nodes.values()]),
+            ("safe_sleep", [node.safe_sleep.stats for node in suite.nodes.values()]),
+        ):
+            summed = {key: value for key, value in counters.items() if key.startswith(prefix + ".")}
+            assert summed == _summed(prefix, stats_objects), prefix
+        assert counters["mac.frames_sent"] > 0
+        assert counters["safe_sleep.checks"] > 0
 
-    def test_kind_mismatch_raises(self) -> None:
-        registry = MetricsRegistry()
-        registry.counter("a")
-        with pytest.raises(TypeError):
-            registry.gauge("a")
+    def test_keys_come_back_sorted(self, smoke_run) -> None:
+        sim, network, suite = smoke_run
+        counters = collect_run_counters(sim, network, suite, wall_seconds=1.0)
+        assert list(counters) == sorted(counters)
+        for prefix in ("engine.", "run.", "channel.", "mac.", "shaper.", "query_service."):
+            assert any(key.startswith(prefix) for key in counters), prefix
 
-    def test_count_from_sums_across_calls(self) -> None:
-        registry = MetricsRegistry()
-        registry.count_from("mac", {"frames_sent": 3, "acks_sent": 1})
-        registry.count_from("mac", {"frames_sent": 2})
-        snapshot = registry.snapshot()
-        assert snapshot["mac.frames_sent"] == 5.0
-        assert snapshot["mac.acks_sent"] == 1.0
-
-    def test_snapshot_flattens_and_sorts(self) -> None:
-        registry = MetricsRegistry()
-        registry.gauge("z").set(1.0)
-        registry.counter("a").inc()
-        registry.histogram("m").observe_many([1.0, 3.0])
-        snapshot = registry.snapshot()
-        assert list(snapshot) == sorted(snapshot)
-        assert snapshot["m.count"] == 2.0
-        assert snapshot["m.sum"] == 4.0
-        assert snapshot["m.mean"] == 2.0
-        assert snapshot["m.min"] == 1.0
-        assert snapshot["m.max"] == 3.0
-
-    def test_empty_histogram_omits_min_max(self) -> None:
-        registry = MetricsRegistry()
-        registry.histogram("h")
-        snapshot = registry.snapshot()
-        assert "h.min" not in snapshot and "h.max" not in snapshot
-        assert snapshot["h.count"] == 0.0
+    def test_negative_count_raises(self) -> None:
+        stats = SimpleNamespace(as_dict=lambda: {"frames_sent": -1})
+        network = SimpleNamespace(
+            channel=None, nodes={0: SimpleNamespace(mac=SimpleNamespace(stats=stats))}
+        )
+        with pytest.raises(ValueError, match="mac.frames_sent"):
+            collect_run_counters(Simulator(seed=0), network)
 
 
 class TestStatsAdapters:

@@ -202,7 +202,7 @@ class TestExperimentIntegration:
         workload = _workload()
         serial = run_experiment(scenario, "NTS-SS", workload=workload, num_runs=2)
         parallel = run_experiment(
-            scenario, "NTS-SS", workload=workload, num_runs=2, parallel=2
+            scenario, "NTS-SS", workload=workload, num_runs=2, jobs=2
         )
         stored = run_experiment(
             scenario, "NTS-SS", workload=workload, num_runs=2, store=tmp_path / "cache"

@@ -571,8 +571,8 @@ class TestPropagationDeterminism:
             )
             for scenario in (self.SINR_SCENARIO, self.MOBILE_SCENARIO)
         ]
-        serial = run_experiments(specs, workers=1)
-        parallel = run_experiments(specs, workers=min(2, os.cpu_count() or 1))
+        serial = run_experiments(specs, jobs=1)
+        parallel = run_experiments(specs, jobs=min(2, os.cpu_count() or 1))
         for a, b in zip(serial, parallel, strict=True):
             assert a.metrics == b.metrics
             assert a.per_run_metrics == b.per_run_metrics

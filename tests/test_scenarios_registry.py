@@ -24,15 +24,15 @@ from repro.orchestrator.jobs import RunJob
 from repro.query.workload import WorkloadSpec
 from repro.radio.energy import IDEAL
 from repro.routing.tree import build_routing_tree
-from repro.scenarios import (
+from repro.scenarios.families import (
+    FAMILIES,
+    ScenarioFamily,
     ScenarioVariant,
     all_families,
     family_names,
     get_family,
-    register_family,
-    run_family,
-    unregister_family,
 )
+from repro.scenarios.run import run_family
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecorder
@@ -161,18 +161,6 @@ class TestRegistry:
         with pytest.raises(KeyError, match="known families"):
             get_family("does-not-exist")
 
-    def test_register_and_unregister(self) -> None:
-        @register_family("test-tmp", "temporary test family")
-        def build(base):
-            return [ScenarioVariant("only", 1.0, base, WorkloadSpec(base_rate_hz=1.0))]
-
-        try:
-            assert get_family("test-tmp").variants(smoke_scale())[0].label == "only"
-            with pytest.raises(ValueError):
-                register_family("test-tmp", "duplicate")(build)
-        finally:
-            assert unregister_family("test-tmp") is not None
-
 
 class TestFailureInjection:
     def _scenario(self, fraction: float = 0.25) -> ScenarioConfig:
@@ -277,9 +265,6 @@ class TestFamilySweeps:
     def test_run_family_rejects_duplicate_variant_labels(self) -> None:
         """Labels key the result cells; silent dict collapse would return
         the wrong metrics for one of the colliding sweep points."""
-        base = smoke_scale()
-
-        @register_family("test-dup", "family with colliding labels")
         def build(scenario):
             workload = WorkloadSpec(base_rate_hz=1.0)
             return [
@@ -287,8 +272,16 @@ class TestFamilySweeps:
                 ScenarioVariant("same", 2.0, scenario.with_overrides(seed=9), workload),
             ]
 
-        try:
-            with pytest.raises(ValueError, match="duplicate variant labels"):
-                run_family("test-dup", base=base)
-        finally:
-            unregister_family("test-dup")
+        family = ScenarioFamily("test-dup", "family with colliding labels", "variant", build)
+        with pytest.raises(ValueError, match="duplicate variant labels"):
+            run_family(family, base=smoke_scale())
+
+    def test_run_family_accepts_a_family_outside_the_table(self) -> None:
+        def build(base):
+            return [ScenarioVariant("only", 1.0, base, WorkloadSpec(base_rate_hz=1.0))]
+
+        family = ScenarioFamily("test-tmp", "temporary test family", "variant", build)
+        result = run_family(family, base=smoke_scale(), protocols=["DTS-SS"])
+        assert "test-tmp" not in FAMILIES
+        assert [variant.label for variant in result.variants] == ["only"]
+        assert result.executed_runs == len(result.job_results) > 0

@@ -18,6 +18,7 @@ class TestTraceRecorder:
         assert len(trace) == 3
         radio_records = trace.filter(category="radio.state")
         assert [r.node for r in radio_records] == [1, 2]
+        assert trace.categories() == {"radio.state", "mac.tx"}
 
     def test_filter_by_node(self) -> None:
         trace = TraceRecorder()
@@ -29,19 +30,6 @@ class TestTraceRecorder:
         trace = TraceRecorder(enabled=False)
         trace.emit(0.0, "a", node=1)
         assert len(trace) == 0
-
-    def test_category_filtering_at_emission(self) -> None:
-        trace = TraceRecorder(categories=["keep"])
-        trace.emit(0.0, "keep", node=1)
-        trace.emit(0.0, "drop", node=1)
-        assert trace.categories() == {"keep"}
-
-    def test_max_records_limits_memory(self) -> None:
-        trace = TraceRecorder(max_records=2)
-        for i in range(5):
-            trace.emit(float(i), "x", node=i)
-        assert len(trace) == 2
-        assert trace.dropped == 3
 
     def test_subscription_listener_sees_records(self) -> None:
         trace = TraceRecorder()

@@ -1,31 +1,26 @@
-"""Tests for trace sinks, unsubscribe, and the drop-accounting contract.
+"""Tests for trace listeners and for tracing as pure observation.
 
-Covers the ISSUE-6 trace pillar: the ``emitted == len(records) + dropped``
-invariant, listener/sink delivery regardless of buffering, the
-``categories`` + ``max_records`` + ``clear`` interplay, run-twice
-determinism of the JSONL sinks, rotation/pruning of the rotating sink, and
-bounded-memory streaming of a real simulation run.
+Covers ``unsubscribe`` (idempotent and copy-on-write, like
+``TimingTable``) and the guarantee that tracing never changes a result: a
+fully traced run has the same metrics as the untraced ``run_single``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
-import pytest
+from repro.sim.trace import TraceRecord, TraceRecorder
 
-from repro.experiments.config import smoke_scale
-from repro.experiments.runner import run_single
-from repro.experiments.scenarios import rate_sweep_workload
-from repro.query.workload import generate_queries
-from repro.sim.trace import (
-    JsonlTraceSink,
-    RotatingJsonlSink,
-    TraceRecord,
-    TraceRecorder,
-    read_jsonl_trace,
-    record_from_json,
-    record_to_json,
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# The snapshot tool builds the traced run; load it by path, as the
+# determinism tests do.
+_spec = importlib.util.spec_from_file_location(
+    "make_hotpath_golden", GOLDEN_DIR / "make_hotpath_golden.py"
 )
+golden_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_tool)
 
 
 class TestUnsubscribe:
@@ -69,172 +64,13 @@ class TestUnsubscribe:
         assert calls == ["first", "second", "first"]  # new list thereafter
 
 
-class TestDropAccounting:
-    def test_listeners_and_sinks_see_records_beyond_max_records(self) -> None:
-        seen: list = []
-
-        class ListSink:
-            def __init__(self) -> None:
-                self.records: list = []
-
-            def write(self, record: TraceRecord) -> None:
-                self.records.append(record)
-
-            def close(self) -> None:
-                pass
-
-        sink = ListSink()
-        trace = TraceRecorder(max_records=2, sinks=[sink])
-        trace.subscribe(seen.append)
-        for i in range(5):
-            trace.emit(float(i), "x", node=i)
-        assert len(trace.records) == 2
-        assert trace.dropped == 3
-        assert trace.emitted == 5
-        assert trace.emitted == len(trace.records) + trace.dropped
-        assert len(seen) == 5  # every accepted record reached the listener
-        assert len(sink.records) == 5  # ... and the sink
-
-    def test_categories_allowlist_with_max_records_and_clear(self) -> None:
-        trace = TraceRecorder(categories=["keep"], max_records=2)
-        for i in range(4):
-            trace.emit(float(i), "keep", node=i)
-            trace.emit(float(i), "drop", node=i)
-        # Filtered-out records are not accepted: they count nowhere.
-        assert trace.emitted == 4
-        assert len(trace.records) == 2
-        assert trace.dropped == 2
-        trace.clear()
-        assert (trace.emitted, len(trace.records), trace.dropped) == (0, 0, 0)
-        # After clear the buffer refills up to max_records again.
-        for i in range(3):
-            trace.emit(float(i), "keep", node=i)
-        assert len(trace.records) == 2
-        assert trace.dropped == 1
-        assert trace.emitted == 3
-
-    def test_store_records_false_keeps_no_buffer_and_drops_nothing(self) -> None:
-        trace = TraceRecorder(store_records=False)
-        for i in range(100):
-            trace.emit(float(i), "x", node=i)
-        assert trace.records == []
-        assert trace.dropped == 0
-        assert trace.emitted == 100
-
-
-class TestJsonlSink:
-    def test_round_trip(self, tmp_path: Path) -> None:
-        path = tmp_path / "trace.jsonl"
-        trace = TraceRecorder(sinks=[JsonlTraceSink(path)])
-        trace.emit(0.5, "radio.state", node=3, old="off", new="idle")
-        trace.emit(1.25, "mac.tx", node=None, packet_id=7)
-        trace.close_sinks()
-        replayed = list(read_jsonl_trace(path))
-        assert replayed == trace.records
-
-    def test_record_json_round_trip_preserves_float_times(self) -> None:
-        record = TraceRecord(time=0.30000000000000004, category="x", node=1, data={"v": 1.5})
-        assert record_from_json(record_to_json(record)) == record
-
-    def test_run_twice_is_byte_identical(self, tmp_path: Path) -> None:
-        def run(path: Path) -> None:
-            # Packet ids come from a process-global counter; reset it so both
-            # runs label packets identically (as the golden harness does).
-            import itertools
-
-            import repro.net.packet as packet_module
-
-            packet_module._packet_ids = itertools.count(1)
-            sink = JsonlTraceSink(path)
-            trace = TraceRecorder(store_records=False, sinks=[sink])
-            scenario = smoke_scale()
-            queries = generate_queries(rate_sweep_workload(2.0), seed=3)
-            run_single(scenario, "DTS-SS", queries, 3, trace=trace)
-            trace.close_sinks()
-            assert sink.written > 0
-
-        run(tmp_path / "a.jsonl")
-        run(tmp_path / "b.jsonl")
-        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-
-
-class TestRotatingSink:
-    def _record(self, i: int) -> TraceRecord:
-        return TraceRecord(time=float(i), category="x", node=i, data={"i": i})
-
-    def test_rotates_at_byte_threshold(self, tmp_path: Path) -> None:
-        path = tmp_path / "trace.jsonl"
-        line_size = len(record_to_json(self._record(0)).encode()) + 1
-        sink = RotatingJsonlSink(path, max_bytes=line_size * 2, max_files=10)
-        for i in range(5):
-            sink.write(self._record(i))
-        sink.close()
-        assert sink.rotations == 2
-        rotated = sink.rotated_paths()
-        assert [p.name for p in rotated] == ["trace.jsonl.1", "trace.jsonl.2"]
-        replayed = list(read_jsonl_trace([*rotated, path]))
-        assert [record.node for record in replayed] == [0, 1, 2, 3, 4]
-
-    def test_prunes_oldest_beyond_max_files(self, tmp_path: Path) -> None:
-        path = tmp_path / "trace.jsonl"
-        line_size = len(record_to_json(self._record(0)).encode()) + 1
-        sink = RotatingJsonlSink(path, max_bytes=line_size, max_files=2)
-        for i in range(6):
-            sink.write(self._record(i))
-        sink.close()
-        names = [p.name for p in sink.rotated_paths()]
-        assert len(names) == 2  # retention budget
-        assert names == ["trace.jsonl.4", "trace.jsonl.5"]  # oldest pruned
-
-    def test_oversized_record_lands_alone(self, tmp_path: Path) -> None:
-        path = tmp_path / "trace.jsonl"
-        sink = RotatingJsonlSink(path, max_bytes=8, max_files=5)
-        sink.write(TraceRecord(time=0.0, category="big", node=1, data={"blob": "x" * 100}))
-        sink.write(TraceRecord(time=1.0, category="big", node=2, data={"blob": "y" * 100}))
-        sink.close()
-        all_paths = [*sink.rotated_paths(), path]
-        replayed = list(read_jsonl_trace(all_paths))
-        assert [record.node for record in replayed] == [1, 2]
-
-    def test_rejects_nonsensical_limits(self, tmp_path: Path) -> None:
-        with pytest.raises(ValueError):
-            RotatingJsonlSink(tmp_path / "t.jsonl", max_bytes=0)
-        with pytest.raises(ValueError):
-            RotatingJsonlSink(tmp_path / "t.jsonl", max_files=-1)
-
-
 class TestStreamingRun:
-    def test_streaming_sink_bounds_trace_memory_on_real_run(self, tmp_path: Path) -> None:
-        # The paper-scale mechanism at smoke scale: store_records=False keeps
-        # the in-RAM record list empty for the whole run while the sink
-        # receives every accepted record as a replayable event log.
-        path = tmp_path / "run.jsonl"
-        sink = JsonlTraceSink(path)
-        trace = TraceRecorder(store_records=False, sinks=[sink])
-        scenario = smoke_scale()
-        queries = generate_queries(rate_sweep_workload(2.0), seed=1)
-        metrics, _ = run_single(scenario, "DTS-SS", queries, 1, trace=trace)
-        trace.close_sinks()
-        assert trace.records == []  # nothing held in RAM
-        assert trace.dropped == 0  # streaming mode never "drops"
-        assert trace.emitted > 1000  # the run really was traced
-        assert sink.written == trace.emitted
-        first = next(iter(read_jsonl_trace(path)))
-        assert first.category  # replayable
-        assert metrics.counters["engine.events_processed"] > 0
-
     def test_tracing_does_not_change_results(self) -> None:
-        scenario = smoke_scale()
-        queries = generate_queries(rate_sweep_workload(2.0), seed=5)
-        untraced, _ = run_single(scenario, "DTS-SS", queries, 5)
-        traced, _ = run_single(
-            scenario,
-            "DTS-SS",
-            queries,
-            5,
-            trace=TraceRecorder(store_records=False, sinks=[]),
-        )
-        assert traced == untraced  # bit-identical metrics (counters excluded from eq)
-        assert traced.counters["engine.events_processed"] == pytest.approx(
-            untraced.counters["engine.events_processed"]
-        )
+        # The two traced golden cells: every record is emitted and buffered,
+        # and the outcome matches the untraced run bit for bit.
+        for protocol in ("DTS-SS", "PSM"):
+            traced = golden_tool.trace_snapshot("smoke", protocol, 1)
+            untraced = golden_tool.metrics_snapshot("smoke", protocol, 1)
+            assert traced["trace_records"] > 1000, protocol  # really traced
+            assert traced["average_duty_cycle"] == untraced["average_duty_cycle"], protocol
+            assert traced["channel_stats"] == untraced["channel_stats"], protocol
