@@ -1,11 +1,13 @@
 """Shared fixtures for the figure-reproduction benchmark suite.
 
 Each benchmark regenerates one of the paper's figures: it runs the
-corresponding sweep (at reduced scale by default, at paper scale when
-``REPRO_FULL_SCALE=1``), prints the series as a table, and asserts the
-qualitative shape the paper reports.  ``pytest-benchmark`` records the
-wall-clock cost of the sweep; every sweep is executed exactly once
-(``rounds=1``) because a single run already takes seconds to minutes.
+corresponding sweep on the reduced entry of
+:data:`repro.experiments.scenarios.SCALES` (the :func:`scale` fixture),
+prints the series as a table, and asserts the qualitative shape the paper
+reports; paper-scale figures come from ``repro --scale paper figure figN``.
+``pytest-benchmark`` records the wall-clock cost of the sweep; every sweep
+is executed exactly once (``rounds=1``) because a single run already takes
+seconds to minutes.
 
 The orchestrator benchmark (``test_orchestrator_bench.py``) additionally records
 its serial / parallel / warm-store wall-clock numbers via
@@ -38,7 +40,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import ScenarioConfig, default_scale
+from repro.experiments.scenarios import SCALES, Scale
 from repro.obs.history import PerfHistory, atomic_write_text, entry_from_bench
 from repro.orchestrator.progress import NullProgress
 from repro.orchestrator.store import ResultStore
@@ -115,9 +117,9 @@ def pytest_sessionfinish(session, exitstatus) -> None:
 
 
 @pytest.fixture(scope="session")
-def scenario() -> ScenarioConfig:
-    """The scenario used by every figure benchmark (reduced or paper scale)."""
-    return default_scale()
+def scale() -> Scale:
+    """The scale every figure benchmark runs: its scenario and sweep grid."""
+    return SCALES["reduced"]
 
 
 @pytest.fixture(scope="session")

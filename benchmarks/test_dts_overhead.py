@@ -15,11 +15,10 @@ from __future__ import annotations
 from conftest import print_figure
 
 from repro.experiments.figures import dts_overhead_vs_rate
-from repro.experiments.scenarios import base_rates
 
 
-def test_dts_overhead(scenario, run_once) -> None:
-    figure = run_once(dts_overhead_vs_rate, scenario, rates=base_rates())
+def test_dts_overhead(scale, run_once) -> None:
+    figure = run_once(dts_overhead_vs_rate, scale.scenario(), rates=scale.rates)
     print_figure(figure)
 
     series = figure.get("DTS-SS")

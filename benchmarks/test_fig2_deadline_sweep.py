@@ -11,11 +11,10 @@ from __future__ import annotations
 from conftest import print_figure
 
 from repro.experiments.figures import figure2_deadline_sweep
-from repro.experiments.scenarios import deadlines
 
 
-def test_fig2_deadline_sweep(scenario, run_once) -> None:
-    figure = run_once(figure2_deadline_sweep, scenario, sweep=deadlines())
+def test_fig2_deadline_sweep(scale, run_once) -> None:
+    figure = run_once(figure2_deadline_sweep, scale.scenario(), deadlines=scale.deadlines)
     print_figure(figure)
 
     duty = figure.get("duty_cycle_pct")

@@ -11,14 +11,13 @@ from __future__ import annotations
 from conftest import print_figure
 
 from repro.experiments.figures import figure3_duty_cycle_vs_rate
-from repro.experiments.scenarios import base_rates
 
 
-def test_fig3_duty_cycle_vs_rate(scenario, run_once, store_use) -> None:
+def test_fig3_duty_cycle_vs_rate(scale, run_once, store_use) -> None:
     figure = run_once(
         figure3_duty_cycle_vs_rate,
-        scenario,
-        rates=base_rates(),
+        scale.scenario(),
+        rates=scale.rates,
         store=store_use.store,
         progress=store_use,
     )

@@ -11,11 +11,10 @@ from __future__ import annotations
 from conftest import print_figure
 
 from repro.experiments.figures import figure7_latency_vs_queries
-from repro.experiments.scenarios import query_counts
 
 
-def test_fig7_latency_vs_queries(scenario, run_once) -> None:
-    figure = run_once(figure7_latency_vs_queries, scenario, counts=query_counts())
+def test_fig7_latency_vs_queries(scale, run_once) -> None:
+    figure = run_once(figure7_latency_vs_queries, scale.scenario(), counts=scale.counts)
     print_figure(figure)
 
     counts = figure.x_values()

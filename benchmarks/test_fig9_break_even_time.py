@@ -11,14 +11,14 @@ from __future__ import annotations
 from conftest import print_figure
 
 from repro.experiments.figures import figure9_break_even_time
-from repro.experiments.scenarios import BREAK_EVEN_TIMES, base_rates
+from repro.experiments.scenarios import BREAK_EVEN_TIMES
 
 
-def test_fig9_break_even_time(scenario, run_once) -> None:
+def test_fig9_break_even_time(scale, run_once) -> None:
     figure = run_once(
         figure9_break_even_time,
-        scenario,
-        rates=base_rates(),
+        scale.scenario(),
+        rates=scale.rates,
         break_even_times=BREAK_EVEN_TIMES,
     )
     print_figure(figure)

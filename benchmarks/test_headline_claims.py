@@ -16,11 +16,9 @@ from repro.experiments.figures import (
     figure6_latency_vs_rate,
     headline_claims,
 )
-from repro.experiments.scenarios import base_rates
 
 
-def _run_headline(scenario, store_use):
-    rates = base_rates()
+def _run_headline(scenario, rates, store_use):
     store, progress = store_use.store, store_use
     figure3 = figure3_duty_cycle_vs_rate(
         scenario, rates=rates, protocols=("DTS-SS", "SPAN"), store=store, progress=progress
@@ -31,8 +29,8 @@ def _run_headline(scenario, store_use):
     return figure3, figure6, headline_claims(figure3, figure6)
 
 
-def test_headline_claims(scenario, run_once, store_use) -> None:
-    figure3, figure6, claims = run_once(_run_headline, scenario, store_use)
+def test_headline_claims(scale, run_once, store_use) -> None:
+    figure3, figure6, claims = run_once(_run_headline, scale.scenario(), scale.rates, store_use)
     print_figure(figure3)
     print_figure(figure6)
     store_use.assert_stored_jobs_replayed()

@@ -47,7 +47,7 @@ import time
 
 import pytest
 
-from repro.experiments.config import paper_scale, default_scale
+from repro.experiments.config import paper_scale, reduced_scale
 from repro.experiments.metrics import DeliveryLog
 from repro.experiments.runner import build_protocol_suite, build_scenario_topology
 from repro.experiments.scenarios import query_count_workload, rate_sweep_workload
@@ -59,7 +59,6 @@ from repro.orchestrator.jobs import RunJob
 from repro.routing.tree import build_routing_tree
 from repro.scenarios.families import get_family
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 
 #: Pre-overhaul events/sec.  The PR 3 cells were measured at commit b64b1b1
 #: (PR 2, best of 3); the PR 5 protocol-layer cells at commit f67b7e9
@@ -104,7 +103,7 @@ KERNEL_EVENTS = 400_000
 
 def _kernel_storm() -> dict:
     """Pure-engine throughput: schedule/fire/cancel with no model work."""
-    sim = Simulator(seed=0, trace=TraceRecorder(enabled=False))
+    sim = Simulator(seed=0)
     count = [0]
 
     def tick(i: int) -> None:
@@ -134,7 +133,7 @@ def _run_cell(scenario, workload, protocol: str, reps: int = REPS) -> dict:
         queries = RunJob(
             scenario=scenario, protocol=protocol, workload=workload, seed=scenario.seed
         ).resolve_queries()
-        sim = Simulator(seed=scenario.seed, trace=TraceRecorder(enabled=False))
+        sim = Simulator(seed=scenario.seed)
         topology = build_scenario_topology(scenario, scenario.seed)
         network = build_network(
             sim,
@@ -219,7 +218,7 @@ def _layer_breakdown(scenario, workload, protocol: str = "DTS-SS") -> dict:
     queries = RunJob(
         scenario=scenario, protocol=protocol, workload=workload, seed=scenario.seed
     ).resolve_queries()
-    sim = Simulator(seed=scenario.seed, trace=TraceRecorder(enabled=False))
+    sim = Simulator(seed=scenario.seed)
     topology = build_scenario_topology(scenario, scenario.seed)
     network = build_network(
         sim,
@@ -292,7 +291,7 @@ def test_hotpath_throughput(hotpath_bench_recorder) -> None:
     results["kernel"] = _with_speedup("kernel", _kernel_storm())
 
     workload = rate_sweep_workload(2.0)
-    densest = max(get_family("density").variants(default_scale()), key=lambda v: v.x)
+    densest = max(get_family("density").variants(reduced_scale()), key=lambda v: v.x)
     dense_cells = {}
     dense_events_total = 0
     for protocol in PROTOCOLS:
@@ -314,7 +313,7 @@ def test_hotpath_throughput(hotpath_bench_recorder) -> None:
     # there is no pre-PR baseline because the models did not exist; the
     # guarded cells above pin that the *default* unit-disk path kept its
     # speed with the strategy indirection in place.
-    reduced = default_scale()
+    reduced = reduced_scale()
     results["propagation_models"] = {
         "sinr": _run_cell(
             reduced.with_overrides(

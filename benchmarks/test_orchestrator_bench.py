@@ -49,8 +49,9 @@ def _timed(fn):
 
 
 def test_orchestrator_sweep_throughput(
-    scenario, tmp_path, run_once, orchestrator_bench_recorder
+    scale, tmp_path, run_once, orchestrator_bench_recorder
 ) -> None:
+    scenario = scale.scenario()
     specs = _sweep_specs(scenario)
     workers = min(4, os.cpu_count() or 1)
 

@@ -15,9 +15,11 @@ Exposes the experiment harness without writing any Python:
   figure, profile-diffs two recorded commits, and gates fresh results with a
   statistical regression bound (see :mod:`repro.obs.perfcli`).
 
-The ``--scale`` option selects the scenario size (``smoke`` for seconds-long
-sanity runs, ``reduced`` for the default benchmark scale, ``paper`` for the
-full 80-node, 200 s, 5-replication configuration).
+The ``--scale`` option selects one entry of
+:data:`repro.experiments.scenarios.SCALES`: a scenario and the sweep grid
+every figure runs on it (``smoke`` for seconds-long sanity runs,
+``reduced`` for the default benchmark scale, ``paper`` for the full
+80-node, 200 s, 5-replication configuration on the paper's grids).
 
 Sweeps run through :mod:`repro.orchestrator`: ``--jobs N`` executes the
 sweep on ``N`` worker processes (bit-identical results), ``--cache-dir DIR``
@@ -29,9 +31,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .experiments.config import ScenarioConfig, paper_scale, reduced_scale, smoke_scale
+from .experiments.config import ScenarioConfig
 from .experiments.figures import (
     delivery_ratio_under_churn,
     delivery_ratio_vs_shadowing,
@@ -48,92 +50,46 @@ from .experiments.figures import (
     headline_claims,
 )
 from .experiments.lifetime import estimate_lifetime
-from .experiments.runner import ALL_PROTOCOLS, run_protocol_comparison
-from .experiments.scenarios import base_rates, rate_sweep_workload
-from .experiments.tables import comparison_table
+from .experiments.runner import ALL_PROTOCOLS, build_scenario_topology, run_protocol_comparison
+from .experiments.scenarios import SCALES, Scale, rate_sweep_workload
+from .experiments.tables import FigureResult, comparison_table
 from .routing.tree import build_routing_tree
 
-#: Scale name -> scenario factory.
-SCALES: Dict[str, Callable[[], ScenarioConfig]] = {
-    "smoke": smoke_scale,
-    "reduced": reduced_scale,
-    "paper": paper_scale,
-}
-
-#: Figure name -> (description, generator taking
-#: (scenario, num_runs, jobs, store, progress)).
-FIGURES: Dict[str, tuple] = {
+#: Figure name -> (description, generator, grid keyword).  The grid keyword
+#: names both the generator's sweep argument and the :class:`Scale` field
+#: that fills it; ``None`` means the figure sweeps no scale grid.
+FIGURES: Dict[str, Tuple[str, Callable[..., FigureResult], Optional[str]]] = {
     "fig2": (
         "STS-SS duty cycle and latency vs query deadline",
-        lambda scenario, runs, **orch: figure2_deadline_sweep(
-            scenario, num_runs=runs, **orch
-        ),
+        figure2_deadline_sweep,
+        "deadlines",
     ),
-    "fig3": (
-        "average duty cycle vs base rate",
-        lambda scenario, runs, **orch: figure3_duty_cycle_vs_rate(
-            scenario, num_runs=runs, **orch
-        ),
-    ),
-    "fig4": (
-        "average duty cycle vs queries per class",
-        lambda scenario, runs, **orch: figure4_duty_cycle_vs_queries(
-            scenario, num_runs=runs, **orch
-        ),
-    ),
-    "fig5": (
-        "duty cycle distribution over node ranks",
-        lambda scenario, runs, **orch: figure5_duty_cycle_by_rank(
-            scenario, num_runs=runs or 1, **orch
-        ),
-    ),
-    "fig6": (
-        "query latency vs base rate",
-        lambda scenario, runs, **orch: figure6_latency_vs_rate(
-            scenario, num_runs=runs, **orch
-        ),
-    ),
-    "fig7": (
-        "query latency vs queries per class",
-        lambda scenario, runs, **orch: figure7_latency_vs_queries(
-            scenario, num_runs=runs, **orch
-        ),
-    ),
-    "fig8": (
-        "sleep-interval histogram (T_BE = 0)",
-        lambda scenario, runs, **orch: figure8_sleep_interval_histogram(
-            scenario, num_runs=runs or 1, **orch
-        ),
-    ),
+    "fig3": ("average duty cycle vs base rate", figure3_duty_cycle_vs_rate, "rates"),
+    "fig4": ("average duty cycle vs queries per class", figure4_duty_cycle_vs_queries, "counts"),
+    "fig5": ("duty cycle distribution over node ranks", figure5_duty_cycle_by_rank, None),
+    "fig6": ("query latency vs base rate", figure6_latency_vs_rate, "rates"),
+    "fig7": ("query latency vs queries per class", figure7_latency_vs_queries, "counts"),
+    "fig8": ("sleep-interval histogram (T_BE = 0)", figure8_sleep_interval_histogram, None),
     "fig9": (
         "duty cycle vs base rate for several break-even times",
-        lambda scenario, runs, **orch: figure9_break_even_time(
-            scenario, num_runs=runs, **orch
-        ),
+        figure9_break_even_time,
+        "rates",
     ),
-    "overhead": (
-        "DTS phase-update overhead per data report",
-        lambda scenario, runs, **orch: dts_overhead_vs_rate(
-            scenario, num_runs=runs, **orch
-        ),
-    ),
+    "overhead": ("DTS phase-update overhead per data report", dts_overhead_vs_rate, "rates"),
     "density": (
         "average duty cycle vs node density (scenario registry, beyond the paper)",
-        lambda scenario, runs, **orch: duty_cycle_vs_density(
-            scenario, num_runs=runs, **orch
-        ),
+        duty_cycle_vs_density,
+        None,
     ),
     "churn": (
         "delivery ratio under scheduled node failures (scenario registry, beyond the paper)",
-        lambda scenario, runs, **orch: delivery_ratio_under_churn(
-            scenario, num_runs=runs, **orch
-        ),
+        delivery_ratio_under_churn,
+        None,
     ),
     "shadowing": (
         "delivery ratio vs shadowing sigma (propagation layer, beyond the paper)",
-        lambda scenario, runs, **orch: delivery_ratio_vs_shadowing(
-            scenario, num_runs=runs, **orch
-        ),
+        delivery_ratio_vs_shadowing,
+        None,
     ),
 }
 
@@ -233,13 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_headline(scenario: ScenarioConfig, runs: Optional[int], out, orch) -> None:
-    rates = base_rates()
+def _print_headline(scenario: ScenarioConfig, rates: Sequence[float], out, orch) -> None:
     figure3 = figure3_duty_cycle_vs_rate(
-        scenario, rates=rates, protocols=("DTS-SS", "SPAN"), num_runs=runs, **orch
+        scenario, rates=rates, protocols=("DTS-SS", "SPAN"), **orch
     )
     figure6 = figure6_latency_vs_rate(
-        scenario, rates=rates, protocols=("DTS-SS", "PSM", "SYNC"), num_runs=runs, **orch
+        scenario, rates=rates, protocols=("DTS-SS", "PSM", "SYNC"), **orch
     )
     print(figure3.to_table(), file=out)
     print(file=out)
@@ -250,16 +205,20 @@ def _print_headline(scenario: ScenarioConfig, runs: Optional[int], out, orch) ->
         print(f"  {key} = {value:.1f}%", file=out)
 
 
-def _run_figure(
-    name: str, scenario: ScenarioConfig, runs: Optional[int], out, orch
-) -> None:
+def _run_figure(name: str, scale: Scale, runs: Optional[int], out, orch) -> None:
+    # Without --runs each generator keeps its own default: the scenario's
+    # replications, or one typical run for Figures 5 and 8.
+    if runs is not None:
+        orch = {**orch, "num_runs": runs}
+    scenario = scale.scenario()
     if name == "headline":
-        _print_headline(scenario, runs, out, orch)
+        _print_headline(scenario, scale.rates, out, orch)
         return
-    description, generator = FIGURES[name]
+    description, generator, grid = FIGURES[name]
+    if grid is not None:
+        orch = {**orch, grid: getattr(scale, grid)}
     print(f"# {name}: {description}", file=out)
-    figure = generator(scenario, runs, **orch)
-    print(figure.to_table(), file=out)
+    print(generator(scenario, **orch).to_table(), file=out)
 
 
 def _run_compare(
@@ -278,19 +237,19 @@ def _run_compare(
         num_runs=runs,
         **orch,
     )
+    # Project lifetimes against the tree the metrics were computed on.
+    tree = build_routing_tree(
+        build_scenario_topology(scenario, scenario.seed),
+        max_distance_from_root=scenario.max_distance_from_root,
+    )
     rows: Dict[str, Dict[str, float]] = {}
     for protocol in protocols:
-        result = results[protocol]
-        # Project lifetimes against the same tree the metrics were computed on.
-        tree = build_routing_tree(
-            _rebuild_topology(scenario), max_distance_from_root=scenario.max_distance_from_root
-        )
-        lifetime = estimate_lifetime(result.metrics, tree)
+        metrics = results[protocol].metrics
         rows[protocol] = {
-            "duty_cycle_%": result.metrics.average_duty_cycle * 100.0,
-            "latency_ms": result.metrics.average_query_latency * 1000.0,
-            "delivery_ratio": result.metrics.delivery_ratio,
-            "lifetime_days": lifetime.first_death / 86400.0,
+            "duty_cycle_%": metrics.average_duty_cycle * 100.0,
+            "latency_ms": metrics.average_query_latency * 1000.0,
+            "delivery_ratio": metrics.delivery_ratio,
+            "lifetime_days": estimate_lifetime(metrics, tree).lifetime_in_days(),
         }
     print(
         f"protocol comparison at base rate {base_rate:g} Hz "
@@ -301,12 +260,6 @@ def _run_compare(
         comparison_table(rows, ["duty_cycle_%", "latency_ms", "delivery_ratio", "lifetime_days"]),
         file=out,
     )
-
-
-def _rebuild_topology(scenario: ScenarioConfig):
-    from .experiments.runner import build_scenario_topology
-
-    return build_scenario_topology(scenario, scenario.seed)
 
 
 def _run_scenarios_list(scenario: ScenarioConfig, out) -> None:
@@ -390,9 +343,12 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         from .lint.cli import main as lint_main
 
         return lint_main(args.lint_args, out)
-    scenario = SCALES[args.scale]()
+    scale = SCALES[args.scale]
+    scenario = scale.scenario()
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.runs is not None and args.runs < 1:
+        parser.error(f"--runs must be >= 1, got {args.runs}")
     if args.cache_dir is not None:
         from pathlib import Path
 
@@ -409,7 +365,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         _run_list(out)
         return 0
     if args.command == "figure":
-        _run_figure(args.name, scenario, args.runs, out, orch)
+        _run_figure(args.name, scale, args.runs, out, orch)
         return 0
     if args.command == "compare":
         _run_compare(scenario, args.protocols, args.base_rate, args.runs, out, orch)

@@ -268,7 +268,3 @@ class TrafficShaper(abc.ABC):
         state = self._queries.get(query_id)
         if state is not None:
             state.consecutive_misses[child] = 0
-
-    def registered_query_ids(self) -> List[int]:
-        """Identifiers of the queries registered with this shaper."""
-        return sorted(self._queries)

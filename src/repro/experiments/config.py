@@ -7,20 +7,22 @@ within 300 m of the root, 200 s runs, each data point averaged over 5 runs
 with re-randomised node locations and query start times.
 
 Running that full configuration for every protocol and every sweep point
-takes hours in a pure-Python simulator, so two scales are provided:
+takes hours in a pure-Python simulator, so three scenario factories are
+provided:
 
 * :func:`paper_scale` -- the paper's exact parameters,
 * :func:`reduced_scale` -- a smaller network and shorter runs that preserve
   the qualitative behaviour (multi-hop tree, contention, multiple query
-  classes) and is what the benchmark suite runs by default.
+  classes); the default of the CLI, the figure functions and the benchmark
+  suite,
+* :func:`smoke_scale` -- a seconds-long network for functional tests.
 
-Set the environment variable ``REPRO_FULL_SCALE=1`` to make
-:func:`default_scale` return the paper-scale configuration.
+:data:`repro.experiments.scenarios.SCALES` pairs each of them with the
+sweep grid its figures run.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -31,10 +33,6 @@ from ..net.propagation import PropagationSpec
 from ..net.topology import FailureSchedule, TopologySpec
 from ..radio.energy import IDEAL, PowerProfile
 from ..sim.units import mbps
-
-#: Environment variable that switches the default scenario to paper scale.
-FULL_SCALE_ENV_VAR = "REPRO_FULL_SCALE"
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -124,12 +122,3 @@ def smoke_scale() -> ScenarioConfig:
         seed=1,
     )
 
-
-def full_scale_requested() -> bool:
-    """Whether the environment requests paper-scale experiment runs."""
-    return os.environ.get(FULL_SCALE_ENV_VAR, "").strip() in {"1", "true", "yes", "on"}
-
-
-def default_scale() -> ScenarioConfig:
-    """Paper scale if ``REPRO_FULL_SCALE`` is set, reduced scale otherwise."""
-    return paper_scale() if full_scale_requested() else reduced_scale()

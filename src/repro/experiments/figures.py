@@ -3,10 +3,11 @@
 Every figure in the paper's evaluation (Figures 2-9) has a function here
 that runs the corresponding sweep and returns a
 :class:`~repro.experiments.tables.FigureResult` holding the same series the
-paper plots.  The benchmark suite calls these functions at reduced scale and
-asserts the qualitative shape; pass a paper-scale
-:class:`~repro.experiments.config.ScenarioConfig` (or set
-``REPRO_FULL_SCALE=1``) to reproduce the full sweeps.
+paper plots.  Called without a scenario or a sweep grid, a function runs
+the reduced entry of :data:`~repro.experiments.scenarios.SCALES`; the
+benchmark suite calls them that way and asserts the qualitative shape.
+``repro --scale paper figure figN`` passes the paper entry's scenario and
+grid, which reproduces the paper's sweep.
 
 Sweep execution routes through :mod:`repro.orchestrator`: every data point
 of a figure (one protocol at one x-value, replicated ``num_runs`` times)
@@ -29,17 +30,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
-from .config import ScenarioConfig, default_scale
+from .config import ScenarioConfig
 from .scenarios import (
     BREAK_EVEN_TIMES,
     DUTY_CYCLE_PROTOCOLS,
     ESSAT_ONLY,
     LATENCY_PROTOCOLS,
-    base_rates,
+    REDUCED,
     deadline_sweep_workload,
-    deadlines,
     query_count_workload,
-    query_counts,
     rate_sweep_workload,
 )
 from .tables import FigureResult, Series
@@ -76,7 +75,7 @@ def _run_sweep(specs, label: str, jobs: int, store: StoreLike, progress: Progres
 
 def figure2_deadline_sweep(
     scenario: Optional[ScenarioConfig] = None,
-    sweep: Optional[Sequence[float]] = None,
+    deadlines: Sequence[float] = REDUCED.deadlines,
     base_rate_hz: float = 5.0,
     num_runs: Optional[int] = None,
     jobs: int = 1,
@@ -84,8 +83,7 @@ def figure2_deadline_sweep(
     progress: ProgressLike = None,
 ) -> FigureResult:
     """Figure 2: STS-SS duty cycle and query latency vs the query deadline."""
-    scenario = scenario or default_scale()
-    sweep = list(sweep) if sweep is not None else deadlines()
+    scenario = scenario or REDUCED.scenario()
     duty = Series(name="duty_cycle_pct", x=[], y=[])
     latency = Series(name="query_latency_s", x=[], y=[])
     specs = [
@@ -95,10 +93,10 @@ def figure2_deadline_sweep(
             workload=deadline_sweep_workload(deadline, base_rate_hz=base_rate_hz),
             num_runs=num_runs,
         )
-        for deadline in sweep
+        for deadline in deadlines
     ]
     results = _run_sweep(specs, "fig2", jobs, store, progress)
-    for deadline, result in zip(sweep, results, strict=True):
+    for deadline, result in zip(deadlines, results, strict=True):
         duty.x.append(deadline)
         duty.y.append(_percent(result.metrics.average_duty_cycle))
         latency.x.append(deadline)
@@ -169,7 +167,7 @@ def _protocol_sweep(
 
 def figure3_duty_cycle_vs_rate(
     scenario: Optional[ScenarioConfig] = None,
-    rates: Optional[Sequence[float]] = None,
+    rates: Sequence[float] = REDUCED.rates,
     protocols: Sequence[str] = DUTY_CYCLE_PROTOCOLS,
     num_runs: Optional[int] = None,
     jobs: int = 1,
@@ -177,8 +175,7 @@ def figure3_duty_cycle_vs_rate(
     progress: ProgressLike = None,
 ) -> FigureResult:
     """Figure 3: average duty cycle vs base rate, three query classes."""
-    scenario = scenario or default_scale()
-    rates = list(rates) if rates is not None else base_rates()
+    scenario = scenario or REDUCED.scenario()
     return _protocol_sweep(
         "Figure 3",
         "Average duty cycle for three query classes when varying base rate",
@@ -198,7 +195,7 @@ def figure3_duty_cycle_vs_rate(
 
 def figure4_duty_cycle_vs_queries(
     scenario: Optional[ScenarioConfig] = None,
-    counts: Optional[Sequence[int]] = None,
+    counts: Sequence[int] = REDUCED.counts,
     protocols: Sequence[str] = DUTY_CYCLE_PROTOCOLS,
     num_runs: Optional[int] = None,
     jobs: int = 1,
@@ -206,8 +203,7 @@ def figure4_duty_cycle_vs_queries(
     progress: ProgressLike = None,
 ) -> FigureResult:
     """Figure 4: average duty cycle vs number of queries per class (0.2 Hz)."""
-    scenario = scenario or default_scale()
-    counts = list(counts) if counts is not None else query_counts()
+    scenario = scenario or REDUCED.scenario()
     return _protocol_sweep(
         "Figure 4",
         "Average duty cycle for three query classes when varying number of queries per class",
@@ -235,7 +231,7 @@ def figure5_duty_cycle_by_rank(
     progress: ProgressLike = None,
 ) -> FigureResult:
     """Figure 5: distribution of duty cycles over node ranks (one typical run)."""
-    scenario = scenario or default_scale()
+    scenario = scenario or REDUCED.scenario()
     figure = FigureResult(
         figure_id="Figure 5",
         title="Distribution of duty cycles at different ranks",
@@ -266,7 +262,7 @@ def figure5_duty_cycle_by_rank(
 
 def figure6_latency_vs_rate(
     scenario: Optional[ScenarioConfig] = None,
-    rates: Optional[Sequence[float]] = None,
+    rates: Sequence[float] = REDUCED.rates,
     protocols: Sequence[str] = LATENCY_PROTOCOLS,
     num_runs: Optional[int] = None,
     jobs: int = 1,
@@ -274,8 +270,7 @@ def figure6_latency_vs_rate(
     progress: ProgressLike = None,
 ) -> FigureResult:
     """Figure 6: average query latency vs base rate (log-scale in the paper)."""
-    scenario = scenario or default_scale()
-    rates = list(rates) if rates is not None else base_rates()
+    scenario = scenario or REDUCED.scenario()
     return _protocol_sweep(
         "Figure 6",
         "Query latency for three query classes when varying base rate",
@@ -295,7 +290,7 @@ def figure6_latency_vs_rate(
 
 def figure7_latency_vs_queries(
     scenario: Optional[ScenarioConfig] = None,
-    counts: Optional[Sequence[int]] = None,
+    counts: Sequence[int] = REDUCED.counts,
     protocols: Sequence[str] = LATENCY_PROTOCOLS,
     num_runs: Optional[int] = None,
     jobs: int = 1,
@@ -303,8 +298,7 @@ def figure7_latency_vs_queries(
     progress: ProgressLike = None,
 ) -> FigureResult:
     """Figure 7: average query latency vs number of queries per class (0.2 Hz)."""
-    scenario = scenario or default_scale()
-    counts = list(counts) if counts is not None else query_counts()
+    scenario = scenario or REDUCED.scenario()
     return _protocol_sweep(
         "Figure 7",
         "Query latency for three query classes when varying the number of queries per class",
@@ -339,7 +333,7 @@ def figure8_sleep_interval_histogram(
     clamped into the last bucket so the table focuses on the 0-0.2 s region
     the paper plots.
     """
-    scenario = (scenario or default_scale()).with_overrides(break_even_time=0.0)
+    scenario = (scenario or REDUCED.scenario()).with_overrides(break_even_time=0.0)
     figure = FigureResult(
         figure_id="Figure 8",
         title="Histogram of sleep intervals (T_BE = 0)",
@@ -375,7 +369,7 @@ def figure8_sleep_interval_histogram(
 
 def figure9_break_even_time(
     scenario: Optional[ScenarioConfig] = None,
-    rates: Optional[Sequence[float]] = None,
+    rates: Sequence[float] = REDUCED.rates,
     break_even_times: Sequence[float] = BREAK_EVEN_TIMES,
     protocol: str = "DTS-SS",
     num_runs: Optional[int] = None,
@@ -389,8 +383,7 @@ def figure9_break_even_time(
     short sleep intervals); the figure caption mentions STS-SS -- we follow
     the text and make the protocol a parameter.
     """
-    scenario = scenario or default_scale()
-    rates = list(rates) if rates is not None else base_rates()
+    scenario = scenario or REDUCED.scenario()
     figure = FigureResult(
         figure_id="Figure 9",
         title=f"Impact of break-even time on {protocol} duty cycle",
@@ -422,15 +415,14 @@ def figure9_break_even_time(
 
 def dts_overhead_vs_rate(
     scenario: Optional[ScenarioConfig] = None,
-    rates: Optional[Sequence[float]] = None,
+    rates: Sequence[float] = REDUCED.rates,
     num_runs: Optional[int] = None,
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
 ) -> FigureResult:
     """Section 4.2.3: DTS phase-update overhead (bits per data report) vs rate."""
-    scenario = scenario or default_scale()
-    rates = list(rates) if rates is not None else base_rates()
+    scenario = scenario or REDUCED.scenario()
     series = Series(name="DTS-SS", x=[], y=[])
     specs = [
         _experiment_spec(

@@ -34,7 +34,6 @@ from ..query.workload import WorkloadSpec
 from ..routing.tree import RoutingTree, build_routing_tree
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
-from ..sim.trace import TraceRecorder
 from .config import ScenarioConfig
 from .metrics import DeliveryLog, RunMetrics, collect_metrics
 
@@ -247,8 +246,8 @@ def run_single(
 ) -> tuple[RunMetrics, Dict[str, float]]:
     """Run one replication; returns its metrics and protocol-specific extras.
 
-    The simulator's :class:`TraceRecorder` is disabled, so a run pays
-    nothing for tracing.  Tracing is observation-only: a traced run
+    The simulator records no trace (its default), so a run pays nothing
+    for tracing.  Tracing is observation-only: a traced run
     (``tests/golden/make_hotpath_golden.py``'s ``trace_snapshot``) has the
     same schedule, and therefore the same metrics, as this one.
     """
@@ -259,7 +258,7 @@ def run_single(
     from ..sanitizer.runtime import maybe_install_from_env
 
     maybe_install_from_env()
-    sim = Simulator(seed=seed, trace=TraceRecorder(enabled=False))
+    sim = Simulator(seed=seed)
     if topology is None:
         topology = build_scenario_topology(scenario, seed)
     network = build_network(

@@ -7,35 +7,58 @@ Each figure uses one of two workload families:
 * **query-count sweep** -- base rate fixed at 0.2 Hz, number of queries per
   class varied from 1 to 10 (Figures 4 and 7).
 
-The reduced-scale defaults trim the sweep points and the number of queries
-so that the whole figure suite runs in minutes; the paper's exact sweeps are
-used automatically when ``REPRO_FULL_SCALE=1``.
+:data:`SCALES` is the one place a scale name is decided: each entry pairs a
+scenario with the sweep grid its figures run.  ``paper`` is the paper's
+80-node scenario on its full grid; ``reduced`` (the default of the CLI and
+of every figure function) and ``smoke`` trim the grid to the end points
+plus the middle, so the whole figure suite runs in minutes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..query.workload import WorkloadSpec
-from .config import full_scale_requested
+from .config import ScenarioConfig, paper_scale, reduced_scale, smoke_scale
 
-#: Base rates (Hz) of the paper's rate sweep.
-PAPER_BASE_RATES: Sequence[float] = (1.0, 2.0, 3.0, 4.0, 5.0)
 
-#: Base rates used at reduced scale (end points plus the middle).
-REDUCED_BASE_RATES: Sequence[float] = (1.0, 3.0, 5.0)
+@dataclass(frozen=True)
+class Scale:
+    """One ``--scale`` entry: a scenario and the sweep grid of its figures.
 
-#: Queries-per-class values of the paper's multi-query sweep.
-PAPER_QUERY_COUNTS: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+    Each grid field is named after the figure functions' sweep argument.
+    """
 
-#: Queries-per-class values used at reduced scale.
-REDUCED_QUERY_COUNTS: Sequence[int] = (1, 4, 8)
+    #: Builds the scenario every run of this scale uses.
+    scenario: Callable[[], ScenarioConfig]
+    #: Base rates (Hz) of the rate sweep (Figures 3, 6, 9 and the overhead).
+    rates: Tuple[float, ...]
+    #: Queries-per-class values of the multi-query sweep (Figures 4, 7).
+    counts: Tuple[int, ...]
+    #: Query deadlines (seconds) swept in Figure 2.
+    deadlines: Tuple[float, ...]
 
-#: Query deadlines (seconds) swept in Figure 2.
-PAPER_DEADLINES: Sequence[float] = (0.04, 0.08, 0.12, 0.16, 0.2, 0.3, 0.4, 0.6, 0.8)
 
-#: Deadlines used at reduced scale.
-REDUCED_DEADLINES: Sequence[float] = (0.04, 0.12, 0.3, 0.6)
+#: The reduced scale keeps the end points and the middle of each sweep.
+REDUCED = Scale(
+    scenario=reduced_scale,
+    rates=(1.0, 3.0, 5.0),
+    counts=(1, 4, 8),
+    deadlines=(0.04, 0.12, 0.3, 0.6),
+)
+
+#: Scale name -> scenario and sweep grid.  Smoke shares the reduced grid.
+SCALES: Dict[str, Scale] = {
+    "smoke": replace(REDUCED, scenario=smoke_scale),
+    "reduced": REDUCED,
+    "paper": Scale(
+        scenario=paper_scale,
+        rates=(1.0, 2.0, 3.0, 4.0, 5.0),
+        counts=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+        deadlines=(0.04, 0.08, 0.12, 0.16, 0.2, 0.3, 0.4, 0.6, 0.8),
+    ),
+}
 
 #: Base rate of the multi-query sweep (Figures 4 and 7).
 MULTI_QUERY_BASE_RATE: float = 0.2
@@ -48,24 +71,6 @@ BREAK_EVEN_TIMES: Sequence[float] = (0.0, 0.0025, 0.010, 0.040)
 DUTY_CYCLE_PROTOCOLS: Sequence[str] = ("DTS-SS", "STS-SS", "NTS-SS", "PSM", "SPAN")
 LATENCY_PROTOCOLS: Sequence[str] = ("DTS-SS", "STS-SS", "NTS-SS", "PSM", "SPAN", "SYNC")
 ESSAT_ONLY: Sequence[str] = ("DTS-SS", "STS-SS", "NTS-SS")
-
-
-def base_rates(full_scale: Optional[bool] = None) -> List[float]:
-    """The base-rate sweep for the current scale."""
-    full = full_scale_requested() if full_scale is None else full_scale
-    return list(PAPER_BASE_RATES if full else REDUCED_BASE_RATES)
-
-
-def query_counts(full_scale: Optional[bool] = None) -> List[int]:
-    """The queries-per-class sweep for the current scale."""
-    full = full_scale_requested() if full_scale is None else full_scale
-    return list(PAPER_QUERY_COUNTS if full else REDUCED_QUERY_COUNTS)
-
-
-def deadlines(full_scale: Optional[bool] = None) -> List[float]:
-    """The Figure 2 deadline sweep for the current scale."""
-    full = full_scale_requested() if full_scale is None else full_scale
-    return list(PAPER_DEADLINES if full else REDUCED_DEADLINES)
 
 
 def rate_sweep_workload(base_rate_hz: float, deadline: Optional[float] = None) -> WorkloadSpec:

@@ -164,13 +164,6 @@ def confidence_interval(values: Sequence[float], confidence: float = 0.9) -> Int
     return IntervalEstimate(mean=centre, half_width=half_width, confidence=confidence, samples=n)
 
 
-def metric_interval(
-    per_run_values: Sequence[float], confidence: float = 0.9
-) -> IntervalEstimate:
-    """Alias of :func:`confidence_interval` named for experiment call sites."""
-    return confidence_interval(per_run_values, confidence=confidence)
-
-
 def interval_from_runs(
     runs: Sequence[object], metric: Callable[[object], float], confidence: float = 0.9
 ) -> IntervalEstimate:

@@ -38,13 +38,6 @@ class FileContext:
             yield current
             current = self._parents.get(id(current))
 
-    def source_of(self, node: ast.AST) -> str:
-        """Best-effort source text of ``node`` (empty string on failure)."""
-        try:
-            return ast.unparse(node)
-        except Exception:  # pragma: no cover - unparse failure is cosmetic
-            return ""
-
 
 class Checker:
     """Base class for reprolint rules.

@@ -7,9 +7,10 @@ parsed nor checked.  Every rule is file-local, so one file's edit never
 changes another file's findings.
 
 The cache is an implementation detail of speed, never of truth: a
-fingerprint of the rule set and the cache schema version guards every
-load, so adding a rule or changing the format simply discards stale
-entries.  Corrupt or unreadable cache files are ignored, not fatal.
+fingerprint of the rule set, the lint package's source and the cache
+schema version guards every load, so adding or editing a rule or changing
+the format simply discards stale entries.  Corrupt or unreadable cache
+files are ignored, not fatal.
 """
 
 from __future__ import annotations
@@ -36,9 +37,14 @@ def source_digest(source: str) -> str:
 
 
 def rules_fingerprint(codes: Sequence[str]) -> str:
-    """Fingerprint of the active rule set (cache key component)."""
-    payload = f"{CACHE_SCHEMA}:" + ",".join(sorted(codes))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Cache key: the rule codes and the source of every lint module, so
+    editing a rule discards the findings its old code cached."""
+    digest = hashlib.sha256(f"{CACHE_SCHEMA}:{','.join(sorted(codes))}".encode("utf-8"))
+    package = Path(__file__).resolve().parent
+    for module in sorted(package.rglob("*.py")):
+        digest.update(module.relative_to(package).as_posix().encode("utf-8"))
+        digest.update(module.read_bytes())
+    return digest.hexdigest()
 
 
 class LintCache:

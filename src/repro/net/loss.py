@@ -208,11 +208,6 @@ class LossSpec(KindParamsSpec):
     KINDS = ("none", "uniform", "gilbert-elliott")
     KIND_NOUN = "loss"
 
-    @property
-    def is_none(self) -> bool:
-        """Whether this spec injects no loss at all."""
-        return self.kind == "none"
-
 
 def build_loss_from_spec(spec: LossSpec, seed: int = 0) -> Optional[LossModel]:
     """Instantiate the loss model ``spec`` names (``None`` for ``none``).

@@ -12,25 +12,10 @@ length of each completed sleep interval.  The experiment metrics in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .energy import PowerProfile
 from .states import RadioState, is_active
-
-
-@dataclass(slots=True)
-class StateInterval:
-    """A contiguous interval spent in a single radio state."""
-
-    state: RadioState
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        """Length of the interval in seconds."""
-        return self.end - self.start
 
 
 class DutyCycleTracker:
@@ -132,11 +117,6 @@ class DutyCycleTracker:
     def profile(self) -> PowerProfile:
         """The power profile used for energy computations."""
         return self._profile
-
-    @property
-    def current_state(self) -> RadioState:
-        """The state currently being accumulated."""
-        return self._current_state
 
     def time_in_state(self, state: RadioState) -> float:
         """Total time accumulated in ``state`` so far."""

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..experiments.config import ScenarioConfig, default_scale
+from ..experiments.config import ScenarioConfig
 from ..experiments.runner import ExperimentResult
+from ..experiments.scenarios import REDUCED
 from ..experiments.tables import comparison_table
 from ..orchestrator.api import (
     ExperimentSpec,
@@ -82,7 +83,8 @@ def run_family(
 ) -> FamilyRunResult:
     """Run one scenario family as a single orchestrated sweep.
 
-    ``base`` (default: the environment's default scale) seeds the family's
+    ``base`` (default: the scenario of the reduced entry of
+    :data:`~repro.experiments.scenarios.SCALES`) seeds the family's
     variants; every variant is run under every protocol in ``protocols``
     with ``num_runs`` replications (default: per the variant's scenario).
     ``jobs``, ``store`` and ``progress`` are passed to
@@ -91,7 +93,7 @@ def run_family(
     """
     if isinstance(family, str):
         family = get_family(family)
-    base = base if base is not None else default_scale()
+    base = base if base is not None else REDUCED.scenario()
     variants = family.variants(base)
     labels = [variant.label for variant in variants]
     if len(set(labels)) != len(labels):

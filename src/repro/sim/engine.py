@@ -86,8 +86,9 @@ class Simulator:
         Master seed for the named random streams.  Two simulators created
         with the same seed and the same model code execute identically.
     trace:
-        Optional :class:`TraceRecorder`; if omitted a fresh recorder is
-        created (recording can be disabled on the recorder itself).
+        Optional :class:`TraceRecorder`; if omitted, a disabled recorder
+        is used, so a run buffers no records.  Pass
+        ``TraceRecorder()`` to record.
     """
 
     __slots__ = (
@@ -128,7 +129,7 @@ class Simulator:
         #: Largest heap length observed by run() (memory high-water mark).
         self._peak_heap_size: int = 0
         self.streams = RandomStreams(seed)
-        self.trace = trace if trace is not None else TraceRecorder()
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
 
     # ------------------------------------------------------------------ #
     # clock

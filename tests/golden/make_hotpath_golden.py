@@ -36,14 +36,13 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.experiments.config import reduced_scale, smoke_scale
 from repro.experiments.metrics import DeliveryLog, collect_metrics
 from repro.experiments.runner import (
     build_protocol_suite,
     build_scenario_topology,
     run_single,
 )
-from repro.experiments.scenarios import rate_sweep_workload
+from repro.experiments.scenarios import SCALES, rate_sweep_workload
 from repro.net.node import build_network
 from repro.orchestrator.jobs import RunJob
 from repro.routing.tree import build_routing_tree
@@ -60,8 +59,6 @@ CELLS = [
     ("reduced", "DTS-SS", 1),
     ("reduced", "PSM", 1),
 ]
-
-SCALES = {"smoke": smoke_scale, "reduced": reduced_scale}
 
 #: The family workload (see ``repro.scenarios.families``).
 WORKLOAD_RATE_HZ = 2.0
@@ -80,7 +77,7 @@ def resolve_queries(scenario, protocol, seed):
 
 def metrics_snapshot(scale_name: str, protocol: str, seed: int) -> dict:
     """Exact metrics of one replication (floats at full precision)."""
-    scenario = SCALES[scale_name]()
+    scenario = SCALES[scale_name].scenario()
     queries = resolve_queries(scenario, protocol, seed)
     metrics, _ = run_single(scenario, protocol, queries, seed)
     return {
@@ -108,7 +105,7 @@ def trace_snapshot(scale_name: str, protocol: str, seed: int) -> dict:
     from repro.net import packet as packet_module
 
     packet_module._packet_ids = itertools.count(1)
-    scenario = SCALES[scale_name]()
+    scenario = SCALES[scale_name].scenario()
     queries = resolve_queries(scenario, protocol, seed)
     sim = Simulator(seed=seed, trace=TraceRecorder(enabled=True))
     topology = build_scenario_topology(scenario, seed)

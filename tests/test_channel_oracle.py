@@ -29,7 +29,6 @@ from repro.radio.energy import IDEAL, MICA2_TYPICAL
 from repro.radio.radio import Radio
 from repro.radio.states import RadioState
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 
 #: Grid pitch and radio range: a node hears its 8 grid neighbours and the
 #: nodes two cells away along an axis.
@@ -79,7 +78,7 @@ def scenarios(draw):
 def run_scenario(scenario, propagation) -> Dict[str, object]:
     """Play ``scenario`` on a fresh channel; return everything observable."""
     grid, initially_registered, profile, actions = scenario
-    sim = Simulator(seed=0, trace=TraceRecorder(enabled=False))
+    sim = Simulator(seed=0)
     topology = Topology.from_positions(
         [(SPACING * x, SPACING * y) for x, y in grid],
         comm_range=COMM_RANGE,

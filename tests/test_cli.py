@@ -3,10 +3,48 @@
 from __future__ import annotations
 
 import io
+import re
+import shlex
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import FIGURES, SCALES, build_parser, main
+import repro.orchestrator.api as orchestrator_api
+from repro.cli import FIGURES, build_parser, main
+from repro.experiments.scenarios import SCALES
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: Figure -> the :class:`Scale` grid it sweeps.
+GRID_FIGURES = {"fig2": "deadlines", "fig3": "rates", "fig4": "counts", "fig6": "rates",
+                "fig7": "counts", "fig9": "rates", "overhead": "rates", "headline": "rates"}
+
+#: Scale grid -> the workload field it varies.
+GRID_FIELDS = {"rates": "base_rate_hz", "counts": "queries_per_class", "deadlines": "deadline"}
+
+
+def planned_specs(monkeypatch, argv):
+    """The experiment specs ``repro argv`` plans, captured without simulating."""
+    planned = []
+
+    def plan_only(specs, **_):
+        planned.extend(specs)
+        metrics = SimpleNamespace(average_duty_cycle=0.5, average_query_latency=0.1)
+        return [SimpleNamespace(metrics=metrics, extras={}) for _ in specs]
+
+    monkeypatch.setattr(orchestrator_api, "run_experiments", plan_only)
+    assert main(argv, out=io.StringIO()) == 0
+    return planned
+
+
+def readme_cli_commands():
+    """The argv of every ``python -m repro.cli`` line in README code blocks."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            if "python -m repro.cli" in line:
+                yield shlex.split(line.split("python -m repro.cli", 1)[1], comments=True)
 
 
 class TestParser:
@@ -49,6 +87,38 @@ class TestParser:
     def test_invalid_jobs_rejected(self) -> None:
         with pytest.raises(SystemExit):
             main(["--jobs", "0", "list"])
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig5"])
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_invalid_runs_rejected(self, figure, runs, capsys) -> None:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--scale", "smoke", "--runs", runs, "figure", figure])
+        assert exit_info.value.code == 2
+        assert f"--runs must be >= 1, got {runs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", list(readme_cli_commands()), ids=" ".join)
+    def test_readme_cli_examples_parse(self, argv) -> None:
+        build_parser().parse_args(argv)
+
+
+class TestScalePlans:
+    """``--scale`` alone picks the scenario and the sweep grid of a figure."""
+
+    @pytest.mark.parametrize("figure", sorted(GRID_FIGURES))
+    @pytest.mark.parametrize("scale_name", sorted(SCALES))
+    def test_figure_plans_the_scales_scenario_and_grid(self, monkeypatch, scale_name, figure):
+        argv = ["--scale", scale_name, "figure", figure]
+        specs = planned_specs(monkeypatch, argv)
+        scale, grid = SCALES[scale_name], GRID_FIGURES[figure]
+        x_values = {getattr(spec.workload, GRID_FIELDS[grid]) for spec in specs}
+        assert sorted(x_values) == list(getattr(scale, grid))
+        for spec in specs:
+            # Figure 9 varies only the break-even time of the scale's scenario.
+            assert spec.scenario.with_overrides(break_even_time=None) == scale.scenario()
+            assert spec.num_runs is None
+        # The environment has no say in the plan.
+        monkeypatch.setenv("REPRO_FULL_SCALE", "1")
+        assert planned_specs(monkeypatch, argv) == specs
 
 
 class TestCommands:

@@ -5,10 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import (
-    FULL_SCALE_ENV_VAR,
     ScenarioConfig,
-    default_scale,
-    full_scale_requested,
     paper_scale,
     reduced_scale,
     smoke_scale,
@@ -27,10 +24,9 @@ from repro.experiments.runner import (
     run_protocol_comparison,
 )
 from repro.experiments.scenarios import (
-    base_rates,
+    SCALES,
     deadline_sweep_workload,
     query_count_workload,
-    query_counts,
     rate_sweep_workload,
 )
 from repro.experiments.tables import FigureResult, Series, comparison_table
@@ -74,19 +70,14 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(num_runs=0)
 
-    def test_full_scale_env_var(self, monkeypatch) -> None:
-        monkeypatch.delenv(FULL_SCALE_ENV_VAR, raising=False)
-        assert not full_scale_requested()
-        assert default_scale().num_nodes == reduced_scale().num_nodes
-        monkeypatch.setenv(FULL_SCALE_ENV_VAR, "1")
-        assert full_scale_requested()
-        assert default_scale().num_nodes == paper_scale().num_nodes
-
 
 class TestScenarios:
     def test_sweeps_change_with_scale(self) -> None:
-        assert len(base_rates(full_scale=True)) > len(base_rates(full_scale=False))
-        assert len(query_counts(full_scale=True)) > len(query_counts(full_scale=False))
+        paper, reduced, smoke = SCALES["paper"], SCALES["reduced"], SCALES["smoke"]
+        assert (paper.rates, paper.counts) == ((1.0, 2.0, 3.0, 4.0, 5.0), tuple(range(1, 11)))
+        for grid in ("rates", "counts", "deadlines"):
+            assert len(getattr(paper, grid)) > len(getattr(reduced, grid))
+            assert getattr(smoke, grid) == getattr(reduced, grid)
 
     def test_rate_sweep_workload(self) -> None:
         workload = rate_sweep_workload(5.0)

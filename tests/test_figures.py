@@ -28,7 +28,9 @@ SCENARIO = smoke_scale()
 
 class TestFigureFunctions:
     def test_figure2_returns_duty_and_latency_series(self) -> None:
-        figure = figure2_deadline_sweep(SCENARIO, sweep=[0.1, 0.6], base_rate_hz=2.0, num_runs=1)
+        figure = figure2_deadline_sweep(
+            SCENARIO, deadlines=[0.1, 0.6], base_rate_hz=2.0, num_runs=1
+        )
         assert figure.series_names() == ["duty_cycle_pct", "latency_s"] or figure.series_names() == [
             "duty_cycle_pct",
             "query_latency_s",

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -321,6 +325,32 @@ class TestCli:
 
         out = io.StringIO()
         assert repro_main(["lint", str(REPO_SRC / "lint")], out=out) == 0
+
+
+class TestCache:
+    def test_editing_a_rule_discards_its_cached_findings(self, tmp_path) -> None:
+        # A private copy of the lint package, so one of its rules can be edited.
+        package = tmp_path / "lib" / "repro"
+        shutil.copytree(REPO_SRC / "lint", package / "lint")
+        (package / "__init__.py").write_text("")
+        target = tmp_path / "src" / "repro" / "mac" / "csma.py"
+        target.parent.mkdir(parents=True)
+        target.write_text("class Frame:\n    __slots__ = ()\n")
+        cache = tmp_path / "cache.json"
+
+        def cached_counts() -> dict:
+            argv = ["--format", "json", "--cache-path", str(cache), str(target)]
+            env = {**os.environ, "PYTHONPATH": str(package.parent)}
+            run = subprocess.run(
+                [sys.executable, "-m", "repro.lint", *argv], capture_output=True, env=env
+            )
+            return json.loads(run.stdout)["counts"]
+
+        assert cached_counts() == {}
+        # REP004 now fires on every hot-path class, slots or not.
+        rule = package / "lint" / "rules" / "slots.py"
+        rule.write_text(rule.read_text().replace("elif not class_declares_slots(node):", "else:"))
+        assert cached_counts() == {"REP004": 1}
 
 
 class TestTreeIsClean:

@@ -49,7 +49,6 @@ from repro.query.workload import WorkloadSpec
 from repro.radio.radio import Radio
 from repro.radio.energy import IDEAL
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -168,7 +167,7 @@ class TestUnitDiskGoldenParity:
         for key in ("smoke/DTS-SS/seed=1", "reduced/DTS-SS/seed=1", "reduced/PSM/seed=1"):
             scale, protocol, seed_part = key.split("/")
             seed = int(seed_part.split("=")[1])
-            scenario = golden_tool.SCALES[scale]().with_overrides(
+            scenario = golden_tool.SCALES[scale].scenario().with_overrides(
                 propagation=PropagationSpec(kind="unit-disk"), loss=LossSpec(kind="none")
             )
             queries = _family_queries(scenario, protocol, seed)
@@ -281,7 +280,7 @@ class _ChannelHarness:
     """
 
     def __init__(self, positions, comm_range: float, model, asleep=()) -> None:
-        self.sim = Simulator(seed=0, trace=TraceRecorder(enabled=False))
+        self.sim = Simulator(seed=0)
         self.topology = Topology.from_positions(positions, comm_range=comm_range)
         self.channel = WirelessChannel(self.sim, self.topology, propagation=model)
         self.delivered: list = []
@@ -483,7 +482,7 @@ class TestGilbertElliott:
 
 class TestRandomWaypoint:
     def test_validation(self) -> None:
-        sim = Simulator(seed=0, trace=TraceRecorder(enabled=False))
+        sim = Simulator(seed=0)
         topology = Topology.grid(rows=2, cols=2, spacing=50.0)
         with pytest.raises(ValueError):
             RandomWaypointMobility(sim, topology, speed_min=0.0)
@@ -505,7 +504,7 @@ class TestRandomWaypoint:
         assert topology.version == version + 1
 
     def test_nodes_move_within_area_and_invalidate_channel_cache(self) -> None:
-        sim = Simulator(seed=3, trace=TraceRecorder(enabled=False))
+        sim = Simulator(seed=3)
         topology = Topology.random(num_nodes=8, area=(200.0, 200.0), comm_range=80.0, seed=3)
         channel = WirelessChannel(sim, topology)
         before = {n: topology.positions[n] for n in topology.node_ids}
@@ -527,7 +526,7 @@ class TestRandomWaypoint:
 
     def test_movement_is_deterministic_per_seed(self) -> None:
         def final_positions(seed: int):
-            sim = Simulator(seed=seed, trace=TraceRecorder(enabled=False))
+            sim = Simulator(seed=seed)
             topology = Topology.random(num_nodes=6, area=(150.0, 150.0), comm_range=70.0, seed=1)
             install_mobility(MobilitySpec.make(speed=2.0), sim, topology, duration=15.0)
             sim.run(until=15.0)

@@ -35,7 +35,6 @@ from repro.scenarios.families import (
 from repro.scenarios.run import run_family
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceRecorder
 
 #: Families the ISSUEs require (plus `size`, which rides along).  The last
 #: four are the propagation-layer families (PR 4).
@@ -172,7 +171,7 @@ class TestFailureInjection:
 
     def test_install_schedules_network_failures(self) -> None:
         scenario = self._scenario()
-        sim = Simulator(seed=5, trace=TraceRecorder(enabled=False))
+        sim = Simulator(seed=5)
         topology = build_scenario_topology(scenario, seed=5)
         network = build_network(sim, topology, power_profile=IDEAL)
         tree = build_routing_tree(topology, root=topology.center_node())
@@ -186,7 +185,7 @@ class TestFailureInjection:
             assert network.node(node).failed
 
     def test_explicit_root_failure_is_skipped(self) -> None:
-        sim = Simulator(seed=5, trace=TraceRecorder(enabled=False))
+        sim = Simulator(seed=5)
         topology = Topology.line(num_nodes=3, spacing=50.0)
         network = build_network(sim, topology, power_profile=IDEAL)
         tree = build_routing_tree(topology, root=1)
@@ -199,7 +198,7 @@ class TestFailureInjection:
     def test_explicit_root_failure_with_fraction_does_not_crash(self) -> None:
         """Regression: an explicit event naming the root used to make the
         partition check crash (KeyError) when fraction victims followed."""
-        sim = Simulator(seed=5, trace=TraceRecorder(enabled=False))
+        sim = Simulator(seed=5)
         topology = Topology.line(num_nodes=5, spacing=50.0)
         network = build_network(sim, topology, power_profile=IDEAL)
         tree = build_routing_tree(topology, root=2)

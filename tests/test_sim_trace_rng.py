@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim.trace import TraceRecorder
 
@@ -43,6 +44,11 @@ class TestTraceRecorder:
         trace.emit(0.0, "x", node=1)
         trace.clear()
         assert len(trace) == 0
+
+    def test_simulator_records_no_trace_unless_given_a_recorder(self) -> None:
+        assert Simulator().trace.enabled is False
+        recorder = TraceRecorder()
+        assert Simulator(trace=recorder).trace is recorder
 
 
 class TestRandomStreams:

@@ -152,12 +152,11 @@ class TestRemoveNode:
         from repro.radio.energy import IDEAL
         from repro.routing.tree import build_routing_tree
         from repro.sim.engine import Simulator
-        from repro.sim.trace import TraceRecorder
 
         # In a 7-node line rooted at node 3, every interior node is a cut
         # vertex: a 40% fraction can only ever fail end nodes (in order).
         topo = Topology.line(num_nodes=7, spacing=10.0, comm_range=15.0)
-        sim = Simulator(seed=3, trace=TraceRecorder(enabled=False))
+        sim = Simulator(seed=3)
         network = build_network(sim, topo, power_profile=IDEAL)
         tree = build_routing_tree(topo, root=3)
         schedule = FailureSchedule(fraction=0.4, window=(1.0, 2.0))
