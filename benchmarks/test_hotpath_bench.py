@@ -45,8 +45,6 @@ import platform
 import pstats
 import time
 
-import pytest
-
 from repro.experiments.config import paper_scale, reduced_scale
 from repro.experiments.metrics import DeliveryLog
 from repro.experiments.runner import build_protocol_suite, build_scenario_topology

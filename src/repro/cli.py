@@ -126,16 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-job progress and ETA to stderr while a sweep runs",
     )
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "arm the runtime determinism sanitizer: any wall-clock, global "
-            "random, or environment read during a simulation raises with the "
-            "offending stack (equivalent to REPRO_SANITIZE=1; inherited by "
-            "sweep worker processes)"
-        ),
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     figure_parser = subparsers.add_parser("figure", help="regenerate one of the paper's figures")
@@ -323,15 +313,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sanitize", False):
-        # Install before any simulation and export the flag so spawn-pool
-        # worker processes (which re-exec the interpreter) inherit it.
-        import os
-
-        from .sanitizer.runtime import ENV_FLAG, install
-
-        os.environ[ENV_FLAG] = "1"
-        install()
     if args.command == "perf":
         # Perf-history commands never build a scenario or touch the
         # orchestrator options; dispatch before validating those.

@@ -98,11 +98,7 @@ class RunMetrics:
     #: ``compare=False``: equality of two RunMetrics means "same simulation
     #: outcome", and the snapshot includes wall-clock gauges that legitimately
     #: differ between bit-identical runs (serial vs parallel, warm store).
-    #: ``since=4``: schema v4 introduced it, so v3 store records decode with
-    #: an empty snapshot (see :mod:`repro.orchestrator.codec`).
-    counters: Dict[str, float] = field(
-        default_factory=dict, compare=False, metadata={"since": 4}
-    )
+    counters: Dict[str, float] = field(default_factory=dict, compare=False)
 
     def sleep_interval_histogram(
         self, bin_width: float = 0.025, max_value: Optional[float] = None

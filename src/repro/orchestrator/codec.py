@@ -13,24 +13,19 @@ on the dataclass.  :func:`codec_for` derives the wire form from
 * ``Dict[int, _]`` gets string keys; ``Dict[str, _]`` and ``List[_]`` are
   copied;
 * a nested dataclass -- plain, ``Optional``, or an optional tuple of them --
-  encodes recursively, and its decode runs at the containing record's
-  schema version.
+  encodes recursively.
 
-Field metadata carries the two exceptions to that rule:
-
-* ``since``: the schema version that introduced the field.  Data written
-  at an older version, or data without the key, decodes to the dataclass
-  default.  Every other missing key is a :class:`CodecError`: almost every
-  spec field has a default, and falling back to it would let a corrupted
-  record decode silently.
-* ``codec``: an explicit ``(encode, decode)`` pair for a polymorphic field.
+A polymorphic field names its own ``(encode, decode)`` pair in its
+``codec`` field metadata.  Every field is required on decode: a missing
+key is a :class:`CodecError`, because almost every spec field has a
+default and falling back to it would let a corrupted record decode
+silently.  The codec reads only the current :data:`SCHEMA_VERSION`; the
+result store treats a record of any other version as a cache miss.
 
 Derivation runs once per class, on first use, and is cached; decoding a
-record walks the prebuilt field table.  An annotation without a wire form,
-a ``since`` outside ``1..SCHEMA_VERSION``, or a field gated after the
-oldest supported version without a default raises :class:`CodecError` when
-the class is derived.  The result store and the job digests use exactly
-these codecs, and the store loads v3/v4/v5 records through them.
+record walks the prebuilt field table.  An annotation without a wire form
+raises :class:`CodecError` when the class is derived.  The result store
+and the job digests use exactly these codecs.
 """
 
 from __future__ import annotations
@@ -59,33 +54,25 @@ from typing import (
 #: pluggable propagation layer).
 #: v4: RunMetrics gained the per-run observability ``counters`` snapshot
 #: (engine/network/protocol totals plus wall-clock cost).
-#: v5: the result store became sharded; the field layout is unchanged
-#: (v3/v4 records still decode -- see ``SUPPORTED_VERSIONS``), but digests
-#: are intentionally re-keyed so older store entries migrate through the
-#: version-aware load path instead of being trusted blindly.
+#: v5: the result store became sharded; the field layout is unchanged, but
+#: digests were re-keyed with the layout.
 #: v6: result-store lines carry ``metrics.sleep_intervals`` as base64 of
 #: packed little-endian float64 instead of a JSON list (see
 #: :mod:`repro.orchestrator.store`); records and their field layout are
 #: unchanged in memory.  The bump makes a v5 reader skip a v6 line as an
 #: unknown version instead of decoding the packed string as a list of
-#: characters, and re-keys digests so v5 entries migrate on open.
+#: characters, and the store skips v5 lines the same way (a cache miss).
 SCHEMA_VERSION = 6
-
-#: Record versions :func:`decode` knows how to read.  Older versions load
-#: with ``since``-gated fields filled from their dataclass defaults.
-SUPPORTED_VERSIONS = (3, 4, 5, SCHEMA_VERSION)
 
 T = TypeVar("T")
 
 Encoder = Callable[[Any], Any]
-#: Decoders take the raw value and the record's schema version.
-Decoder = Callable[[Any, int], Any]
+Decoder = Callable[[Any], Any]
 #: ``(encode, decode)`` for one annotation; ``None`` means pass-through.
 Conversion = Optional[Tuple[Encoder, Decoder]]
-#: ``(name, encode, decode, since, default)``: one derived field.  ``None``
-#: converters pass the value through; ``default`` is a zero-argument
-#: factory, set only for ``since``-gated fields.
-FieldEntry = Tuple[str, Optional[Encoder], Optional[Decoder], int, Optional[Callable[[], Any]]]
+#: ``(name, encode, decode)``: one derived field.  ``None`` converters pass
+#: the value through.
+FieldEntry = Tuple[str, Optional[Encoder], Optional[Decoder]]
 
 _SCALARS = (int, float, str, bool)
 _NONE_TYPE = type(None)
@@ -111,58 +98,29 @@ class SpecCodec:
     def encode(self, obj: Any) -> Dict[str, Any]:
         """JSON-safe dict of ``obj`` (dataclass field order)."""
         out: Dict[str, Any] = {}
-        for name, to_wire, _, _, _ in self.fields:
+        for name, to_wire, _ in self.fields:
             value = getattr(obj, name)
             out[name] = value if to_wire is None else to_wire(value)
         return out
 
-    def decode(self, data: Dict[str, Any], version: int = SCHEMA_VERSION) -> Any:
-        """Rebuild an instance from ``data`` written at schema ``version``."""
+    def decode(self, data: Dict[str, Any]) -> Any:
+        """Rebuild an instance from ``data``."""
         kwargs: Dict[str, Any] = {}
-        for name, _, from_wire, since, default in self.fields:
-            if since <= version and name in data:
-                raw = data[name]
-                kwargs[name] = raw if from_wire is None else from_wire(raw, version)
-            elif default is not None:
-                kwargs[name] = default()
-            else:
-                raise CodecError(
-                    f"field {name!r} of {self.cls.__name__} missing from v{version} data"
-                )
+        for name, _, from_wire in self.fields:
+            if name not in data:
+                raise CodecError(f"field {name!r} of {self.cls.__name__} missing from data")
+            raw = data[name]
+            kwargs[name] = raw if from_wire is None else from_wire(raw)
         return self.cls(**kwargs)
 
 
 def _derive_field(cls: type, spec_field: dataclasses.Field[Any], hint: Any) -> FieldEntry:
-    where = f"{cls.__name__}.{spec_field.name}"
-    since = int(spec_field.metadata.get("since", 1))
-    if not 1 <= since <= SCHEMA_VERSION:
-        raise CodecError(f"{where}: since={since} is outside 1..{SCHEMA_VERSION}")
-    default = _default_of(spec_field) if "since" in spec_field.metadata else None
-    if default is None and since > min(SUPPORTED_VERSIONS):
-        raise CodecError(f"{where}: gated at since={since} but has no default")
     pair = spec_field.metadata.get("codec")
-    if pair is not None:
-        to_wire, from_wire_unversioned = pair
-        return (
-            spec_field.name,
-            to_wire,
-            lambda data, version: from_wire_unversioned(data),
-            since,
-            default,
-        )
-    conversion = _conversion(hint, where)
-    if conversion is None:
-        return spec_field.name, None, None, since, default
-    return spec_field.name, conversion[0], conversion[1], since, default
-
-
-def _default_of(spec_field: dataclasses.Field[Any]) -> Optional[Callable[[], Any]]:
-    if spec_field.default_factory is not dataclasses.MISSING:
-        return spec_field.default_factory
-    if spec_field.default is not dataclasses.MISSING:
-        value = spec_field.default
-        return lambda: value
-    return None
+    if pair is None:
+        pair = _conversion(hint, f"{cls.__name__}.{spec_field.name}")
+    if pair is None:
+        return spec_field.name, None, None
+    return spec_field.name, pair[0], pair[1]
 
 
 def _conversion(hint: Any, where: str) -> Conversion:
@@ -170,11 +128,10 @@ def _conversion(hint: Any, where: str) -> Conversion:
     if hint in _SCALARS:
         return None
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        enum_cls: Type[enum.Enum] = hint
-        return _enum_value, lambda data, version: enum_cls(data)
+        return _enum_value, hint
     if isinstance(hint, type) and dataclasses.is_dataclass(hint):
         nested_cls: type = hint
-        return encode, lambda data, version: decode(nested_cls, data, version)
+        return encode, lambda data: decode(nested_cls, data)
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union and len(args) == 2 and _NONE_TYPE in args:
         inner = _conversion(args[1] if args[0] is _NONE_TYPE else args[0], where)
@@ -183,27 +140,27 @@ def _conversion(hint: Any, where: str) -> Conversion:
         inner_encode, inner_decode = inner
         return (
             lambda value: None if value is None else inner_encode(value),
-            lambda data, version: None if data is None else inner_decode(data, version),
+            lambda data: None if data is None else inner_decode(data),
         )
     if origin is tuple:
         items = args[:1] if len(args) == 2 and args[1] is Ellipsis else args
         conversions = [_conversion(item, where) for item in items]
         if all(conversion is None for conversion in conversions):
-            return list, lambda data, version: tuple(data)
+            return list, tuple
         item = conversions[0] if len(conversions) == 1 else None
         if item is not None:
             item_encode, item_decode = item
             return (
                 lambda value: [item_encode(element) for element in value],
-                lambda data, version: tuple(item_decode(element, version) for element in data),
+                lambda data: tuple(item_decode(element) for element in data),
             )
     if origin is dict and _conversion(args[1], where) is None:
         if args[0] is int:
-            return _str_keys, lambda data, version: {int(k): v for k, v in data.items()}
+            return _str_keys, lambda data: {int(k): v for k, v in data.items()}
         if args[0] is str:
-            return dict, lambda data, version: dict(data)
+            return dict, dict
     if origin is list and _conversion(args[0], where) is None:
-        return list, lambda data, version: list(data)
+        return list, list
     raise CodecError(f"{where}: no wire form for annotation {hint!r}")
 
 
@@ -233,6 +190,6 @@ def encode(obj: Any) -> Dict[str, Any]:
     return codec_for(type(obj)).encode(obj)
 
 
-def decode(cls: Type[T], data: Dict[str, Any], version: int = SCHEMA_VERSION) -> T:
-    """Decode ``data`` (written at schema ``version``) into a ``cls``."""
-    return codec_for(cls).decode(data, version)
+def decode(cls: Type[T], data: Dict[str, Any]) -> T:
+    """Decode ``data`` into a ``cls``."""
+    return codec_for(cls).decode(data)

@@ -26,7 +26,7 @@ from ..experiments.metrics import RunMetrics
 from ..query.query import QuerySpec
 from ..query.workload import WorkloadSpec, generate_queries
 from ..sim.rng import RandomStreams
-from .codec import SCHEMA_VERSION, decode, encode
+from .codec import SCHEMA_VERSION, CodecError, decode, encode
 
 __all__ = [
     "RunJob",
@@ -48,16 +48,14 @@ def metrics_to_dict(metrics: RunMetrics) -> Dict[str, Any]:
     return encode(metrics)
 
 
-def metrics_from_dict(data: Dict[str, Any], version: int = SCHEMA_VERSION) -> RunMetrics:
+def metrics_from_dict(data: Dict[str, Any]) -> RunMetrics:
     """Inverse of :func:`metrics_to_dict`.
 
     Python's ``json`` module serializes floats via ``repr`` and parses them
     back exactly, so a metrics object survives the round trip bit-for-bit --
-    the property the warm-store determinism tests assert.  ``version`` is
-    the schema version the data was written at; fields introduced later
-    (the v4 ``counters`` snapshot) decode to their dataclass defaults.
+    the property the warm-store determinism tests assert.
     """
-    return decode(RunMetrics, data, version)
+    return decode(RunMetrics, data)
 
 
 @dataclass(frozen=True)
@@ -97,16 +95,17 @@ class RunJob:
         return {"version": SCHEMA_VERSION, **encode(self)}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any], version: Optional[int] = None) -> "RunJob":
+    def from_dict(cls, data: Dict[str, Any]) -> "RunJob":
         """Inverse of :meth:`to_dict`.
 
-        ``version`` overrides the payload's embedded ``version`` field; the
-        store's migration path passes the record version explicitly when
-        loading records written at an older version.
+        Raises :class:`~repro.orchestrator.codec.CodecError` if ``data``
+        embeds a schema version other than the current one: a job from
+        another schema is not decoded into today's fields.
         """
-        if version is None:
-            version = int(data.get("version", SCHEMA_VERSION))
-        return decode(cls, data, version)
+        version = data.get("version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise CodecError(f"job is schema v{version}; this code reads v{SCHEMA_VERSION}")
+        return decode(cls, data)
 
     @property
     def digest(self) -> str:

@@ -10,10 +10,9 @@ the simulator entirely.
 Layout
 ------
 Records live under ``<cache_dir>/shards/<p>.jsonl`` where ``<p>`` is the
-first two hex digits of the digest (256 shards).  Sharding keeps individual
-files small (compaction rewrites one shard at a time, not the whole
-store).  An in-memory index (digest -> record) is built once at startup;
-lookups never touch the disk afterwards.
+first two hex digits of the digest (256 shards), which keeps individual
+files small.  An in-memory index (digest -> record) is built once at
+startup; lookups never touch the disk afterwards.
 
 Line format
 -----------
@@ -35,25 +34,16 @@ line as an unknown version (a cache miss) rather than misreading it.  Only
 this module knows the packed form: the codec, the executor and the
 figures only ever see the list.
 
-Two maintenance behaviours:
-
-* **Migration** -- records written at an older supported schema version
-  (v3/v4/v5) are decoded through the version-aware codec
-  (:mod:`repro.orchestrator.codec`), re-encoded at the current version,
-  and re-keyed under the job's *current* digest, so an old cache keeps its
-  warm results across the schema bump.  Migration is persisted on the open
-  that performs it: each upgraded record's current line is appended to the
-  shard of its new digest, then every shard that held old-version lines is
-  rewritten from the index without them (like compaction, the rewrite
-  keeps only indexed records).  The next open migrates nothing
-  and parses only current lines, and :meth:`ResultStore.compact` never
-  sees a record whose line lives only in memory.  A legacy single-file
-  ``results.jsonl`` store (the pre-shard layout) is absorbed the same way: its
-  records are appended to their shards and the file is retired.
-* **Compaction** -- appends are last-write-wins, so a digest written twice
-  leaves a superseded line behind.  :meth:`ResultStore.compact` rewrites
-  shards keeping only the newest record per digest (atomic tempfile +
-  ``os.replace``).
+A cache, not an archive
+-----------------------
+A line whose ``version`` is not :data:`~repro.orchestrator.codec.SCHEMA_VERSION`
+is skipped on load and counted in :attr:`StoreStats.skipped`: its job is a
+cache miss, runs again, and appends a current line.  Nothing is decoded
+at an older version, so a field a later schema adds can never be served
+as its empty default.  Opening a store only reads; every write is an
+append by :meth:`ResultStore.put`.  Appends are last-write-wins, so a
+digest written twice leaves its superseded line on disk, where loading
+skips it.
 
 The format stays deliberately simple (one JSON object per line) so a store
 survives interrupted processes: a partially written final line is detected
@@ -65,9 +55,7 @@ Byte accounting
 line on disk.  Every line is ASCII, so a write serialises the record once
 and uses that string both for the charge and for the append.  Loading
 parses each line once and charges its record ``len(line) + 1`` without
-re-serialising it.  A record absorbed from a legacy file or upgraded from
-an older version is charged the re-encoded line appended to its shard, not
-the old line.
+re-serialising it.  A superseded line is not charged.
 """
 
 from __future__ import annotations
@@ -78,14 +66,10 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
-from .codec import SCHEMA_VERSION, SUPPORTED_VERSIONS, CodecError
+from .codec import SCHEMA_VERSION
 
-#: Legacy (pre-v5) single-file store name, still recognized and migrated.
-LEGACY_STORE_FILENAME = "results.jsonl"
-#: Backwards-compatible alias (the pre-shard constant's public name).
-STORE_FILENAME = LEGACY_STORE_FILENAME
 #: Subdirectory holding the per-prefix shard files.
 SHARD_DIR_NAME = "shards"
 
@@ -139,17 +123,13 @@ def shard_of(digest: str) -> str:
 
 @dataclass
 class StoreStats:
-    """Bookkeeping from the last load/compaction activity."""
+    """Bookkeeping from loading the store."""
 
     #: Records currently indexed.
     records: int = 0
-    #: Records migrated from an older schema version at load time.
-    migrated: int = 0
-    #: Superseded or unreadable lines skipped at load time.
+    #: Superseded, unreadable or other-version lines skipped at load time.
     skipped: int = 0
-    #: Superseded lines removed by the last :meth:`ResultStore.compact`.
-    compacted: int = 0
-    #: Shard files currently present.
+    #: Shard files present at load time.
     shards: int = 0
 
 
@@ -179,7 +159,6 @@ class ResultStore:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.shard_dir = self.cache_dir / SHARD_DIR_NAME
         self.shard_dir.mkdir(exist_ok=True)
-        self.legacy_path = self.cache_dir / LEGACY_STORE_FILENAME
         self.stats = StoreStats()
         #: Insertion-ordered index.
         self._entries: Dict[str, _IndexEntry] = {}
@@ -204,113 +183,39 @@ class ResultStore:
                     continue
                 yield record, len(line) + 1
 
-    def _adopt(self, record: Any, line_bytes: int) -> Optional[str]:
-        """Index one parsed record; returns its digest or ``None`` if bad."""
-        if not isinstance(record, dict):
+    def _adopt(self, record: Any, line_bytes: int) -> None:
+        """Index one parsed line's record, or count the line as skipped."""
+        if (
+            not isinstance(record, dict)
+            or record.get("version") != SCHEMA_VERSION
+            or not record.get("digest")
+        ):
             self.stats.skipped += 1
-            return None
-        version = record.get("version")
-        if version == SCHEMA_VERSION:
-            digest = record.get("digest")
-            if not digest:
-                self.stats.skipped += 1
-                return None
-            try:
-                _unpack(record)
-            except (ValueError, struct.error):
-                self.stats.skipped += 1
-                return None
-        elif version in SUPPORTED_VERSIONS:
-            record = self._upgrade(record, int(version))
-            if record is None:
-                return None
-            digest = record["digest"]
-            self.stats.migrated += 1
-        else:
+            return
+        try:
+            _unpack(record)
+        except (ValueError, struct.error):
             self.stats.skipped += 1
-            return None
+            return
+        digest = record["digest"]
         existing = self._entries.get(digest)
         if existing is not None:
-            # Last write wins; the superseded line stays on disk until the
-            # next compaction of its shard.
+            # Last write wins; the superseded line stays on disk uncharged.
             self.stats.skipped += 1
+            self._total_bytes += line_bytes - existing.line_bytes
             existing.record = record
-            self._charge(existing, line_bytes)
+            existing.line_bytes = line_bytes
         else:
             self._entries[digest] = _IndexEntry(record, line_bytes)
             self._total_bytes += line_bytes
-        return digest
-
-    def _charge(self, entry: _IndexEntry, line_bytes: int) -> None:
-        """Charge ``entry`` ``line_bytes``, replacing its previous charge."""
-        self._total_bytes += line_bytes - entry.line_bytes
-        entry.line_bytes = line_bytes
-
-    def _upgrade(self, record: Dict[str, Any], version: int) -> Optional[Dict[str, Any]]:
-        """Re-encode a v3/v4/v5 record at the current schema version.
-
-        The job payload is decoded through the version-aware codec and
-        re-digested, so the upgraded record is indistinguishable from one
-        written natively at the current version -- in particular, current
-        sweeps hit it under the current digest.
-        """
-        # Imported lazily: jobs.py imports this module's sibling codec, and
-        # the upgrade path is the only place the store needs the job codec.
-        from .jobs import RunJob, metrics_from_dict, metrics_to_dict
-
-        try:
-            job = RunJob.from_dict(record["job"], version=version)
-            metrics = metrics_from_dict(record["metrics"], version=version)
-        except (KeyError, TypeError, ValueError, CodecError):
-            self.stats.skipped += 1
-            return None
-        return {
-            "job": job.to_dict(),
-            "metrics": metrics_to_dict(metrics),
-            "extras": dict(record.get("extras", {})),
-            "elapsed": float(record.get("elapsed", 0.0)),
-            "digest": job.digest,
-            "version": SCHEMA_VERSION,
-        }
 
     def _load(self) -> None:
-        # Digests whose current line must be appended to their shard (every
-        # record absorbed from a legacy file or upgraded inside a shard),
-        # and the shards that held old-version lines.
-        to_append: Dict[str, None] = {}
-        stale_shards: Set[str] = set()
-        if self.legacy_path.exists():
-            for record, line_bytes in self._iter_lines(self.legacy_path):
-                digest = self._adopt(record, line_bytes)
-                if digest is not None:
-                    to_append[digest] = None
-        absorbed = bool(to_append)
-        for shard_path in sorted(self.shard_dir.glob("*.jsonl")):
+        shard_paths = sorted(self.shard_dir.glob("*.jsonl"))
+        for shard_path in shard_paths:
             for record, line_bytes in self._iter_lines(shard_path):
-                old = isinstance(record, dict) and record.get("version") != SCHEMA_VERSION
-                digest = self._adopt(record, line_bytes)
-                if digest is None:
-                    continue
-                if old:
-                    to_append[digest] = None
-                    stale_shards.add(shard_path.stem)
-                else:
-                    # The newest record's current line is already in place.
-                    to_append.pop(digest, None)
-        # Persist what this open absorbed or upgraded: append before
-        # retiring the old lines, so a crash in between leaves duplicates,
-        # not losses (the next open or compaction cleans up).
-        for digest in to_append:
-            entry = self._entries[digest]
-            line = _encode(entry.record)
-            self._append_line(digest, line)
-            self._charge(entry, len(line))
-        for prefix in sorted(stale_shards):
-            self._rewrite_shard(prefix)
-        if absorbed:
-            self.legacy_path.unlink()
+                self._adopt(record, line_bytes)
         self.stats.records = len(self._entries)
-        self.stats.shards = sum(1 for _ in self.shard_dir.glob("*.jsonl"))
+        self.stats.shards = len(shard_paths)
 
     # -- the mapping surface ------------------------------------------------
 
@@ -360,61 +265,6 @@ class ResultStore:
         self._entries[digest] = _IndexEntry(stored, len(line))
         self._total_bytes += len(line)
         self.stats.records = len(self._entries)
-
-    # -- maintenance --------------------------------------------------------
-
-    def _rewrite_shard(self, prefix: str) -> int:
-        """Rewrite one shard from the index; returns lines dropped.
-
-        Writes to a tempfile in the shard directory and ``os.replace``s it
-        over the shard, so readers never observe a half-written file.
-        """
-        path = self.shard_dir / f"{prefix}.jsonl"
-        keep = {
-            digest: _encode(entry.record)
-            for digest, entry in self._entries.items()
-            if shard_of(digest) == prefix
-        }
-        on_disk = 0
-        if path.exists():
-            with path.open("rb") as handle:
-                on_disk = sum(1 for line in handle if line.strip())
-        if not keep:
-            if path.exists():
-                path.unlink()
-            return on_disk
-        import tempfile
-
-        fd, tmp_name = tempfile.mkstemp(dir=self.shard_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.writelines(keep.values())
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
-        # Charge each record its rewritten line, which a hand-edited or
-        # foreign-formatted original need not have matched.
-        for digest, line in keep.items():
-            self._charge(self._entries[digest], len(line))
-        return on_disk - len(keep)
-
-    def compact(self) -> int:
-        """Drop superseded lines from every shard; returns lines removed.
-
-        The newest record of every digest is always retained -- compaction
-        only removes lines the index has already superseded (older writes of
-        the same digest, unreadable tails).
-        """
-        removed = 0
-        for shard_path in sorted(self.shard_dir.glob("*.jsonl")):
-            removed += max(0, self._rewrite_shard(shard_path.stem))
-        self.stats.compacted += removed
-        self.stats.shards = sum(1 for _ in self.shard_dir.glob("*.jsonl"))
-        return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({str(self.cache_dir)!r}, {len(self)} records)"

@@ -11,10 +11,10 @@ a hard :class:`~repro.sanitizer.runtime.DeterminismViolation` with the
 offending stack trace, instead of a bit-level divergence discovered two
 sweeps later.
 
-Three ways in, all equivalent:
+Two ways in, both equivalent:
 
-* ``repro --sanitize ...`` (any simulation-running subcommand),
-* ``REPRO_SANITIZE=1`` in the environment (inherited by sweep workers),
+* ``REPRO_SANITIZE=1`` in the environment (any simulation-running
+  subcommand; inherited by sweep workers),
 * the ``determinism_sanitizer`` pytest fixture.
 
 The tripwires are *armed* only while ``Simulator.run()`` is on the stack

@@ -1,9 +1,9 @@
-"""The derived spec codec: round trips, wire pins, version gating, and the
-errors derivation raises."""
+"""The derived spec codec: round trips, wire pins, what it refuses to decode,
+and the errors derivation raises."""
 
 import dataclasses
 import json
-from typing import Optional, Set, Tuple, get_args, get_type_hints
+from typing import Set, get_args, get_type_hints
 
 import pytest
 
@@ -17,7 +17,6 @@ from repro.net.propagation import PropagationSpec
 from repro.net.topology import FailureSchedule, TopologySpec
 from repro.orchestrator.codec import (
     SCHEMA_VERSION,
-    SUPPORTED_VERSIONS,
     CodecError,
     codec_for,
     decode,
@@ -195,31 +194,8 @@ class TestWirePins:
         assert job.digest == FAILURE_MOBILITY_JOB_DIGEST
 
 
-@dataclasses.dataclass(frozen=True)
-class _Inner:
-    value: int
-    extra: str = dataclasses.field(default="fallback", metadata={"since": 4})
-
-
-@dataclasses.dataclass(frozen=True)
-class _Outer:
-    inner: _Inner
-    maybe: Optional[_Inner] = None
-    many: Optional[Tuple[_Inner, ...]] = None
-
-
 class TestVersionGating:
-    def test_supported_versions_cover_current(self) -> None:
-        assert SCHEMA_VERSION == 6
-        assert SCHEMA_VERSION in SUPPORTED_VERSIONS
-        assert set(SUPPORTED_VERSIONS) == {3, 4, 5, 6}
-
-    def test_v3_metrics_without_counters_decode_to_empty(self) -> None:
-        data = metrics_to_dict(_sample_metrics())
-        del data["counters"]
-        rebuilt = metrics_from_dict(data, version=3)
-        assert rebuilt.counters == {}
-        assert rebuilt.average_duty_cycle == pytest.approx(0.031)
+    """The codec reads the current schema version only, with every field."""
 
     def test_missing_field_without_default_raises(self) -> None:
         data = metrics_to_dict(_sample_metrics())
@@ -228,55 +204,27 @@ class TestVersionGating:
             metrics_from_dict(data)
 
     def test_missing_ungated_field_with_default_raises(self) -> None:
-        # `seed` has a dataclass default but no `since`: a record without
-        # it is corrupt, not old, and must not decode to the default.
+        # `seed` has a dataclass default: a record without it is corrupt and
+        # must not decode to the default.
         data = encode(smoke_scale())
         del data["seed"]
         with pytest.raises(CodecError, match="seed"):
             decode(ScenarioConfig, data)
 
-    def test_nested_decode_threads_record_version(self) -> None:
-        # The inner type gained `extra` at v4; decoding the outer record at
-        # v3 must thread v3 down through plain, optional and tuple nesting.
-        written = _Inner(1, "written-at-v4")
-        wire = json.loads(
-            json.dumps(encode(_Outer(inner=written, maybe=written, many=(written,))))
-        )
-        assert decode(_Outer, wire, version=4) == _Outer(written, written, (written,))
-        old = _Inner(1, "fallback")
-        assert decode(_Outer, wire, version=3) == _Outer(old, old, (old,))
-        wire.update(maybe=None, many=None)
-        assert decode(_Outer, wire, version=3) == _Outer(old)
-
-    def test_run_job_from_dict_honours_embedded_version(self) -> None:
+    def test_run_job_from_dict_rejects_another_version(self) -> None:
         job = RunJob(
             scenario=smoke_scale(), protocol="DTS-SS", seed=9,
             workload=rate_sweep_workload(1.0),
         )
         payload = job.to_dict()
-        assert payload["version"] == SCHEMA_VERSION
-        v3 = dict(payload)
-        v3["version"] = 3
-        assert RunJob.from_dict(v3) == job
+        assert payload["version"] == SCHEMA_VERSION == 6
+        assert RunJob.from_dict(payload) == job
+        # A job from a later schema is refused too, not read with today's fields.
+        with pytest.raises(CodecError, match=f"v{SCHEMA_VERSION + 1}"):
+            RunJob.from_dict(dict(payload, version=SCHEMA_VERSION + 1))
 
 
 class TestDerivation:
-    def test_since_beyond_schema_version_raises(self) -> None:
-        @dataclasses.dataclass
-        class FromTheFuture:
-            late: int = dataclasses.field(default=0, metadata={"since": SCHEMA_VERSION + 1})
-
-        with pytest.raises(CodecError, match="since="):
-            codec_for(FromTheFuture)
-
-    def test_gated_field_without_default_raises(self) -> None:
-        @dataclasses.dataclass
-        class GatedNoDefault:
-            late: int = dataclasses.field(metadata={"since": 4})
-
-        with pytest.raises(CodecError, match="no default"):
-            codec_for(GatedNoDefault)
-
     def test_unhandled_annotation_raises(self) -> None:
         @dataclasses.dataclass
         class Unhandled:

@@ -7,8 +7,6 @@ live in the benchmark suite, which runs at reduced/paper scale.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.config import smoke_scale
 from repro.experiments.figures import (
     delivery_ratio_under_churn,

@@ -177,11 +177,6 @@ class TestCountersOnRunMetrics:
         assert restored.counters == smoke_metrics.counters
         assert restored == smoke_metrics
 
-    def test_v3_record_without_counters_still_loads(self, smoke_metrics: RunMetrics) -> None:
-        data = metrics_to_dict(smoke_metrics)
-        del data["counters"]
-        assert metrics_from_dict(data).counters == {}
-
     def test_equality_ignores_wall_clock_counters(self, smoke_metrics: RunMetrics) -> None:
         import dataclasses
 

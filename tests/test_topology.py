@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from repro.net.topology import (
     generate_connected_random_topology,
     generate_connected_topology,
 )
-from repro.sim.rng import RandomStreams
 
 
 class TestPosition:
