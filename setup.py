@@ -35,9 +35,7 @@ setup(
             "networkx",
             "scipy",
         ],
-        # Lint tooling used by the CI `lint` and `lint-determinism` jobs.
-        # (reprolint itself ships inside the package -- `repro lint` needs
-        # nothing beyond the stdlib.)
+        # Tooling used by the CI `lint` (ruff) and `mypy` jobs.
         "lint": [
             "ruff",
             "mypy",

@@ -22,8 +22,8 @@ Import every name from the module that defines it, e.g.
 ``__init__`` is only its docstring.  Importing a module therefore loads
 only what it uses, and the runner imports a protocol's code only when it
 builds that protocol.  A warm ``repro figure fig3`` replay loads 53
-``repro`` modules, no protocol and no lint module; when the packages
-re-exported their submodules it loaded 89.
+``repro`` modules and no protocol; when the packages re-exported their
+submodules it loaded 89.
 """
 
 __version__ = "1.0.0"

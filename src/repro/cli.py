@@ -162,17 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list available figures, protocols and scales")
 
-    # A stub: everything after `lint` goes to the lint package's own parser,
-    # so only a lint call imports it.  With no option prefix, `--help` and
-    # the lint flags reach that parser unparsed.
-    lint_parser = subparsers.add_parser(
-        "lint",
-        add_help=False,
-        prefix_chars="\0",
-        help="run the hot-path and ordering invariant checks (reprolint)",
-    )
-    lint_parser.add_argument("lint_args", nargs=argparse.REMAINDER)
-
     from .obs.perfcli import add_perf_parser
 
     add_perf_parser(subparsers)
@@ -319,11 +308,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         from .obs.perfcli import run_perf
 
         return run_perf(args, out)
-    if args.command == "lint":
-        # Static analysis likewise needs no scenario or orchestrator state.
-        from .lint.cli import main as lint_main
-
-        return lint_main(args.lint_args, out)
     scale = SCALES[args.scale]
     scenario = scale.scenario()
     if args.jobs < 1:

@@ -95,9 +95,11 @@ class EssatNode:
         removes its dependency on the failed node" and "the stale expected
         send and reception times of the failed node used by SS are removed").
         """
-        self.sim.trace.emit(
-            self.sim.now, "essat.child_declared_failed", node=self.node.id, child=child
-        )
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.emit(
+                self.sim.now, "essat.child_declared_failed", node=self.node.id, child=child
+            )
         self.service.remove_child_dependency(child)
 
     def register_query(self, query: QuerySpec) -> None:

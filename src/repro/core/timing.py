@@ -26,11 +26,11 @@ are engineered:
 * Writes that do not change the stored value are **silent** -- no listener
   runs, so no spurious Safe Sleep re-evaluation is scheduled (the paper's
   ``checkState`` only needs to run when an expectation actually moved).
-* Listener registration is copy-on-write: ``_notify`` iterates the listener
-  list without snapshotting it, and ``subscribe``/``unsubscribe`` replace
-  the list instead of mutating it, so unsubscribing from inside a
-  notification is safe (the in-flight notification completes against the
-  old snapshot; subsequent notifications use the new one).
+* The listeners are held as a tuple, so registration cannot mutate the
+  sequence ``_notify`` is iterating: ``subscribe``/``unsubscribe`` rebind a
+  new tuple, and unsubscribing from inside a notification is safe (the
+  in-flight notification completes against the old tuple; subsequent
+  notifications use the new one).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class TimingTable:
 
     def __init__(self) -> None:
         self._queries: Dict[int, QueryTiming] = {}
-        self._listeners: List[Callable[[], None]] = []
+        self._listeners: Tuple[Callable[[], None], ...] = ()
         #: Cached ``next_wakeup`` value; only meaningful while ``_min_valid``.
         self._cached_min: Optional[float] = None
         self._min_valid: bool = True
@@ -99,7 +99,7 @@ class TimingTable:
 
     def subscribe(self, listener: Callable[[], None]) -> None:
         """Register ``listener`` to be called after every table change."""
-        self._listeners = [*self._listeners, listener]
+        self._listeners = (*self._listeners, listener)
 
     def unsubscribe(self, listener: Callable[[], None]) -> None:
         """Remove ``listener`` (idempotent; safe to call mid-notification).
@@ -111,7 +111,7 @@ class TimingTable:
         re-bound method (``table.unsubscribe(obj.cb)``) removes the bound
         method subscribed earlier.
         """
-        self._listeners = [entry for entry in self._listeners if entry != listener]
+        self._listeners = tuple(entry for entry in self._listeners if entry != listener)
 
     def _notify(self) -> None:
         for listener in self._listeners:

@@ -111,7 +111,9 @@ class Network:
         node = self.nodes[node_id]
         node.failed = True
         self.channel.unregister(node_id)
-        self.sim.trace.emit(self.sim.now, "network.node_failed", node=node_id)
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.emit(self.sim.now, "network.node_failed", node=node_id)
 
 
 def build_network(

@@ -18,7 +18,7 @@ meaningful.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Tuple
 
 from ..sim.engine import Simulator
 from ..sim.events import EventHandle, EventPriority
@@ -80,8 +80,8 @@ class Radio:
             # The tracker starts in IDLE by construction; record the initial
             # OFF state immediately so accounting is correct.
             self.tracker.record_state(sim.now, RadioState.OFF)
-        self._wake_listeners: List[Callable[[], None]] = []
-        self._idle_listeners: List[Callable[[], None]] = []
+        self._wake_listeners: Tuple[Callable[[], None], ...] = ()
+        self._idle_listeners: Tuple[Callable[[], None], ...] = ()
         #: The in-flight transmission this radio is locked onto, if any.
         #: Owned and maintained by the WirelessChannel (kept here because a
         #: slot read beats a dict lookup in the per-receiver hot loops).
@@ -143,11 +143,11 @@ class Radio:
     def on_wake(self, listener: Callable[[], None]) -> None:
         """Register ``listener`` to run every time the radio finishes waking up.
 
-        Copy-on-write (parity with ``TimingTable.subscribe``): the
-        notification loops iterate without snapshotting, so registration
-        rebinds the list instead of mutating it.
+        The listeners are a tuple (parity with ``TimingTable.subscribe``):
+        the notification loops iterate without snapshotting, so registration
+        rebinds a new tuple instead of mutating the one in flight.
         """
-        self._wake_listeners = [*self._wake_listeners, listener]
+        self._wake_listeners = (*self._wake_listeners, listener)
 
     def on_enter_idle(self, listener: Callable[[], None]) -> None:
         """Register ``listener()`` to run whenever the radio enters IDLE.
@@ -155,7 +155,7 @@ class Radio:
         Safe Sleep re-evaluates on return-to-idle, so the listener runs only
         on IDLE entries instead of on every transition.
         """
-        self._idle_listeners = [*self._idle_listeners, listener]
+        self._idle_listeners = (*self._idle_listeners, listener)
 
     # ------------------------------------------------------------------ #
     # power management interface

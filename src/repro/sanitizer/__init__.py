@@ -1,9 +1,9 @@
 """Runtime determinism sanitizer: tripwires for hazards that execute.
 
-A static check resolves *names*; it is blind to ``getattr`` indirection,
-C extensions, callbacks stored in containers, and any future compiled
-fast path.  This package checks what actually runs instead.  It is an
-opt-in mode that patches the hazardous entry points -- ``time.*``, module-level
+An AST scan or an import check sees *names*; it is blind to ``getattr``
+indirection, C extensions, callbacks stored in containers, and any future
+compiled fast path.  This package checks what actually runs instead.  It
+is an opt-in mode that patches the hazardous entry points -- ``time.*``, module-level
 ``random.*``, ``os.environ`` reads -- with call-site-recording tripwires,
 and wraps the known hot-site sets with an iteration guard, so *any*
 determinism violation that actually executes during a simulation becomes
@@ -20,6 +20,5 @@ Two ways in, both equivalent:
 The tripwires are *armed* only while ``Simulator.run()`` is on the stack
 (via the engine's ``run_watcher`` hook -- set from this side, so the
 simulation layer never imports orchestration code): orchestration is free
-to time sweeps and read configuration between runs, exactly as the layer
-map allows.
+to time sweeps and read configuration between runs.
 """

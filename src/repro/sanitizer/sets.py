@@ -1,14 +1,15 @@
 """Set-iteration guards for the known hot sites.
 
-REP003 statically rejects ordering-sensitive iteration over sets in
-simulation layers, but it cannot see iteration that arrives through
-C-level helpers or future compiled fast paths.  :class:`GuardedSet` is a
-``set`` subclass whose *Python-level* iteration trips while a simulation
-is armed; the C-level operations the hot sites legitimately use --
-membership, ``add``/``discard``/``remove``, set difference (which returns
-a plain ``set``) -- go through unguarded, so a sanitized run is
-bit-identical to a plain one right up until someone introduces a raw
-``for child in received_children`` into scheduling-relevant code.
+``tests/test_set_order.py`` statically rejects ordering-sensitive
+iteration over sets in the simulation packages, but it cannot see
+iteration that arrives through C-level helpers or future compiled fast
+paths.  :class:`GuardedSet` is a ``set`` subclass whose *Python-level*
+iteration trips while a simulation is armed; the C-level operations the
+hot sites legitimately use -- membership, ``add``/``discard``/``remove``,
+set difference (which returns a plain ``set``) -- go through unguarded,
+so a sanitized run is bit-identical to a plain one right up until someone
+introduces a raw ``for child in received_children`` into
+scheduling-relevant code.
 
 The wrapped sites are the per-event set state the profiler knows about:
 

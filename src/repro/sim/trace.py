@@ -6,24 +6,25 @@ transmissions, sleep decisions, phase shifts, ...) through a shared
 from the in-memory buffer or through a listener; the recorder can be
 disabled entirely for large benchmark runs.
 
-Hot-path contract: emission must be *free* when recording is disabled.
+Emission must be *free* when recording is disabled.
 :meth:`TraceRecorder.emit` takes its payload as ``**data`` keyword
 arguments, so the caller allocates a dict (and evaluates the payload
-expressions) before ``emit`` can early-out.  Hot call sites therefore guard
-on the public :attr:`TraceRecorder.enabled` flag::
+expressions) before ``emit`` can early-out.  Every call site therefore
+guards on the public :attr:`TraceRecorder.enabled` flag::
 
     trace = sim.trace
     if trace.enabled:
         trace.emit(now, "radio.state", node=..., old=..., new=...)
 
-Cold call sites (setup, failures, once-per-report events) may call ``emit``
-unconditionally; it still checks ``enabled`` itself.
+``emit`` still checks ``enabled`` itself.  ``tests/test_hot_path_invariants.py``
+runs every protocol with a disabled recorder whose ``emit`` raises, so an
+unguarded call site fails it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class TraceRecorder:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._records: List[TraceRecord] = []
-        self._listeners: List[Callable[[TraceRecord], None]] = []
+        self._listeners: Tuple[Callable[[TraceRecord], None], ...] = ()
 
     def emit(
         self, time: float, category: str, node: Optional[int] = None, **data: Any
@@ -75,21 +76,21 @@ class TraceRecorder:
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Register a callback invoked synchronously for every emitted record.
 
-        Copy-on-write (parity with ``TimingTable.subscribe``): an in-flight
-        ``emit`` keeps notifying the listener list it started with.
+        The listeners are a tuple (parity with ``TimingTable.subscribe``): an
+        in-flight ``emit`` keeps notifying the tuple it started with.
         """
-        self._listeners = [*self._listeners, listener]
+        self._listeners = (*self._listeners, listener)
 
     def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Remove a previously subscribed listener.
 
         Copy-on-write and idempotent (parity with
         ``TimingTable.unsubscribe``): unknown listeners are ignored, and an
-        in-flight notification completes against the old list.
+        in-flight notification completes against the old tuple.
         """
-        self._listeners = [
+        self._listeners = tuple(
             existing for existing in self._listeners if existing != listener
-        ]
+        )
 
     @property
     def records(self) -> List[TraceRecord]:

@@ -11,12 +11,11 @@ stack formatting only a tripped sanitizer wire needs.  Package
 module that defines it: a replay loads no protocol, and a run loads only the
 protocol it builds.  The simulation packages import no orchestration
 module, so nothing under the simulated clock can reach wall-clock timing,
-the store or the CLI through an import, and a figure call loads none of the
-lint package.  Nor does a simulation module bind a wall-clock function, a
-method of ``random``'s global instance or the environment as a global,
-where the sanitizer's patches cannot reach it.  The checks run in a subprocess because the test session
-itself has already imported scipy, numpy and networkx (they are test
-oracles).
+the store or the CLI through an import.  Nor does a simulation module bind
+a wall-clock function, a method of ``random``'s global instance or the
+environment as a global, where the sanitizer's patches cannot reach it.
+The checks run in a subprocess because the test session itself has
+already imported scipy, numpy and networkx (they are test oracles).
 """
 
 from __future__ import annotations
@@ -138,7 +137,6 @@ ORCHESTRATION_PACKAGES = (
     "obs",
     "experiments",
     "scenarios",
-    "lint",
     "sanitizer",
     "cli",
 )
@@ -196,20 +194,6 @@ for module_name, module in sorted(sys.modules.items()):
 print(json.dumps(hits))
 """
 
-_FIGURE_PROGRAM = """
-import io
-import json
-import sys
-
-from repro.cli import main
-
-argv = ["--scale", "smoke", "--runs", "1", "--cache-dir", {store!r}, "figure", "fig3"]
-assert main(argv, out=io.StringIO()) == 0  # cold: fills the store
-assert main(argv, out=io.StringIO()) == 0  # warm: replays it
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
-"""
-
-
 #: The packages whose ``__init__`` holds only a docstring.
 DOCSTRING_ONLY_PACKAGES = (
     "sim",
@@ -224,7 +208,6 @@ DOCSTRING_ONLY_PACKAGES = (
     "orchestrator",
     "obs",
     "sanitizer",
-    "lint",
     "scenarios",
 )
 
@@ -321,9 +304,3 @@ def test_simulation_packages_import_no_orchestration_module() -> None:
 
 def test_simulation_modules_bind_no_clock_randomness_or_environment() -> None:
     assert _run(_BOUND_NAMES_PROGRAM) == []
-
-
-def test_figure_call_loads_no_lint_module(tmp_path) -> None:
-    loaded = _run(_FIGURE_PROGRAM.format(store=str(tmp_path / "store")))
-    assert "repro.orchestrator.store" in loaded
-    assert _within(loaded, ["repro.lint"]) == []

@@ -41,7 +41,7 @@ class TestUnsubscribe:
         trace.subscribe(listener)
         trace.unsubscribe(listener)
         trace.unsubscribe(listener)
-        assert trace._listeners == []
+        assert trace._listeners == ()
 
     def test_unsubscribe_during_notification_completes_old_list(self) -> None:
         # Copy-on-write parity with TimingTable: a listener removing itself
