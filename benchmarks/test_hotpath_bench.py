@@ -46,15 +46,11 @@ import pstats
 import time
 
 from repro.experiments.config import paper_scale, reduced_scale
-from repro.experiments.metrics import DeliveryLog
-from repro.experiments.runner import build_protocol_suite, build_scenario_topology
+from repro.experiments.runner import assemble_run
 from repro.experiments.scenarios import query_count_workload, rate_sweep_workload
-from repro.net.loss import build_loss_from_spec
-from repro.net.node import build_network
-from repro.net.propagation import PropagationSpec, build_propagation_from_spec
+from repro.net.propagation import PropagationSpec
 from repro.orchestrator.api import ExperimentSpec, run_experiments
 from repro.orchestrator.jobs import RunJob
-from repro.routing.tree import build_routing_tree
 from repro.scenarios.families import get_family
 from repro.sim.engine import Simulator
 
@@ -131,31 +127,7 @@ def _run_cell(scenario, workload, protocol: str, reps: int = REPS) -> dict:
         queries = RunJob(
             scenario=scenario, protocol=protocol, workload=workload, seed=scenario.seed
         ).resolve_queries()
-        sim = Simulator(seed=scenario.seed)
-        topology = build_scenario_topology(scenario, scenario.seed)
-        network = build_network(
-            sim,
-            topology,
-            power_profile=scenario.power_profile,
-            mac_config=scenario.mac_config,
-            loss_model=build_loss_from_spec(scenario.loss, seed=scenario.seed),
-            propagation=build_propagation_from_spec(scenario.propagation, seed=scenario.seed),
-        )
-        tree = build_routing_tree(
-            topology,
-            root=topology.center_node(),
-            max_distance_from_root=scenario.max_distance_from_root,
-        )
-        deliveries = DeliveryLog()
-        suite = build_protocol_suite(
-            protocol,
-            sim,
-            network,
-            tree,
-            on_root_delivery=deliveries,
-            break_even_time=scenario.break_even_time,
-        )
-        suite.register_queries(queries)
+        sim = assemble_run(scenario, protocol, queries, scenario.seed).sim
         started = time.perf_counter()
         sim.run(until=scenario.duration)
         seconds = time.perf_counter() - started
@@ -216,30 +188,7 @@ def _layer_breakdown(scenario, workload, protocol: str = "DTS-SS") -> dict:
     queries = RunJob(
         scenario=scenario, protocol=protocol, workload=workload, seed=scenario.seed
     ).resolve_queries()
-    sim = Simulator(seed=scenario.seed)
-    topology = build_scenario_topology(scenario, scenario.seed)
-    network = build_network(
-        sim,
-        topology,
-        power_profile=scenario.power_profile,
-        mac_config=scenario.mac_config,
-        loss_model=build_loss_from_spec(scenario.loss, seed=scenario.seed),
-        propagation=build_propagation_from_spec(scenario.propagation, seed=scenario.seed),
-    )
-    tree = build_routing_tree(
-        topology,
-        root=topology.center_node(),
-        max_distance_from_root=scenario.max_distance_from_root,
-    )
-    suite = build_protocol_suite(
-        protocol,
-        sim,
-        network,
-        tree,
-        on_root_delivery=DeliveryLog(),
-        break_even_time=scenario.break_even_time,
-    )
-    suite.register_queries(queries)
+    sim = assemble_run(scenario, protocol, queries, scenario.seed).sim
     profile = cProfile.Profile()
     profile.enable()
     sim.run(until=scenario.duration)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..net.loss import build_loss_from_spec
 from ..net.mobility import install_mobility
@@ -34,6 +34,7 @@ from ..query.workload import WorkloadSpec
 from ..routing.tree import RoutingTree, build_routing_tree
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
+from ..sim.trace import TraceRecorder
 from .config import ScenarioConfig
 from .metrics import DeliveryLog, RunMetrics, collect_metrics
 
@@ -60,22 +61,6 @@ class ExperimentResult:
     #: Optional extra outputs specific protocols expose (e.g. DTS overhead).
     extras: Dict[str, float] = field(default_factory=dict)
 
-    def duty_cycle_interval(self, confidence: float = 0.9):
-        """Confidence interval of the average duty cycle over the replications."""
-        from .stats import interval_from_runs
-
-        return interval_from_runs(
-            self.per_run_metrics, lambda run: run.average_duty_cycle, confidence=confidence
-        )
-
-    def latency_interval(self, confidence: float = 0.9):
-        """Confidence interval of the average query latency over the replications."""
-        from .stats import interval_from_runs
-
-        return interval_from_runs(
-            self.per_run_metrics, lambda run: run.average_query_latency, confidence=confidence
-        )
-
 
 def build_protocol_suite(
     protocol: str,
@@ -92,35 +77,28 @@ def build_protocol_suite(
     loads one protocol's code and a store replay loads none.
     """
     name = protocol.upper()
-    if name in ("NTS-SS", "STS-SS", "DTS-SS"):
+    if name in ESSAT_PROTOCOLS:
         from ..core.protocol import EssatProtocolSuite
 
-        shaper = name.split("-")[0].lower()
         return EssatProtocolSuite(
             sim,
             network,
             tree,
-            shaper=shaper,
+            shaper=name.split("-")[0].lower(),
             break_even_time=break_even_time,
             on_root_delivery=on_root_delivery,
         )
     if name == "SYNC":
-        from ..baselines.sync import SyncSuite
-
-        return SyncSuite(sim, network, tree, on_root_delivery=on_root_delivery)
-    if name == "PSM":
-        from ..baselines.psm import PsmSuite
-
-        return PsmSuite(sim, network, tree, on_root_delivery=on_root_delivery)
-    if name == "SPAN":
-        from ..baselines.span import SpanSuite
-
-        return SpanSuite(sim, network, tree, on_root_delivery=on_root_delivery)
-    if name == "ALWAYS-ON":
-        from ..baselines.always_on import AlwaysOnSuite
-
-        return AlwaysOnSuite(sim, network, tree, on_root_delivery=on_root_delivery)
-    raise ValueError(f"unknown protocol {protocol!r}; expected one of {ALL_PROTOCOLS}")
+        from ..baselines.sync import SyncSuite as Suite
+    elif name == "PSM":
+        from ..baselines.psm import PsmSuite as Suite
+    elif name == "SPAN":
+        from ..baselines.span import SpanSuite as Suite
+    elif name == "ALWAYS-ON":
+        from ..baselines.always_on import AlwaysOnSuite as Suite
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {ALL_PROTOCOLS}")
+    return Suite(sim, network, tree, on_root_delivery=on_root_delivery)
 
 
 def build_scenario_topology(scenario: ScenarioConfig, seed: int) -> Topology:
@@ -202,14 +180,11 @@ def install_failure_schedule(
     :meth:`~repro.net.topology.Topology.remove_node` on a scratch copy) are
     skipped, so churn sweeps measure protocol repair rather than guaranteed
     physical partitions; explicit events are honoured as given.
-    When ``suite`` is an ESSAT protocol suite, failures route through
+    Pass ``suite`` only for an ESSAT suite: failures then route through
     :class:`~repro.core.maintenance.EssatMaintenance` so the tree is repaired
-    and shapers resynchronise (Section 4.3); baseline suites just lose the
-    node from the channel and observe the resulting delivery failures.
+    and shapers resynchronise (Section 4.3).  Without it (the baselines) the
+    node just leaves the channel, and no ESSAT code is imported.
     """
-    from ..core.maintenance import EssatMaintenance
-    from ..core.protocol import EssatProtocolSuite
-
     candidates = [node for node in tree.nodes if node != tree.root]
     drawn = schedule.materialize(candidates, sim.streams.get("scenario.failures"))
     events = _drop_partitioning_failures(
@@ -217,9 +192,10 @@ def install_failure_schedule(
     )
     if not events:
         return events
-    if isinstance(suite, EssatProtocolSuite):
-        maintenance = EssatMaintenance(suite, network)
-        handler = maintenance.fail_node
+    if suite is not None:
+        from ..core.maintenance import EssatMaintenance
+
+        handler = EssatMaintenance(suite, network).fail_node
     else:
         handler = network.fail_node
 
@@ -236,31 +212,67 @@ def install_failure_schedule(
     return events
 
 
-def run_single(
+@dataclass(slots=True)
+class AssembledRun:
+    """One replication wired and ready to run (see :func:`assemble_run`)."""
+
+    scenario: ScenarioConfig
+    protocol: str
+    queries: Sequence[QuerySpec]
+    sim: Simulator
+    topology: Topology
+    network: Network
+    tree: RoutingTree
+    suite: Any
+    deliveries: DeliveryLog
+
+    def execute(self) -> tuple[RunMetrics, Dict[str, float]]:
+        """Run to the scenario's end; returns the metrics and protocol extras."""
+        scenario, suite = self.scenario, self.suite
+        wall_start = perf_counter()
+        self.sim.run(until=scenario.duration)
+        wall_seconds = perf_counter() - wall_start
+        self.network.finalize()
+        metrics = collect_metrics(
+            self.protocol,
+            self.network,
+            self.tree,
+            self.deliveries,
+            self.queries,
+            scenario.duration,
+            measure_from=scenario.measure_from,
+            counters=collect_run_counters(self.sim, self.network, suite, wall_seconds=wall_seconds),
+        )
+        extras: Dict[str, float] = {}
+        if hasattr(suite, "overhead_bits_per_report"):
+            extras["overhead_bits_per_report"] = suite.overhead_bits_per_report()
+        if hasattr(suite, "total_atims_sent"):
+            extras["atims_sent"] = float(suite.total_atims_sent())
+        return metrics, extras
+
+
+def assemble_run(
     scenario: ScenarioConfig,
     protocol: str,
     queries: Sequence[QuerySpec],
     seed: int,
     *,
-    topology: Optional[Topology] = None,
-) -> tuple[RunMetrics, Dict[str, float]]:
-    """Run one replication; returns its metrics and protocol-specific extras.
+    trace: Optional[TraceRecorder] = None,
+) -> AssembledRun:
+    """Wire one replication of ``scenario``: the one place a run is built.
 
-    The simulator records no trace (its default), so a run pays nothing
-    for tracing.  Tracing is observation-only: a traced run
-    (``tests/golden/make_hotpath_golden.py``'s ``trace_snapshot``) has the
-    same schedule, and therefore the same metrics, as this one.
+    ``trace=None`` keeps the simulator's disabled recorder, so an untraced
+    run pays nothing.  Tracing is observation-only: a run traced with
+    ``TraceRecorder(enabled=True)`` has the same metrics as the untraced one.
     """
-    # Honour REPRO_SANITIZE=1 in every process that executes simulations
-    # (CLI, pytest, spawn-pool sweep workers inherit the environment).
-    # Runs outside the armed window, so the flag read itself never trips.
-    # Imported here so a store replay never loads the sanitizer.
+    # Honour REPRO_SANITIZE=1 in every process that runs simulations, outside
+    # the armed window and before the MACs are built, so their guarded sets
+    # wrap.  Imported here so a store replay never loads the sanitizer.
     from ..sanitizer.runtime import maybe_install_from_env
 
     maybe_install_from_env()
-    sim = Simulator(seed=seed)
-    if topology is None:
-        topology = build_scenario_topology(scenario, seed)
+    sim = Simulator(seed=seed, trace=trace)
+    topology = build_scenario_topology(scenario, seed)
     network = build_network(
         sim,
         topology,
@@ -285,33 +297,20 @@ def run_single(
     )
     suite.register_queries(queries)
     if scenario.failure_schedule is not None and not scenario.failure_schedule.is_empty:
-        install_failure_schedule(sim, network, tree, scenario.failure_schedule, suite=suite)
+        essat_suite = suite if protocol.upper() in ESSAT_PROTOCOLS else None
+        install_failure_schedule(sim, network, tree, scenario.failure_schedule, suite=essat_suite)
     if scenario.mobility is not None:
         install_mobility(scenario.mobility, sim, topology, scenario.duration)
-    wall_start = perf_counter()
-    sim.run(until=scenario.duration)
-    wall_seconds = perf_counter() - wall_start
-    network.finalize()
-    metrics = collect_metrics(
-        protocol,
-        network,
-        tree,
-        deliveries,
-        queries,
-        scenario.duration,
-        measure_from=scenario.measure_from,
-        counters=collect_run_counters(
-            sim, network, suite, wall_seconds=wall_seconds
-        ),
+    return AssembledRun(
+        scenario, protocol, queries, sim, topology, network, tree, suite, deliveries
     )
-    extras: Dict[str, float] = {}
-    overhead_fn = getattr(suite, "overhead_bits_per_report", None)
-    if overhead_fn is not None:
-        extras["overhead_bits_per_report"] = overhead_fn()
-    atims_fn = getattr(suite, "total_atims_sent", None)
-    if atims_fn is not None:
-        extras["atims_sent"] = float(atims_fn())
-    return metrics, extras
+
+
+def run_single(
+    scenario: ScenarioConfig, protocol: str, queries: Sequence[QuerySpec], seed: int
+) -> tuple[RunMetrics, Dict[str, float]]:
+    """Run one untraced replication; returns its metrics and protocol extras."""
+    return assemble_run(scenario, protocol, queries, seed).execute()
 
 
 def run_experiment(

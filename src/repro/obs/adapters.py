@@ -71,8 +71,8 @@ def collect_run_counters(
 ) -> Dict[str, float]:
     """One flat ``{name: value}`` snapshot of a finished run, keys sorted.
 
-    The per-run entry point :func:`~repro.experiments.runner.run_single`
-    calls this once after ``sim.run`` returns; the result becomes
+    :meth:`~repro.experiments.runner.AssembledRun.execute` calls this
+    once after ``sim.run`` returns; the result becomes
     ``RunMetrics.counters`` and rides through the orchestrator store.
     """
     counters: Dict[str, float] = {}

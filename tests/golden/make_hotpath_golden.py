@@ -33,20 +33,14 @@ Regenerate only when a deliberate, reviewed behaviour change occurs::
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
-from repro.experiments.metrics import DeliveryLog, collect_metrics
-from repro.experiments.runner import (
-    build_protocol_suite,
-    build_scenario_topology,
-    run_single,
-)
+from repro.experiments.runner import assemble_run
 from repro.experiments.scenarios import SCALES, rate_sweep_workload
-from repro.net.node import build_network
+from repro.net import packet as packet_module
 from repro.orchestrator.jobs import RunJob
-from repro.routing.tree import build_routing_tree
-from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "hotpath_golden.json"
@@ -75,11 +69,22 @@ def resolve_queries(scenario, protocol, seed):
     return job.resolve_queries()
 
 
-def metrics_snapshot(scale_name: str, protocol: str, seed: int) -> dict:
-    """Exact metrics of one replication (floats at full precision)."""
+def assemble_cell(scale_name: str, protocol: str, seed: int, trace=None):
+    """One golden cell wired by :func:`assemble_run`, the runner's own path.
+
+    Packet ids come from a process-global counter, so the counter is reset
+    first: without this, the trace digest would depend on how many packets
+    any earlier simulation in the same process had created.
+    """
+    packet_module._packet_ids = itertools.count(1)
     scenario = SCALES[scale_name].scenario()
     queries = resolve_queries(scenario, protocol, seed)
-    metrics, _ = run_single(scenario, protocol, queries, seed)
+    return assemble_run(scenario, protocol, queries, seed, trace=trace)
+
+
+def metrics_snapshot(scale_name: str, protocol: str, seed: int) -> dict:
+    """Exact metrics of one replication (floats at full precision)."""
+    metrics, _ = assemble_cell(scale_name, protocol, seed).execute()
     return {
         "average_duty_cycle": metrics.average_duty_cycle,
         "average_query_latency": metrics.average_query_latency,
@@ -94,46 +99,11 @@ def metrics_snapshot(scale_name: str, protocol: str, seed: int) -> dict:
 
 
 def trace_snapshot(scale_name: str, protocol: str, seed: int) -> dict:
-    """Digest of the full trace sequence of one replication.
-
-    Packet ids come from a process-global counter, so the counter is reset
-    first: without this, the digest would depend on how many packets any
-    earlier simulation in the same process had created.
-    """
-    import itertools
-
-    from repro.net import packet as packet_module
-
-    packet_module._packet_ids = itertools.count(1)
-    scenario = SCALES[scale_name].scenario()
-    queries = resolve_queries(scenario, protocol, seed)
-    sim = Simulator(seed=seed, trace=TraceRecorder(enabled=True))
-    topology = build_scenario_topology(scenario, seed)
-    network = build_network(
-        sim,
-        topology,
-        power_profile=scenario.power_profile,
-        mac_config=scenario.mac_config,
-    )
-    tree = build_routing_tree(
-        topology,
-        root=topology.center_node(),
-        max_distance_from_root=scenario.max_distance_from_root,
-    )
-    deliveries = DeliveryLog()
-    suite = build_protocol_suite(
-        protocol,
-        sim,
-        network,
-        tree,
-        on_root_delivery=deliveries,
-        break_even_time=scenario.break_even_time,
-    )
-    suite.register_queries(queries)
-    sim.run(until=scenario.duration)
-    network.finalize()
+    """Digest of the full trace sequence of one replication."""
+    run = assemble_cell(scale_name, protocol, seed, trace=TraceRecorder(enabled=True))
+    metrics, _ = run.execute()
     digest = hashlib.sha256()
-    for record in sim.trace:
+    for record in run.sim.trace:
         digest.update(
             json.dumps(
                 [record.time, record.category, record.node, sorted(record.data.items())],
@@ -141,20 +111,11 @@ def trace_snapshot(scale_name: str, protocol: str, seed: int) -> dict:
                 default=str,
             ).encode()
         )
-    metrics = collect_metrics(
-        protocol,
-        network,
-        tree,
-        deliveries,
-        queries,
-        scenario.duration,
-        measure_from=scenario.measure_from,
-    )
     return {
-        "trace_records": len(sim.trace),
+        "trace_records": len(run.sim.trace),
         "trace_sha256": digest.hexdigest(),
-        "processed_events": sim.processed_events,
-        "channel_stats": network.channel.stats.as_dict(),
+        "processed_events": run.sim.processed_events,
+        "channel_stats": metrics.channel_stats,
         "average_duty_cycle": metrics.average_duty_cycle,
     }
 

@@ -96,25 +96,21 @@ print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro")
 """
 
 
-def _suite_program(protocol: str) -> str:
-    """Assembles a smoke-scale run of ``protocol`` up to its protocol suite."""
+def _suite_program(protocol: str, family: str | None = None) -> str:
+    """Assembles a smoke-scale run of ``protocol``, or of ``family``'s last variant."""
     return f"""
 import json
 import sys
 
 from repro.experiments.config import smoke_scale
-from repro.experiments.runner import build_protocol_suite, build_scenario_topology
-from repro.net.node import build_network
-from repro.routing.tree import build_routing_tree
-from repro.sim.engine import Simulator
+from repro.experiments.runner import assemble_run
+from repro.scenarios.families import get_family
 
 scenario = smoke_scale()
-sim = Simulator(seed=1)
-topology = build_scenario_topology(scenario, 1)
-network = build_network(sim, topology, power_profile=scenario.power_profile)
-tree = build_routing_tree(topology, root=topology.center_node())
-suite = build_protocol_suite({protocol!r}, sim, network, tree, on_root_delivery=lambda *_: None)
-print(json.dumps([type(suite).__module__, sorted(sys.modules)]))
+if {family!r} is not None:
+    scenario = get_family({family!r}).variants(scenario)[-1].scenario
+run = assemble_run(scenario, {protocol!r}, [], 1)
+print(json.dumps([type(run.suite).__module__, sorted(sys.modules)]))
 """
 
 
@@ -279,6 +275,10 @@ def test_suite_build_loads_only_its_protocol() -> None:
     assert suite == "repro.core.protocol"
     assert _within(loaded, ["repro.baselines"]) == []
     suite, loaded = _run(_suite_program("PSM"))
+    assert suite == "repro.baselines.psm"
+    assert _within(loaded, ["repro.core"]) == []
+    # Node failures reach ESSAT maintenance only for an ESSAT suite.
+    suite, loaded = _run(_suite_program("PSM", family="churn"))
     assert suite == "repro.baselines.psm"
     assert _within(loaded, ["repro.core"]) == []
 

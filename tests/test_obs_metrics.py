@@ -2,8 +2,7 @@
 
 Covers the duck-typed stats adapters, the counters dict they build from a
 real smoke run (per-node sums, sorted keys), the engine's derived counters,
-and the counters dict's trip through the orchestrator serialization
-(schema v4).
+and the counters dict's trip through the orchestrator serialization.
 """
 
 from __future__ import annotations
@@ -14,43 +13,22 @@ from types import SimpleNamespace
 import pytest
 
 from repro.experiments.config import smoke_scale
-from repro.experiments.metrics import DeliveryLog, RunMetrics, average_metrics
-from repro.experiments.runner import build_protocol_suite, build_scenario_topology, run_single
+from repro.experiments.metrics import RunMetrics, average_metrics
+from repro.experiments.runner import assemble_run, run_single
 from repro.experiments.scenarios import rate_sweep_workload
-from repro.net.node import build_network
 from repro.obs.adapters import collect_run_counters, stats_as_mapping
 from repro.orchestrator.jobs import SCHEMA_VERSION, metrics_from_dict, metrics_to_dict
 from repro.query.workload import generate_queries
-from repro.routing.tree import build_routing_tree
 from repro.sim.engine import Simulator
 
 
 @pytest.fixture(scope="module")
 def smoke_run():
     """A finished smoke-scale DTS-SS run: ``(sim, network, suite)``."""
-    scenario = smoke_scale()
-    sim = Simulator(seed=2)
-    topology = build_scenario_topology(scenario, 2)
-    network = build_network(
-        sim, topology, power_profile=scenario.power_profile, mac_config=scenario.mac_config
-    )
-    tree = build_routing_tree(
-        topology,
-        root=topology.center_node(),
-        max_distance_from_root=scenario.max_distance_from_root,
-    )
-    suite = build_protocol_suite(
-        "DTS-SS",
-        sim,
-        network,
-        tree,
-        on_root_delivery=DeliveryLog(),
-        break_even_time=scenario.break_even_time,
-    )
-    suite.register_queries(generate_queries(rate_sweep_workload(2.0), seed=2))
-    sim.run(until=scenario.duration)
-    network.finalize()
-    return sim, network, suite
+    queries = generate_queries(rate_sweep_workload(2.0), seed=2)
+    run = assemble_run(smoke_scale(), "DTS-SS", queries, 2)
+    run.execute()
+    return run.sim, run.network, run.suite
 
 
 def _summed(prefix: str, stats_objects) -> dict:

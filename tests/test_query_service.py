@@ -468,7 +468,7 @@ def test_paper_dts_registration_traverses_each_subtree_at_most_once(monkeypatch)
     """
     import repro.routing.tree as tree_module
     from repro.experiments.config import paper_scale
-    from repro.experiments.runner import build_protocol_suite, build_scenario_topology
+    from repro.experiments.runner import assemble_run
     from repro.experiments.scenarios import query_count_workload
     from repro.orchestrator.jobs import RunJob
 
@@ -476,15 +476,9 @@ def test_paper_dts_registration_traverses_each_subtree_at_most_once(monkeypatch)
     queries = RunJob(
         scenario=scenario, protocol="DTS-SS", workload=query_count_workload(10), seed=1
     ).resolve_queries()
-    sim = Simulator(seed=1)
-    topology = build_scenario_topology(scenario, 1)
-    network = build_network(sim, topology, power_profile=scenario.power_profile)
-    tree = build_routing_tree(
-        topology,
-        root=topology.center_node(),
-        max_distance_from_root=scenario.max_distance_from_root,
-    )
-    suite = build_protocol_suite("DTS-SS", sim, network, tree, on_root_delivery=None)
+    # Assembled with no queries, so the count below sees registration alone.
+    run = assemble_run(scenario, "DTS-SS", [], 1)
+    suite, tree = run.suite, run.tree
 
     traversals = []
     real_deque = tree_module.deque

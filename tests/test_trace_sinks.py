@@ -2,7 +2,7 @@
 
 Covers ``unsubscribe`` (idempotent and copy-on-write, like
 ``TimingTable``) and the guarantee that tracing never changes a result: a
-fully traced run has the same metrics as the untraced ``run_single``.
+fully traced ``assemble_run`` has the same metrics as the untraced one.
 """
 
 from __future__ import annotations
@@ -10,6 +10,12 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from repro.experiments.config import smoke_scale
+from repro.experiments.runner import assemble_run
+from repro.orchestrator.jobs import RunJob
+from repro.scenarios.families import get_family
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -74,3 +80,26 @@ class TestStreamingRun:
             assert traced["trace_records"] > 1000, protocol  # really traced
             assert traced["average_duty_cycle"] == untraced["average_duty_cycle"], protocol
             assert traced["channel_stats"] == untraced["channel_stats"], protocol
+
+    @pytest.mark.parametrize("protocol", ["DTS-SS", "PSM"])
+    @pytest.mark.parametrize("family", ["churn", "mobile"])
+    def test_tracing_failures_and_mobility_does_not_change_results(
+        self, family: str, protocol: str
+    ) -> None:
+        # The family's last variant: the most failures, the fastest nodes.
+        variant = get_family(family).variants(smoke_scale())[-1]
+        queries = RunJob(
+            scenario=variant.scenario, protocol=protocol, workload=variant.workload, seed=1
+        ).resolve_queries()
+        trace = TraceRecorder(enabled=True)
+        traced = assemble_run(variant.scenario, protocol, queries, 1, trace=trace).execute()
+        untraced = assemble_run(variant.scenario, protocol, queries, 1).execute()
+        site = {"churn": "network.node_failed", "mobile": "mobility.update"}[family]
+        assert trace.filter(category=site)  # the failure or mobility site really traced
+        assert traced[0] == untraced[0]  # RunMetrics equality leaves counters out
+        measured = [
+            {key: value for key, value in metrics.counters.items() if not key.startswith("run.")}
+            for metrics, _ in (traced, untraced)
+        ]
+        assert measured[0] == measured[1]
+        assert traced[1] == untraced[1]
