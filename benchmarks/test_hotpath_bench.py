@@ -104,7 +104,7 @@ def _kernel_storm() -> dict:
         count[0] += 1
         handle = sim.schedule_in(0.001, tick, i)
         if count[0] % 2 == 0:
-            handle.cancel()  # exercise lazy deletion
+            sim.cancel(handle)  # exercise lazy deletion
             sim.schedule_in(0.0005, tick, i)
 
     for i in range(100):

@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..net.loss import build_loss_from_spec
 from ..net.mobility import install_mobility
 from ..net.node import Network, build_network
+from ..net.packet import restart_packet_ids
 from ..net.propagation import build_propagation_from_spec
 from ..net.topology import (
     FailureSchedule,
@@ -264,6 +265,8 @@ def assemble_run(
     ``trace=None`` keeps the simulator's disabled recorder, so an untraced
     run pays nothing.  Tracing is observation-only: a run traced with
     ``TraceRecorder(enabled=True)`` has the same metrics as the untraced one.
+    Packet ids restart at 1, so two identical runs in one process record
+    identical traces.
     """
     # Honour REPRO_SANITIZE=1 in every process that runs simulations, outside
     # the armed window and before the MACs are built, so their guarded sets
@@ -271,6 +274,7 @@ def assemble_run(
     from ..sanitizer.runtime import maybe_install_from_env
 
     maybe_install_from_env()
+    restart_packet_ids()
     sim = Simulator(seed=seed, trace=trace)
     topology = build_scenario_topology(scenario, seed)
     network = build_network(

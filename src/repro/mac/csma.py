@@ -35,6 +35,13 @@ from .base import Mac, MacConfig, ReceiveCallback, SendDoneCallback
 from .queue import TransmitQueue
 from .stats import MacStats
 
+#: Hot-path constants: identity checks against module globals skip the
+#: enum attribute walk on every transmit attempt.
+_OFF = RadioState.OFF
+_TURNING_OFF = RadioState.TURNING_OFF
+_TURNING_ON = RadioState.TURNING_ON
+_IDLE = RadioState.IDLE
+
 
 class _MacState(enum.Enum):
     """Internal transmit-path state of the CSMA MAC."""
@@ -64,6 +71,7 @@ class CsmaMac(Mac):
         "node_id",
         "_radio",
         "_channel",
+        "_audible",
         "config",
         "_rng",
         "_randbelow",
@@ -145,6 +153,9 @@ class CsmaMac(Mac):
         self._transmit_ack_cb = self._transmit_ack
 
         channel.register(node_id, radio, self._on_phy_receive)
+        #: The channel's persistent list of frames audible here (its
+        #: carrier-sense index entry): non-empty means the medium is busy.
+        self._audible = channel.audible_at(node_id)
         radio.on_wake(self._on_radio_wake)
 
     # ------------------------------------------------------------------ #
@@ -214,34 +225,39 @@ class CsmaMac(Mac):
         # One read of the radio's state instead of the is_awake/can_transmit
         # descriptor pair: this runs for every transmit attempt.
         radio_state = self._radio._state
-        if radio_state is RadioState.OFF or radio_state is RadioState.TURNING_OFF or (
-            radio_state is RadioState.TURNING_ON
-        ):
+        if radio_state is _OFF or radio_state is _TURNING_OFF or radio_state is _TURNING_ON:
             # The power manager has the radio off; resume when it wakes up.
             self._state = _MacState.WAITING_FOR_RADIO
             return
-        if radio_state is not RadioState.IDLE:
-            # The radio is busy receiving or transmitting; retry shortly
-            # after the channel clears.
-            self._defer(self._channel.time_until_idle(self.node_id) + self._difs)
+        audible = self._audible
+        if radio_state is _IDLE and not audible:
+            # Medium currently idle: wait DIFS plus a small initial backoff,
+            # then re-check and transmit.
+            backoff = self._draw_backoff(initial=True)
+            self._defer(self._difs + backoff)
             return
-        if self._channel.is_busy(self.node_id):
-            # Defer until the medium clears, plus DIFS plus a random backoff.
-            self.stats.deferrals += 1
-            backoff = self._draw_backoff()
-            self._defer(self._channel.time_until_idle(self.node_id) + self._difs + backoff)
+        # The radio is busy receiving or transmitting (retry shortly after
+        # the channel clears), or the medium is busy (defer until it clears,
+        # plus DIFS plus a random backoff).  Inlined
+        # WirelessChannel.time_until_idle: the latest end audible here.
+        now = self._sim.now
+        latest = now
+        for transmission in audible:
+            if transmission.end > latest:
+                latest = transmission.end
+        if radio_state is not _IDLE:
+            self._defer(latest - now + self._difs)
             return
-        # Medium currently idle: wait DIFS plus a small initial backoff, then
-        # re-check and transmit.
-        backoff = self._draw_backoff(initial=True)
-        self._defer(self._difs + backoff)
+        self.stats.deferrals += 1
+        backoff = self._draw_backoff()
+        self._defer(latest - now + self._difs + backoff)
 
     def _defer(self, delay: float) -> None:
         self._state = _MacState.DEFERRING
         slot_time = self._slot_time
         handle = self._attempt_handle
         if handle is not None:
-            handle.cancel()
+            self._sim.cancel(handle)
         self._attempt_handle = self._sim.schedule_in(
             delay if delay > slot_time else slot_time, self._on_attempt_timer_cb
         )
@@ -265,20 +281,21 @@ class CsmaMac(Mac):
             self._maybe_start_next()
             return
         radio_state = self._radio._state
-        if radio_state is RadioState.OFF or radio_state is RadioState.TURNING_OFF or (
-            radio_state is RadioState.TURNING_ON
-        ):
+        if radio_state is _OFF or radio_state is _TURNING_OFF or radio_state is _TURNING_ON:
             self._state = _MacState.WAITING_FOR_RADIO
             return
-        if radio_state is not RadioState.IDLE or self._channel.is_busy(self.node_id):
-            # Still busy: double the contention window and retry.
+        audible = self._audible
+        if radio_state is not _IDLE or audible:
+            # Still busy: double the contention window and retry after the
+            # latest end audible here (inlined time_until_idle).
             self._current.cw = min(self._current.cw * 2 + 1, self._cw_max)
             self.stats.deferrals += 1
-            self._defer(
-                self._channel.time_until_idle(self.node_id)
-                + self._difs
-                + self._draw_backoff()
-            )
+            now = self._sim.now
+            latest = now
+            for transmission in audible:
+                if transmission.end > latest:
+                    latest = transmission.end
+            self._defer(latest - now + self._difs + self._draw_backoff())
             return
         self._transmit_current()
 
@@ -325,7 +342,7 @@ class CsmaMac(Mac):
         )
         handle = self._ack_handle
         if handle is not None:
-            handle.cancel()
+            self._sim.cancel(handle)
         self._ack_handle = self._sim.schedule_in(timeout, self._on_ack_timeout_cb)
 
     def _on_ack_timeout(self) -> None:
@@ -351,7 +368,7 @@ class CsmaMac(Mac):
         self._state = _MacState.IDLE
         handle = self._ack_handle
         if handle is not None:
-            handle.cancel()
+            self._sim.cancel(handle)
             self._ack_handle = None
         if success:
             self.stats.record_access_delay(self._sim.now - outgoing.enqueued_at)
@@ -370,7 +387,9 @@ class CsmaMac(Mac):
         # ``type(...) is`` rather than isinstance: AckPacket is a leaf type,
         # and this runs once per delivered frame at every receiver.
         if type(packet) is AckPacket:
-            self._handle_ack(packet)
+            # Every neighbour overhears an ACK; only its addressee looks.
+            if packet.dst == self.node_id:
+                self._handle_ack(packet)
             return
         dst = packet.dst
         if dst == BROADCAST:
@@ -388,8 +407,6 @@ class CsmaMac(Mac):
         self._deliver(packet)
 
     def _handle_ack(self, ack: AckPacket) -> None:
-        if ack.dst != self.node_id:
-            return
         if (
             self._current is None
             or self._state is not _MacState.WAITING_FOR_ACK
@@ -399,7 +416,7 @@ class CsmaMac(Mac):
         self.stats.acks_received += 1
         handle = self._ack_handle
         if handle is not None:
-            handle.cancel()
+            self._sim.cancel(handle)
             self._ack_handle = None
         self.stats.frames_sent += 1
         self._complete_current(success=True)

@@ -12,8 +12,8 @@ depends on:
 * **sleeping receivers miss frames** -- a frame addressed to a node whose
   radio is off is simply lost at that node (the sender's MAC learns about it
   through a missing acknowledgement),
-* **carrier sense** -- the MAC's CSMA behaviour queries
-  :meth:`WirelessChannel.is_busy`.
+* **carrier sense** -- the MAC's CSMA behaviour reads the frames audible
+  at its node (:meth:`WirelessChannel.audible_at`).
 
 Propagation delay over <= 125 m is below a microsecond and is ignored (a
 standard simplification that does not affect the protocol comparison).
@@ -27,8 +27,17 @@ topology's ``in_range`` (a Euclidean distance) per poll.  The channel now
 maintains a per-node *active-transmission index* (``_covering``): when a
 frame starts, it is appended to the index entry of the sender and of every
 in-range node (snapshotted on the transmission as ``covered``), and removed
-when it ends.  ``is_busy`` is then a dict lookup and ``time_until_idle`` a
-max over the handful of frames audible at one node.
+when it ends.  The entries are persistent lists, so the MAC binds its own
+once (:meth:`WirelessChannel.audible_at`): carrier sense is an emptiness
+test and the time until idle a max over the handful of frames audible at
+one node, both without a call.  ``is_busy`` and ``time_until_idle`` answer
+the same questions by node id.
+
+A lock writes no duty-cycle state.  Every frame puts each idle neighbour
+into RX; the loops set the radio's ``_state`` to RX and its ``_rx_since``
+to now (emitting the ``radio.state`` record when tracing), and the radio
+accounts the whole reception -- the IDLE stretch before it and the RX
+stretch itself -- once, when it leaves RX or is finalized.
 
 A frame's start is one pass over a cached per-sender *fan-out table*
 (``_fanout``): sender -> ``(covered ids, covering lists, attached
@@ -252,7 +261,7 @@ class WirelessChannel:
             radio._rx_lock = None
         drain = self._draining.pop(node_id, None)
         if drain is not None:
-            drain.cancel()
+            self._sim.cancel(drain)
         if radio is not None and (locked_tx is not None or drain is not None):
             # End RX accounting at the failure instant instead of leaving the
             # dead radio in RX until the end of the run.
@@ -285,6 +294,16 @@ class WirelessChannel:
     # ------------------------------------------------------------------ #
     # carrier sense
     # ------------------------------------------------------------------ #
+
+    def audible_at(self, node_id: int) -> List[Transmission]:
+        """The frames on the air audible at ``node_id``: its carrier-sense
+        index entry itself, not a copy.
+
+        The list is persistent (frames are appended and removed in place,
+        never rebound), so a MAC binds it once and tests it for emptiness
+        on every attempt.  Callers must not mutate it.
+        """
+        return self._covering[node_id]
 
     def is_busy(self, node_id: int) -> bool:
         """Carrier sense at ``node_id``: is any in-range node transmitting?"""
@@ -402,8 +421,13 @@ class WirelessChannel:
                         missed_asleep += 1
                     continue
                 # The IDLE check above is exactly Radio.start_rx's precondition,
-                # so enter RX without re-validating.
-                neighbor_radio._set_state(rx)
+                # so enter RX without re-validating.  The lock writes no
+                # tracker state: the radio accounts the reception once, when
+                # it leaves RX (see Radio._rx_since).
+                neighbor_radio._state = rx
+                neighbor_radio._rx_since = now
+                if tracing:
+                    trace.emit(now, "radio.state", node=neighbor, old=idle.value, new=rx.value)
                 receivers[neighbor] = True
                 neighbor_radio._rx_lock = transmission
             transmission.covered = covered
@@ -460,7 +484,11 @@ class WirelessChannel:
                     # receiver never acquires the frame (it stays idle; the
                     # frame still interferes via the covering index).
                     continue
-                neighbor_radio._set_state(rx)
+                # Lazy reception accounting, as in the unit-disk loop.
+                neighbor_radio._state = rx
+                neighbor_radio._rx_since = now
+                if tracing:
+                    trace.emit(now, "radio.state", node=neighbor, old=idle.value, new=rx.value)
                 receivers[neighbor] = True
                 neighbor_radio._rx_lock = transmission
             transmission.covered = (sender,) + neighbors

@@ -32,6 +32,17 @@ def _next_packet_id() -> int:
     return next(_packet_ids)
 
 
+def restart_packet_ids() -> None:
+    """Number the next packet 1 again.
+
+    Every run assembly calls this, so a run's packet ids (and the trace
+    records that carry them) do not depend on how many packets earlier
+    runs in the same process created.
+    """
+    global _packet_ids
+    _packet_ids = itertools.count(1)
+
+
 @dataclass(slots=True)
 class Packet:
     """Base class for every frame put on the air.

@@ -516,7 +516,7 @@ class QueryService:
         runtime.collections.pop(report_index, None)
         handle = runtime.timeout_handles.pop(report_index, None)
         if handle is not None:
-            handle.cancel()
+            self._sim.cancel(handle)
 
     def _on_collection_timeout(self, query_id: int, report_index: int) -> None:
         runtime = self._queries.get(query_id)
@@ -551,7 +551,7 @@ class QueryService:
         runtime.collections.pop(report_index, None)
         handle = runtime.timeout_handles.pop(report_index, None)
         if handle is not None:
-            handle.cancel()
+            self._sim.cancel(handle)
         assert state.aggregate is not None
         spec = runtime.spec
         report = DataReport(
@@ -709,7 +709,7 @@ class QueryService:
             return
         runtime.stopped = True
         for handle in runtime.timeout_handles.values():
-            handle.cancel()
+            self._sim.cancel(handle)
         runtime.timeout_handles.clear()
 
     def shutdown(self) -> None:

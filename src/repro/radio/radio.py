@@ -14,6 +14,19 @@ cycles, energy and sleep-interval histograms can be computed afterwards.
 State transitions honour the power profile's ``t_OFF->ON`` and ``t_ON->OFF``
 latencies, which is what makes the break-even-time experiments (Figure 9)
 meaningful.
+
+Hot-path design
+---------------
+:meth:`Radio._set_state` inlines :meth:`DutyCycleTracker.record_state`.
+Receptions are accounted lazily: every frame puts each idle neighbour into
+RX, so the channel's lock loops set ``_state = RX`` and ``_rx_since = now``
+and write no tracker state.  The next :meth:`Radio._set_state` (the end of
+the reception, a drain or an abort) adds the IDLE stretch before the lock
+and then the RX stretch, in the order and with the sums that two eager
+``record_state`` calls would have produced; :meth:`Radio.finalize` flushes a
+reception still open at the end of the run.  The tracker is therefore
+written once per reception, and only by the radio; it is exact whenever no
+reception is open, which is all its readers (end-of-run metrics) need.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ class Radio:
         "_wake_listeners",
         "_idle_listeners",
         "_rx_lock",
+        "_rx_since",
         "_pending_wake",
         "_pending_transition",
         "_wake_requested_during_turn_off",
@@ -86,6 +100,11 @@ class Radio:
         #: Owned and maintained by the WirelessChannel (kept here because a
         #: slot read beats a dict lookup in the per-receiver hot loops).
         self._rx_lock = None
+        #: Start of a reception the channel locked this radio onto, not yet
+        #: accounted: the lock sets ``_state = RX`` and this field only, and
+        #: the next :meth:`_set_state` (or :meth:`finalize`) writes the
+        #: IDLE lead-in and the RX stretch to the tracker in one go.
+        self._rx_since: Optional[float] = None
         self._pending_wake: Optional[EventHandle] = None
         self._pending_transition: Optional[EventHandle] = None
         self._wake_requested_during_turn_off = False
@@ -215,9 +234,10 @@ class Radio:
         ``None`` when no wake-up is scheduled (the radio is awake, or it was
         put to sleep without a wake time).
         """
-        if self._pending_wake is None or self._pending_wake.cancelled:
+        pending_wake = self._pending_wake
+        if pending_wake is None or pending_wake[3] is None:
             return None
-        return self._pending_wake.time + self.profile.t_off_to_on
+        return pending_wake[0] + self.profile.t_off_to_on
 
     def advance_wake(self, wake_time: float) -> None:
         """Make sure the radio is fully awake by ``wake_time``.
@@ -308,7 +328,16 @@ class Radio:
     # ------------------------------------------------------------------ #
 
     def finalize(self) -> None:
-        """Close duty-cycle accounting at the current simulation time."""
+        """Close duty-cycle accounting at the current simulation time.
+
+        A reception still open is flushed first with the tracker call its
+        lock would have made (no state change, no listener call), so the
+        close adds its RX stretch.
+        """
+        rx_since = self._rx_since
+        if rx_since is not None:
+            self._rx_since = None
+            self.tracker.record_state(rx_since, _RX)
         self.tracker.close(self._sim.now)
 
     # ------------------------------------------------------------------ #
@@ -317,7 +346,7 @@ class Radio:
 
     def _cancel_pending_wake(self) -> None:
         if self._pending_wake is not None:
-            self._pending_wake.cancel()
+            self._sim.cancel(self._pending_wake)
             self._pending_wake = None
 
     def _complete_turn_off(self) -> None:
@@ -347,11 +376,25 @@ class Radio:
         if tracker._closed_at is not None:
             raise RuntimeError("tracker already closed")
         since = tracker._current_since
+        current = tracker._current_state
+        rx_since = self._rx_since
+        if rx_since is not None:
+            # A reception the channel locked at ``rx_since`` is ending: add
+            # the IDLE stretch before it, exactly as an IDLE -> RX call at
+            # lock time would have, then account the RX stretch below.
+            # Neither state is OFF, so no sleep interval opens or closes.
+            self._rx_since = None
+            slot = current.slot
+            if not tracker._touched[slot]:
+                tracker._touched[slot] = True
+                tracker._state_order.append(current)
+            tracker._state_time[slot] += rx_since - since
+            current = _RX
+            since = rx_since
         if now < since:
             raise ValueError(
                 f"state change at t={now} precedes current interval start t={since}"
             )
-        current = tracker._current_state
         slot = current.slot
         if not tracker._touched[slot]:
             tracker._touched[slot] = True

@@ -16,32 +16,37 @@ query-service and ESSAT protocol models are built on top of it.
 
 Hot-path design
 ---------------
-The heap stores ``(time, priority, sequence, event)`` tuples so every sift
-comparison is a C-level tuple comparison, and ``schedule_at``/``schedule_in``
-hand the ``__slots__`` :class:`Event` straight back as the cancellation
-handle (no separate handle allocation).  Cancellation is *lazy*: a cancelled
-event stays queued until the run loop reaches it, and a counter tracks how
-many cancelled entries the heap still holds.  :attr:`pending_events` (live
-events only) is therefore O(1) -- ``queued_events - cancelled entries`` --
-while :attr:`queued_events` is the raw queue length (heap plus deferral
-deque) including cancelled entries not yet popped, i.e. queue memory
-pressure rather than remaining work.
+A heap entry is the event: ``schedule_at``/``schedule_in`` push one plain
+list, ``[time, priority, sequence, callback, args]``, and hand that same
+list back as the cancellation handle (:data:`~repro.sim.events.EventHandle`),
+so scheduling allocates nothing else.  Sift comparisons stay C-level list
+comparisons and never reach the callback slot, because sequence numbers are
+unique.  Cancellation is *lazy*: :meth:`Simulator.cancel` clears the
+callback slot and the entry stays queued until the run loop reaches it,
+while a counter tracks how many cancelled entries the heap still holds.
+The run loop clears the slot of every entry it fires, so a ``None`` callback
+means "cancelled or fired" and cancelling a fired event is a no-op that
+leaves the counter alone.  :attr:`pending_events` (live events only) is
+therefore O(1) -- ``queued_events - cancelled entries`` -- while
+:attr:`queued_events` is the raw queue length (heap plus deferral deque)
+including cancelled entries not yet popped, i.e. queue memory pressure
+rather than remaining work.
 
-Events carry no label; an event is identified by its callback
-(``Event.__repr__`` prints its qualified name).
+Events carry no label; an event is identified by its callback.
 
 Zero-delay, low-priority work that runs once per model event (Safe Sleep's
 deferred sleep decision) does not touch the heap at all: :meth:`Simulator.defer`
-appends a ``(now, LOW, sequence, callback)`` tuple to an end-of-instant
-deque.  The run loop fires the deque head whenever that tuple sorts before
-the live heap top, which is exactly where ``schedule_in(0.0, callback,
-priority=LOW)`` would have fired it: after every HIGH and NORMAL event of
-the current instant and every earlier-sequenced LOW one, before any later
-LOW event and before the clock advances.  The deque is therefore always
-sorted and only ever holds entries of the current instant.  Deferred
-callbacks take a sequence number and count as scheduled, pending and
-processed events like heap events; they return no handle and cannot be
-cancelled.
+appends a ``[now, LOW, sequence, callback]`` list to an end-of-instant
+deque.  (Deferred entries are lists too: the run loop compares them with
+heap entries, and a tuple does not compare with a list.)  The run loop
+fires the deque head whenever that entry sorts before the live heap top,
+which is exactly where ``schedule_in(0.0, callback, priority=LOW)`` would
+have fired it: after every HIGH and NORMAL event of the current instant and
+every earlier-sequenced LOW one, before any later LOW event and before the
+clock advances.  The deque is therefore always sorted and only ever holds
+entries of the current instant.  Deferred callbacks take a sequence number
+and count as scheduled, pending and processed events like heap events; they
+return no handle and cannot be cancelled.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, ClassVar, Optional, Protocol
 
-from .events import Event, EventHandle, EventPriority
+from .events import EventHandle, EventPriority
 from .rng import RandomStreams
 from .trace import TraceRecorder
 
@@ -117,7 +122,7 @@ class Simulator:
         #: only the run loop advances it.
         self.now: float = 0.0
         self._heap: list = []
-        #: End-of-instant queue of ``(now, LOW, sequence, callback)`` tuples
+        #: End-of-instant queue of ``[now, LOW, sequence, callback]`` entries
         #: (see :meth:`defer`).
         self._deferred: deque = deque()
         self._sequence: int = 0
@@ -209,20 +214,9 @@ class Simulator:
                 f"cannot schedule event at t={time:.9f} before now={self.now:.9f}"
             )
         self._sequence = sequence = self._sequence + 1
-        # Slot-stuffed construction (keep in sync with Event.__init__): one
-        # event is allocated per scheduled callback, and the constructor call
-        # frame alone was measurable at paper scale.
-        event = Event.__new__(Event)
-        event.time = time
-        event.priority = priority
-        event.sequence = sequence
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._sim = self
-        event._in_heap = True
-        heappush(self._heap, (time, priority, sequence, event))
-        return event
+        entry = [time, priority, sequence, callback, args]
+        heappush(self._heap, entry)
+        return entry
 
     def schedule_in(
         self,
@@ -241,18 +235,21 @@ class Simulator:
             raise SimulationError(f"cannot schedule event with negative delay {delay!r}")
         time = self.now + delay
         self._sequence = sequence = self._sequence + 1
-        # Slot-stuffed construction, as in schedule_at.
-        event = Event.__new__(Event)
-        event.time = time
-        event.priority = priority
-        event.sequence = sequence
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event._sim = self
-        event._in_heap = True
-        heappush(self._heap, (time, priority, sequence, event))
-        return event
+        entry = [time, priority, sequence, callback, args]
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, handle: EventHandle) -> None:
+        """Cancel a scheduled event (a no-op once it fired or was cancelled).
+
+        O(1): the entry stays in the heap with its callback slot cleared and
+        is skipped when popped.  Only a still-pending event bumps the
+        lazy-deletion counter, so ``pending_events`` stays exact without
+        scanning the heap.
+        """
+        if handle[3] is not None:
+            handle[3] = None
+            self._cancelled_in_heap += 1
 
     def defer(self, callback: Callable[[], Any]) -> None:
         """Run ``callback()`` at the end of the current instant.
@@ -260,12 +257,12 @@ class Simulator:
         Fires exactly where ``schedule_in(0.0, callback,
         priority=EventPriority.LOW)`` would -- after the HIGH and NORMAL
         events of this instant and every LOW event scheduled before it --
-        but from a deque instead of the heap: no :class:`Event`, no heap
-        push or pop.  The deferral cannot be cancelled; callers that need
-        coalescing keep their own pending flag (as Safe Sleep does).
+        but from a deque instead of the heap: no heap push or pop.  The
+        deferral cannot be cancelled; callers that need coalescing keep
+        their own pending flag (as Safe Sleep does).
         """
         self._sequence = sequence = self._sequence + 1
-        self._deferred.append((self.now, _LOW, sequence, callback))
+        self._deferred.append([self.now, _LOW, sequence, callback])
 
     # ------------------------------------------------------------------ #
     # execution
@@ -332,24 +329,25 @@ class Simulator:
                 elif not heap:
                     break
                 entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
+                callback = entry[3]
+                if callback is None:
                     pop(heap)
-                    event._in_heap = False
                     self._cancelled_in_heap -= 1
                     continue
                 time = entry[0]
                 if time > horizon:
                     break
                 pop(heap)
-                event._in_heap = False
+                # A fired entry reads as no longer pending: cancelling it
+                # from here on is a no-op.
+                entry[3] = None
                 if time < self.now:
                     raise SimulationError(
                         "event queue corrupted: event in the past "
                         f"({time:.9f} < {self.now:.9f})"
                     )
                 self.now = time
-                event.callback(*event.args)
+                callback(*entry[4])
                 fired_this_run += 1
                 heap_len = len(heap)
                 if heap_len > peak:
@@ -384,9 +382,8 @@ class Simulator:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[3].cancelled:
+            if entry[3] is None:
                 heappop(heap)
-                entry[3]._in_heap = False
                 self._cancelled_in_heap -= 1
                 continue
             return entry[0]
@@ -465,7 +462,7 @@ class PeriodicHandle:
         """Stop future firings; the currently scheduled one is cancelled too."""
         self._cancelled = True
         if self._current is not None:
-            self._current.cancel()
+            self._sim.cancel(self._current)
 
     @property
     def cancelled(self) -> bool:

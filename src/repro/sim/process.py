@@ -40,7 +40,7 @@ class Timer:
     @property
     def pending(self) -> bool:
         """Whether the timer currently has an un-fired, un-cancelled event."""
-        return self._handle is not None and not self._handle.cancelled
+        return self._handle is not None and self._handle[3] is not None
 
     @property
     def expiry(self) -> Optional[float]:
@@ -48,7 +48,7 @@ class Timer:
         if not self.pending:
             return None
         assert self._handle is not None
-        return self._handle.time
+        return self._handle[0]
 
     # ------------------------------------------------------------------ #
 
@@ -56,7 +56,7 @@ class Timer:
         """(Re-)arm the timer to fire at absolute time ``time``."""
         handle = self._handle
         if handle is not None:
-            handle.cancel()
+            self._sim.cancel(handle)
         self._handle = self._sim.schedule_at(time, self._fire, priority=self._priority)
 
     def start_in(self, delay: float) -> None:
@@ -66,7 +66,7 @@ class Timer:
     def cancel(self) -> None:
         """Cancel the pending expiry, if any (idempotent)."""
         if self._handle is not None:
-            self._handle.cancel()
+            self._sim.cancel(self._handle)
             self._handle = None
 
     def _fire(self) -> None:

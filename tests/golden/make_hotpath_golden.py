@@ -33,13 +33,11 @@ Regenerate only when a deliberate, reviewed behaviour change occurs::
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from pathlib import Path
 
 from repro.experiments.runner import assemble_run
 from repro.experiments.scenarios import SCALES, rate_sweep_workload
-from repro.net import packet as packet_module
 from repro.orchestrator.jobs import RunJob
 from repro.sim.trace import TraceRecorder
 
@@ -70,13 +68,9 @@ def resolve_queries(scenario, protocol, seed):
 
 
 def assemble_cell(scale_name: str, protocol: str, seed: int, trace=None):
-    """One golden cell wired by :func:`assemble_run`, the runner's own path.
-
-    Packet ids come from a process-global counter, so the counter is reset
-    first: without this, the trace digest would depend on how many packets
-    any earlier simulation in the same process had created.
-    """
-    packet_module._packet_ids = itertools.count(1)
+    """One golden cell wired by :func:`assemble_run`, the runner's own path
+    (which also restarts packet ids, so trace digests do not depend on
+    earlier runs in the same process)."""
     scenario = SCALES[scale_name].scenario()
     queries = resolve_queries(scenario, protocol, seed)
     return assemble_run(scenario, protocol, queries, seed, trace=trace)

@@ -21,6 +21,13 @@ class TestAdvanceWake:
         assert radio.scheduled_wake_time is None
         radio.sleep_until(1.0)
         assert radio.scheduled_wake_time == pytest.approx(1.0)
+        # An earlier wake cancels and replaces the pending one.
+        radio.advance_wake(0.5)
+        assert radio.scheduled_wake_time == pytest.approx(0.5)
+        assert sim.cancelled_events == 1
+        sim.run()
+        assert radio.is_awake
+        assert radio.scheduled_wake_time is None
 
     def test_advance_wake_moves_wake_earlier(self) -> None:
         sim = Simulator(seed=0)

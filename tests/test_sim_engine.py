@@ -64,10 +64,10 @@ class TestScheduling:
     def test_cancel_prevents_firing(self, sim: Simulator) -> None:
         fired = []
         handle = sim.schedule_at(1.0, lambda: fired.append(1))
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert fired == []
-        assert handle.cancelled
+        assert handle[3] is None
 
     def test_run_until_stops_before_later_events(self, sim: Simulator) -> None:
         fired = []
@@ -127,13 +127,13 @@ class TestScheduling:
     def test_fast_forward_skips_cancelled_events_before_until(self, sim: Simulator) -> None:
         sim.schedule_at(1.0, lambda: None)
         late = sim.schedule_at(5.0, lambda: None)
-        late.cancel()
+        sim.cancel(late)
         assert sim.run(until=10.0, max_events=1) == 10.0
 
     def test_pending_excludes_cancelled_queued_includes(self, sim: Simulator) -> None:
         sim.schedule_at(1.0, lambda: None)
         cancelled = sim.schedule_at(2.0, lambda: None)
-        cancelled.cancel()
+        sim.cancel(cancelled)
         assert sim.pending_events == 1
         assert sim.queued_events == 2
 
@@ -142,7 +142,7 @@ class TestScheduling:
         handle = sim.schedule_at(4.0, lambda: None)
         sim.schedule_at(6.0, lambda: None)
         assert sim.peek_next_time() == 4.0
-        handle.cancel()
+        sim.cancel(handle)
         assert sim.peek_next_time() == 6.0
 
     def test_processed_events_counter(self, sim: Simulator) -> None:
@@ -208,6 +208,16 @@ class TestTimer:
         assert timer.expiry is None
         timer.start_at(3.0)
         assert timer.expiry == 3.0
+        # Re-arming cancels the old handle; firing and cancelling clear it.
+        timer.start_at(4.0)
+        assert timer.pending and timer.expiry == 4.0
+        assert sim.cancelled_events == 1
+        sim.run()
+        assert not timer.pending and timer.expiry is None
+        timer.start_at(6.0)
+        timer.cancel()
+        assert not timer.pending and timer.expiry is None
+        assert sim.cancelled_events == 2
 
     def test_timer_fired_count(self, sim: Simulator) -> None:
         timer = Timer(sim, lambda: None)
@@ -216,6 +226,120 @@ class TestTimer:
         timer.start_in(1.0)
         sim.run()
         assert timer.fired_count == 2
+
+
+class TestHandles:
+    """A handle is the heap entry ``[time, priority, sequence, callback, args]``."""
+
+    def test_handle_is_the_heap_entry(self, sim: Simulator) -> None:
+        callback = lambda *args: None  # noqa: E731
+        handle = sim.schedule_at(2.0, callback, "a", 1, priority=EventPriority.HIGH)
+        assert handle == [2.0, EventPriority.HIGH, 1, callback, ("a", 1)]
+        assert sim._heap[0] is handle
+
+    def test_cancel_after_firing_is_a_no_op(self, sim: Simulator) -> None:
+        fired = []
+        handle = sim.schedule_at(1.0, lambda: fired.append(sim.now))
+        sim.schedule_at(2.0, lambda: None)
+        sim.run(until=1.5)
+        assert fired == [1.0]
+        assert handle[3] is None
+        sim.cancel(handle)
+        assert sim.pending_events == 1
+        assert sim.cancelled_events == 0
+        sim.run()
+        assert sim.processed_events == 2
+        assert sim.cancelled_events == 0
+
+    def test_double_cancel_counts_once(self, sim: Simulator) -> None:
+        handle = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        sim.cancel(handle)
+        sim.cancel(handle)
+        assert sim.pending_events == 1
+        assert sim.queued_events == 2
+        assert sim.cancelled_events == 1
+        sim.run()
+        assert sim.processed_events == 1
+        assert sim.cancelled_events == 1
+        assert sim.queued_events == 0
+
+    def test_cancel_from_another_callback_at_the_same_instant(self, sim: Simulator) -> None:
+        fired = []
+        handles = {}
+
+        def first() -> None:
+            fired.append("first")
+            sim.cancel(handles["second"])
+
+        sim.schedule_at(1.0, first)
+        handles["second"] = sim.schedule_at(1.0, lambda: fired.append("second"))
+        sim.schedule_at(1.0, lambda: fired.append("third"))
+        sim.run()
+        assert fired == ["first", "third"]
+        assert sim.processed_events == 2
+        assert sim.cancelled_events == 1
+        assert sim.pending_events == 0
+
+    def test_a_callback_cancelling_its_own_handle_is_a_no_op(self, sim: Simulator) -> None:
+        handles = {}
+        handles["self"] = sim.schedule_at(1.0, lambda: sim.cancel(handles["self"]))
+        sim.run()
+        assert sim.processed_events == 1
+        assert sim.cancelled_events == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+            st.lists(st.integers(min_value=0, max_value=30), max_size=3),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.lists(st.integers(min_value=0, max_value=30), max_size=10),
+)
+def test_property_cancelled_events_stays_exact(program, cancel_up_front) -> None:
+    """``cancelled_events`` counts exactly the events cancelled while still
+    pending -- not double cancels, cancels of fired events, or events that
+    cancel themselves -- and ``pending_events`` the live ones, after every
+    fired event."""
+    sim = Simulator(seed=0)
+    handles: list = []
+    cancelled: set = set()
+    fired: set = set()
+
+    def cancel(index: int) -> None:
+        if handles:
+            target = index % len(handles)
+            if target not in fired:
+                cancelled.add(target)
+            sim.cancel(handles[target])
+
+    def make(index: int, targets: list):
+        def callback() -> None:
+            fired.add(index)
+            for target in targets:
+                cancel(target)
+
+        return callback
+
+    for index, (time, targets) in enumerate(program):
+        handles.append(sim.schedule_at(time, make(index, targets)))
+    for target in cancel_up_front:
+        cancel(target)
+    while True:
+        assert sim.cancelled_events == len(cancelled)
+        assert sim.pending_events == len(handles) - len(fired) - len(cancelled)
+        if sim.peek_next_time() is None:
+            break
+        sim.run(max_events=1)
+    assert fired.isdisjoint(cancelled)
+    assert len(fired) + len(cancelled) == len(handles)
+    assert sim.cancelled_events == len(cancelled)
+    assert sim.pending_events == 0
 
 
 class TestDeterminism:
@@ -269,7 +393,7 @@ def test_property_cancelled_events_never_fire(entries: list[tuple[float, bool]])
     for index, (time, cancel) in enumerate(entries):
         handle = sim.schedule_at(time, lambda index=index: fired.append(index))
         if cancel:
-            handle.cancel()
+            sim.cancel(handle)
         else:
             expected += 1
     sim.run()
@@ -383,7 +507,7 @@ def _replay(program, use_defer: bool):
             return
         if kind == "cancel":
             if handles:
-                handles[target % len(handles)].cancel()
+                sim.cancel(handles[target % len(handles)])
             return
         if budget[0] == 0:
             return

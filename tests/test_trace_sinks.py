@@ -103,3 +103,19 @@ class TestStreamingRun:
         ]
         assert measured[0] == measured[1]
         assert traced[1] == untraced[1]
+
+    def test_identical_runs_in_one_process_record_identical_traces(self) -> None:
+        # Packet ids restart with every run assembly: without that, the
+        # second run's ids continue where the first run's stopped and the
+        # payloads differ from the first ``mac.enqueue`` on.
+        scenario = smoke_scale()
+        queries = golden_tool.resolve_queries(scenario, "DTS-SS", 1)
+        payloads = []
+        for _ in range(2):
+            trace = TraceRecorder(enabled=True)
+            assemble_run(scenario, "DTS-SS", queries, 1, trace=trace).execute()
+            payloads.append(
+                [(record.time, record.category, record.node, record.data) for record in trace]
+            )
+        assert any("packet_id" in data for _, _, _, data in payloads[0])
+        assert payloads[0] == payloads[1]
