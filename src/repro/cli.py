@@ -10,10 +10,8 @@ Exposes the experiment harness without writing any Python:
   with the scenario registry (clustered, corridor, density, size,
   radio-profiles, churn, ... -- evaluation axes beyond the paper),
 * ``python -m repro.cli list`` shows the available figures and protocols,
-* ``python -m repro.cli perf record|report|diff|check`` records benchmark
-  results into the append-only perf history, renders the speedup-trajectory
-  figure, profile-diffs two recorded commits, and gates fresh results with a
-  statistical regression bound (see :mod:`repro.obs.perfcli`).
+* ``python -m repro.cli perf record|report|diff|check`` works with the
+  benchmark perf history (see :mod:`repro.obs.perfcli`).
 
 The ``--scale`` option selects one entry of
 :data:`repro.experiments.scenarios.SCALES`: a scenario and the sweep grid
@@ -94,6 +92,25 @@ FIGURES: Dict[str, Tuple[str, Callable[..., FigureResult], Optional[str]]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that may add its arguments (``configure``) when it first parses."""
+
+    configure: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        configure, self.configure = self.configure, None
+        if configure is not None:
+            configure(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _configure_perf(parser: argparse.ArgumentParser) -> None:
+    # Imported on first parse, so only a `perf` command loads the perf history.
+    from .obs.perfcli import configure_perf_parser
+
+    configure_perf_parser(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -126,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-job progress and ETA to stderr while a sweep runs",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     figure_parser = subparsers.add_parser("figure", help="regenerate one of the paper's figures")
     figure_parser.add_argument("name", choices=[*sorted(FIGURES), "headline"])
@@ -161,10 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     subparsers.add_parser("list", help="list available figures, protocols and scales")
-
-    from .obs.perfcli import add_perf_parser
-
-    add_perf_parser(subparsers)
+    perf = subparsers.add_parser(
+        "perf", help="record, report, diff and gate benchmark performance history"
+    )
+    perf.configure = _configure_perf
     return parser
 
 
@@ -305,9 +322,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.command == "perf":
         # Perf-history commands never build a scenario or touch the
         # orchestrator options; dispatch before validating those.
-        from .obs.perfcli import run_perf
-
-        return run_perf(args, out)
+        return args.func(args, out)
     scale = SCALES[args.scale]
     scenario = scale.scenario()
     if args.jobs < 1:

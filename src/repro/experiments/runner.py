@@ -268,12 +268,6 @@ def assemble_run(
     Packet ids restart at 1, so two identical runs in one process record
     identical traces.
     """
-    # Honour REPRO_SANITIZE=1 in every process that runs simulations, outside
-    # the armed window and before the MACs are built, so their guarded sets
-    # wrap.  Imported here so a store replay never loads the sanitizer.
-    from ..sanitizer.runtime import maybe_install_from_env
-
-    maybe_install_from_env()
     restart_packet_ids()
     sim = Simulator(seed=seed, trace=trace)
     topology = build_scenario_topology(scenario, seed)

@@ -41,11 +41,8 @@ from .report import (
 _BENCH_DIRECTION: Dict[str, bool] = {"hotpath": True, "orchestrator": False}
 
 
-def add_perf_parser(subparsers: argparse._SubParsersAction) -> None:
-    """Register the ``perf`` command group on the top-level CLI."""
-    perf = subparsers.add_parser(
-        "perf", help="record, report, diff and gate benchmark performance history"
-    )
+def configure_perf_parser(perf: argparse.ArgumentParser) -> None:
+    """Add the ``perf`` command group's arguments to the CLI's ``perf`` parser."""
     perf.add_argument(
         "--history",
         default=HISTORY_FILENAME,
@@ -58,6 +55,7 @@ def add_perf_parser(subparsers: argparse._SubParsersAction) -> None:
         default="hotpath",
         help="which benchmark's entries to operate on",
     )
+    perf.set_defaults(func=run_perf)
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
 
     record = perf_sub.add_parser(

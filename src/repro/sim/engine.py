@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, ClassVar, Optional, Protocol
+from typing import Any, Callable, Optional
 
 from .events import EventHandle, EventPriority
 from .rng import RandomStreams
@@ -68,20 +68,6 @@ class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation engine."""
 
 
-class RunWatcher(Protocol):
-    """Hook armed for the duration of :meth:`Simulator.run`.
-
-    The runtime determinism sanitizer (:mod:`repro.sanitizer`) installs
-    itself here from the *orchestration* side -- the engine only holds
-    the slot, so the simulation layer never imports orchestration code
-    (``tests/test_import_hygiene.py`` checks that).
-    """
-
-    def arm(self) -> None: ...
-
-    def disarm(self) -> None: ...
-
-
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -89,7 +75,10 @@ class Simulator:
     ----------
     seed:
         Master seed for the named random streams.  Two simulators created
-        with the same seed and the same model code execute identically.
+        with the same seed and the same model code execute identically, as
+        long as no callback reads the wall clock, the global ``random``
+        instance or the environment (``tests/test_hidden_inputs.py``
+        profiles runs for such reads).
     trace:
         Optional :class:`TraceRecorder`; if omitted, a disabled recorder
         is used, so a run buffers no records.  Pass
@@ -109,11 +98,6 @@ class Simulator:
         "streams",
         "trace",
     )
-
-    #: Process-wide watcher armed while any simulator runs (a class
-    #: attribute, deliberately outside ``__slots__``): ``None`` unless the
-    #: determinism sanitizer is installed.
-    run_watcher: ClassVar[Optional[RunWatcher]] = None
 
     def __init__(self, seed: int = 0, trace: Optional[TraceRecorder] = None) -> None:
         #: Current simulation time in seconds.  A plain attribute rather
@@ -289,9 +273,6 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
-        watcher = Simulator.run_watcher
-        if watcher is not None:
-            watcher.arm()
         fired_this_run = 0
         horizon = math.inf if until is None else until
         budget = math.inf if max_events is None else max_events
@@ -367,8 +348,6 @@ class Simulator:
             self._processed_events += fired_this_run
             self._peak_heap_size = peak
             self._running = False
-            if watcher is not None:
-                watcher.disarm()
         return self.now
 
     def stop(self) -> None:

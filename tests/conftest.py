@@ -8,7 +8,6 @@ from repro.mac.base import MacConfig
 from repro.net.node import Network, build_network
 from repro.net.topology import Topology
 from repro.radio.energy import IDEAL, MICA2_TYPICAL, PowerProfile
-from repro.sanitizer.pytest_plugin import determinism_sanitizer  # noqa: F401
 from repro.sim.engine import Simulator
 
 

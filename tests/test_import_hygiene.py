@@ -4,18 +4,18 @@ The package runs on the standard library alone, and every CLI call, pool
 worker and store replay pays its import cost.  This checks which modules an
 import pulls in rather than how long it takes, so a new import of a heavy
 package fails here deterministically instead of showing up as benchmark
-drift.  The warm-replay path also leaves out the process pool and the
-perf-history tooling, which it never uses, and the runner leaves out the
-stack formatting only a tripped sanitizer wire needs.  Package
-``__init__`` modules export nothing, so importing a name loads only the
-module that defines it: a replay loads no protocol, and a run loads only the
-protocol it builds.  The simulation packages import no orchestration
-module, so nothing under the simulated clock can reach wall-clock timing,
-the store or the CLI through an import.  Nor does a simulation module bind
-a wall-clock function, a method of ``random``'s global instance or the
-environment as a global, where the sanitizer's patches cannot reach it.
-The checks run in a subprocess because the test session itself has
-already imported scipy, numpy and networkx (they are test oracles).
+drift.  The warm-replay path, from building the CLI parser to printing a
+cached figure, also leaves out the process pool and the perf-history
+tooling, which it never uses.  Package ``__init__`` modules export nothing,
+so importing a name loads only the module that defines it: a replay loads
+no protocol, and a run loads only the protocol it builds.  The simulation
+packages import no orchestration module, so nothing under the simulated
+clock can reach wall-clock timing, the store or the CLI through an import.
+Nor does a simulation module bind a wall-clock function, a method of
+``random``'s global instance or the environment as a global, even on a path
+no tested run reaches.  The checks run in a subprocess because the test
+session itself has already imported scipy, numpy and networkx (they are
+test oracles).
 """
 
 from __future__ import annotations
@@ -55,33 +55,8 @@ REPLAY_UNUSED = (
     "platform",
 )
 
-_REPLAY_PROGRAM = f"""
-import json
-import sys
-
-import repro.experiments.figures
-import repro.obs.adapters
-import repro.orchestrator.api
-import repro.orchestrator.store
-
-print(json.dumps(sorted(name for name in {REPLAY_UNUSED!r} if name in sys.modules)))
-"""
-
-#: Modules only a tripped sanitizer wire needs (to format its stack); every
-#: process that runs a simulation imports the runner and the sanitizer.
-TRIPWIRE_ONLY = ("traceback", "textwrap")
-
-_RUNNER_PROGRAM = f"""
-import json
-import sys
-
-import repro.experiments.runner
-
-print(json.dumps(sorted(name for name in {TRIPWIRE_ONLY!r} if name in sys.modules)))
-"""
-
-#: Protocol and tooling code a store replay never runs.
-REPLAY_UNLOADED = ("repro.core", "repro.baselines", "repro.sanitizer", "repro.query.service")
+#: Protocol code a store replay never runs.
+REPLAY_UNLOADED = ("repro.core", "repro.baselines", "repro.query.service")
 
 _REPLAY_MODULES_PROGRAM = """
 import json
@@ -95,6 +70,20 @@ import repro.orchestrator.store
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
 """
 
+
+def _cli_replay_program(cache_dir: Path) -> str:
+    """Builds the CLI parser and prints Fig. 3 from ``cache_dir``'s store."""
+    return f"""
+import io
+import json
+import sys
+
+from repro.cli import build_parser, main
+
+build_parser()
+main(["--scale", "smoke", "--cache-dir", {str(cache_dir)!r}, "figure", "fig3"], out=io.StringIO())
+print(json.dumps(sorted(sys.modules)))
+"""
 
 def _suite_program(protocol: str, family: str | None = None) -> str:
     """Assembles a smoke-scale run of ``protocol``, or of ``family``'s last variant."""
@@ -133,7 +122,6 @@ ORCHESTRATION_PACKAGES = (
     "obs",
     "experiments",
     "scenarios",
-    "sanitizer",
     "cli",
 )
 
@@ -150,12 +138,12 @@ for package in {SIMULATION_PACKAGES!r}:
 print(json.dumps(sorted(sys.modules)))
 """
 
-#: Module globals no simulation module may hold.  The sanitizer patches the
-#: ``time``, ``random`` and ``os`` attributes when a run starts, so a name
-#: bound at import (``from time import perf_counter``) would keep the
-#: unpatched object and read the wall clock, global randomness or the
-#: environment unseen.  ``from random import Random`` stays legal: a seeded
-#: instance is deterministic.
+#: Module globals no simulation module may hold: a name bound at import
+#: (``from time import perf_counter``) to the wall clock, global randomness
+#: or the environment.  ``tests/test_hidden_inputs.py`` catches such a read
+#: only on the paths its runs execute; this covers every simulation module.
+#: ``from random import Random`` stays legal: a seeded instance is
+#: deterministic.
 _BOUND_NAMES_PROGRAM = f"""
 import importlib
 import json
@@ -203,7 +191,6 @@ DOCSTRING_ONLY_PACKAGES = (
     "experiments",
     "orchestrator",
     "obs",
-    "sanitizer",
     "scenarios",
 )
 
@@ -249,12 +236,13 @@ def test_entry_points_import_no_heavy_packages() -> None:
     assert _run(_PROGRAM) == []
 
 
-def test_replay_path_imports_no_pool_or_perf_history() -> None:
-    assert _run(_REPLAY_PROGRAM) == []
-
-
-def test_runner_imports_no_stack_formatting() -> None:
-    assert _run(_RUNNER_PROGRAM) == []
+def test_replay_path_imports_no_pool_or_perf_history(tmp_path: Path) -> None:
+    """Nor any protocol code: a warm replay runs no simulation."""
+    program = _cli_replay_program(tmp_path)
+    _run(program)  # cold: fills the store
+    warm = _run(program)
+    assert [name for name in REPLAY_UNUSED if name in warm] == []
+    assert _within(warm, REPLAY_UNLOADED) == []
 
 
 def test_pool_sweep_still_runs_and_matches_serial() -> None:
@@ -267,7 +255,11 @@ def test_pool_sweep_still_runs_and_matches_serial() -> None:
 
 
 def test_replay_modules_load_no_protocol_or_sanitizer() -> None:
-    assert _within(_run(_REPLAY_MODULES_PROGRAM), REPLAY_UNLOADED) == []
+    """Importing the replay modules loads no protocol, and no sanitizer exists."""
+    modules = _run(_REPLAY_MODULES_PROGRAM)
+    assert _within(modules, REPLAY_UNLOADED) == []
+    assert _within(modules, ("repro.sanitizer",)) == []
+    assert not (REPO_ROOT / "src" / "repro" / "sanitizer").exists()
 
 
 def test_suite_build_loads_only_its_protocol() -> None:

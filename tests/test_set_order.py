@@ -21,7 +21,7 @@ import ast
 import re
 import textwrap
 from pathlib import Path
-from typing import List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 import pytest
 
@@ -97,16 +97,53 @@ def _order_sensitivity(body: List[ast.stmt]) -> Optional[str]:
     return None
 
 
+def _is_set_literal(node: ast.AST) -> bool:
+    """A set display, comprehension or ``set(...)``/``frozenset(...)`` call."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return isinstance(node, ast.Call) and dotted_name(node.func) in ("set", "frozenset")
+
+
+def set_attributes(module: ast.Module) -> Set[str]:
+    """Attribute names that a class in ``module`` declares set-typed."""
+    names: Set[str] = set()
+    for cls in ast.walk(module):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for statement in cls.body:
+            if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                if _annotation_is_set(statement.annotation):
+                    names.add(statement.target.id)
+        for node in ast.walk(cls):
+            if isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+                is_set = _annotation_is_set(node.annotation) or (
+                    node.value is not None and _is_set_literal(node.value)
+                )
+            elif isinstance(node, ast.Assign):
+                targets, is_set = node.targets, _is_set_literal(node.value)
+            else:
+                continue
+            if is_set:
+                names.update(
+                    target.attr
+                    for target in targets
+                    if isinstance(target, ast.Attribute) and dotted_name(target.value) == "self"
+                )
+    return names
+
+
 class _ScopeVisitor(ast.NodeVisitor):
     """Per-scope tracker of names statically known to hold sets."""
 
-    def __init__(self, path: str, set_names: Set[str]) -> None:
+    def __init__(self, path: str, set_names: Set[str], attributes: AbstractSet[str]) -> None:
         self.path = path
         self.set_names = set_names
+        self.attributes = attributes
         self.findings: List[Finding] = []
 
     def _enter_scope(self, node: ast.AST, set_names: Set[str]) -> None:
-        nested = _ScopeVisitor(self.path, set_names)
+        nested = _ScopeVisitor(self.path, set_names, self.attributes)
         for child in ast.iter_child_nodes(node):
             nested.visit(child)
         self.findings.extend(nested.findings)
@@ -126,13 +163,13 @@ class _ScopeVisitor(ast.NodeVisitor):
         self._enter_scope(node, set())
 
     def _is_set_expr(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
+        if _is_set_literal(node):
             return True
         if isinstance(node, ast.Name):
             return node.id in self.set_names
+        if isinstance(node, ast.Attribute):
+            return node.attr in self.attributes
         if isinstance(node, ast.Call):
-            if dotted_name(node.func) in ("set", "frozenset"):
-                return True
             if isinstance(node.func, ast.Attribute) and node.func.attr in _SET_METHODS:
                 return self._is_set_expr(node.func.value)
             return False
@@ -170,7 +207,11 @@ class _ScopeVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        name = dotted_name(node.func)
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "pop" and not node.args:
+            if self._is_set_expr(func.value):
+                self.findings.append((self.path, node.lineno, "`.pop()` of a set is arbitrary"))
+        name = dotted_name(func)
         if name is not None and name.split(".")[-1] in ("sum", "fsum"):
             if any(
                 isinstance(argument, (ast.GeneratorExp, ast.ListComp))
@@ -183,28 +224,49 @@ class _ScopeVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def scan(source: str, path: str = "<string>") -> List[Finding]:
-    """Every set-order hazard in ``source`` as ``(path, line, message)``."""
-    visitor = _ScopeVisitor(path, set())
-    for child in ast.iter_child_nodes(ast.parse(source, filename=path)):
+def scan(
+    source: str, path: str = "<string>", attributes: Optional[AbstractSet[str]] = None
+) -> List[Finding]:
+    """Every set-order hazard in ``source`` as ``(path, line, message)``.
+
+    ``attributes`` are the set-typed attribute names; by default, those that
+    ``source`` itself declares.
+    """
+    module = ast.parse(source, filename=path)
+    if attributes is None:
+        attributes = set_attributes(module)
+    visitor = _ScopeVisitor(path, set(), attributes)
+    for child in ast.iter_child_nodes(module):
         visitor.visit(child)
     return visitor.findings
 
 
-def _simulation_files() -> List[Path]:
+def _simulation_sources() -> Dict[Path, str]:
     src = REPO_ROOT / "src" / "repro"
-    return sorted(path for package in SIMULATION_PACKAGES for path in (src / package).rglob("*.py"))
+    paths = sorted(path for package in SIMULATION_PACKAGES for path in (src / package).rglob("*.py"))
+    return {path: path.read_text(encoding="utf-8") for path in paths}
+
+
+def _attributes(sources: Dict[Path, str]) -> Set[str]:
+    return {name for source in sources.values() for name in set_attributes(ast.parse(source))}
 
 
 def test_simulation_packages_scan_clean() -> None:
-    files = _simulation_files()
-    assert len(files) > 40
+    sources = _simulation_sources()
+    assert len(sources) > 40
+    attributes = _attributes(sources)
     findings = [
         finding
-        for path in files
-        for finding in scan(path.read_text(encoding="utf-8"), str(path.relative_to(REPO_ROOT)))
+        for path, source in sources.items()
+        for finding in scan(source, str(path.relative_to(REPO_ROOT)), attributes)
     ]
     assert findings == []
+
+
+def test_per_event_set_attributes_are_known() -> None:
+    """Child bookkeeping, the duplicate window and the period watermark."""
+    attributes = _attributes(_simulation_sources())
+    assert {"expected_children", "received_children", "_seen_packet_ids", "sparse"} <= attributes
 
 
 @pytest.mark.parametrize(
@@ -234,8 +296,41 @@ def test_simulation_packages_scan_clean() -> None:
         def total(values):
             return sum(v * 2.0 for v in set(values))
         """,
+        """
+        class State:
+            received: Set[int]
+
+            def merge(self, acc):
+                for child in self.received:
+                    acc += child
+        """,
+        """
+        class Window:
+            def __init__(self):
+                self.seen = set()
+
+        def notify(sim, window):
+            for packet in window.seen:
+                sim.schedule_in(0.0, packet)
+        """,
+        """
+        class Watermark:
+            def __init__(self):
+                self.sparse: Set[int] = set()
+
+        def advance(watermark):
+            return watermark.sparse.pop()
+        """,
     ],
-    ids=["scheduling", "deferral", "annotated-accumulation", "sum-comprehension"],
+    ids=[
+        "scheduling",
+        "deferral",
+        "annotated-accumulation",
+        "sum-comprehension",
+        "self-attribute",
+        "other-object-attribute",
+        "pop",
+    ],
 )
 def test_fires(source: str) -> None:
     assert len(scan(textwrap.dedent(source))) == 1
@@ -254,8 +349,26 @@ def test_fires(source: str) -> None:
         def index(tree, members):
             return {member: tree.parent[member] for member in set(members)}
         """,
+        """
+        class State:
+            received: Set[int]
+
+            def take(self, child, queue):
+                if child not in self.received:
+                    self.received.add(child)
+                    queue.pop()
+        """,
+        """
+        class State:
+            expected: Set[int]
+            received: Set[int]
+
+            def missing(self, sim):
+                for child in sorted(self.expected - self.received):
+                    sim.schedule_in(0.0, child)
+        """,
     ],
-    ids=["sorted", "order-insensitive-body"],
+    ids=["sorted", "order-insensitive-body", "membership", "sorted-difference"],
 )
 def test_silent(source: str) -> None:
     assert scan(textwrap.dedent(source)) == []
