@@ -49,7 +49,7 @@ from repro.experiments.config import paper_scale, reduced_scale
 from repro.experiments.runner import assemble_run
 from repro.experiments.scenarios import query_count_workload, rate_sweep_workload
 from repro.net.propagation import PropagationSpec
-from repro.orchestrator.api import ExperimentSpec, run_experiments
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.orchestrator.jobs import RunJob
 from repro.scenarios.families import get_family
 from repro.sim.engine import Simulator
@@ -148,7 +148,7 @@ def _parallel_sweep(scenario, workload, serial_events: int) -> dict:
         for protocol in PROTOCOLS
     ]
     started = time.perf_counter()
-    run_experiments(specs, jobs=workers)
+    run_sweep(specs, jobs=workers)
     seconds = time.perf_counter() - started
     return {
         "workers": workers,

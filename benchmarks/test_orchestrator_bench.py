@@ -1,7 +1,7 @@
 """Benchmark: orchestrated sweep throughput (serial vs parallel vs cached).
 
 Runs one reduced-scale multi-point sweep three ways through
-:func:`repro.orchestrator.api.run_experiments`:
+:func:`repro.orchestrator.api.run_sweep`:
 
 1. serial (``jobs=1``, no store),
 2. parallel (``jobs=min(4, cpu_count)``),
@@ -20,8 +20,7 @@ import os
 import time
 
 from repro.experiments.scenarios import rate_sweep_workload
-from repro.orchestrator.api import ExperimentSpec, run_experiments
-from repro.orchestrator.executor import SweepExecutor
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.orchestrator.store import ResultStore
 
 #: The sweep: two ESSAT protocols at the rate-sweep end points.
@@ -55,12 +54,12 @@ def test_orchestrator_sweep_throughput(
     specs = _sweep_specs(scenario)
     workers = min(4, os.cpu_count() or 1)
 
-    serial, serial_s = _timed(lambda: run_experiments(specs, jobs=1))
-    parallel, parallel_s = _timed(lambda: run_experiments(specs, jobs=workers))
+    serial, serial_s = _timed(lambda: run_sweep(specs, jobs=1))
+    parallel, parallel_s = _timed(lambda: run_sweep(specs, jobs=workers))
 
     store = ResultStore(tmp_path / "bench-store")
-    _, cold_store_s = _timed(lambda: run_experiments(specs, jobs=1, store=store))
-    warm, warm_s = _timed(lambda: run_experiments(specs, jobs=1, store=store))
+    _, cold_store_s = _timed(lambda: run_sweep(specs, jobs=1, store=store))
+    warm, warm_s = _timed(lambda: run_sweep(specs, jobs=1, store=store))
 
     # Correctness: all execution modes agree bit-for-bit.
     for a, b, c in zip(serial, parallel, warm, strict=True):
@@ -69,13 +68,9 @@ def test_orchestrator_sweep_throughput(
         assert a.metrics.average_query_latency == b.metrics.average_query_latency
         assert a.metrics.average_query_latency == c.metrics.average_query_latency
 
-    # The warm replay must be pure cache: re-running against the same store
-    # through a bare executor performs zero simulator runs.
-    executor = SweepExecutor(workers=1, store=store)
-    jobs = [job for spec in specs for job in spec.expand()]
-    executor.run(jobs)
-    assert executor.last_executed == 0
-    assert executor.last_cached == len(jobs)
+    # The warm replay must be pure cache: it performs zero simulator runs.
+    runs = [run for result in warm for run in result.runs]
+    assert all(run.cached for run in runs)
     assert warm_s < serial_s
 
     orchestrator_bench_recorder(
@@ -85,7 +80,7 @@ def test_orchestrator_sweep_throughput(
                 "rates": list(SWEEP_RATES),
                 "num_nodes": scenario.num_nodes,
                 "duration_s": scenario.duration,
-                "num_jobs": len(jobs),
+                "num_jobs": len(runs),
             },
             "cpu_count": os.cpu_count(),
             "parallel_workers": workers,
@@ -99,4 +94,4 @@ def test_orchestrator_sweep_throughput(
 
     # One extra serial pass under pytest-benchmark so this sweep shows up in
     # the benchmark table alongside the figure sweeps.
-    run_once(run_experiments, specs, jobs=1)
+    run_once(run_sweep, specs, jobs=1)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import sys
 
 from repro.experiments.config import reduced_scale
-from repro.experiments.runner import ALL_PROTOCOLS, run_protocol_comparison
+from repro.experiments.runner import ALL_PROTOCOLS
 from repro.experiments.scenarios import rate_sweep_workload
 from repro.experiments.tables import comparison_table
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 
 
 def main() -> None:
@@ -28,9 +29,11 @@ def main() -> None:
         f"{scenario.num_nodes} nodes, {scenario.duration:g}s, three query classes "
         f"at base rate {base_rate:g} Hz (rate ratio 6:3:2)\n"
     )
-    results = run_protocol_comparison(
-        scenario, ALL_PROTOCOLS, workload=workload, num_runs=1
-    )
+    specs = [
+        ExperimentSpec(scenario, protocol, workload=workload, num_runs=1)
+        for protocol in ALL_PROTOCOLS
+    ]
+    results = {result.protocol: result for result in run_sweep(specs)}
 
     table = {
         name: {

@@ -23,7 +23,7 @@ from repro.core.analysis import (
     sts_query_latency,
 )
 from repro.experiments.config import smoke_scale
-from repro.experiments.runner import run_experiment
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.query.workload import WorkloadSpec
 
 
@@ -35,10 +35,17 @@ def main() -> None:
     print("STS-SS deadline sweep (surveillance query at "
           f"{base_rate:g} Hz base rate, {scenario.num_nodes} nodes)")
     print(f"{'deadline':>9} {'duty cycle':>11} {'latency':>9}")
+    specs = [
+        ExperimentSpec(
+            scenario,
+            "STS-SS",
+            workload=WorkloadSpec(base_rate_hz=base_rate, queries_per_class=1, deadline=deadline),
+            num_runs=1,
+        )
+        for deadline in deadlines
+    ]
     results = {}
-    for deadline in deadlines:
-        workload = WorkloadSpec(base_rate_hz=base_rate, queries_per_class=1, deadline=deadline)
-        result = run_experiment(scenario, "STS-SS", workload=workload, num_runs=1)
+    for deadline, result in zip(deadlines, run_sweep(specs), strict=True):
         results[deadline] = result.metrics
         print(
             f"{deadline:>8.2f}s {result.metrics.average_duty_cycle * 100:>10.2f}% "
@@ -59,7 +66,7 @@ def main() -> None:
 
     # DTS-SS requires no deadline at all.
     workload = WorkloadSpec(base_rate_hz=base_rate, queries_per_class=1)
-    dts = run_experiment(scenario, "DTS-SS", workload=workload, num_runs=1)
+    (dts,) = run_sweep([ExperimentSpec(scenario, "DTS-SS", workload=workload, num_runs=1)])
     print(
         "\nDTS-SS (self-tuning)                  : "
         f"duty {dts.metrics.average_duty_cycle * 100:.2f} %, "

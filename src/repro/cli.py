@@ -48,9 +48,10 @@ from .experiments.figures import (
     headline_claims,
 )
 from .experiments.lifetime import estimate_lifetime
-from .experiments.runner import ALL_PROTOCOLS, build_scenario_topology, run_protocol_comparison
+from .experiments.runner import ALL_PROTOCOLS, build_scenario_topology
 from .experiments.scenarios import SCALES, Scale, rate_sweep_workload
 from .experiments.tables import FigureResult, comparison_table
+from .orchestrator.api import ExperimentSpec, run_sweep
 from .routing.tree import build_routing_tree
 
 #: Figure name -> (description, generator, grid keyword).  The grid keyword
@@ -226,21 +227,19 @@ def _run_compare(
     orch,
 ) -> None:
     workload = rate_sweep_workload(base_rate)
-    results = run_protocol_comparison(
-        scenario,
-        protocols,
-        workload=workload,
-        num_runs=runs,
-        **orch,
-    )
+    specs = [
+        ExperimentSpec(scenario=scenario, protocol=protocol, workload=workload, num_runs=runs)
+        for protocol in protocols
+    ]
+    results = run_sweep(specs, label="compare", **orch)
     # Project lifetimes against the tree the metrics were computed on.
     tree = build_routing_tree(
         build_scenario_topology(scenario, scenario.seed),
         max_distance_from_root=scenario.max_distance_from_root,
     )
     rows: Dict[str, Dict[str, float]] = {}
-    for protocol in protocols:
-        metrics = results[protocol].metrics
+    for protocol, result in zip(protocols, results, strict=True):
+        metrics = result.metrics
         rows[protocol] = {
             "duty_cycle_%": metrics.average_duty_cycle * 100.0,
             "latency_ms": metrics.average_query_latency * 1000.0,

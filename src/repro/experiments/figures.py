@@ -12,8 +12,8 @@ grid, which reproduces the paper's sweep.
 Sweep execution routes through :mod:`repro.orchestrator`: every data point
 of a figure (one protocol at one x-value, replicated ``num_runs`` times)
 expands into content-addressed :class:`~repro.orchestrator.jobs.RunJob`
-objects, and the whole figure's job list is executed as ONE sweep.  Two
-knobs every figure function accepts:
+objects, and :func:`~repro.orchestrator.api.run_sweep` executes the whole
+figure's job list as ONE sweep.  Two knobs every figure function accepts:
 
 * ``jobs=N`` fans the sweep out over ``N`` worker processes.  Results are
   bit-identical to the serial path because each job owns its own seeded
@@ -28,8 +28,9 @@ The same knobs are exposed on the CLI as ``--jobs`` / ``--cache-dir``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
+from ..orchestrator.api import ExperimentSpec, ProgressLike, StoreLike, run_sweep
 from .config import ScenarioConfig
 from .scenarios import (
     BREAK_EVEN_TIMES,
@@ -43,14 +44,6 @@ from .scenarios import (
 )
 from .tables import FigureResult, Series
 
-if TYPE_CHECKING:
-    from ..orchestrator.api import ProgressLike, StoreLike
-else:
-    # Imported lazily at runtime: the orchestrator's api module imports this
-    # package, and importing it here at module scope would close the cycle.
-    ProgressLike = Any
-    StoreLike = Any
-
 #: Break-even threshold (seconds) used for the Figure 8 commentary: the
 #: typical MICA2 / WLAN wake-up delay.
 MICA2_BREAK_EVEN = 0.0025
@@ -58,19 +51,6 @@ MICA2_BREAK_EVEN = 0.0025
 
 def _percent(value: float) -> float:
     return 100.0 * value
-
-
-def _experiment_spec(**kwargs):
-    from ..orchestrator.api import ExperimentSpec
-
-    return ExperimentSpec(**kwargs)
-
-
-def _run_sweep(specs, label: str, jobs: int, store: StoreLike, progress: ProgressLike):
-    """Execute one figure's experiments as a single orchestrated sweep."""
-    from ..orchestrator.api import run_experiments
-
-    return run_experiments(specs, jobs=jobs, store=store, progress=progress, label=label)
 
 
 def figure2_deadline_sweep(
@@ -87,7 +67,7 @@ def figure2_deadline_sweep(
     duty = Series(name="duty_cycle_pct", x=[], y=[])
     latency = Series(name="query_latency_s", x=[], y=[])
     specs = [
-        _experiment_spec(
+        ExperimentSpec(
             scenario=scenario,
             protocol="STS-SS",
             workload=deadline_sweep_workload(deadline, base_rate_hz=base_rate_hz),
@@ -95,7 +75,7 @@ def figure2_deadline_sweep(
         )
         for deadline in deadlines
     ]
-    results = _run_sweep(specs, "fig2", jobs, store, progress)
+    results = run_sweep(specs, jobs=jobs, store=store, progress=progress, label="fig2")
     for deadline, result in zip(deadlines, results, strict=True):
         duty.x.append(deadline)
         duty.y.append(_percent(result.metrics.average_duty_cycle))
@@ -144,7 +124,7 @@ def _protocol_sweep(
     )
     grid = [(protocol, x) for protocol in protocols for x in x_values]
     specs = [
-        _experiment_spec(
+        ExperimentSpec(
             scenario=scenario,
             protocol=protocol,
             workload=workload_for_x(x),
@@ -152,7 +132,7 @@ def _protocol_sweep(
         )
         for protocol, x in grid
     ]
-    results = _run_sweep(specs, figure_id, jobs, store, progress)
+    results = run_sweep(specs, jobs=jobs, store=store, progress=progress, label=figure_id)
     by_protocol: Dict[str, Series] = {}
     for (protocol, x), result in zip(grid, results, strict=True):
         series = by_protocol.get(protocol)
@@ -239,7 +219,7 @@ def figure5_duty_cycle_by_rank(
         y_label="duty cycle (%)",
     )
     specs = [
-        _experiment_spec(
+        ExperimentSpec(
             scenario=scenario,
             protocol=protocol,
             workload=rate_sweep_workload(base_rate_hz),
@@ -247,7 +227,7 @@ def figure5_duty_cycle_by_rank(
         )
         for protocol in protocols
     ]
-    results = _run_sweep(specs, "Figure 5", jobs, store, progress)
+    results = run_sweep(specs, jobs=jobs, store=store, progress=progress, label="Figure 5")
     for protocol, result in zip(protocols, results, strict=True):
         by_rank = result.metrics.duty_cycle_by_rank
         figure.series.append(
@@ -341,7 +321,7 @@ def figure8_sleep_interval_histogram(
         y_label="count",
     )
     specs = [
-        _experiment_spec(
+        ExperimentSpec(
             scenario=scenario,
             protocol=protocol,
             workload=rate_sweep_workload(base_rate_hz),
@@ -349,7 +329,7 @@ def figure8_sleep_interval_histogram(
         )
         for protocol in protocols
     ]
-    results = _run_sweep(specs, "Figure 8", jobs, store, progress)
+    results = run_sweep(specs, jobs=jobs, store=store, progress=progress, label="Figure 8")
     for protocol, result in zip(protocols, results, strict=True):
         histogram = result.metrics.sleep_interval_histogram(
             bin_width=bin_width, max_value=max_interval
@@ -392,7 +372,7 @@ def figure9_break_even_time(
     )
     grid = [(t_be, rate) for t_be in break_even_times for rate in rates]
     specs = [
-        _experiment_spec(
+        ExperimentSpec(
             scenario=scenario.with_overrides(break_even_time=t_be),
             protocol=protocol,
             workload=rate_sweep_workload(rate),
@@ -400,7 +380,7 @@ def figure9_break_even_time(
         )
         for t_be, rate in grid
     ]
-    results = _run_sweep(specs, "Figure 9", jobs, store, progress)
+    results = run_sweep(specs, jobs=jobs, store=store, progress=progress, label="Figure 9")
     by_tbe: Dict[float, Series] = {}
     for (t_be, rate), result in zip(grid, results, strict=True):
         series = by_tbe.get(t_be)
@@ -425,7 +405,7 @@ def dts_overhead_vs_rate(
     scenario = scenario or REDUCED.scenario()
     series = Series(name="DTS-SS", x=[], y=[])
     specs = [
-        _experiment_spec(
+        ExperimentSpec(
             scenario=scenario,
             protocol="DTS-SS",
             workload=rate_sweep_workload(rate),
@@ -433,7 +413,7 @@ def dts_overhead_vs_rate(
         )
         for rate in rates
     ]
-    results = _run_sweep(specs, "overhead", jobs, store, progress)
+    results = run_sweep(specs, jobs=jobs, store=store, progress=progress, label="overhead")
     for rate, result in zip(rates, results, strict=True):
         series.x.append(rate)
         series.y.append(result.extras.get("overhead_bits_per_report", 0.0))

@@ -3,18 +3,15 @@
 The runner is the glue between the scenario configuration, the substrates
 (topology, network, routing tree), the protocol under test (one of the three
 ESSAT protocols or a baseline), the workload, and the metrics collector.
-Every figure-reproduction function in :mod:`repro.experiments.figures` is a
-thin loop over :func:`run_experiment`.
-
-Execution is delegated to :mod:`repro.orchestrator`: one replication is a
-content-addressed :class:`~repro.orchestrator.jobs.RunJob`, so experiments
-can fan out over worker processes (``jobs=N``) and memoise finished
-runs in an on-disk store (``store=...``) without changing their results.
+It wires one replication (:func:`assemble_run`) and runs it
+(:func:`run_single`); nothing more.  Sweeps of replications -- every figure,
+``compare`` and every scenario family -- run through
+:func:`repro.orchestrator.api.run_sweep`, which sits above this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -31,7 +28,6 @@ from ..net.topology import (
 )
 from ..obs.adapters import collect_run_counters
 from ..query.query import QuerySpec
-from ..query.workload import WorkloadSpec
 from ..routing.tree import RoutingTree, build_routing_tree
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
@@ -43,24 +39,6 @@ from .metrics import DeliveryLog, RunMetrics, collect_metrics
 ESSAT_PROTOCOLS = ("NTS-SS", "STS-SS", "DTS-SS")
 BASELINE_PROTOCOLS = ("SYNC", "PSM", "SPAN", "ALWAYS-ON")
 ALL_PROTOCOLS = ESSAT_PROTOCOLS + BASELINE_PROTOCOLS
-
-
-@dataclass
-class ExperimentResult:
-    """Everything produced by one (possibly replicated) experiment."""
-
-    protocol: str
-    scenario: ScenarioConfig
-    #: The FIRST replication's query list.  Workload-based experiments
-    #: re-randomize query start times per replication; the full picture is
-    #: in :attr:`per_run_queries`, which this field merely heads.
-    queries: List[QuerySpec]
-    metrics: RunMetrics
-    per_run_metrics: List[RunMetrics] = field(default_factory=list)
-    #: The query list of every replication, in replication order.
-    per_run_queries: List[List[QuerySpec]] = field(default_factory=list)
-    #: Optional extra outputs specific protocols expose (e.g. DTS overhead).
-    extras: Dict[str, float] = field(default_factory=dict)
 
 
 def build_protocol_suite(
@@ -310,71 +288,3 @@ def run_single(
     """Run one untraced replication; returns its metrics and protocol extras."""
     return assemble_run(scenario, protocol, queries, seed).execute()
 
-
-def run_experiment(
-    scenario: ScenarioConfig,
-    protocol: str,
-    *,
-    workload: Optional[WorkloadSpec] = None,
-    queries: Optional[Sequence[QuerySpec]] = None,
-    num_runs: Optional[int] = None,
-    jobs: int = 1,
-    store=None,
-    progress=None,
-) -> ExperimentResult:
-    """Run ``protocol`` under ``scenario`` for one workload, with replications.
-
-    Exactly one of ``workload`` (generated per replication with that
-    replication's seed, as in the paper where query start times vary per run)
-    or ``queries`` (fixed across replications) must be provided.
-
-    Execution routes through :mod:`repro.orchestrator`: ``jobs=N`` fans
-    the replications out over ``N`` worker processes (``1`` keeps the
-    in-process path; the metrics are bit-identical either way), and
-    ``store`` (a cache directory or an open
-    :class:`~repro.orchestrator.store.ResultStore`) memoises finished
-    replications so repeated or interrupted experiments skip the simulator.
-    """
-    # Imported here because the orchestrator sits above this module.
-    from ..orchestrator.api import ExperimentSpec, run_experiments
-
-    spec = ExperimentSpec(
-        scenario=scenario,
-        protocol=protocol,
-        workload=workload,
-        queries=queries,
-        num_runs=num_runs,
-    )
-    return run_experiments([spec], jobs=jobs, store=store, progress=progress)[0]
-
-
-def run_protocol_comparison(
-    scenario: ScenarioConfig,
-    protocols: Sequence[str],
-    *,
-    workload: Optional[WorkloadSpec] = None,
-    queries: Optional[Sequence[QuerySpec]] = None,
-    num_runs: Optional[int] = None,
-    jobs: int = 1,
-    store=None,
-    progress=None,
-) -> Dict[str, ExperimentResult]:
-    """Run several protocols under the identical scenario and workload.
-
-    All protocols' replications are flattened into one sweep, so
-    ``jobs=N`` overlaps runs *across* protocols, not only within one.
-    """
-    from ..orchestrator.api import ExperimentSpec, run_experiments
-
-    specs = [
-        ExperimentSpec(
-            scenario=scenario,
-            protocol=protocol,
-            workload=workload,
-            queries=queries,
-            num_runs=num_runs,
-        )
-        for protocol in protocols
-    ]
-    results = run_experiments(specs, jobs=jobs, store=store, progress=progress, label="compare")
-    return {spec.protocol: result for spec, result in zip(specs, results, strict=True)}

@@ -3,7 +3,7 @@
 The paper reports 90 % confidence intervals over five replications for every
 data point (e.g. "the 90% confidence intervals of all protocols are within
 ±2.3%").  These helpers compute the same quantities for
-:class:`~repro.experiments.runner.ExperimentResult` replications.  The
+:class:`~repro.orchestrator.api.ExperimentResult` replications.  The
 Student-t critical values are exact and use the standard library only
 (bisection on the regularized incomplete beta function), so an interval
 never depends on which optional packages are installed.

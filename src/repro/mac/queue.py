@@ -44,18 +44,6 @@ class TransmitQueue:
             self.high_watermark = depth
         return True
 
-    def push_front(self, packet: Packet) -> bool:
-        """Prepend ``packet`` (used to requeue a frame after a failed attempt)."""
-        queue = self._queue
-        if len(queue) >= self.capacity:
-            self.dropped_overflow += 1
-            return False
-        queue.appendleft(packet)
-        depth = len(queue)
-        if depth > self.high_watermark:
-            self.high_watermark = depth
-        return True
-
     def pop(self) -> Optional[Packet]:
         """Remove and return the head frame, or ``None`` when empty."""
         queue = self._queue

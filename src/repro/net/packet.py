@@ -2,7 +2,7 @@
 
 The paper's workload consists of 52-byte data reports plus the control
 traffic of the various protocols (query setup floods, MAC acknowledgements,
-DTS phase-update requests, PSM beacons/ATIM announcements, SPAN coordinator
+DTS phase-update requests, PSM ATIM announcements, SPAN coordinator
 announcements).  Each packet type below carries only the fields the
 protocols actually inspect; sizes are explicit so the MAC can compute
 serialization delays.
@@ -11,8 +11,8 @@ serialization delays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional
 
 from .addresses import BROADCAST
 
@@ -71,10 +71,6 @@ class Packet:
     def is_broadcast(self) -> bool:
         """Whether the packet is addressed to every neighbour."""
         return self.dst == BROADCAST
-
-    def copy_for_hop(self, src: int, dst: int) -> "Packet":
-        """Return a copy re-addressed for the next hop."""
-        return replace(self, src=src, dst=dst, packet_id=_next_packet_id())
 
 
 @dataclass(slots=True)
@@ -177,17 +173,6 @@ class PhaseUpdatePacket(Packet):
 
 
 @dataclass(slots=True)
-class BeaconPacket(Packet):
-    """PSM beacon frame announcing the start of a beacon interval."""
-
-    beacon_index: int = 0
-
-    def __post_init__(self) -> None:
-        self.size_bytes = CONTROL_BYTES
-        self.dst = BROADCAST
-
-
-@dataclass(slots=True)
 class AtimPacket(Packet):
     """PSM ATIM (traffic announcement) frame sent during the ATIM window."""
 
@@ -195,17 +180,6 @@ class AtimPacket(Packet):
 
     def __post_init__(self) -> None:
         self.size_bytes = CONTROL_BYTES
-
-
-@dataclass(slots=True)
-class AdvertisementPacket(Packet):
-    """PSM traffic advertisement (per the extensions in [3])."""
-
-    advertised_queries: Tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        self.size_bytes = CONTROL_BYTES
-        self.dst = BROADCAST
 
 
 @dataclass(slots=True)

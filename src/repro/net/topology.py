@@ -277,15 +277,6 @@ class Topology:
         center = Position(cx, cy)
         return min(self.node_ids, key=lambda n: (self.positions[n].distance_to(center), n))
 
-    def nodes_within(self, node_id: int, radius: float) -> List[int]:
-        """All nodes (excluding ``node_id``) within ``radius`` metres of it."""
-        origin = self.positions[node_id]
-        return [
-            other
-            for other in self.node_ids
-            if other != node_id and self.positions[other].distance_to(origin) <= radius
-        ]
-
     def is_connected(self) -> bool:
         """Whether the connectivity graph is a single connected component."""
         if not self.positions:

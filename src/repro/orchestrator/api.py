@@ -1,31 +1,39 @@
-"""The sweep entry point: whole experiments through one job sweep.
+"""The sweep entry point: :func:`run_sweep` runs every sweep.
 
-:func:`run_experiments_with_jobs` is the one way the CLI, the figures,
-:func:`repro.scenarios.run.run_family`, the experiment runner and the
-benchmarks run a sweep; :func:`run_experiments` is its results-only view.
-Each :class:`ExperimentSpec` (the declarative "one experiment" unit)
-expands into its replication jobs, all specs' jobs are flattened into ONE
-list and executed by a :class:`~repro.orchestrator.executor.SweepExecutor`,
-and :func:`assemble_experiment` folds each experiment's per-replication
-results back into an :class:`~repro.experiments.runner.ExperimentResult`.
-Flattening is what makes figure sweeps parallel even at reduced scale,
-where each experiment has a single replication: the fan-out is across
-sweep points, not only across replications.
+The figures, the CLI's ``compare``, :func:`repro.scenarios.run.run_family`,
+the examples and the benchmarks all start a sweep here.  Each
+:class:`ExperimentSpec` (the declarative "one experiment" unit) expands
+into its replication jobs, all specs' jobs are flattened into ONE list and
+executed once, and :func:`assemble_experiment` folds each experiment's
+per-replication :class:`JobResult` objects back into an
+:class:`ExperimentResult`.  Flattening is what makes figure sweeps parallel
+even at reduced scale, where each experiment has a single replication: the
+fan-out is across sweep points, not only across replications.
+
+A job is executed by resolving its queries and calling
+:func:`repro.experiments.runner.run_single` with the job's seed.  Parallel
+results are therefore bit-identical to serial ones: each simulation run
+owns its whole random universe, so execution order and process boundaries
+cannot perturb it.  Identical jobs (same content digest) within one sweep
+run once, and jobs already in the result store do not run at all.  Pending
+jobs run in a plain in-process loop for ``jobs=1`` (or a single pending
+job), and otherwise on a process pool created for the sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..experiments.metrics import average_metrics
-from ..experiments.runner import ExperimentResult
+from ..experiments.config import ScenarioConfig
+from ..experiments.metrics import RunMetrics, average_metrics
+from ..experiments.runner import run_single
 from ..query.query import QuerySpec
 from ..query.workload import WorkloadSpec
-from ..experiments.config import ScenarioConfig
-from .executor import JobResult, SweepExecutor
-from .jobs import RunJob, expand_experiment
+from .jobs import RunJob, metrics_from_dict, metrics_to_dict
 from .progress import NullProgress, ProgressReporter
 from .store import ResultStore, open_store
 
@@ -37,20 +45,116 @@ StoreLike = Union[None, str, Path, ResultStore]
 ProgressLike = Union[None, bool, NullProgress]
 
 
-def _coerce_progress(progress: ProgressLike, label: str) -> NullProgress:
-    if progress is None or progress is False:
-        return NullProgress()
-    if progress is True:
-        return ProgressReporter(label=label)
-    return progress
+@dataclass
+class JobResult:
+    """Outcome of one job: its metrics plus execution metadata."""
+
+    job: RunJob
+    metrics: RunMetrics
+    extras: Dict[str, float] = field(default_factory=dict)
+    #: Whether the result came from the store, or from an identical job
+    #: earlier in the same sweep, instead of a simulator run of its own.
+    cached: bool = False
+    #: Wall-clock seconds of the simulator run that produced the result
+    #: (the original run's cost for cached results).
+    elapsed: float = 0.0
+
+
+def execute_job(job: RunJob) -> Tuple[RunMetrics, Dict[str, float], float]:
+    """Run one job's simulation; returns (metrics, extras, elapsed seconds).
+
+    Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
+    ship it to worker processes by reference.
+    """
+    started = time.perf_counter()
+    metrics, extras = run_single(job.scenario, job.protocol, job.resolve_queries(), job.seed)
+    return metrics, extras, time.perf_counter() - started
+
+
+def _record_for(result: JobResult) -> Dict[str, object]:
+    """The JSON record persisted to the store for a finished job."""
+    return {
+        "job": result.job.to_dict(),
+        "metrics": metrics_to_dict(result.metrics),
+        "extras": dict(result.extras),
+        "elapsed": result.elapsed,
+    }
+
+
+def _result_from_record(job: RunJob, record: Dict[str, object]) -> JobResult:
+    return JobResult(
+        job=job,
+        metrics=metrics_from_dict(record["metrics"]),  # type: ignore[arg-type]
+        extras=dict(record.get("extras", {})),  # type: ignore[arg-type]
+        cached=True,
+        elapsed=float(record.get("elapsed", 0.0)),  # type: ignore[arg-type]
+    )
+
+
+def _run_jobs(
+    jobs: Sequence[RunJob],
+    workers: int,
+    store: Optional[ResultStore],
+    progress: NullProgress,
+) -> List[JobResult]:
+    """Execute ``jobs`` and return their results in input order.
+
+    Each unique digest is looked up in ``store`` or run once; newly run
+    results are persisted as they finish.  Every later job with the same
+    digest gets its own copy of the result, flagged ``cached``.
+    """
+    progress.start(len(jobs))
+    results: List[Optional[JobResult]] = [None] * len(jobs)
+    by_digest: Dict[str, List[int]] = {}
+    for index, job in enumerate(jobs):
+        by_digest.setdefault(job.digest, []).append(index)
+
+    def fan_out(digest: str, result: JobResult) -> None:
+        for position, index in enumerate(by_digest[digest]):
+            if position:
+                result = replace(result, cached=True)
+            results[index] = result
+            progress.job_done(cached=result.cached, label=jobs[index].describe())
+
+    pending: List[Tuple[str, RunJob]] = []
+    for digest, indices in by_digest.items():
+        record = store.get(digest) if store is not None else None
+        if record is not None:
+            fan_out(digest, _result_from_record(jobs[indices[0]], record))
+        else:
+            pending.append((digest, jobs[indices[0]]))
+
+    def complete(
+        digest: str, job: RunJob, metrics: RunMetrics, extras: Dict[str, float], elapsed: float
+    ) -> None:
+        result = JobResult(job=job, metrics=metrics, extras=extras, elapsed=elapsed)
+        if store is not None:
+            store.put(digest, _record_for(result))
+        fan_out(digest, result)
+
+    if workers > 1 and len(pending) > 1:
+        # Imported here so a warm replay never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+            futures = {pool.submit(execute_job, job): (digest, job) for digest, job in pending}
+            for future in as_completed(futures):
+                complete(*futures[future], *future.result())
+    else:
+        for digest, job in pending:
+            complete(digest, job, *execute_job(job))
+
+    progress.finish()
+    return results  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: a protocol under a scenario with a workload and runs.
 
-    The orchestrated equivalent of one
-    :func:`repro.experiments.runner.run_experiment` call.
+    Exactly one of ``workload`` (queries generated per replication with that
+    replication's seed, as in the paper where query start times vary per
+    run) or ``queries`` (fixed across replications) is set.
     """
 
     scenario: ScenarioConfig
@@ -64,47 +168,61 @@ class ExperimentSpec:
             raise ValueError("provide exactly one of `workload` or `queries`")
 
     def expand(self) -> List[RunJob]:
-        """The replication jobs of this experiment."""
-        return expand_experiment(
-            self.scenario,
-            self.protocol,
-            workload=self.workload,
-            queries=self.queries,
-            num_runs=self.num_runs,
-        )
+        """One :class:`RunJob` per replication, seeded ``scenario.seed + i``."""
+        runs = self.num_runs if self.num_runs is not None else self.scenario.num_runs
+        if runs <= 0:
+            raise ValueError(f"number of runs must be positive, got {runs!r}")
+        fixed = None if self.queries is None else tuple(self.queries)
+        return [
+            RunJob(
+                scenario=self.scenario,
+                protocol=self.protocol,
+                seed=self.scenario.seed + replication,
+                workload=self.workload,
+                queries=fixed,
+            )
+            for replication in range(runs)
+        ]
 
 
-def assemble_experiment(
-    spec: ExperimentSpec, job_results: Sequence[JobResult]
-) -> ExperimentResult:
+@dataclass
+class ExperimentResult:
+    """Everything produced by one (possibly replicated) experiment."""
+
+    protocol: str
+    scenario: ScenarioConfig
+    #: The replications' metrics, averaged.
+    metrics: RunMetrics
+    #: Every replication's job result, in replication order.
+    runs: List[JobResult]
+    #: Optional extra outputs specific protocols expose (e.g. DTS overhead),
+    #: averaged over the replications.
+    extras: Dict[str, float] = field(default_factory=dict)
+
+
+def assemble_experiment(spec: ExperimentSpec, runs: Sequence[JobResult]) -> ExperimentResult:
     """Fold one experiment's per-replication results into a result object."""
-    per_run = [result.metrics for result in job_results]
-    per_run_extras = [result.extras for result in job_results]
-    per_run_queries = [result.job.resolve_queries() for result in job_results]
-    extra_keys = {key for extras in per_run_extras for key in extras}
-    combined_extras = {
-        key: sum(extras.get(key, 0.0) for extras in per_run_extras) / len(per_run_extras)
-        for key in sorted(extra_keys)
-    }
+    extra_keys = {key for run in runs for key in run.extras}
     return ExperimentResult(
         protocol=spec.protocol,
         scenario=spec.scenario,
-        queries=list(per_run_queries[0]),
-        metrics=average_metrics(per_run),
-        per_run_metrics=per_run,
-        per_run_queries=per_run_queries,
-        extras=combined_extras,
+        metrics=average_metrics([run.metrics for run in runs]),
+        runs=list(runs),
+        extras={
+            key: sum(run.extras.get(key, 0.0) for run in runs) / len(runs)
+            for key in sorted(extra_keys)
+        },
     )
 
 
-def run_experiments_with_jobs(
+def run_sweep(
     specs: Sequence[ExperimentSpec],
     *,
     jobs: int = 1,
     store: StoreLike = None,
     progress: ProgressLike = None,
     label: str = "sweep",
-) -> Tuple[List[ExperimentResult], List[JobResult]]:
+) -> List[ExperimentResult]:
     """Run many experiments through one flattened job sweep.
 
     ``jobs=1`` is a plain in-process loop; ``jobs>1`` fans the jobs
@@ -114,44 +232,20 @@ def run_experiments_with_jobs(
     the simulator.  ``progress`` is ``True`` for a stderr reporter
     labelled ``label``, or any :class:`NullProgress`-compatible object.
 
-    Returns the per-spec :class:`ExperimentResult` objects (input order)
-    plus the raw per-job results, whose ``cached`` flags tell callers how
-    much of the sweep came from the store.
+    Returns one :class:`ExperimentResult` per spec, in input order; the
+    ``cached`` flags of its ``runs`` tell how much came from the store.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    if progress is None or progress is False:
+        progress = NullProgress()
+    elif progress is True:
+        progress = ProgressReporter(label=label)
     specs = list(specs)
-    run_jobs: List[RunJob] = []
-    spans: List[Tuple[int, int]] = []
-    for spec in specs:
-        expanded = spec.expand()
-        spans.append((len(run_jobs), len(run_jobs) + len(expanded)))
-        run_jobs.extend(expanded)
-    executor = SweepExecutor(
-        workers=jobs,
-        store=open_store(store),
-        progress=_coerce_progress(progress, label),
-    )
-    results = executor.run(run_jobs)
-    assembled = [
-        assemble_experiment(spec, results[start:stop])
-        for spec, (start, stop) in zip(specs, spans, strict=True)
+    expanded = [spec.expand() for spec in specs]
+    flat = [job for batch in expanded for job in batch]
+    results = iter(_run_jobs(flat, jobs, open_store(store), progress))
+    return [
+        assemble_experiment(spec, list(islice(results, len(batch))))
+        for spec, batch in zip(specs, expanded, strict=True)
     ]
-    return assembled, results
-
-
-def run_experiments(
-    specs: Sequence[ExperimentSpec],
-    *,
-    jobs: int = 1,
-    store: StoreLike = None,
-    progress: ProgressLike = None,
-    label: str = "sweep",
-) -> List[ExperimentResult]:
-    """Like :func:`run_experiments_with_jobs`, results only.
-
-    Returns one :class:`ExperimentResult` per spec, in input order, with
-    metrics identical to calling ``run_experiment`` on each spec serially.
-    """
-    assembled, _ = run_experiments_with_jobs(
-        specs, jobs=jobs, store=store, progress=progress, label=label
-    )
-    return assembled

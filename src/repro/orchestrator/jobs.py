@@ -11,7 +11,8 @@ content-addressed and lets interrupted sweeps resume where they left off.
 Serialization is derived: :class:`RunJob` and every spec it nests are
 dataclasses, and :mod:`repro.orchestrator.codec` derives their wire form
 from their fields.  The three helpers below are the conversions the store,
-the executor and the benchmark harness call by name.
+the sweep in :mod:`repro.orchestrator.api` and the benchmark harness call by
+name.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..experiments.config import ScenarioConfig
 from ..experiments.metrics import RunMetrics
@@ -31,7 +32,6 @@ from .codec import SCHEMA_VERSION, CodecError, decode, encode
 __all__ = [
     "RunJob",
     "SCHEMA_VERSION",
-    "expand_experiment",
     "metrics_from_dict",
     "metrics_to_dict",
     "query_to_dict",
@@ -121,34 +121,3 @@ class RunJob:
             detail = f"{len(self.queries or ())} fixed queries"
         return f"{self.protocol} seed={self.seed} {detail}"
 
-
-def expand_experiment(
-    scenario: ScenarioConfig,
-    protocol: str,
-    *,
-    workload: Optional[WorkloadSpec] = None,
-    queries: Optional[Sequence[QuerySpec]] = None,
-    num_runs: Optional[int] = None,
-) -> List[RunJob]:
-    """One :class:`RunJob` per replication of one experiment.
-
-    Replication ``i`` uses ``scenario.seed + i``, exactly as the serial
-    :func:`repro.experiments.runner.run_experiment` loop always has, so the
-    orchestrated path reproduces its results bit-for-bit.
-    """
-    if (workload is None) == (queries is None):
-        raise ValueError("provide exactly one of `workload` or `queries`")
-    runs = num_runs if num_runs is not None else scenario.num_runs
-    if runs <= 0:
-        raise ValueError(f"number of runs must be positive, got {runs!r}")
-    fixed = None if queries is None else tuple(queries)
-    return [
-        RunJob(
-            scenario=scenario,
-            protocol=protocol,
-            seed=scenario.seed + replication,
-            workload=workload,
-            queries=fixed,
-        )
-        for replication in range(runs)
-    ]

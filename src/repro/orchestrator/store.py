@@ -31,7 +31,7 @@ a list holding an ``int``) stays a JSON list.  A string in that field is
 the packed form's and cannot be stored, so ``put`` rejects it.  The packed
 form exists from schema v6 on; a reader of an older version skips a v6
 line as an unknown version (a cache miss) rather than misreading it.  Only
-this module knows the packed form: the codec, the executor and the
+this module knows the packed form: the codec, the sweep and the
 figures only ever see the list.
 
 A cache, not an archive

@@ -10,7 +10,7 @@ random time in ``[0, 10] s``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim.rng import RandomStreams
 from .aggregation import AggregationFunction
@@ -102,7 +102,3 @@ def generate_queries(
             query_id += 1
     return queries
 
-
-def aggregate_report_rate(queries: Sequence[QuerySpec]) -> float:
-    """Total number of data reports generated per second by each source."""
-    return sum(query.rate for query in queries)

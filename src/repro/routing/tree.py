@@ -205,13 +205,6 @@ class RoutingTree:
             path.append(current)
         return path
 
-    def nodes_by_rank(self) -> Dict[int, List[int]]:
-        """Group node ids by rank (used for the Figure 5 duty-cycle-by-rank plot)."""
-        grouped: Dict[int, List[int]] = {}
-        for node in self._sorted_nodes:
-            grouped.setdefault(self._ranks[node], []).append(node)
-        return grouped
-
     def _require(self, node_id: int) -> None:
         if node_id not in self._levels:
             raise RoutingError(f"node {node_id} is not part of the routing tree")

@@ -3,9 +3,9 @@
 One family run flattens every ``variant x protocol x replication`` into a
 single content-addressed job sweep, so worker fan-out overlaps across
 variants and a warm result store replays a whole family without touching
-the simulator.  :class:`FamilyRunResult` keeps the per-job execution
-metadata around, which is how callers (and the acceptance tests) can assert
-"this replay performed zero simulator runs".
+the simulator.  Each cell's :class:`~repro.orchestrator.api.ExperimentResult`
+keeps its per-job execution metadata, which is how callers (and the
+acceptance tests) can assert "this replay performed zero simulator runs".
 """
 
 from __future__ import annotations
@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..experiments.config import ScenarioConfig
-from ..experiments.runner import ExperimentResult
 from ..experiments.scenarios import REDUCED
 from ..experiments.tables import comparison_table
 from ..orchestrator.api import (
+    ExperimentResult,
     ExperimentSpec,
+    JobResult,
     ProgressLike,
     StoreLike,
-    run_experiments_with_jobs,
+    run_sweep,
 )
-from ..orchestrator.executor import JobResult
 from .families import ScenarioFamily, ScenarioVariant, get_family
 
 #: Protocol a family runs by default (the strongest ESSAT variant); pass
@@ -38,20 +38,23 @@ class FamilyRunResult:
     family: ScenarioFamily
     variants: List[ScenarioVariant]
     protocols: Tuple[str, ...]
-    #: ``(variant label, protocol) -> ExperimentResult``.
+    #: ``(variant label, protocol) -> ExperimentResult``, in job order.
     results: Dict[Tuple[str, str], ExperimentResult]
-    #: Per-replication execution metadata, in job order.
-    job_results: List[JobResult]
+
+    @property
+    def job_results(self) -> List[JobResult]:
+        """Per-replication execution metadata, in job order."""
+        return [run for result in self.results.values() for run in result.runs]
 
     @property
     def executed_runs(self) -> int:
         """Jobs that actually ran the simulator."""
-        return sum(1 for result in self.job_results if not result.cached)
+        return sum(1 for run in self.job_results if not run.cached)
 
     @property
     def cached_runs(self) -> int:
         """Jobs satisfied from the result store (or in-sweep duplicates)."""
-        return sum(1 for result in self.job_results if result.cached)
+        return sum(1 for run in self.job_results if run.cached)
 
     def result(self, label: str, protocol: str) -> ExperimentResult:
         """The experiment result of one ``(variant label, protocol)`` cell."""
@@ -88,7 +91,7 @@ def run_family(
     variants; every variant is run under every protocol in ``protocols``
     with ``num_runs`` replications (default: per the variant's scenario).
     ``jobs``, ``store`` and ``progress`` are passed to
-    :func:`~repro.orchestrator.api.run_experiments_with_jobs` -- a warm
+    :func:`~repro.orchestrator.api.run_sweep` -- a warm
     ``store`` replays the family with zero simulator runs.
     """
     if isinstance(family, str):
@@ -107,9 +110,7 @@ def run_family(
     if not protocols:
         raise ValueError("need at least one protocol to run a scenario family")
 
-    cells: List[Tuple[str, str]] = [
-        (variant.label, protocol) for variant in variants for protocol in protocols
-    ]
+    cells = [(variant, protocol) for variant in variants for protocol in protocols]
     specs = [
         ExperimentSpec(
             scenario=variant.scenario,
@@ -117,17 +118,15 @@ def run_family(
             workload=variant.workload,
             num_runs=num_runs,
         )
-        for variant in variants
-        for protocol in protocols
+        for variant, protocol in cells
     ]
-    assembled, job_results = run_experiments_with_jobs(
-        specs, jobs=jobs, store=store, progress=progress, label=family.name
-    )
-    results = dict(zip(cells, assembled, strict=True))
+    assembled = run_sweep(specs, jobs=jobs, store=store, progress=progress, label=family.name)
     return FamilyRunResult(
         family=family,
         variants=variants,
         protocols=protocols,
-        results=results,
-        job_results=job_results,
+        results={
+            (variant.label, protocol): result
+            for (variant, protocol), result in zip(cells, assembled, strict=True)
+        },
     )

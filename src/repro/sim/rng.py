@@ -50,11 +50,6 @@ class RandomStreams:
             self._streams[name] = random.Random(derive_seed(self.seed, name))
         return self._streams[name]
 
-    def reset(self, name: str) -> random.Random:
-        """Re-seed the stream ``name`` back to its initial state and return it."""
-        self._streams[name] = random.Random(derive_seed(self.seed, name))
-        return self._streams[name]
-
     def fork(self, sub_seed: int) -> "RandomStreams":
         """Create a child registry whose master seed mixes in ``sub_seed``.
 

@@ -39,11 +39,6 @@ def minutes(value: float) -> float:
     return value * 60.0
 
 
-def khz(value: float) -> float:
-    """Convert kilohertz to hertz."""
-    return value * 1e3
-
-
 def mbps(value: float) -> float:
     """Convert megabits per second to bits per second."""
     return value * 1e6
@@ -57,30 +52,3 @@ def kbps(value: float) -> float:
 def bytes_to_bits(num_bytes: float) -> float:
     """Convert a byte count to a bit count."""
     return num_bytes * BITS_PER_BYTE
-
-
-def transmission_time(packet_bytes: float, bandwidth_bps: float) -> float:
-    """Time in seconds to serialize ``packet_bytes`` at ``bandwidth_bps``.
-
-    This is the pure serialization delay; MAC overheads (backoff, inter-frame
-    spaces, acknowledgements) are added by the MAC layer.
-    """
-    if bandwidth_bps <= 0:
-        raise ValueError("bandwidth must be positive, got %r" % bandwidth_bps)
-    if packet_bytes < 0:
-        raise ValueError("packet size must be non-negative, got %r" % packet_bytes)
-    return bytes_to_bits(packet_bytes) / bandwidth_bps
-
-
-def period_from_rate(rate_hz: float) -> float:
-    """Return the period in seconds of a periodic source with rate ``rate_hz``."""
-    if rate_hz <= 0:
-        raise ValueError("rate must be positive, got %r" % rate_hz)
-    return 1.0 / rate_hz
-
-
-def rate_from_period(period_s: float) -> float:
-    """Return the rate in Hz of a periodic source with period ``period_s``."""
-    if period_s <= 0:
-        raise ValueError("period must be positive, got %r" % period_s)
-    return 1.0 / period_s

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import repro.orchestrator.api as orchestrator_api
+import repro.experiments.figures as figures
 from repro.cli import FIGURES, build_parser, main
 from repro.experiments.scenarios import SCALES
 
@@ -33,7 +33,7 @@ def planned_specs(monkeypatch, argv):
         metrics = SimpleNamespace(average_duty_cycle=0.5, average_query_latency=0.1)
         return [SimpleNamespace(metrics=metrics, extras={}) for _ in specs]
 
-    monkeypatch.setattr(orchestrator_api, "run_experiments", plan_only)
+    monkeypatch.setattr(figures, "run_sweep", plan_only)
     assert main(argv, out=io.StringIO()) == 0
     return planned
 

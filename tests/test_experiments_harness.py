@@ -17,12 +17,7 @@ from repro.experiments.metrics import (
     collect_metrics,
     expected_periods,
 )
-from repro.experiments.runner import (
-    ALL_PROTOCOLS,
-    build_protocol_suite,
-    run_experiment,
-    run_protocol_comparison,
-)
+from repro.experiments.runner import ALL_PROTOCOLS, build_protocol_suite
 from repro.experiments.scenarios import (
     SCALES,
     deadline_sweep_workload,
@@ -31,6 +26,7 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.tables import FigureResult, Series, comparison_table
 from repro.net.node import build_network
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.net.topology import Topology
 from repro.query.query import QuerySpec
 from repro.query.report import DataReport
@@ -271,9 +267,9 @@ class TestRunner:
     def test_run_experiment_requires_exactly_one_workload_source(self) -> None:
         scenario = smoke_scale()
         with pytest.raises(ValueError):
-            run_experiment(scenario, "DTS-SS")
+            ExperimentSpec(scenario, "DTS-SS")
         with pytest.raises(ValueError):
-            run_experiment(
+            ExperimentSpec(
                 scenario,
                 "DTS-SS",
                 workload=rate_sweep_workload(1.0),
@@ -282,8 +278,8 @@ class TestRunner:
 
     def test_run_experiment_smoke(self) -> None:
         scenario = smoke_scale()
-        result = run_experiment(
-            scenario, "DTS-SS", workload=rate_sweep_workload(1.0), num_runs=1
+        (result,) = run_sweep(
+            [ExperimentSpec(scenario, "DTS-SS", workload=rate_sweep_workload(1.0), num_runs=1)]
         )
         assert result.protocol == "DTS-SS"
         assert result.metrics.deliveries > 0
@@ -295,29 +291,27 @@ class TestRunner:
     def test_run_experiment_with_fixed_queries_and_replications(self) -> None:
         scenario = smoke_scale().with_overrides(duration=8.0)
         queries = [QuerySpec(query_id=1, period=1.0, start_time=1.0)]
-        result = run_experiment(scenario, "NTS-SS", queries=queries, num_runs=2)
-        assert len(result.per_run_metrics) == 2
+        (result,) = run_sweep([ExperimentSpec(scenario, "NTS-SS", queries=queries, num_runs=2)])
+        assert len(result.runs) == 2
         assert result.metrics.deliveries > 0
 
     def test_protocol_comparison_smoke(self) -> None:
         scenario = smoke_scale()
-        results = run_protocol_comparison(
-            scenario,
-            ["DTS-SS", "SPAN"],
-            workload=rate_sweep_workload(1.0),
-            num_runs=1,
+        dts, span = run_sweep(
+            [
+                ExperimentSpec(scenario, protocol, workload=rate_sweep_workload(1.0), num_runs=1)
+                for protocol in ("DTS-SS", "SPAN")
+            ]
         )
-        assert set(results) == {"DTS-SS", "SPAN"}
+        assert (dts.protocol, span.protocol) == ("DTS-SS", "SPAN")
         # The qualitative headline: the backbone protocol burns more energy.
-        assert (
-            results["DTS-SS"].metrics.average_duty_cycle
-            < results["SPAN"].metrics.average_duty_cycle
-        )
+        assert dts.metrics.average_duty_cycle < span.metrics.average_duty_cycle
 
     def test_replications_are_deterministic_for_fixed_seed(self) -> None:
         scenario = smoke_scale()
-        first = run_experiment(scenario, "NTS-SS", workload=rate_sweep_workload(1.0), num_runs=1)
-        second = run_experiment(scenario, "NTS-SS", workload=rate_sweep_workload(1.0), num_runs=1)
+        spec = ExperimentSpec(scenario, "NTS-SS", workload=rate_sweep_workload(1.0), num_runs=1)
+        (first,) = run_sweep([spec])
+        (second,) = run_sweep([spec])
         assert first.metrics.average_duty_cycle == pytest.approx(
             second.metrics.average_duty_cycle
         )

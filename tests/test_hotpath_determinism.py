@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import smoke_scale
-from repro.orchestrator.api import ExperimentSpec, run_experiments
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.experiments.scenarios import rate_sweep_workload
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -90,8 +90,8 @@ class TestParallelMatchesSerial:
             )
             for protocol in ("DTS-SS", "PSM")
         ]
-        serial = run_experiments(specs, jobs=1)
-        parallel = run_experiments(specs, jobs=min(2, os.cpu_count() or 1))
+        serial = run_sweep(specs, jobs=1)
+        parallel = run_sweep(specs, jobs=min(2, os.cpu_count() or 1))
         for a, b in zip(serial, parallel, strict=True):
             assert a.metrics.average_duty_cycle == b.metrics.average_duty_cycle
             assert a.metrics.average_query_latency == b.metrics.average_query_latency

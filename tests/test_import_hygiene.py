@@ -10,7 +10,8 @@ tooling, which it never uses.  Package ``__init__`` modules export nothing,
 so importing a name loads only the module that defines it: a replay loads
 no protocol, and a run loads only the protocol it builds.  The simulation
 packages import no orchestration module, so nothing under the simulated
-clock can reach wall-clock timing, the store or the CLI through an import.
+clock can reach wall-clock timing, the store or the CLI through an import,
+and the runner imports no sweep module, even inside a function.
 Nor does a simulation module bind a wall-clock function, a method of
 ``random``'s global instance or the environment as a global, even on a path
 no tested run reaches.  The checks run in a subprocess because the test
@@ -201,17 +202,16 @@ import sys
 
 from repro.experiments.config import smoke_scale
 from repro.experiments.scenarios import rate_sweep_workload
-from repro.orchestrator.executor import SweepExecutor
-from repro.orchestrator.jobs import expand_experiment
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 
-jobs = expand_experiment(smoke_scale(), "DTS-SS", workload=rate_sweep_workload(2.0), num_runs=2)
-serial = SweepExecutor(workers=1).run(jobs)
+spec = ExperimentSpec(smoke_scale(), "DTS-SS", workload=rate_sweep_workload(2.0), num_runs=2)
+(serial,) = run_sweep([spec], jobs=1)
 loaded_before = "concurrent.futures.process" in sys.modules
-pooled = SweepExecutor(workers=2).run(jobs)
+(pooled,) = run_sweep([spec], jobs=2)
 print(json.dumps({
     "loaded_before": loaded_before,
     "loaded_after": "concurrent.futures.process" in sys.modules,
-    "same": [(a.metrics, a.extras) == (b.metrics, b.extras) for a, b in zip(serial, pooled)],
+    "same": [(a.metrics, a.extras) == (b.metrics, b.extras) for a, b in zip(serial.runs, pooled.runs)],
 }))
 """
 
@@ -292,6 +292,42 @@ def test_simulation_packages_import_no_orchestration_module() -> None:
     loaded = _run(_SIMULATION_PROGRAM)
     assert "repro.core.protocol" in loaded and "repro.baselines.span" in loaded
     assert _within(loaded, ["repro." + name for name in ORCHESTRATION_PACKAGES]) == []
+
+
+def _imported_modules(path: Path) -> set:
+    """Every module an import statement in ``path`` names, at any depth."""
+    package = path.relative_to(REPO_ROOT / "src").with_suffix("").parts[:-1]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = list(package[: len(package) - node.level + 1]) if node.level else []
+            if node.module is None:
+                names.update(".".join([*base, alias.name]) for alias in node.names)
+            else:
+                names.add(".".join([*base, node.module]))
+    return names
+
+
+def test_no_import_statement_reaches_above_its_layer() -> None:
+    """Imports inside functions count: the import-time check cannot see them.
+
+    Each simulation module stays below every orchestration package, and the
+    runner, which wires one replication, stays below the sweep.
+    """
+    source = REPO_ROOT / "src" / "repro"
+    above = {
+        path: ["repro." + name for name in ORCHESTRATION_PACKAGES]
+        for package in SIMULATION_PACKAGES
+        for path in sorted((source / package).rglob("*.py"))
+    }
+    above[source / "experiments" / "runner.py"] = ["repro.orchestrator"]
+    found = {
+        str(path.relative_to(source)): _within(_imported_modules(path), forbidden)
+        for path, forbidden in above.items()
+    }
+    assert {path: names for path, names in found.items() if names} == {}
 
 
 def test_simulation_modules_bind_no_clock_randomness_or_environment() -> None:

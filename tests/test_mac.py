@@ -39,13 +39,6 @@ class TestTransmitQueue:
         assert not queue.push(Packet(src=0, dst=1))
         assert queue.dropped_overflow == 1
 
-    def test_push_front(self) -> None:
-        queue = TransmitQueue(capacity=2)
-        first, second = Packet(src=0, dst=1), Packet(src=0, dst=1)
-        queue.push(first)
-        queue.push_front(second)
-        assert queue.pop() is second
-
     def test_peek_and_len(self) -> None:
         queue = TransmitQueue()
         assert queue.peek() is None

@@ -1,4 +1,4 @@
-"""Tests for the sweep orchestrator: jobs, store, executor, progress, api."""
+"""Tests for the sweep orchestrator: jobs, store, progress and ``run_sweep``."""
 
 from __future__ import annotations
 
@@ -9,12 +9,11 @@ import pytest
 
 from repro.experiments.config import ScenarioConfig, smoke_scale
 from repro.experiments.metrics import RunMetrics
-from repro.experiments.runner import run_experiment, run_protocol_comparison
+from repro.experiments.runner import run_single
 from repro.experiments.scenarios import rate_sweep_workload
-from repro.orchestrator.api import ExperimentSpec, run_experiments
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.orchestrator.codec import decode, encode
-from repro.orchestrator.executor import SweepExecutor
-from repro.orchestrator.jobs import RunJob, expand_experiment, metrics_from_dict, metrics_to_dict
+from repro.orchestrator.jobs import RunJob, metrics_from_dict, metrics_to_dict
 from repro.orchestrator.progress import ProgressReporter
 from repro.orchestrator.store import ResultStore
 from repro.query.query import QuerySpec, SourceSelection
@@ -26,10 +25,17 @@ def _workload() -> object:
     return rate_sweep_workload(1.0)
 
 
+def _spec(num_runs: int = 2, **overrides) -> ExperimentSpec:
+    fields = dict(scenario=smoke_scale(), protocol="NTS-SS", workload=_workload())
+    return ExperimentSpec(**{**fields, **overrides}, num_runs=num_runs)
+
+
 def _jobs(num_runs: int = 2):
-    return expand_experiment(
-        smoke_scale(), "NTS-SS", workload=_workload(), num_runs=num_runs
-    )
+    return _spec(num_runs).expand()
+
+
+def _cached_flags(results) -> list:
+    return [run.cached for result in results for run in result.runs]
 
 
 class TestSerialization:
@@ -108,9 +114,9 @@ class TestRunJob:
         starts_b = [q.start_time for q in job_b.resolve_queries()]
         assert starts_a != starts_b  # replication seeds re-randomize starts
 
-    def test_expand_experiment_seeds_replications(self) -> None:
+    def test_spec_expand_seeds_replications(self) -> None:
         scenario = smoke_scale()
-        jobs = expand_experiment(scenario, "NTS-SS", workload=_workload(), num_runs=3)
+        jobs = _spec(num_runs=3).expand()
         assert [job.seed for job in jobs] == [scenario.seed, scenario.seed + 1, scenario.seed + 2]
 
 
@@ -142,122 +148,90 @@ class TestResultStore:
 
 class TestSweepExecution:
     def test_parallel_matches_serial_bit_for_bit(self) -> None:
-        jobs = _jobs(num_runs=4)
-        serial = SweepExecutor(workers=1).run(jobs)
-        parallel = SweepExecutor(workers=4).run(jobs)
-        assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel, strict=True):
+        (serial,) = run_sweep([_spec(num_runs=4)], jobs=1)
+        (parallel,) = run_sweep([_spec(num_runs=4)], jobs=4)
+        assert len(serial.runs) == len(parallel.runs) == 4
+        for a, b in zip(serial.runs, parallel.runs, strict=True):
             assert a.job.digest == b.job.digest
             assert a.metrics == b.metrics
             assert a.extras == b.extras
 
     def test_warm_store_returns_cached_without_rerunning(self, tmp_path, monkeypatch) -> None:
-        jobs = _jobs(num_runs=2)
         store = ResultStore(tmp_path / "cache")
-        executor = SweepExecutor(workers=1, store=store)
-        cold = executor.run(jobs)
-        assert all(not result.cached for result in cold)
-        assert (executor.last_executed, executor.last_cached) == (2, 0)
+        (cold,) = run_sweep([_spec()], store=store)
+        assert _cached_flags([cold]) == [False, False]
         assert len(store) == 2
 
         # Make any simulator execution explode: a warm sweep must not run one.
         monkeypatch.setattr(
-            "repro.orchestrator.executor.run_single",
+            "repro.orchestrator.api.run_single",
             lambda *args, **kwargs: pytest.fail("simulator ran on a warm store"),
         )
-        warm = executor.run(jobs)
-        assert all(result.cached for result in warm)
-        assert (executor.last_executed, executor.last_cached) == (0, 2)
-        for a, b in zip(cold, warm, strict=True):
+        (warm,) = run_sweep([_spec()], store=store)
+        assert _cached_flags([warm]) == [True, True]
+        for a, b in zip(cold.runs, warm.runs, strict=True):
             assert a.metrics == b.metrics
             assert a.extras == b.extras
 
     def test_interrupted_sweep_resumes_from_store(self, tmp_path) -> None:
-        jobs = _jobs(num_runs=3)
-        store = ResultStore(tmp_path / "cache")
-        SweepExecutor(workers=1, store=store).run(jobs[:2])  # the "interrupted" prefix
-        executor = SweepExecutor(workers=1, store=ResultStore(tmp_path / "cache"))
-        executor.run(jobs)
-        assert executor.last_cached == 2
-        assert executor.last_executed == 1
+        run_sweep([_spec(num_runs=2)], store=tmp_path / "cache")  # the "interrupted" prefix
+        resumed = run_sweep([_spec(num_runs=3)], store=ResultStore(tmp_path / "cache"))
+        assert _cached_flags(resumed) == [True, True, False]
 
-    def test_duplicate_jobs_execute_once(self, tmp_path) -> None:
-        job = _jobs(num_runs=1)[0]
-        executor = SweepExecutor(workers=1, store=ResultStore(tmp_path / "cache"))
-        results = executor.run([job, job, job])
-        assert len(results) == 3
-        assert len({id(result) for result in results}) == 1
-        # One simulator run; the fanned-out duplicates count as cached.
-        assert executor.last_executed == 1
-        assert executor.last_cached == 2
+    def test_duplicate_jobs_execute_once(self, tmp_path, monkeypatch) -> None:
+        runs = []
+        monkeypatch.setattr(
+            "repro.orchestrator.api.run_single",
+            lambda *args: runs.append(args) or run_single(*args),
+        )
+        results = run_sweep([_spec(num_runs=1)] * 3, store=ResultStore(tmp_path / "cache"))
+        assert len(results) == len({id(result.runs[0]) for result in results}) == 3
+        # One simulator run; the duplicates are served from it as cached.
+        assert len(runs) == 1
+        assert _cached_flags(results) == [False, True, True]
+        assert results[0].metrics == results[1].metrics == results[2].metrics
 
     def test_executor_rejects_zero_workers(self) -> None:
         with pytest.raises(ValueError):
-            SweepExecutor(workers=0)
+            run_sweep([_spec(num_runs=1)], jobs=0)
 
 
 class TestExperimentIntegration:
     def test_run_experiment_parallel_and_store_match_serial(self, tmp_path) -> None:
-        scenario = smoke_scale()
-        workload = _workload()
-        serial = run_experiment(scenario, "NTS-SS", workload=workload, num_runs=2)
-        parallel = run_experiment(
-            scenario, "NTS-SS", workload=workload, num_runs=2, jobs=2
-        )
-        stored = run_experiment(
-            scenario, "NTS-SS", workload=workload, num_runs=2, store=tmp_path / "cache"
-        )
-        warm = run_experiment(
-            scenario, "NTS-SS", workload=workload, num_runs=2, store=tmp_path / "cache"
-        )
+        (serial,) = run_sweep([_spec()])
+        (parallel,) = run_sweep([_spec()], jobs=2)
+        (stored,) = run_sweep([_spec()], store=tmp_path / "cache")
+        (warm,) = run_sweep([_spec()], store=tmp_path / "cache")
         for other in (parallel, stored, warm):
             assert other.metrics == serial.metrics
-            assert other.per_run_metrics == serial.per_run_metrics
+            assert [run.metrics for run in other.runs] == [run.metrics for run in serial.runs]
             assert other.extras == serial.extras
 
     def test_experiment_records_per_replication_queries(self) -> None:
-        result = run_experiment(
-            smoke_scale(), "NTS-SS", workload=_workload(), num_runs=2
-        )
-        assert len(result.per_run_queries) == 2
-        assert result.queries == result.per_run_queries[0]
-        starts = [[q.start_time for q in queries] for queries in result.per_run_queries]
+        (result,) = run_sweep([_spec()])
+        per_run_queries = [run.job.resolve_queries() for run in result.runs]
+        assert len(per_run_queries) == 2
+        starts = [[q.start_time for q in queries] for queries in per_run_queries]
         assert starts[0] != starts[1]  # per-replication start-time randomization
 
     def test_fixed_queries_identical_across_replications(self) -> None:
         queries = [QuerySpec(query_id=1, period=1.0, start_time=1.0)]
-        result = run_experiment(
-            smoke_scale().with_overrides(duration=8.0), "NTS-SS", queries=queries, num_runs=2
-        )
-        assert result.per_run_queries == [queries, queries]
+        scenario = smoke_scale().with_overrides(duration=8.0)
+        (result,) = run_sweep([_spec(scenario=scenario, workload=None, queries=queries)])
+        assert [run.job.resolve_queries() for run in result.runs] == [queries, queries]
 
     def test_protocol_comparison_routes_through_orchestrator(self, tmp_path) -> None:
-        scenario = smoke_scale()
-        cold = run_protocol_comparison(
-            scenario,
-            ["NTS-SS", "SPAN"],
-            workload=_workload(),
-            num_runs=1,
-            store=tmp_path / "cache",
-        )
-        warm = run_protocol_comparison(
-            scenario,
-            ["NTS-SS", "SPAN"],
-            workload=_workload(),
-            num_runs=1,
-            store=tmp_path / "cache",
-        )
-        assert set(cold) == {"NTS-SS", "SPAN"}
-        for protocol in cold:
-            assert warm[protocol].metrics == cold[protocol].metrics
+        specs = [_spec(num_runs=1, protocol=protocol) for protocol in ("NTS-SS", "SPAN")]
+        cold = run_sweep(specs, store=tmp_path / "cache", label="compare")
+        warm = run_sweep(specs, store=tmp_path / "cache", label="compare")
+        assert [result.protocol for result in cold] == ["NTS-SS", "SPAN"]
+        assert _cached_flags(warm) == [True, True]
+        for a, b in zip(cold, warm, strict=True):
+            assert b.metrics == a.metrics
 
-    def test_run_experiments_preserves_spec_order(self) -> None:
-        scenario = smoke_scale()
-        specs = [
-            ExperimentSpec(scenario=scenario, protocol=protocol, workload=_workload(), num_runs=1)
-            for protocol in ("SPAN", "NTS-SS")
-        ]
-        results = run_experiments(specs)
+    def test_run_sweep_preserves_spec_order(self) -> None:
+        specs = [_spec(num_runs=1, protocol=protocol) for protocol in ("SPAN", "NTS-SS")]
+        results = run_sweep(specs)
         assert [result.protocol for result in results] == ["SPAN", "NTS-SS"]
 
     def test_spec_requires_exactly_one_workload_source(self) -> None:
@@ -284,5 +258,5 @@ class TestProgressReporter:
     def test_sweep_with_progress_stream(self) -> None:
         stream = io.StringIO()
         reporter = ProgressReporter(label="sweep", stream=stream, min_interval=0.0)
-        SweepExecutor(workers=1, progress=reporter).run(_jobs(num_runs=1))
+        run_sweep([_spec(num_runs=1)], progress=reporter)
         assert "1/1" in stream.getvalue()

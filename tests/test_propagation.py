@@ -42,7 +42,7 @@ from repro.net.propagation import (
     build_propagation_from_spec,
 )
 from repro.net.topology import Topology
-from repro.orchestrator.api import ExperimentSpec, run_experiments
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.orchestrator.codec import decode, encode
 from repro.orchestrator.jobs import RunJob
 from repro.query.workload import WorkloadSpec
@@ -570,11 +570,11 @@ class TestPropagationDeterminism:
             )
             for scenario in (self.SINR_SCENARIO, self.MOBILE_SCENARIO)
         ]
-        serial = run_experiments(specs, jobs=1)
-        parallel = run_experiments(specs, jobs=min(2, os.cpu_count() or 1))
+        serial = run_sweep(specs, jobs=1)
+        parallel = run_sweep(specs, jobs=min(2, os.cpu_count() or 1))
         for a, b in zip(serial, parallel, strict=True):
             assert a.metrics == b.metrics
-            assert a.per_run_metrics == b.per_run_metrics
+            assert [run.metrics for run in a.runs] == [run.metrics for run in b.runs]
 
     def test_propagation_actually_changes_the_outcome(self) -> None:
         """Guards against a silently-ignored spec: the non-default cells

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.query.aggregation import AggregationFunction, PartialAggregate, merge_all
 from repro.query.query import QuerySpec, SourceSelection
-from repro.query.workload import WorkloadSpec, aggregate_report_rate, generate_queries
+from repro.query.workload import WorkloadSpec, generate_queries
 from repro.sim.rng import RandomStreams
 
 
@@ -137,11 +137,6 @@ class TestWorkload:
         assert queries[0].period == pytest.approx(1 / 5.0)
         assert queries[1].period == pytest.approx(1 / 2.5)
         assert queries[2].period == pytest.approx(1 / (5.0 / 3.0))
-
-    def test_aggregate_report_rate(self) -> None:
-        spec = WorkloadSpec(base_rate_hz=6.0, queries_per_class=1)
-        queries = generate_queries(spec, seed=0)
-        assert aggregate_report_rate(queries) == pytest.approx(11.0)
 
     def test_workload_validation(self) -> None:
         with pytest.raises(ValueError):

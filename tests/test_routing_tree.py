@@ -69,13 +69,6 @@ class TestRoutingTreeStructure:
         assert tree.path_to_root(3) == [3, 2, 1, 0]
         assert tree.path_to_root(0) == [0]
 
-    def test_nodes_by_rank(self) -> None:
-        tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 0})
-        grouped = tree.nodes_by_rank()
-        assert grouped[0] == [2, 3]
-        assert grouped[1] == [1]
-        assert grouped[2] == [0]
-
     def test_contains_and_len(self) -> None:
         tree = chain_tree(3)
         assert 2 in tree

@@ -275,6 +275,19 @@ class TestFamilySweeps:
         with pytest.raises(ValueError, match="duplicate variant labels"):
             run_family(family, base=smoke_scale())
 
+    def test_identical_variants_count_one_executed_run(self) -> None:
+        """Two labels for one scenario are one simulator run and one replay."""
+        def build(base):
+            workload = WorkloadSpec(base_rate_hz=1.0)
+            return [
+                ScenarioVariant("a", 1.0, base, workload),
+                ScenarioVariant("b", 2.0, base, workload),
+            ]
+
+        family = ScenarioFamily("test-twins", "two labels, one scenario", "variant", build)
+        result = run_family(family, base=smoke_scale(), protocols=["DTS-SS"])
+        assert (result.executed_runs, result.cached_runs) == (1, 1)
+
     def test_run_family_accepts_a_family_outside_the_table(self) -> None:
         def build(base):
             return [ScenarioVariant("only", 1.0, base, WorkloadSpec(base_rate_hz=1.0))]

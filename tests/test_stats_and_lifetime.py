@@ -227,8 +227,9 @@ class TestLifetime:
     def test_end_to_end_lifetime_ordering_dts_vs_span(self) -> None:
         """DTS-SS's lower duty cycle translates into a longer projected lifetime."""
         from repro.experiments.config import smoke_scale
-        from repro.experiments.runner import build_scenario_topology, run_experiment
+        from repro.experiments.runner import build_scenario_topology
         from repro.experiments.scenarios import rate_sweep_workload
+        from repro.orchestrator.api import ExperimentSpec, run_sweep
         from repro.routing.tree import build_routing_tree
 
         scenario = smoke_scale()
@@ -237,10 +238,11 @@ class TestLifetime:
             topology, root=topology.center_node(),
             max_distance_from_root=scenario.max_distance_from_root,
         )
-        estimates = {}
-        for protocol in ("DTS-SS", "SPAN"):
-            result = run_experiment(
-                scenario, protocol, workload=rate_sweep_workload(1.0), num_runs=1
-            )
-            estimates[protocol] = estimate_lifetime(result.metrics, tree)
+        specs = [
+            ExperimentSpec(scenario, protocol, workload=rate_sweep_workload(1.0), num_runs=1)
+            for protocol in ("DTS-SS", "SPAN")
+        ]
+        estimates = {
+            result.protocol: estimate_lifetime(result.metrics, tree) for result in run_sweep(specs)
+        }
         assert estimates["DTS-SS"].first_death > estimates["SPAN"].first_death

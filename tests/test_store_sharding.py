@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.experiments.config import smoke_scale
 from repro.experiments.scenarios import rate_sweep_workload
+from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.orchestrator.codec import SCHEMA_VERSION, CodecError
-from repro.orchestrator.executor import SweepExecutor
 from repro.orchestrator.jobs import RunJob
 from repro.orchestrator.store import ResultStore, shard_of
 
@@ -30,15 +30,6 @@ FIXTURE_SEEDS = {"DTS-SS": 1001, "PSM": 1002}
 def _shard_bytes(cache_dir: Path) -> dict:
     """Every shard file's name and contents."""
     return {shard.name: shard.read_bytes() for shard in (cache_dir / "shards").iterdir()}
-
-
-def _fixture_job(protocol: str) -> RunJob:
-    return RunJob(
-        scenario=smoke_scale(),
-        protocol=protocol,
-        seed=FIXTURE_SEEDS[protocol],
-        workload=rate_sweep_workload(2.0),
-    )
 
 
 def _record(payload: str = "x") -> dict:
@@ -111,14 +102,15 @@ class TestOlderSchemaVersion:
 
     def test_sweep_reruns_the_jobs_once_then_replays_warm(self, tmp_path) -> None:
         shutil.copytree(STORE_V5, tmp_path, dirs_exist_ok=True)
-        jobs = [_fixture_job(protocol) for protocol in FIXTURE_SEEDS]
-        executor = SweepExecutor(store=ResultStore(tmp_path))
-        executor.run(jobs)
-        assert (executor.last_executed, executor.last_cached) == (2, 0)
-        executor = SweepExecutor(store=ResultStore(tmp_path))
-        results = executor.run(jobs)
-        assert (executor.last_executed, executor.last_cached) == (0, 2)
-        assert all(result.cached for result in results)
+        # The fixture's protocols and workload, at the scenario's own seed.
+        specs = [
+            ExperimentSpec(smoke_scale(), protocol, workload=rate_sweep_workload(2.0), num_runs=1)
+            for protocol in FIXTURE_SEEDS
+        ]
+        cold = run_sweep(specs, store=ResultStore(tmp_path))
+        assert [result.runs[0].cached for result in cold] == [False, False]
+        warm = run_sweep(specs, store=ResultStore(tmp_path))
+        assert [result.runs[0].cached for result in warm] == [True, True]
 
     def test_older_job_does_not_decode(self) -> None:
         for shard in sorted((STORE_V5 / "shards").glob("*.jsonl")):

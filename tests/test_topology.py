@@ -88,10 +88,6 @@ class TestConnectivityQueries:
         )
         assert topo.center_node() == 1
 
-    def test_nodes_within_radius(self) -> None:
-        topo = Topology.from_positions([(0, 0), (100, 0), (400, 0)], comm_range=150.0)
-        assert topo.nodes_within(0, 300.0) == [1]
-
     def test_is_connected(self) -> None:
         connected = Topology.line(num_nodes=3, spacing=10.0, comm_range=15.0)
         assert connected.is_connected()

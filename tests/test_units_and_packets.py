@@ -10,9 +10,7 @@ from repro.net.packet import (
     CONTROL_BYTES,
     DEFAULT_DATA_REPORT_BYTES,
     AckPacket,
-    AdvertisementPacket,
     AtimPacket,
-    BeaconPacket,
     CoordinatorAnnouncement,
     DataReportPacket,
     Packet,
@@ -33,23 +31,6 @@ class TestUnits:
     def test_bandwidth_conversions(self) -> None:
         assert units.mbps(1) == pytest.approx(1e6)
         assert units.kbps(250) == pytest.approx(250e3)
-        assert units.khz(32) == pytest.approx(32e3)
-
-    def test_transmission_time(self) -> None:
-        # 52 bytes at 1 Mbps = 416 microseconds.
-        assert units.transmission_time(52, units.mbps(1)) == pytest.approx(416e-6)
-        with pytest.raises(ValueError):
-            units.transmission_time(52, 0)
-        with pytest.raises(ValueError):
-            units.transmission_time(-1, units.mbps(1))
-
-    def test_rate_period_round_trip(self) -> None:
-        assert units.period_from_rate(5.0) == pytest.approx(0.2)
-        assert units.rate_from_period(0.2) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            units.period_from_rate(0.0)
-        with pytest.raises(ValueError):
-            units.rate_from_period(0.0)
 
     def test_bytes_to_bits(self) -> None:
         assert units.bytes_to_bits(52) == 416
@@ -86,16 +67,7 @@ class TestPackets:
         assert AtimPacket(src=0, dst=1).size_bytes == CONTROL_BYTES
 
     def test_broadcast_packets_force_broadcast_destination(self) -> None:
-        assert BeaconPacket(src=0, dst=5).is_broadcast
-        assert AdvertisementPacket(src=0, dst=5).is_broadcast
         assert CoordinatorAnnouncement(src=0, dst=5).is_broadcast
-
-    def test_copy_for_hop_reassigns_addresses_and_id(self) -> None:
-        original = DataReportPacket(src=3, dst=2, query_id=7, report_index=4, value=1.5)
-        forwarded = original.copy_for_hop(src=2, dst=1)
-        assert forwarded.src == 2 and forwarded.dst == 1
-        assert forwarded.query_id == 7 and forwarded.report_index == 4
-        assert forwarded.packet_id != original.packet_id
 
     def test_describe(self) -> None:
         report = DataReportPacket(src=3, dst=2, query_id=7, report_index=4, phase_update=1.25)
