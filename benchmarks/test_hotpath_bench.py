@@ -12,10 +12,11 @@ everything into ``BENCH_hotpath.json`` at the repository root (see
    (DTS-SS and the contention-heavy PSM baseline), events/sec over the
    ``sim.run`` wall time only (topology construction and metric collection
    excluded).  Skipped when ``REPRO_HOTPATH_QUICK=1`` (the CI smoke job).
-3. **Densest ``density`` family variant** -- the same measurement at the
-   registry's highest node density, serial, plus a ``--jobs``-style parallel
-   sweep of the identical jobs through the orchestrator (parallel events/sec
-   derives from the serial per-run event counts, which are deterministic).
+3. **Densest reduced-scale network** -- the same measurement with the
+   reduced scenario's node count doubled to 72 in the same area, serial,
+   plus a ``--jobs``-style parallel sweep of the identical jobs through the
+   orchestrator (parallel events/sec derives from the serial per-run event
+   counts, which are deterministic).
 4. **Protocol-layer cells (PR 5)** -- the paper's high-query-count workload
    (Figures 4/7: 0.2 Hz, ``queries_per_class`` at the sweep maximum of 10,
    i.e. 30 concurrent queries) at paper scale, plus a 16-per-class stress
@@ -51,7 +52,6 @@ from repro.experiments.scenarios import query_count_workload, rate_sweep_workloa
 from repro.net.propagation import PropagationSpec
 from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.orchestrator.jobs import RunJob
-from repro.scenarios.families import get_family
 from repro.sim.engine import Simulator
 
 #: Pre-overhaul events/sec.  The PR 3 cells were measured at commit b64b1b1
@@ -238,21 +238,19 @@ def test_hotpath_throughput(hotpath_bench_recorder) -> None:
     results["kernel"] = _with_speedup("kernel", _kernel_storm())
 
     workload = rate_sweep_workload(2.0)
-    densest = max(get_family("density").variants(reduced_scale()), key=lambda v: v.x)
+    densest = reduced_scale().with_overrides(num_nodes=72)
     dense_cells = {}
     dense_events_total = 0
     for protocol in PROTOCOLS:
-        cell = _run_cell(densest.scenario, densest.workload, protocol)
+        cell = _run_cell(densest, workload, protocol)
         dense_events_total += cell["events"]
         dense_cells[protocol] = _with_speedup(f"densest_density/{protocol}", cell)
     dense_cells["variant"] = {
-        "label": densest.label,
-        "num_nodes": densest.scenario.num_nodes,
-        "duration_s": densest.scenario.duration,
+        "label": f"n={densest.num_nodes}",
+        "num_nodes": densest.num_nodes,
+        "duration_s": densest.duration,
     }
-    dense_cells["parallel"] = _parallel_sweep(
-        densest.scenario, densest.workload, dense_events_total
-    )
+    dense_cells["parallel"] = _parallel_sweep(densest, workload, dense_events_total)
     results["densest_density"] = dense_cells
 
     # Propagation-layer cells (PR 4): the same reduced-scale scenario under

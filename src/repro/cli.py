@@ -5,10 +5,9 @@ Exposes the experiment harness without writing any Python:
 * ``python -m repro.cli figure fig3`` regenerates one of the paper's figures
   and prints the series as a table,
 * ``python -m repro.cli compare --base-rate 2`` runs every protocol on one
-  workload and prints a duty-cycle / latency / lifetime comparison,
-* ``python -m repro.cli scenarios list`` / ``scenarios run <family>`` work
-  with the scenario registry (clustered, corridor, density, size,
-  radio-profiles, churn, ... -- evaluation axes beyond the paper),
+  workload and prints a duty-cycle / latency / lifetime comparison (each
+  replication's lifetime is projected on its own routing tree; the table
+  shows their mean),
 * ``python -m repro.cli list`` shows the available figures and protocols,
 * ``python -m repro.cli perf record|report|diff|check`` works with the
   benchmark perf history (see :mod:`repro.obs.perfcli`).
@@ -33,10 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .experiments.config import ScenarioConfig
 from .experiments.figures import (
-    delivery_ratio_under_churn,
-    delivery_ratio_vs_shadowing,
     dts_overhead_vs_rate,
-    duty_cycle_vs_density,
     figure2_deadline_sweep,
     figure3_duty_cycle_vs_rate,
     figure4_duty_cycle_vs_queries,
@@ -75,21 +71,6 @@ FIGURES: Dict[str, Tuple[str, Callable[..., FigureResult], Optional[str]]] = {
         "rates",
     ),
     "overhead": ("DTS phase-update overhead per data report", dts_overhead_vs_rate, "rates"),
-    "density": (
-        "average duty cycle vs node density (scenario registry, beyond the paper)",
-        duty_cycle_vs_density,
-        None,
-    ),
-    "churn": (
-        "delivery ratio under scheduled node failures (scenario registry, beyond the paper)",
-        delivery_ratio_under_churn,
-        None,
-    ),
-    "shadowing": (
-        "delivery ratio vs shadowing sigma (propagation layer, beyond the paper)",
-        delivery_ratio_vs_shadowing,
-        None,
-    ),
 }
 
 
@@ -161,23 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="protocols to include",
     )
 
-    scenarios_parser = subparsers.add_parser(
-        "scenarios", help="work with the scenario registry (families beyond the paper)"
-    )
-    scenarios_sub = scenarios_parser.add_subparsers(dest="scenarios_command", required=True)
-    scenarios_sub.add_parser("list", help="list the built-in scenario families")
-    scenarios_run = scenarios_sub.add_parser(
-        "run", help="run one scenario family as a single orchestrated sweep"
-    )
-    scenarios_run.add_argument("name", help="family name (see `scenarios list`)")
-    scenarios_run.add_argument(
-        "--protocols",
-        nargs="+",
-        default=None,
-        choices=list(ALL_PROTOCOLS),
-        help="protocols to run each variant under (default: DTS-SS)",
-    )
-
     subparsers.add_parser("list", help="list available figures, protocols and scales")
     perf = subparsers.add_parser(
         "perf", help="record, report, diff and gate benchmark performance history"
@@ -232,19 +196,27 @@ def _run_compare(
         for protocol in protocols
     ]
     results = run_sweep(specs, label="compare", **orch)
-    # Project lifetimes against the tree the metrics were computed on.
-    tree = build_routing_tree(
-        build_scenario_topology(scenario, scenario.seed),
-        max_distance_from_root=scenario.max_distance_from_root,
-    )
+    # Replications differ in placement, so each run's lifetime is projected
+    # against its own tree; averaging per-node energy across placements
+    # first would mix unrelated nodes.
+    trees = {}
     rows: Dict[str, Dict[str, float]] = {}
     for protocol, result in zip(protocols, results, strict=True):
+        lifetimes = []
+        for run in result.runs:
+            seed = run.job.seed
+            if seed not in trees:
+                trees[seed] = build_routing_tree(
+                    build_scenario_topology(scenario, seed),
+                    max_distance_from_root=scenario.max_distance_from_root,
+                )
+            lifetimes.append(estimate_lifetime(run.metrics, trees[seed]).lifetime_in_days())
         metrics = result.metrics
         rows[protocol] = {
             "duty_cycle_%": metrics.average_duty_cycle * 100.0,
             "latency_ms": metrics.average_query_latency * 1000.0,
             "delivery_ratio": metrics.delivery_ratio,
-            "lifetime_days": estimate_lifetime(metrics, tree).lifetime_in_days(),
+            "lifetime_days": sum(lifetimes) / len(lifetimes),
         }
     print(
         f"protocol comparison at base rate {base_rate:g} Hz "
@@ -257,49 +229,6 @@ def _run_compare(
     )
 
 
-def _run_scenarios_list(scenario: ScenarioConfig, out) -> None:
-    from .scenarios.families import all_families
-
-    print("scenario families (x = sweep axis, variants at the selected scale):", file=out)
-    for family in all_families():
-        count = len(family.variants(scenario))
-        print(
-            f"  {family.name:15s} {count} variant(s), x={family.x_label}: {family.description}",
-            file=out,
-        )
-
-
-def _run_scenarios_run(
-    name: str,
-    scenario: ScenarioConfig,
-    protocols: Optional[Sequence[str]],
-    runs: Optional[int],
-    out,
-    orch,
-) -> None:
-    from .scenarios.families import get_family
-    from .scenarios.run import DEFAULT_FAMILY_PROTOCOLS, run_family
-
-    try:
-        family = get_family(name)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        raise SystemExit(2) from None
-    result = run_family(
-        family,
-        base=scenario,
-        protocols=protocols or DEFAULT_FAMILY_PROTOCOLS,
-        num_runs=runs,
-        **orch,
-    )
-    print(f"# scenario family {family.name}: {family.description}", file=out)
-    print(result.table(), file=out)
-    print(
-        f"runs: {result.executed_runs} executed, {result.cached_runs} from cache",
-        file=out,
-    )
-
-
 def _run_list(out) -> None:
     print("figures:", file=out)
     for name in sorted(FIGURES):
@@ -307,10 +236,6 @@ def _run_list(out) -> None:
     print("  headline  the abstract's duty-cycle and latency reduction claims", file=out)
     print("protocols: " + ", ".join(ALL_PROTOCOLS), file=out)
     print("scales   : " + ", ".join(sorted(SCALES)), file=out)
-    from .scenarios.families import family_names
-
-    print("scenario families: " + ", ".join(family_names()), file=out)
-    print("                   (details: `scenarios list`; run: `scenarios run <name>`)", file=out)
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
@@ -348,12 +273,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return 0
     if args.command == "compare":
         _run_compare(scenario, args.protocols, args.base_rate, args.runs, out, orch)
-        return 0
-    if args.command == "scenarios":
-        if args.scenarios_command == "list":
-            _run_scenarios_list(scenario, out)
-        else:
-            _run_scenarios_run(args.name, scenario, args.protocols, args.runs, out, orch)
         return 0
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover

@@ -28,9 +28,8 @@ from typing import Optional, Tuple
 
 from ..mac.base import MacConfig
 from ..net.loss import LossSpec
-from ..net.mobility import MobilitySpec
 from ..net.propagation import PropagationSpec
-from ..net.topology import FailureSchedule, TopologySpec
+from ..net.topology import FailureSchedule
 from ..radio.energy import IDEAL, PowerProfile
 from ..sim.units import mbps
 
@@ -60,9 +59,6 @@ class ScenarioConfig:
     mac_config: MacConfig = field(default_factory=lambda: MacConfig(bandwidth_bps=mbps(1)))
     #: Start measuring metrics at this time (0 = from the beginning).
     measure_from: float = 0.0
-    #: Which placement generator to use (uniform random, clustered hot-spots,
-    #: corridor chain, ...); the paper's setup is the uniform default.
-    topology: TopologySpec = field(default_factory=TopologySpec)
     #: Scheduled permanent node failures (churn); ``None`` = no failures.
     failure_schedule: Optional[FailureSchedule] = None
     #: Propagation/reception model (unit disk, log-distance shadowing, SINR
@@ -70,8 +66,6 @@ class ScenarioConfig:
     propagation: PropagationSpec = field(default_factory=PropagationSpec)
     #: Injected packet loss (none, uniform, Gilbert-Elliott bursty links).
     loss: LossSpec = field(default_factory=LossSpec)
-    #: Node mobility (random waypoint); ``None`` = the paper's static nodes.
-    mobility: Optional[MobilitySpec] = None
 
     def __post_init__(self) -> None:
         if self.num_nodes <= 1:

@@ -426,138 +426,6 @@ def dts_overhead_vs_rate(
     )
 
 
-def _family_sweep(
-    figure_id: str,
-    title: str,
-    family_name: str,
-    metric_of,
-    y_label: str,
-    protocols: Sequence[str],
-    scenario: Optional[ScenarioConfig],
-    num_runs: Optional[int],
-    jobs: int,
-    store: StoreLike,
-    progress: ProgressLike,
-) -> FigureResult:
-    """One built-in scenario family as a figure: one series per protocol."""
-    # Imported here: repro.scenarios sits above the experiments package.
-    from ..scenarios.families import get_family
-    from ..scenarios.run import run_family
-
-    family = get_family(family_name)
-    outcome = run_family(
-        family,
-        base=scenario,
-        protocols=protocols,
-        num_runs=num_runs,
-        jobs=jobs,
-        store=store,
-        progress=progress,
-    )
-    series = []
-    for protocol in protocols:
-        line = Series(name=protocol, x=[], y=[])
-        for variant in outcome.variants:
-            line.x.append(variant.x)
-            line.y.append(metric_of(outcome.result(variant.label, protocol).metrics))
-        series.append(line)
-    return FigureResult(
-        figure_id=figure_id,
-        title=title,
-        x_label=family.x_label,
-        y_label=y_label,
-        series=series,
-    )
-
-
-def duty_cycle_vs_density(
-    scenario: Optional[ScenarioConfig] = None,
-    protocols: Sequence[str] = ("DTS-SS", "STS-SS", "NTS-SS"),
-    num_runs: Optional[int] = None,
-    jobs: int = 1,
-    store: StoreLike = None,
-    progress: ProgressLike = None,
-) -> FigureResult:
-    """Average duty cycle over the registry's node-density sweep.
-
-    Not a figure of the paper: the paper fixes the deployment at 80 nodes.
-    This sweep shows how contention (and therefore the achievable duty
-    cycle) grows as the same area is packed more densely.
-    """
-    return _family_sweep(
-        "Density sweep",
-        "Average duty cycle vs node density (fixed area)",
-        "density",
-        lambda metrics: _percent(metrics.average_duty_cycle),
-        "duty cycle (%)",
-        protocols,
-        scenario,
-        num_runs,
-        jobs,
-        store,
-        progress,
-    )
-
-
-def delivery_ratio_under_churn(
-    scenario: Optional[ScenarioConfig] = None,
-    protocols: Sequence[str] = ("DTS-SS", "SPAN"),
-    num_runs: Optional[int] = None,
-    jobs: int = 1,
-    store: StoreLike = None,
-    progress: ProgressLike = None,
-) -> FigureResult:
-    """Delivery ratio as an increasing fraction of nodes fails mid-run.
-
-    Not a figure of the paper: it exercises the Section 4.3 maintenance
-    machinery (ESSAT repairs its tree and resynchronises shapers) against
-    baselines that only observe the failures as lost neighbours.
-    """
-    return _family_sweep(
-        "Churn sweep",
-        "Delivery ratio vs failed-node fraction (failures at 25-75% of the run)",
-        "churn",
-        lambda metrics: metrics.delivery_ratio,
-        "delivery ratio",
-        protocols,
-        scenario,
-        num_runs,
-        jobs,
-        store,
-        progress,
-    )
-
-
-def delivery_ratio_vs_shadowing(
-    scenario: Optional[ScenarioConfig] = None,
-    protocols: Sequence[str] = ("DTS-SS", "PSM"),
-    num_runs: Optional[int] = None,
-    jobs: int = 1,
-    store: StoreLike = None,
-    progress: ProgressLike = None,
-) -> FigureResult:
-    """Delivery ratio as log-normal shadowing deepens (propagation layer).
-
-    Not a figure of the paper: the paper's channel is a unit disk.  The
-    ``shadowed`` family sweeps the shadowing sigma from 0 dB (the unit-disk
-    anchor) upward, so this figure shows how each protocol's delivery
-    degrades as range-edge links fade out and the effective topology thins.
-    """
-    return _family_sweep(
-        "Shadowing sweep",
-        "Delivery ratio vs shadowing sigma (log-distance path loss)",
-        "shadowed",
-        lambda metrics: metrics.delivery_ratio,
-        "delivery ratio",
-        protocols,
-        scenario,
-        num_runs,
-        jobs,
-        store,
-        progress,
-    )
-
-
 def headline_claims(
     figure3: FigureResult, figure6: FigureResult
 ) -> Dict[str, float]:

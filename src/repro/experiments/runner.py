@@ -4,8 +4,8 @@ The runner is the glue between the scenario configuration, the substrates
 (topology, network, routing tree), the protocol under test (one of the three
 ESSAT protocols or a baseline), the workload, and the metrics collector.
 It wires one replication (:func:`assemble_run`) and runs it
-(:func:`run_single`); nothing more.  Sweeps of replications -- every figure,
-``compare`` and every scenario family -- run through
+(:func:`run_single`); nothing more.  Sweeps of replications -- every figure
+and ``compare`` -- run through
 :func:`repro.orchestrator.api.run_sweep`, which sits above this module.
 """
 
@@ -16,16 +16,10 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..net.loss import build_loss_from_spec
-from ..net.mobility import install_mobility
 from ..net.node import Network, build_network
 from ..net.packet import restart_packet_ids
 from ..net.propagation import build_propagation_from_spec
-from ..net.topology import (
-    FailureSchedule,
-    Topology,
-    build_topology_from_spec,
-    generate_connected_topology,
-)
+from ..net.topology import FailureSchedule, Topology, generate_connected_random_topology
 from ..obs.adapters import collect_run_counters
 from ..query.query import QuerySpec
 from ..routing.tree import RoutingTree, build_routing_tree
@@ -83,18 +77,13 @@ def build_protocol_suite(
 def build_scenario_topology(scenario: ScenarioConfig, seed: int) -> Topology:
     """Connected placement for one replication of ``scenario``.
 
-    Dispatches on ``scenario.topology`` (uniform random by default, matching
-    the paper; clustered / corridor for the registry's scenario families) and
-    redraws until the placement is connected.
+    Uniform random in the scenario's area, as in the paper, redrawn until
+    the placement is connected.
     """
-    return generate_connected_topology(
-        lambda forked: build_topology_from_spec(
-            scenario.topology,
-            num_nodes=scenario.num_nodes,
-            area=scenario.area,
-            comm_range=scenario.comm_range,
-            streams=forked,
-        ),
+    return generate_connected_random_topology(
+        scenario.num_nodes,
+        area=scenario.area,
+        comm_range=scenario.comm_range,
         streams=RandomStreams(seed),
     )
 
@@ -275,8 +264,6 @@ def assemble_run(
     if scenario.failure_schedule is not None and not scenario.failure_schedule.is_empty:
         essat_suite = suite if protocol.upper() in ESSAT_PROTOCOLS else None
         install_failure_schedule(sim, network, tree, scenario.failure_schedule, suite=essat_suite)
-    if scenario.mobility is not None:
-        install_mobility(scenario.mobility, sim, topology, scenario.duration)
     return AssembledRun(
         scenario, protocol, queries, sim, topology, network, tree, suite, deliveries
     )

@@ -49,7 +49,7 @@ loop appends the frame to every cached list, then walks only the attached
 radios, and the transmission points at the shared cached tuples (they are
 never mutated; ``unregister`` only rebinds a frame's references to ``()``),
 so no per-frame list or tuple is built.  The table is flushed when the
-topology's ``version`` changes (node removal, mobility) and on every
+topology's ``version`` changes (node removal) and on every
 ``register``/``unregister``, which change the attached pairs.
 
 Propagation strategies

@@ -7,7 +7,7 @@ delivering a frame, so a dropped frame still costs the receiver the
 reception energy (the bits were on the air) but never reaches the MAC.
 
 Loss-model selection travels with a scenario as a serializable
-:class:`LossSpec` (mirroring :class:`~repro.net.topology.TopologySpec`), so
+:class:`LossSpec` (see :class:`~repro.net.spec.KindParamsSpec`), so
 loss sweeps hash into orchestrator job digests like any other scenario
 axis.  Beyond the independent-drop models, :class:`GilbertElliottLoss`
 provides the classic two-state bursty channel: each directed link wanders

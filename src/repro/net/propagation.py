@@ -49,10 +49,9 @@ Three models ship:
     of frames audible at that receiver and nothing on the default path.
 
 Model selection travels with the scenario as a serializable
-:class:`PropagationSpec` (mirroring
-:class:`~repro.net.topology.TopologySpec`), so propagation-model sweeps
-hash into orchestrator job digests and cache/resume like any other
-scenario axis.
+:class:`PropagationSpec` (see :class:`~repro.net.spec.KindParamsSpec`),
+so propagation-model sweeps hash into orchestrator job digests and
+cache/resume like any other scenario axis.
 """
 
 from __future__ import annotations
@@ -212,10 +211,10 @@ class LogDistanceShadowing:
         self._topology: Optional["Topology"] = None
         self._seed = int(seed)
         #: directed link -> shadowing gain in dB (a static field: drawn
-        #: once per link, surviving topology/position changes).
+        #: once per link, surviving topology changes).
         self._gain_cache: Dict[Tuple[int, int], float] = {}
-        #: directed link -> (topology version, fade margin dB).  Distances
-        #: change under mobility, so margins are keyed by version.
+        #: directed link -> (topology version, fade margin dB), keyed by
+        #: version like every connectivity cache.
         self._margin_cache: Dict[Tuple[int, int], Tuple[int, float]] = {}
         #: sender -> (topology version, audible neighbour tuple).
         self._audible_cache: Dict[int, Tuple[int, Tuple[int, ...]]] = {}

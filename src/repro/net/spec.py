@@ -1,14 +1,12 @@
 """Shared base for the serializable ``kind + params`` scenario specs.
 
-Four scenario axes travel as small frozen dataclasses naming a model kind
+Two scenario axes travel as small frozen dataclasses naming a model kind
 plus a sorted ``(name, value)`` parameter tuple:
-:class:`~repro.net.topology.TopologySpec`,
-:class:`~repro.net.propagation.PropagationSpec`,
-:class:`~repro.net.loss.LossSpec`, and
-:class:`~repro.net.mobility.MobilitySpec`.  They share identical
-normalization, validation, and accessor machinery; this base holds it once
-so the next axis (an energy model, an antenna model, ...) is a subclass
-with a ``KINDS`` tuple and a builder function, nothing more.
+:class:`~repro.net.propagation.PropagationSpec` and
+:class:`~repro.net.loss.LossSpec`.  They share identical normalization,
+validation, and accessor machinery; this base holds it once so the next
+axis is a subclass with a ``KINDS`` tuple and a builder function, nothing
+more.
 
 Normalized params (sorted, ``(str, float)``) are what make the specs hash
 stably into the orchestrator's content-addressed job digests.
@@ -33,7 +31,7 @@ class KindParamsSpec:
 
     #: Kinds the matching builder function can dispatch to.
     KINDS: ClassVar[Tuple[str, ...]] = ()
-    #: Human noun used in validation errors ("topology", "loss", ...).
+    #: Human noun used in validation errors ("propagation", "loss").
     KIND_NOUN: ClassVar[str] = "model"
 
     def __post_init__(self) -> None:

@@ -2,19 +2,13 @@
 
 The paper's scenario places 80 nodes uniformly at random in a 500 x 500 m
 area with a 125 m communication range and roots the routing tree at the node
-closest to the centre (Section 5).  This module provides that placement plus
-the generators the scenario registry builds on:
-
-* grid/line placements used by tests and chain experiments,
-* :meth:`Topology.clustered` -- hot-spot deployments (nodes gathered around
-  a handful of cluster centres),
-* :meth:`Topology.corridor` -- a noisy chain along an elongated strip,
-
-and exposes the resulting disk-graph connectivity as neighbour sets, plus
-the multi-hop queries built on them (:meth:`Topology.is_connected`,
-:meth:`Topology.connected_component_of`).  Two serializable specs travel
-with a scenario: :class:`TopologySpec` names which generator (and
-parameters) to use, and :class:`FailureSchedule` describes scheduled
+closest to the centre (Section 5).  This module provides that placement
+(:meth:`Topology.random`, redrawn until connected by
+:func:`generate_connected_random_topology`) plus the grid/line placements
+used by tests and chain experiments, and exposes the resulting disk-graph
+connectivity as neighbour sets, plus the multi-hop queries built on them
+(:meth:`Topology.is_connected`, :meth:`Topology.connected_component_of`).
+:class:`FailureSchedule` travels with a scenario and describes scheduled
 permanent node failures that the experiment runner turns into simulator
 events.
 """
@@ -28,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..sim.rng import RandomStreams
-from .spec import KindParamsSpec
 
 
 @dataclass(frozen=True)
@@ -97,93 +90,6 @@ class Topology:
             node_id: Position(rng.uniform(0.0, width), rng.uniform(0.0, height))
             for node_id in range(num_nodes)
         }
-        return cls(positions=positions, comm_range=comm_range, area=area)
-
-    @classmethod
-    def clustered(
-        cls,
-        num_nodes: int,
-        num_clusters: int = 3,
-        cluster_radius: float = 50.0,
-        area: Tuple[float, float] = (500.0, 500.0),
-        comm_range: float = 125.0,
-        streams: Optional[RandomStreams] = None,
-        seed: int = 0,
-    ) -> "Topology":
-        """Hot-spot deployment: nodes gathered around ``num_clusters`` centres.
-
-        Cluster centres are drawn as a random walk whose steps stay within
-        the communication range, so adjacent clusters can bridge; nodes are
-        assigned to centres round-robin and scattered around them with a
-        Gaussian offset of scale ``cluster_radius / 2`` (clipped to the
-        area).  This models the dense sensing hot-spots (and the sparse
-        inter-cluster bridges) that the paper's uniform deployment lacks.
-        """
-        if num_nodes <= 0:
-            raise ValueError(f"need at least one node, got {num_nodes}")
-        if num_clusters <= 0 or num_clusters > num_nodes:
-            raise ValueError(
-                f"need between 1 and {num_nodes} clusters, got {num_clusters}"
-            )
-        if cluster_radius <= 0:
-            raise ValueError(f"cluster radius must be positive, got {cluster_radius!r}")
-        rng = (streams or RandomStreams(seed)).get("topology.placement")
-        width, height = area
-
-        def clip(value: float, high: float) -> float:
-            return min(max(value, 0.0), high)
-
-        centres = [Position(rng.uniform(0.0, width), rng.uniform(0.0, height))]
-        for _ in range(num_clusters - 1):
-            anchor = centres[rng.randrange(len(centres))]
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            step = rng.uniform(0.5, 0.9) * comm_range
-            centres.append(
-                Position(
-                    clip(anchor.x + step * math.cos(angle), width),
-                    clip(anchor.y + step * math.sin(angle), height),
-                )
-            )
-        positions = {}
-        for node_id in range(num_nodes):
-            centre = centres[node_id % num_clusters]
-            positions[node_id] = Position(
-                clip(centre.x + rng.gauss(0.0, cluster_radius / 2.0), width),
-                clip(centre.y + rng.gauss(0.0, cluster_radius / 2.0), height),
-            )
-        return cls(positions=positions, comm_range=comm_range, area=area)
-
-    @classmethod
-    def corridor(
-        cls,
-        num_nodes: int,
-        area: Tuple[float, float] = (800.0, 60.0),
-        comm_range: float = 125.0,
-        streams: Optional[RandomStreams] = None,
-        seed: int = 0,
-    ) -> "Topology":
-        """A noisy multi-hop chain along an elongated strip.
-
-        Nodes are spread evenly along the long axis with +-25% jitter and a
-        uniformly random cross-axis offset, which guarantees the chain shape
-        (pipeline monitoring, tunnels, road-side deployments) instead of the
-        occasional accidental chain a thin uniform placement would give.
-        """
-        if num_nodes <= 0:
-            raise ValueError(f"need at least one node, got {num_nodes}")
-        rng = (streams or RandomStreams(seed)).get("topology.placement")
-        length, width = area
-        if length < width:
-            raise ValueError(
-                f"corridor area must be elongated (length >= width), got {area!r}"
-            )
-        spacing = length / num_nodes
-        positions = {}
-        for node_id in range(num_nodes):
-            x = (node_id + 0.5) * spacing + rng.uniform(-0.25, 0.25) * spacing
-            positions[node_id] = Position(
-                min(max(x, 0.0), length), rng.uniform(0.0, width)
-            )
         return cls(positions=positions, comm_range=comm_range, area=area)
 
     @classmethod
@@ -296,7 +202,7 @@ class Topology:
         return frozenset(reached)
 
     # ------------------------------------------------------------------ #
-    # mutation (used by failure-injection and mobility experiments)
+    # mutation (used by failure injection)
     # ------------------------------------------------------------------ #
 
     def remove_node(self, node_id: int) -> None:
@@ -305,21 +211,6 @@ class Topology:
             raise KeyError(f"unknown node {node_id}")
         del self.positions[node_id]
         self._rebuild_neighbors()
-
-    def update_positions(self, new_positions: Dict[int, Position]) -> None:
-        """Move nodes (mobility) and refresh neighbour sets once.
-
-        Applies every move in one batch so a mobility tick costs a single
-        O(n^2) neighbour rebuild (and a single ``version`` bump, which is
-        what invalidates the channel's and propagation models' caches).
-        """
-        positions = self.positions
-        for node_id, position in new_positions.items():
-            if node_id not in positions:
-                raise KeyError(f"unknown node {node_id}")
-            positions[node_id] = position
-        if new_positions:
-            self._rebuild_neighbors()
 
     def _rebuild_neighbors(self) -> None:
         self._version += 1
@@ -334,27 +225,8 @@ class Topology:
 
 
 # ---------------------------------------------------------------------------
-# Serializable scenario specs: which generator to use, which nodes to fail
+# Serializable scenario spec: which nodes to fail
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TopologySpec(KindParamsSpec):
-    """A serializable recipe for building a topology from scenario parameters.
-
-    ``kind`` names the generator; ``params`` is a sorted tuple of
-    ``(name, value)`` pairs so the spec hashes stably into the orchestrator's
-    job digests (see :class:`~repro.net.spec.KindParamsSpec`).  Node count,
-    area, and communication range come from the surrounding
-    :class:`~repro.experiments.config.ScenarioConfig` -- the spec only
-    carries what is specific to the generator (e.g. cluster count).
-    """
-
-    kind: str = "uniform"
-
-    #: Generators :func:`build_topology_from_spec` can dispatch to.
-    KINDS = ("uniform", "clustered", "corridor")
-    KIND_NOUN = "topology"
-
 
 @dataclass(frozen=True)
 class FailureSchedule:
@@ -460,33 +332,3 @@ def generate_connected_random_topology(
         max_attempts=max_attempts,
         require_connected_from=require_connected_from,
     )
-
-
-def build_topology_from_spec(
-    spec: TopologySpec,
-    num_nodes: int,
-    area: Tuple[float, float],
-    comm_range: float,
-    streams: Optional[RandomStreams] = None,
-    seed: int = 0,
-) -> Topology:
-    """Instantiate one (not necessarily connected) placement for ``spec``."""
-    streams = streams or RandomStreams(seed)
-    if spec.kind == "uniform":
-        return Topology.random(
-            num_nodes=num_nodes, area=area, comm_range=comm_range, streams=streams
-        )
-    if spec.kind == "clustered":
-        return Topology.clustered(
-            num_nodes=num_nodes,
-            num_clusters=int(spec.param("clusters", 3)),
-            cluster_radius=spec.param("cluster_radius", 0.4 * comm_range),
-            area=area,
-            comm_range=comm_range,
-            streams=streams,
-        )
-    if spec.kind == "corridor":
-        return Topology.corridor(
-            num_nodes=num_nodes, area=area, comm_range=comm_range, streams=streams
-        )
-    raise ValueError(f"unknown topology kind {spec.kind!r}")  # pragma: no cover

@@ -1,7 +1,7 @@
 """The sweep entry point: :func:`run_sweep` runs every sweep.
 
-The figures, the CLI's ``compare``, :func:`repro.scenarios.run.run_family`,
-the examples and the benchmarks all start a sweep here.  Each
+The figures, the CLI's ``compare``, the examples and the benchmarks all
+start a sweep here.  Each
 :class:`ExperimentSpec` (the declarative "one experiment" unit) expands
 into its replication jobs, all specs' jobs are flattened into ONE list and
 executed once, and :func:`assemble_experiment` folds each experiment's

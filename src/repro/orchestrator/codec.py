@@ -62,7 +62,10 @@ from typing import (
 #: unchanged in memory.  The bump makes a v5 reader skip a v6 line as an
 #: unknown version instead of decoding the packed string as a list of
 #: characters, and the store skips v5 lines the same way (a cache miss).
-SCHEMA_VERSION = 6
+#: v7: scenarios lost the ``topology`` (placement generator) and
+#: ``mobility`` specs; placement is always the paper's uniform random one.
+#: The store keeps each version's lines in a directory of their own.
+SCHEMA_VERSION = 7
 
 T = TypeVar("T")
 

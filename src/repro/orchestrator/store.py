@@ -9,10 +9,13 @@ the simulator entirely.
 
 Layout
 ------
-Records live under ``<cache_dir>/shards/<p>.jsonl`` where ``<p>`` is the
-first two hex digits of the digest (256 shards), which keeps individual
-files small.  An in-memory index (digest -> record) is built once at
-startup; lookups never touch the disk afterwards.
+Records live under ``<cache_dir>/v<N>/shards/<p>.jsonl`` where ``<N>`` is
+:data:`~repro.orchestrator.codec.SCHEMA_VERSION` and ``<p>`` is the first
+two hex digits of the digest (256 shards), which keeps individual files
+small.  A schema bump therefore opens an empty directory: the lines of
+older versions stay on disk, but are never read again.  An in-memory index
+(digest -> record) is built once at startup; lookups never touch the disk
+afterwards.
 
 Line format
 -----------
@@ -37,8 +40,9 @@ figures only ever see the list.
 A cache, not an archive
 -----------------------
 A line whose ``version`` is not :data:`~repro.orchestrator.codec.SCHEMA_VERSION`
-is skipped on load and counted in :attr:`StoreStats.skipped`: its job is a
-cache miss, runs again, and appends a current line.  Nothing is decoded
+(one copied into the wrong version's directory) is skipped on load and
+counted in :attr:`StoreStats.skipped`: its job is a cache miss, runs again,
+and appends a current line.  Nothing is decoded
 at an older version, so a field a later schema adds can never be served
 as its empty default.  Opening a store only reads; every write is an
 append by :meth:`ResultStore.put`.  Appends are last-write-wins, so a
@@ -70,7 +74,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from .codec import SCHEMA_VERSION
 
-#: Subdirectory holding the per-prefix shard files.
+#: Subdirectory of a version's directory holding the per-prefix shard files.
 SHARD_DIR_NAME = "shards"
 
 
@@ -156,9 +160,8 @@ class ResultStore:
             raise NotADirectoryError(
                 f"cache dir {str(self.cache_dir)!r} exists and is not a directory"
             )
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.shard_dir = self.cache_dir / SHARD_DIR_NAME
-        self.shard_dir.mkdir(exist_ok=True)
+        self.shard_dir = self.cache_dir / f"v{SCHEMA_VERSION}" / SHARD_DIR_NAME
+        self.shard_dir.mkdir(parents=True, exist_ok=True)
         self.stats = StoreStats()
         #: Insertion-ordered index.
         self._entries: Dict[str, _IndexEntry] = {}

@@ -7,7 +7,7 @@ import pytest
 from repro.net.channel import Transmission, WirelessChannel
 from repro.net.loss import NoLoss, PerLinkLoss, ScriptedLoss, UniformLoss
 from repro.net.packet import Packet
-from repro.net.topology import Position, Topology
+from repro.net.topology import Topology
 from repro.radio.energy import IDEAL
 from repro.radio.radio import Radio
 from repro.radio.states import RadioState
@@ -338,17 +338,18 @@ class TestFanoutInvalidation:
         assert len(inboxes[2]) == 2
 
     def test_topology_change_refreshes_fanout(self) -> None:
-        # 0 -- 1 -- 2 with 2 out of range of 0 until it moves next to 0.
-        topo = Topology.line(3, spacing=100.0, comm_range=120.0)
+        # 0 -- 1 -- 2, all in range of each other, until 2 leaves the
+        # topology; its radio stays registered with the channel.
+        topo = Topology.line(3, spacing=50.0, comm_range=120.0)
         sim, channel, radios, inboxes = _build_channel(topo)
         busy_at_2 = []
         sim.schedule_at(0.000, channel.transmit, 0, Packet(src=0, dst=1), 0.001)
-        sim.schedule_at(0.002, topo.update_positions, {2: Position(50.0, 0.0)})
-        sim.schedule_at(0.003, channel.transmit, 0, Packet(src=0, dst=2), 0.001)
+        sim.schedule_at(0.002, topo.remove_node, 2)
+        sim.schedule_at(0.003, channel.transmit, 0, Packet(src=0, dst=1), 0.001)
         sim.schedule_at(0.0035, lambda: busy_at_2.append(channel.is_busy(2)))
         sim.run()
-        # A stale entry would keep node 2 outside 0's fan-out.
-        assert busy_at_2 == [True]
+        # A stale entry would keep node 2 inside 0's fan-out.
+        assert busy_at_2 == [False]
         assert len(inboxes[2]) == 1
         assert len(inboxes[1]) == 2
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import re
 import shlex
@@ -12,7 +13,10 @@ import pytest
 
 import repro.experiments.figures as figures
 from repro.cli import FIGURES, build_parser, main
-from repro.experiments.scenarios import SCALES
+from repro.experiments.lifetime import estimate_lifetime
+from repro.experiments.runner import assemble_run
+from repro.experiments.scenarios import SCALES, rate_sweep_workload
+from repro.orchestrator.jobs import RunJob
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,6 +42,11 @@ def planned_specs(monkeypatch, argv):
     return planned
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def readme_cli_commands():
     """The argv of every ``python -m repro.cli`` line in README code blocks."""
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.S | re.M)
@@ -53,6 +62,23 @@ class TestParser:
         assert {"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "overhead"} <= set(
             FIGURES
         )
+
+    def test_parser_offers_the_paper_figures_only(self) -> None:
+        parser = build_parser()
+        assert set(_subcommands(parser)) == {"figure", "compare", "list", "perf"}
+        (name,) = [a for a in _subcommands(parser)["figure"]._actions if a.dest == "name"]
+        paper = {f"fig{number}" for number in range(2, 10)}
+        assert set(name.choices) == paper | {"overhead", "headline"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["scenarios"], ["scenarios", "list"], ["--scale", "smoke", "scenarios", "run", "churn"]],
+    )
+    def test_scenarios_command_is_a_usage_error(self, argv, capsys) -> None:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv, out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'scenarios'" in capsys.readouterr().err
 
     def test_parser_requires_a_command(self) -> None:
         parser = build_parser()
@@ -151,7 +177,7 @@ class TestCommands:
             out=cold,
         )
         assert code == 0
-        shards = list((tmp_path / "cache" / "shards").glob("*.jsonl"))
+        shards = list((tmp_path / "cache").glob("v*/shards/*.jsonl"))
         assert shards, "cold run must persist results into the sharded store"
         # A warm cache replays the figure without the simulator and must
         # print the identical table.
@@ -162,42 +188,6 @@ class TestCommands:
         )
         assert code == 0
         assert warm.getvalue() == cold.getvalue()
-
-    def test_scenarios_list_command(self) -> None:
-        out = io.StringIO()
-        assert main(["--scale", "smoke", "scenarios", "list"], out=out) == 0
-        text = out.getvalue()
-        for family in ("paper", "reduced", "smoke", "clustered", "corridor",
-                       "density", "size", "radio-profiles", "churn"):
-            assert family in text
-
-    def test_scenarios_run_command_with_warm_cache(self, tmp_path) -> None:
-        cache_dir = str(tmp_path / "cache")
-        cold = io.StringIO()
-        code = main(
-            ["--scale", "smoke", "--cache-dir", cache_dir, "scenarios", "run", "churn"],
-            out=cold,
-        )
-        assert code == 0
-        text = cold.getvalue()
-        assert "scenario family churn" in text
-        assert "fail=30% DTS-SS" in text
-        assert "4 executed, 0 from cache" in text
-        warm = io.StringIO()
-        code = main(
-            ["--scale", "smoke", "--cache-dir", cache_dir, "scenarios", "run", "churn"],
-            out=warm,
-        )
-        assert code == 0
-        assert "0 executed, 4 from cache" in warm.getvalue()
-
-    def test_scenarios_run_unknown_family(self) -> None:
-        with pytest.raises(SystemExit):
-            main(["scenarios", "run", "no-such-family"], out=io.StringIO())
-
-    def test_scenarios_requires_subcommand(self) -> None:
-        with pytest.raises(SystemExit):
-            main(["scenarios"], out=io.StringIO())
 
     def test_compare_command(self) -> None:
         out = io.StringIO()
@@ -220,3 +210,22 @@ class TestCommands:
         text = out.getvalue()
         assert "DTS-SS" in text and "SPAN" in text
         assert "duty_cycle_%" in text and "lifetime_days" in text
+
+    def test_compare_lifetime_is_the_mean_of_per_replication_lifetimes(self) -> None:
+        # Replications differ in placement and root: each run's lifetime is
+        # projected on the tree it ran on, never on averaged per-node energy.
+        out = io.StringIO()
+        argv = ["--scale", "smoke", "--runs", "3", "compare", "--base-rate", "2"]
+        assert main([*argv, "--protocols", "SPAN"], out=out) == 0
+        row = out.getvalue().splitlines()[-1].split()
+        assert row[0] == "SPAN"
+        scenario = SCALES["smoke"].scenario()
+        lifetimes = []
+        for seed in (scenario.seed, scenario.seed + 1, scenario.seed + 2):
+            queries = RunJob(
+                scenario=scenario, protocol="SPAN", seed=seed, workload=rate_sweep_workload(2.0)
+            ).resolve_queries()
+            run = assemble_run(scenario, "SPAN", queries, seed)
+            metrics, _ = run.execute()
+            lifetimes.append(estimate_lifetime(metrics, run.tree).lifetime_in_days())
+        assert row[-1] == "{:.4g}".format(sum(lifetimes) / len(lifetimes))

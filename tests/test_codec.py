@@ -12,9 +12,8 @@ from repro.experiments.metrics import RunMetrics
 from repro.experiments.scenarios import rate_sweep_workload
 from repro.mac.base import MacConfig
 from repro.net.loss import LossSpec
-from repro.net.mobility import MobilitySpec
 from repro.net.propagation import PropagationSpec
-from repro.net.topology import FailureSchedule, TopologySpec
+from repro.net.topology import FailureSchedule
 from repro.orchestrator.codec import (
     SCHEMA_VERSION,
     CodecError,
@@ -33,10 +32,8 @@ from repro.radio.energy import PowerProfile
 WIRE_TYPES = (
     PowerProfile,
     MacConfig,
-    TopologySpec,
     PropagationSpec,
     LossSpec,
-    MobilitySpec,
     FailureSchedule,
     ScenarioConfig,
     WorkloadSpec,
@@ -45,11 +42,13 @@ WIRE_TYPES = (
     RunJob,
 )
 
-#: ``RunJob.digest`` values computed before the codec was derived from the
-#: dataclasses: the wire form of explicit and policy query sources, of a
-#: failure schedule's explicit events, and of the optional nested specs.
-FIXED_QUERY_JOB_DIGEST = "447a5776c4f5f036a78cc24d131185b42251937387cd520dbd916ef61b557e46"
-FAILURE_MOBILITY_JOB_DIGEST = "f41997a6602126c24e529c8660d91831867688291cc329c8069ccb55bb973fb6"
+#: ``RunJob.digest`` values that pin the wire form of explicit and policy
+#: query sources, of a failure schedule's explicit events, and of the
+#: optional nested specs.  Schema v7 re-pinned them: each equals the v6 wire
+#: form with the ``topology`` and ``mobility`` fields dropped and the
+#: version set to 7.
+FIXED_QUERY_JOB_DIGEST = "3ba3a8a75d5aacae11e8f48e132d8cc2804fdaa466d07bbc1cc2eaecf9108990"
+FAILURE_SCHEDULE_JOB_DIGEST = "0458b710ecc47452617a4b8627f614173f2534b5bf713c7a4c1eac4bae4bb5dc"
 
 
 def _sample_metrics() -> RunMetrics:
@@ -76,16 +75,13 @@ def _sample_instances():
         failure_schedule=FailureSchedule(
             fraction=0.1, window=(3.0, 9.0), explicit=((4.5, 7),)
         ),
-        mobility=MobilitySpec(kind="waypoint", params=(("speed", 1.5),)),
     )
     workload = rate_sweep_workload(2.0)
     instances = {
         type(scenario.power_profile): scenario.power_profile,
         type(scenario.mac_config): scenario.mac_config,
-        type(scenario.topology): scenario.topology,
         type(scenario.propagation): scenario.propagation,
         type(scenario.loss): scenario.loss,
-        MobilitySpec: scenario.mobility,
         FailureSchedule: scenario.failure_schedule,
         type(scenario): scenario,
         type(workload): workload,
@@ -178,20 +174,19 @@ class TestWirePins:
         assert encode(job)["queries"][1]["sources"] == {"policy": "all_nodes"}
         assert job.digest == FIXED_QUERY_JOB_DIGEST
 
-    def test_failure_schedule_and_mobility_job_digest(self) -> None:
+    def test_failure_schedule_job_digest(self) -> None:
         scenario = smoke_scale().with_overrides(
             failure_schedule=FailureSchedule(
                 fraction=0.1, window=(3.0, 9.0), explicit=((4.5, 7), (6.0, 3))
             ),
-            mobility=MobilitySpec(kind="waypoint", params=(("speed", 1.5),)),
         )
         job = RunJob(
             scenario=scenario, protocol="PSM", seed=11, workload=rate_sweep_workload(2.0)
         )
         wire = encode(job)["scenario"]
         assert wire["failure_schedule"]["explicit"] == [[4.5, 7], [6.0, 3]]
-        assert wire["mobility"] == {"kind": "waypoint", "params": [["speed", 1.5]]}
-        assert job.digest == FAILURE_MOBILITY_JOB_DIGEST
+        assert "mobility" not in wire and "topology" not in wire
+        assert job.digest == FAILURE_SCHEDULE_JOB_DIGEST
 
 
 class TestVersionGating:
@@ -217,7 +212,7 @@ class TestVersionGating:
             workload=rate_sweep_workload(1.0),
         )
         payload = job.to_dict()
-        assert payload["version"] == SCHEMA_VERSION == 6
+        assert payload["version"] == SCHEMA_VERSION == 7
         assert RunJob.from_dict(payload) == job
         # A job from a later schema is refused too, not read with today's fields.
         with pytest.raises(CodecError, match=f"v{SCHEMA_VERSION + 1}"):
@@ -262,8 +257,8 @@ class TestWrapperCompat:
 
     def test_subclass_resolves_through_mro(self) -> None:
         # `kind` and `params` are declared on the shared base class.
-        assert codec_for(MobilitySpec).cls is MobilitySpec
-        assert [entry[0] for entry in codec_for(MobilitySpec).fields] == ["kind", "params"]
+        assert codec_for(LossSpec).cls is LossSpec
+        assert [entry[0] for entry in codec_for(LossSpec).fields] == ["kind", "params"]
 
     def test_digest_is_stable_and_content_sensitive(self) -> None:
         scenario = smoke_scale()

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.config import smoke_scale
 from repro.experiments.figures import (
-    delivery_ratio_under_churn,
     dts_overhead_vs_rate,
-    duty_cycle_vs_density,
     figure2_deadline_sweep,
     figure3_duty_cycle_vs_rate,
     figure5_duty_cycle_by_rank,
@@ -86,24 +84,6 @@ class TestFigureFunctions:
         figure = dts_overhead_vs_rate(SCENARIO, rates=[1.0], num_runs=1)
         overhead = figure.get("DTS-SS").value_at(1.0)
         assert 0.0 <= overhead < 32.0
-
-    def test_duty_cycle_vs_density_sweeps_the_density_family(self) -> None:
-        figure = duty_cycle_vs_density(SCENARIO, protocols=("DTS-SS",), num_runs=1)
-        series = figure.get("DTS-SS")
-        assert figure.x_label == "num_nodes"
-        assert len(series.x) == 4  # the density family's four factors
-        assert series.x == sorted(series.x)
-        assert all(0.0 <= y <= 100.0 for y in series.y)
-        # Packing the same area more densely cannot make the network quieter:
-        # the densest point must cost at least as much as the sparsest.
-        assert series.y[-1] >= series.y[0]
-
-    def test_delivery_ratio_under_churn_sweeps_failure_fractions(self) -> None:
-        figure = delivery_ratio_under_churn(SCENARIO, protocols=("DTS-SS",), num_runs=1)
-        series = figure.get("DTS-SS")
-        assert figure.x_label == "failed_pct"
-        assert series.x == [0.0, 10.0, 20.0, 30.0]
-        assert all(0.0 <= y <= 1.0 for y in series.y)
 
     def test_headline_claims_computation(self) -> None:
         figure3 = figure3_duty_cycle_vs_rate(

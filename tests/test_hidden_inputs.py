@@ -43,8 +43,11 @@ import repro
 from repro.experiments.config import smoke_scale
 from repro.experiments.runner import ALL_PROTOCOLS, assemble_run
 from repro.experiments.scenarios import rate_sweep_workload
+from repro.net.loss import LossSpec
+from repro.net.propagation import PropagationSpec
+from repro.net.topology import FailureSchedule
 from repro.query.workload import generate_queries
-from repro.scenarios.families import get_family
+from repro.radio.energy import ZEBRANET
 from repro.sim.engine import Simulator
 
 _SRC = str(Path(repro.__file__).resolve().parent)
@@ -195,22 +198,25 @@ def test_reads_around_run_are_not_hits() -> None:
 
 # -- whole runs --------------------------------------------------------------
 
-#: Families whose last variant adds a model the smoke scenario lacks: bursty
-#: and capture loss, node failures, mobility, shadowing, radio profiles.
-FAMILIES = ("bursty", "capture", "churn", "mobile", "shadowed", "radio-profiles")
+#: Smoke-scale overrides that each add a model the smoke scenario lacks:
+#: bursty loss, SINR capture, node failures, shadowing, a slow radio.
+MODELS = {
+    "bursty": {"loss": LossSpec.make("gilbert-elliott", loss_bad=0.8)},
+    "capture": {"propagation": PropagationSpec.make("sinr", capture_db=10.0)},
+    "churn": {"failure_schedule": FailureSchedule(fraction=0.3, window=(3.0, 9.0))},
+    "shadowed": {"propagation": PropagationSpec.make("shadowing", sigma_db=6.0)},
+    "radio-profiles": {"power_profile": ZEBRANET},
+}
 
 CELLS = [("smoke", protocol) for protocol in ALL_PROTOCOLS] + [
-    (family, protocol) for family in FAMILIES for protocol in ("DTS-SS", "PSM")
+    (model, protocol) for model in MODELS for protocol in ("DTS-SS", "PSM")
 ]
 
 
-@pytest.mark.parametrize(("family", "protocol"), CELLS, ids=[f"{f}-{p}" for f, p in CELLS])
-def test_run_reads_no_hidden_input(family: str, protocol: str) -> None:
-    scenario, workload = smoke_scale(), rate_sweep_workload(2.0)
-    if family != "smoke":
-        variant = get_family(family).variants(scenario)[-1]
-        scenario, workload = variant.scenario, variant.workload
-    queries = generate_queries(workload, seed=1)
+@pytest.mark.parametrize(("model", "protocol"), CELLS, ids=[f"{m}-{p}" for m, p in CELLS])
+def test_run_reads_no_hidden_input(model: str, protocol: str) -> None:
+    scenario = smoke_scale().with_overrides(**MODELS.get(model, {}))
+    queries = generate_queries(rate_sweep_workload(2.0), seed=1)
     plain = assemble_run(scenario, protocol, queries, 7).execute()
     result, hits = profiled(assemble_run(scenario, protocol, queries, 7).execute)
     assert sorted({str(hit) for hit in hits}) == []

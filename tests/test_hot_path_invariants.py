@@ -2,9 +2,10 @@
 
 * Every trace call site guards on ``trace.enabled``: ``emit`` takes its
   payload as ``**data``, so an unguarded call builds the payload even when
-  recording is off.  Every protocol runs the smoke, churn and mobile
-  families with a disabled recorder whose ``emit`` raises; churn and mobile
-  reach the cold failure and mobility sites.
+  recording is off.  Every protocol runs the smoke scenario, and the smoke
+  scenario with 10%, 20% and 30% of its nodes failing, with a disabled
+  recorder whose ``emit`` raises; the failures reach the cold failure and
+  tree-repair sites.
 * Classes in the hot-path modules hold no instance ``__dict__``: each
   allocates or is touched per simulated event, and ``__slots__`` also turns
   an attribute-name typo into an error.  Checking ``__dictoffset__`` on the
@@ -19,8 +20,10 @@ import importlib
 import pytest
 
 from repro.experiments.config import smoke_scale
-from repro.experiments.runner import ALL_PROTOCOLS
-from repro.scenarios.run import run_family
+from repro.experiments.runner import ALL_PROTOCOLS, assemble_run
+from repro.experiments.scenarios import rate_sweep_workload
+from repro.net.topology import FailureSchedule
+from repro.query.workload import generate_queries
 from repro.sim.trace import TraceRecorder
 
 #: Modules whose classes sit on the per-event hot path.
@@ -49,8 +52,15 @@ def test_every_emit_is_guarded(monkeypatch) -> None:
         emit(self, time, category, node, **data)
 
     monkeypatch.setattr(TraceRecorder, "emit", strict_emit)
-    for family in ("smoke", "churn", "mobile"):
-        run_family(family, base=smoke_scale(), protocols=ALL_PROTOCOLS, num_runs=1, jobs=1)
+    smoke = smoke_scale()
+    scenarios = [smoke] + [
+        smoke.with_overrides(failure_schedule=FailureSchedule(fraction=fraction, window=(3.0, 9.0)))
+        for fraction in (0.1, 0.2, 0.3)
+    ]
+    queries = generate_queries(rate_sweep_workload(2.0), seed=smoke.seed)
+    for scenario in scenarios:
+        for protocol in ALL_PROTOCOLS:
+            assemble_run(scenario, protocol, queries, smoke.seed).execute()
 
 
 def _hot_path_classes():

@@ -86,19 +86,21 @@ main(["--scale", "smoke", "--cache-dir", {str(cache_dir)!r}, "figure", "fig3"], 
 print(json.dumps(sorted(sys.modules)))
 """
 
-def _suite_program(protocol: str, family: str | None = None) -> str:
-    """Assembles a smoke-scale run of ``protocol``, or of ``family``'s last variant."""
+def _suite_program(protocol: str, churn: bool = False) -> str:
+    """Assembles a smoke-scale run of ``protocol``, with 30% of its nodes failing if ``churn``."""
     return f"""
 import json
 import sys
 
 from repro.experiments.config import smoke_scale
 from repro.experiments.runner import assemble_run
-from repro.scenarios.families import get_family
+from repro.net.topology import FailureSchedule
 
 scenario = smoke_scale()
-if {family!r} is not None:
-    scenario = get_family({family!r}).variants(scenario)[-1].scenario
+if {churn!r}:
+    scenario = scenario.with_overrides(
+        failure_schedule=FailureSchedule(fraction=0.3, window=(3.0, 9.0))
+    )
 run = assemble_run(scenario, {protocol!r}, [], 1)
 print(json.dumps([type(run.suite).__module__, sorted(sys.modules)]))
 """
@@ -122,7 +124,6 @@ ORCHESTRATION_PACKAGES = (
     "orchestrator",
     "obs",
     "experiments",
-    "scenarios",
     "cli",
 )
 
@@ -192,7 +193,6 @@ DOCSTRING_ONLY_PACKAGES = (
     "experiments",
     "orchestrator",
     "obs",
-    "scenarios",
 )
 
 #: A two-job sweep on a two-worker pool, checked against the serial run.
@@ -254,12 +254,17 @@ def test_pool_sweep_still_runs_and_matches_serial() -> None:
     }
 
 
+#: Deleted packages, which nothing may load or bring back.
+DELETED_PACKAGES = ("sanitizer", "scenarios")
+
+
 def test_replay_modules_load_no_protocol_or_sanitizer() -> None:
-    """Importing the replay modules loads no protocol, and no sanitizer exists."""
+    """Importing the replay modules loads no protocol, and no deleted package exists."""
     modules = _run(_REPLAY_MODULES_PROGRAM)
     assert _within(modules, REPLAY_UNLOADED) == []
-    assert _within(modules, ("repro.sanitizer",)) == []
-    assert not (REPO_ROOT / "src" / "repro" / "sanitizer").exists()
+    for package in DELETED_PACKAGES:
+        assert _within(modules, ("repro." + package,)) == []
+        assert not (REPO_ROOT / "src" / "repro" / package).exists()
 
 
 def test_suite_build_loads_only_its_protocol() -> None:
@@ -270,7 +275,7 @@ def test_suite_build_loads_only_its_protocol() -> None:
     assert suite == "repro.baselines.psm"
     assert _within(loaded, ["repro.core"]) == []
     # Node failures reach ESSAT maintenance only for an ESSAT suite.
-    suite, loaded = _run(_suite_program("PSM", family="churn"))
+    suite, loaded = _run(_suite_program("PSM", churn=True))
     assert suite == "repro.baselines.psm"
     assert _within(loaded, ["repro.core"]) == []
 

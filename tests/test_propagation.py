@@ -3,16 +3,15 @@
 Covers, in order:
 
 * spec plumbing -- validation, serialization round trips, digest
-  distinctness of propagation/loss/mobility sweeps,
+  distinctness of propagation/loss sweeps,
 * **golden parity** -- an explicitly-constructed unit-disk strategy
   reproduces ``tests/golden/hotpath_golden.json`` (metrics cells and trace
   digests) exactly, and zero-sigma shadowing degrades to the identical
   behaviour,
 * physics -- shadowing link budgets and gain caching, SINR capture on a
   crafted three-node line, Gilbert-Elliott burstiness and asymmetry,
-  random-waypoint movement with neighbour-cache invalidation,
 * determinism -- run-twice identity and parallel == serial bit-for-bit for
-  one SINR cell and one mobility cell.
+  one SINR cell and one bursty-loss cell.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.experiments.config import ScenarioConfig, smoke_scale
 from repro.experiments.runner import run_single
 from repro.net.channel import WirelessChannel
 from repro.net.loss import GilbertElliottLoss, LossSpec, build_loss_from_spec
-from repro.net.mobility import MobilitySpec, RandomWaypointMobility, install_mobility
 from repro.net.packet import Packet
 from repro.net.propagation import (
     BOTH_LOST,
@@ -62,7 +60,7 @@ golden_tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden_tool)
 
 
-def _family_queries(scenario, protocol, seed):
+def _rate_queries(scenario, protocol, seed):
     return RunJob(
         scenario=scenario,
         protocol=protocol,
@@ -91,7 +89,6 @@ class TestSpecs:
         [
             lambda: PropagationSpec(kind="tachyon"),
             lambda: LossSpec(kind="entropy"),
-            lambda: MobilitySpec(kind="teleport"),
         ],
     )
     def test_unknown_kinds_rejected(self, factory) -> None:
@@ -101,15 +98,10 @@ class TestSpecs:
     def test_spec_round_trips(self) -> None:
         propagation = PropagationSpec.make("sinr", capture_db=6.0, sigma_db=2.0)
         loss = LossSpec.make("gilbert-elliott", loss_bad=0.5)
-        mobility = MobilitySpec.make(speed=2.0)
         assert decode(PropagationSpec, encode(propagation)) == propagation
         assert decode(LossSpec, encode(loss)) == loss
-        assert decode(MobilitySpec, encode(mobility)) == mobility
-        assert decode(ScenarioConfig, encode(smoke_scale())).mobility is None
 
-        scenario = smoke_scale().with_overrides(
-            propagation=propagation, loss=loss, mobility=mobility
-        )
+        scenario = smoke_scale().with_overrides(propagation=propagation, loss=loss)
         assert decode(ScenarioConfig, encode(scenario)) == scenario
 
     def test_propagation_axes_produce_distinct_digests(self) -> None:
@@ -120,7 +112,6 @@ class TestSpecs:
             base.with_overrides(propagation=PropagationSpec.make("shadowing", sigma_db=4.0)),
             base.with_overrides(propagation=PropagationSpec.make("sinr", capture_db=6.0)),
             base.with_overrides(loss=LossSpec.make("gilbert-elliott", loss_bad=0.5)),
-            base.with_overrides(mobility=MobilitySpec.make(speed=1.0)),
         ]
         digests = {
             RunJob(
@@ -170,7 +161,7 @@ class TestUnitDiskGoldenParity:
             scenario = golden_tool.SCALES[scale].scenario().with_overrides(
                 propagation=PropagationSpec(kind="unit-disk"), loss=LossSpec(kind="none")
             )
-            queries = _family_queries(scenario, protocol, seed)
+            queries = _rate_queries(scenario, protocol, seed)
             metrics, _ = run_single(scenario, protocol, queries, seed)
             expected = golden["cells"][key]
             assert metrics.average_duty_cycle == expected["average_duty_cycle"], key
@@ -196,7 +187,7 @@ class TestUnitDiskGoldenParity:
         is exactly the sensitivity threshold, so audibility and every
         downstream metric collapse to the unit disk."""
         scenario = smoke_scale()
-        queries = _family_queries(scenario, "DTS-SS", 1)
+        queries = _rate_queries(scenario, "DTS-SS", 1)
         default_metrics, _ = run_single(scenario, "DTS-SS", queries, 1)
         shadowed = scenario.with_overrides(
             propagation=PropagationSpec.make("shadowing", sigma_db=0.0)
@@ -477,66 +468,6 @@ class TestGilbertElliott:
 
 
 # ---------------------------------------------------------------------------
-# Random-waypoint mobility
-# ---------------------------------------------------------------------------
-
-class TestRandomWaypoint:
-    def test_validation(self) -> None:
-        sim = Simulator(seed=0)
-        topology = Topology.grid(rows=2, cols=2, spacing=50.0)
-        with pytest.raises(ValueError):
-            RandomWaypointMobility(sim, topology, speed_min=0.0)
-        with pytest.raises(ValueError):
-            RandomWaypointMobility(sim, topology, speed_min=2.0, speed_max=1.0)
-        with pytest.raises(ValueError):
-            RandomWaypointMobility(sim, topology, update_interval=0.0)
-
-    def test_update_positions_rebuilds_neighbors_once(self) -> None:
-        topology = Topology.line(num_nodes=3, spacing=50.0)
-        version = topology.version
-        assert 2 not in topology.neighbors(0)
-        topology.update_positions({2: topology.positions[1]})
-        assert topology.version == version + 1
-        assert 2 in topology.neighbors(0)
-        with pytest.raises(KeyError):
-            topology.update_positions({99: topology.positions[0]})
-        topology.update_positions({})  # no-op: no rebuild
-        assert topology.version == version + 1
-
-    def test_nodes_move_within_area_and_invalidate_channel_cache(self) -> None:
-        sim = Simulator(seed=3)
-        topology = Topology.random(num_nodes=8, area=(200.0, 200.0), comm_range=80.0, seed=3)
-        channel = WirelessChannel(sim, topology)
-        before = {n: topology.positions[n] for n in topology.node_ids}
-        channel._fanout(0)  # warm the per-sender fan-out table
-        mobility = RandomWaypointMobility(
-            sim, topology, speed_min=1.0, speed_max=3.0, pause=1.0, update_interval=0.5
-        )
-        mobility.start(until=20.0)
-        sim.run(until=20.0)
-        assert mobility.updates > 0 and mobility.moves > 0
-        moved = [n for n in topology.node_ids if topology.positions[n] != before[n]]
-        assert moved
-        width, height = topology.area
-        for position in topology.positions.values():
-            assert 0.0 <= position.x <= width and 0.0 <= position.y <= height
-        # The channel's cached fan-out entries follow the rebuilt sets.
-        for node in topology.node_ids:
-            assert channel._fanout(node)[0] == (node, *topology.neighbors(node))
-
-    def test_movement_is_deterministic_per_seed(self) -> None:
-        def final_positions(seed: int):
-            sim = Simulator(seed=seed)
-            topology = Topology.random(num_nodes=6, area=(150.0, 150.0), comm_range=70.0, seed=1)
-            install_mobility(MobilitySpec.make(speed=2.0), sim, topology, duration=15.0)
-            sim.run(until=15.0)
-            return {n: (p.x, p.y) for n, p in topology.positions.items()}
-
-        assert final_positions(7) == final_positions(7)
-        assert final_positions(7) != final_positions(8)
-
-
-# ---------------------------------------------------------------------------
 # Determinism of full propagation cells (run-twice, parallel == serial)
 # ---------------------------------------------------------------------------
 
@@ -548,14 +479,14 @@ class TestPropagationDeterminism:
         cls.SINR_SCENARIO = smoke_scale().with_overrides(
             propagation=PropagationSpec.make("sinr", capture_db=6.0, sigma_db=2.0)
         )
-        cls.MOBILE_SCENARIO = smoke_scale().with_overrides(
-            mobility=MobilitySpec.make(speed=1.5)
+        cls.BURSTY_SCENARIO = smoke_scale().with_overrides(
+            loss=LossSpec.make("gilbert-elliott", loss_bad=0.8)
         )
 
-    @pytest.mark.parametrize("cell", ["sinr", "mobile"])
+    @pytest.mark.parametrize("cell", ["sinr", "bursty"])
     def test_run_twice_identity(self, cell: str) -> None:
-        scenario = self.SINR_SCENARIO if cell == "sinr" else self.MOBILE_SCENARIO
-        queries = _family_queries(scenario, "DTS-SS", 1)
+        scenario = self.SINR_SCENARIO if cell == "sinr" else self.BURSTY_SCENARIO
+        queries = _rate_queries(scenario, "DTS-SS", 1)
         first, _ = run_single(scenario, "DTS-SS", queries, 1)
         second, _ = run_single(scenario, "DTS-SS", queries, 1)
         assert first == second
@@ -568,7 +499,7 @@ class TestPropagationDeterminism:
                 workload=WorkloadSpec(base_rate_hz=2.0),
                 num_runs=2,
             )
-            for scenario in (self.SINR_SCENARIO, self.MOBILE_SCENARIO)
+            for scenario in (self.SINR_SCENARIO, self.BURSTY_SCENARIO)
         ]
         serial = run_sweep(specs, jobs=1)
         parallel = run_sweep(specs, jobs=min(2, os.cpu_count() or 1))
@@ -580,9 +511,9 @@ class TestPropagationDeterminism:
         """Guards against a silently-ignored spec: the non-default cells
         must not reproduce the unit-disk metrics."""
         base = smoke_scale()
-        queries = _family_queries(base, "DTS-SS", 1)
+        queries = _rate_queries(base, "DTS-SS", 1)
         default, _ = run_single(base, "DTS-SS", queries, 1)
         sinr, _ = run_single(self.SINR_SCENARIO, "DTS-SS", queries, 1)
-        mobile, _ = run_single(self.MOBILE_SCENARIO, "DTS-SS", queries, 1)
+        bursty, _ = run_single(self.BURSTY_SCENARIO, "DTS-SS", queries, 1)
         assert sinr != default
-        assert mobile != default
+        assert bursty != default

@@ -1,4 +1,10 @@
-"""Tests for the scenario registry, failure injection, and family sweeps."""
+"""Failure schedules and failure injection (scheduled node churn).
+
+ESSAT's maintenance code (Section 4.3) runs only when nodes fail, so the
+failure schedule is the one scenario axis beyond the paper's static setup
+that the repository keeps.  The file keeps its name so its test ids stay
+stable.
+"""
 
 from __future__ import annotations
 
@@ -13,74 +19,12 @@ from repro.experiments.runner import (
     run_single,
 )
 from repro.net.node import build_network
-from repro.net.topology import (
-    FailureSchedule,
-    Topology,
-    TopologySpec,
-    build_topology_from_spec,
-)
-from repro.orchestrator.codec import decode, encode
+from repro.net.topology import FailureSchedule, Topology
 from repro.orchestrator.jobs import RunJob
 from repro.query.workload import WorkloadSpec
 from repro.radio.energy import IDEAL
 from repro.routing.tree import build_routing_tree
-from repro.scenarios.families import (
-    FAMILIES,
-    ScenarioFamily,
-    ScenarioVariant,
-    all_families,
-    family_names,
-    get_family,
-)
-from repro.scenarios.run import run_family
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
-
-#: Families the ISSUEs require (plus `size`, which rides along).  The last
-#: four are the propagation-layer families (PR 4).
-EXPECTED_FAMILIES = {
-    "paper",
-    "reduced",
-    "smoke",
-    "clustered",
-    "corridor",
-    "density",
-    "size",
-    "radio-profiles",
-    "churn",
-    "shadowed",
-    "capture",
-    "bursty",
-    "mobile",
-}
-
-
-class TestTopologySpec:
-    def test_params_are_normalized_and_hashable(self) -> None:
-        a = TopologySpec.make("clustered", clusters=3, cluster_radius=50.0)
-        b = TopologySpec(kind="clustered", params=(("cluster_radius", 50), ("clusters", 3.0)))
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a.param("clusters", 0.0) == 3.0
-        assert a.param("missing", 7.5) == 7.5
-
-    def test_unknown_kind_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            TopologySpec(kind="moebius")
-
-    def test_build_dispatch(self) -> None:
-        streams = RandomStreams(3)
-        uniform = build_topology_from_spec(
-            TopologySpec(), 10, (200.0, 200.0), 100.0, streams=streams
-        )
-        clustered = build_topology_from_spec(
-            TopologySpec.make("clustered", clusters=2), 10, (200.0, 200.0), 100.0, seed=3
-        )
-        corridor = build_topology_from_spec(
-            TopologySpec.make("corridor"), 10, (400.0, 50.0), 100.0, seed=3
-        )
-        for topology in (uniform, clustered, corridor):
-            assert topology.num_nodes == 10
 
 
 class TestFailureSchedule:
@@ -115,50 +59,6 @@ class TestFailureSchedule:
     def test_explicit_events_are_merged_and_sorted(self) -> None:
         schedule = FailureSchedule(explicit=((5.0, 3), (1.0, 2)))
         assert schedule.materialize([], random.Random(0)) == [(1.0, 2), (5.0, 3)]
-
-
-class TestRegistry:
-    def test_required_families_are_registered(self) -> None:
-        names = set(family_names())
-        assert EXPECTED_FAMILIES <= names
-        assert len(names) >= 6
-
-    def test_every_family_builds_valid_smoke_variants(self) -> None:
-        base = smoke_scale()
-        for family in all_families():
-            if family.name == "paper":
-                continue  # paper scale is intentionally full size; skip building
-            variants = family.variants(base)
-            assert variants, family.name
-            labels = [variant.label for variant in variants]
-            assert len(labels) == len(set(labels)), f"{family.name} has duplicate labels"
-            for variant in variants:
-                assert isinstance(variant.scenario, ScenarioConfig)
-                assert isinstance(variant.workload, WorkloadSpec)
-
-    def test_variants_serialize_into_distinct_job_digests(self) -> None:
-        base = smoke_scale()
-        digests = set()
-        for family in all_families():
-            if family.name == "paper":
-                continue
-            for variant in family.variants(base):
-                restored = decode(ScenarioConfig, encode(variant.scenario))
-                assert restored == variant.scenario
-                job = RunJob(
-                    scenario=variant.scenario,
-                    protocol="DTS-SS",
-                    seed=1,
-                    workload=variant.workload,
-                )
-                digests.add(job.digest)
-        # Distinct variants hash to distinct digests (`reduced`'s single
-        # variant coincides with `density`/`size` at factor 1.0 by design).
-        assert len(digests) >= 20
-
-    def test_get_family_unknown_name(self) -> None:
-        with pytest.raises(KeyError, match="known families"):
-            get_family("does-not-exist")
 
 
 class TestFailureInjection:
@@ -228,72 +128,3 @@ class TestFailureInjection:
         calm, _ = run_single(smoke_scale(), "SPAN", queries, seed=2)
         churned, _ = run_single(self._scenario(0.3), "SPAN", queries, seed=2)
         assert churned != calm
-
-
-class TestFamilySweeps:
-    def test_churn_family_through_orchestrator_and_warm_replay(self, tmp_path) -> None:
-        store = tmp_path / "family-store"
-        cold = run_family(
-            "churn", base=smoke_scale(), protocols=["DTS-SS"], store=store
-        )
-        assert cold.executed_runs == 4
-        assert cold.cached_runs == 0
-        warm = run_family(
-            "churn", base=smoke_scale(), protocols=["DTS-SS"], store=store
-        )
-        # The warm-store replay performs ZERO simulator runs...
-        assert warm.executed_runs == 0
-        assert warm.cached_runs == 4
-        # ...and reproduces the cold sweep bit-for-bit.
-        for variant in cold.variants:
-            assert (
-                warm.result(variant.label, "DTS-SS").metrics
-                == cold.result(variant.label, "DTS-SS").metrics
-            )
-
-    def test_family_table_lists_every_cell(self) -> None:
-        result = run_family("smoke", protocols=["DTS-SS"])
-        table = result.table()
-        assert "smoke-12n DTS-SS" in table
-        assert "duty_cycle_%" in table
-
-    def test_run_family_rejects_empty_protocols(self) -> None:
-        with pytest.raises(ValueError):
-            run_family("smoke", protocols=[])
-
-    def test_run_family_rejects_duplicate_variant_labels(self) -> None:
-        """Labels key the result cells; silent dict collapse would return
-        the wrong metrics for one of the colliding sweep points."""
-        def build(scenario):
-            workload = WorkloadSpec(base_rate_hz=1.0)
-            return [
-                ScenarioVariant("same", 1.0, scenario, workload),
-                ScenarioVariant("same", 2.0, scenario.with_overrides(seed=9), workload),
-            ]
-
-        family = ScenarioFamily("test-dup", "family with colliding labels", "variant", build)
-        with pytest.raises(ValueError, match="duplicate variant labels"):
-            run_family(family, base=smoke_scale())
-
-    def test_identical_variants_count_one_executed_run(self) -> None:
-        """Two labels for one scenario are one simulator run and one replay."""
-        def build(base):
-            workload = WorkloadSpec(base_rate_hz=1.0)
-            return [
-                ScenarioVariant("a", 1.0, base, workload),
-                ScenarioVariant("b", 2.0, base, workload),
-            ]
-
-        family = ScenarioFamily("test-twins", "two labels, one scenario", "variant", build)
-        result = run_family(family, base=smoke_scale(), protocols=["DTS-SS"])
-        assert (result.executed_runs, result.cached_runs) == (1, 1)
-
-    def test_run_family_accepts_a_family_outside_the_table(self) -> None:
-        def build(base):
-            return [ScenarioVariant("only", 1.0, base, WorkloadSpec(base_rate_hz=1.0))]
-
-        family = ScenarioFamily("test-tmp", "temporary test family", "variant", build)
-        result = run_family(family, base=smoke_scale(), protocols=["DTS-SS"])
-        assert "test-tmp" not in FAMILIES
-        assert [variant.label for variant in result.variants] == ["only"]
-        assert result.executed_runs == len(result.job_results) > 0

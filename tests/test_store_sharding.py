@@ -18,18 +18,30 @@ from repro.experiments.scenarios import rate_sweep_workload
 from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.orchestrator.codec import SCHEMA_VERSION, CodecError
 from repro.orchestrator.jobs import RunJob
+import repro.orchestrator.store as store_module
 from repro.orchestrator.store import ResultStore, shard_of
 
 #: A sharded store written by the v5 code: one record each for the jobs
 #: RunJob(smoke_scale(), protocol, seed, rate_sweep_workload(2.0)) with
-#: seed 1001 for DTS-SS and 1002 for PSM.
+#: seed 1001 for DTS-SS and 1002 for PSM.  Its layout predates the
+#: per-version directories: the shard files sit in ``shards/`` at the top.
 STORE_V5 = Path(__file__).parent / "fixtures" / "store_v5"
 FIXTURE_SEEDS = {"DTS-SS": 1001, "PSM": 1002}
 
 
-def _shard_bytes(cache_dir: Path) -> dict:
+def _shards(cache_dir: Path) -> Path:
+    """The current schema version's shard directory under ``cache_dir``."""
+    return cache_dir / f"v{SCHEMA_VERSION}" / "shards"
+
+
+def _misplace_v5_lines(cache_dir: Path) -> None:
+    """Copies the v5 fixture's shard files into the current version's directory."""
+    shutil.copytree(STORE_V5 / "shards", _shards(cache_dir))
+
+
+def _shard_bytes(shard_dir: Path) -> dict:
     """Every shard file's name and contents."""
-    return {shard.name: shard.read_bytes() for shard in (cache_dir / "shards").iterdir()}
+    return {shard.name: shard.read_bytes() for shard in shard_dir.iterdir()}
 
 
 def _record(payload: str = "x") -> dict:
@@ -46,7 +58,7 @@ class TestShardLayout:
         store = ResultStore(tmp_path)
         digest = "ab" + "c" * 62
         store.put(digest, _record())
-        shard = tmp_path / "shards" / "ab.jsonl"
+        shard = _shards(tmp_path) / "ab.jsonl"
         assert shard.exists()
         assert store.shard_path(digest) == shard
         assert shard_of(digest) == "ab"
@@ -88,20 +100,38 @@ class TestShardLayout:
 
 
 class TestOlderSchemaVersion:
-    """A line from another schema version is a cache miss; opening never writes."""
+    """Each schema version has a directory of its own; a line from another
+    version that is found in it anyway is a cache miss; opening never writes."""
+
+    def test_a_bumped_schema_opens_an_empty_directory(self, tmp_path, monkeypatch) -> None:
+        ResultStore(tmp_path).put(_digest(1), _record())
+        monkeypatch.setattr(store_module, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+        reopened = ResultStore(tmp_path)
+        assert len(reopened) == 0
+        assert reopened.stats.skipped == 0
+        assert reopened.shard_dir == tmp_path / f"v{SCHEMA_VERSION + 1}" / "shards"
+        assert _shard_bytes(_shards(tmp_path))  # the older line stays on disk
+
+    def test_the_unversioned_layout_is_never_read(self, tmp_path) -> None:
+        shutil.copytree(STORE_V5, tmp_path, dirs_exist_ok=True)
+        before = _shard_bytes(tmp_path / "shards")
+        store = ResultStore(tmp_path)
+        assert len(store) == 0
+        assert store.stats.skipped == 0
+        assert _shard_bytes(tmp_path / "shards") == before
 
     def test_open_skips_every_line_and_writes_nothing(self, tmp_path) -> None:
-        shutil.copytree(STORE_V5, tmp_path, dirs_exist_ok=True)
-        before = _shard_bytes(tmp_path)
+        _misplace_v5_lines(tmp_path)
+        before = _shard_bytes(_shards(tmp_path))
         assert len(before) == 2
         store = ResultStore(tmp_path)
         assert len(store) == 0
         assert store.stats.skipped == 2
         assert store.total_bytes == 0
-        assert _shard_bytes(tmp_path) == before
+        assert _shard_bytes(_shards(tmp_path)) == before
 
     def test_sweep_reruns_the_jobs_once_then_replays_warm(self, tmp_path) -> None:
-        shutil.copytree(STORE_V5, tmp_path, dirs_exist_ok=True)
+        _misplace_v5_lines(tmp_path)
         # The fixture's protocols and workload, at the scenario's own seed.
         specs = [
             ExperimentSpec(smoke_scale(), protocol, workload=rate_sweep_workload(2.0), num_runs=1)
@@ -123,7 +153,7 @@ class TestOlderSchemaVersion:
 def _live_line_bytes(cache_dir: Path) -> int:
     """Bytes of the newest line of every digest across the shard files."""
     newest = {}
-    for shard in sorted((cache_dir / "shards").glob("*.jsonl")):
+    for shard in sorted(_shards(cache_dir).glob("*.jsonl")):
         for line in shard.read_bytes().splitlines(keepends=True):
             try:
                 newest[json.loads(line)["digest"]] = len(line)
@@ -133,7 +163,7 @@ def _live_line_bytes(cache_dir: Path) -> int:
 
 
 def _shard_file_bytes(cache_dir: Path) -> int:
-    return sum(shard.stat().st_size for shard in (cache_dir / "shards").glob("*.jsonl"))
+    return sum(shard.stat().st_size for shard in _shards(cache_dir).glob("*.jsonl"))
 
 
 class TestByteAccounting:
@@ -188,7 +218,7 @@ class TestByteAccounting:
 
     def test_last_write_wins_on_load_and_is_charged_its_line(self, tmp_path) -> None:
         digest = _digest(5)
-        shard = tmp_path / "shards" / f"{shard_of(digest)}.jsonl"
+        shard = _shards(tmp_path) / f"{shard_of(digest)}.jsonl"
         shard.parent.mkdir(parents=True)
         old = dict(_record(payload="old" * 20), digest=digest, version=SCHEMA_VERSION)
         new = dict(_record(payload="new"), digest=digest, version=SCHEMA_VERSION)

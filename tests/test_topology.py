@@ -169,67 +169,6 @@ class TestRemoveNode:
         assert tree.root in scratch.positions
 
 
-class TestNewGenerators:
-    def test_clustered_nodes_stay_inside_area(self) -> None:
-        topo = Topology.clustered(
-            40, num_clusters=4, cluster_radius=40.0, area=(400.0, 300.0), seed=9
-        )
-        assert topo.num_nodes == 40
-        for position in topo.positions.values():
-            assert 0.0 <= position.x <= 400.0
-            assert 0.0 <= position.y <= 300.0
-
-    def test_clustered_is_seed_deterministic(self) -> None:
-        a = Topology.clustered(20, num_clusters=3, seed=5)
-        b = Topology.clustered(20, num_clusters=3, seed=5)
-        assert a.positions == b.positions
-
-    def test_clustered_concentrates_nodes(self) -> None:
-        # With tight clusters, the average nearest-neighbour distance is far
-        # below that of a uniform placement over the same area.
-        def mean_nearest(topology: Topology) -> float:
-            total = 0.0
-            for a in topology.node_ids:
-                total += min(
-                    topology.distance(a, b) for b in topology.node_ids if b != a
-                )
-            return total / topology.num_nodes
-
-        clustered = Topology.clustered(
-            30, num_clusters=3, cluster_radius=20.0, area=(500.0, 500.0), seed=2
-        )
-        uniform = Topology.random(30, area=(500.0, 500.0), seed=2)
-        assert mean_nearest(clustered) < mean_nearest(uniform)
-
-    def test_clustered_validation(self) -> None:
-        with pytest.raises(ValueError):
-            Topology.clustered(0)
-        with pytest.raises(ValueError):
-            Topology.clustered(5, num_clusters=6)
-        with pytest.raises(ValueError):
-            Topology.clustered(5, cluster_radius=0.0)
-
-    def test_corridor_forms_a_chain(self) -> None:
-        topo = Topology.corridor(12, area=(900.0, 60.0), comm_range=125.0, seed=1)
-        assert topo.num_nodes == 12
-        assert topo.is_connected()
-        xs = [topo.positions[n].x for n in topo.node_ids]
-        assert xs == sorted(xs)  # node ids advance along the corridor
-        for position in topo.positions.values():
-            assert 0.0 <= position.y <= 60.0
-
-    def test_corridor_is_multi_hop(self) -> None:
-        topo = Topology.corridor(12, area=(900.0, 60.0), comm_range=125.0, seed=1)
-        # The two ends of the corridor must not hear each other directly.
-        assert not topo.in_range(0, 11)
-
-    def test_corridor_validation(self) -> None:
-        with pytest.raises(ValueError):
-            Topology.corridor(0)
-        with pytest.raises(ValueError):
-            Topology.corridor(5, area=(50.0, 100.0))
-
-
 class TestConnectedGeneration:
     def test_generated_topology_is_connected(self) -> None:
         topo = generate_connected_random_topology(
@@ -254,12 +193,14 @@ class TestConnectedGeneration:
             )
 
     def test_generic_generator_accepts_any_factory(self) -> None:
-        topo = generate_connected_topology(
-            lambda streams: Topology.clustered(
-                24, num_clusters=3, area=(400.0, 400.0), comm_range=125.0, streams=streams
-            ),
-            seed=7,
-        )
+        def jittered_line(streams) -> Topology:
+            rng = streams.get("topology.placement")
+            return Topology.from_positions(
+                [(80.0 * i + rng.uniform(-20.0, 20.0), rng.uniform(0.0, 50.0)) for i in range(24)],
+                comm_range=125.0,
+            )
+
+        topo = generate_connected_topology(jittered_line, seed=7)
         assert topo.is_connected()
         assert topo.num_nodes == 24
 

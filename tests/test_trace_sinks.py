@@ -14,8 +14,9 @@ import pytest
 
 from repro.experiments.config import smoke_scale
 from repro.experiments.runner import assemble_run
+from repro.experiments.scenarios import rate_sweep_workload
+from repro.net.topology import FailureSchedule
 from repro.orchestrator.jobs import RunJob
-from repro.scenarios.families import get_family
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -82,20 +83,18 @@ class TestStreamingRun:
             assert traced["channel_stats"] == untraced["channel_stats"], protocol
 
     @pytest.mark.parametrize("protocol", ["DTS-SS", "PSM"])
-    @pytest.mark.parametrize("family", ["churn", "mobile"])
-    def test_tracing_failures_and_mobility_does_not_change_results(
-        self, family: str, protocol: str
-    ) -> None:
-        # The family's last variant: the most failures, the fastest nodes.
-        variant = get_family(family).variants(smoke_scale())[-1]
+    def test_tracing_failures_does_not_change_results(self, protocol: str) -> None:
+        # 30% of the smoke scenario's tree fails mid-run.
+        scenario = smoke_scale().with_overrides(
+            failure_schedule=FailureSchedule(fraction=0.3, window=(3.0, 9.0))
+        )
         queries = RunJob(
-            scenario=variant.scenario, protocol=protocol, workload=variant.workload, seed=1
+            scenario=scenario, protocol=protocol, workload=rate_sweep_workload(2.0), seed=1
         ).resolve_queries()
         trace = TraceRecorder(enabled=True)
-        traced = assemble_run(variant.scenario, protocol, queries, 1, trace=trace).execute()
-        untraced = assemble_run(variant.scenario, protocol, queries, 1).execute()
-        site = {"churn": "network.node_failed", "mobile": "mobility.update"}[family]
-        assert trace.filter(category=site)  # the failure or mobility site really traced
+        traced = assemble_run(scenario, protocol, queries, 1, trace=trace).execute()
+        untraced = assemble_run(scenario, protocol, queries, 1).execute()
+        assert trace.filter(category="network.node_failed")  # the failure site really traced
         assert traced[0] == untraced[0]  # RunMetrics equality leaves counters out
         measured = [
             {key: value for key, value in metrics.counters.items() if not key.startswith("run.")}
