@@ -96,14 +96,14 @@ def _drop_partitioning_failures(
 ) -> List[tuple]:
     """Filter out fraction-drawn victims that would partition the survivors.
 
-    Applies the planned failures in time order to a scratch copy of the
-    topology (via :meth:`Topology.remove_node`) and keeps a victim only if
-    every surviving tree node still reaches the root over the remaining
-    physical graph -- a necessary condition for tree repair to succeed at
-    all.  Explicit ``(time, node)`` events are kept without the partition
-    check (they are the experimenter's deliberate choice), except events
-    naming the root or a node outside the tree, which the runtime would
-    skip as meaningless anyway.
+    Walks the planned failures in time order and keeps a victim only if
+    every surviving tree node still reaches the root over the physical
+    graph without the nodes failed so far and the victim (one BFS on the
+    static topology per drawn victim) -- a necessary condition for tree
+    repair to succeed at all.  Explicit ``(time, node)`` events are kept
+    without the partition check (they are the experimenter's deliberate
+    choice), except events naming the root or a node outside the tree,
+    which the runtime would skip as meaningless anyway.
     """
     kept: List[tuple] = []
     failed: set = set()
@@ -111,21 +111,9 @@ def _drop_partitioning_failures(
         if node in failed or node == tree.root or node not in tree:
             continue
         if (time, node) not in explicit:
-            scratch = Topology(
-                positions={
-                    nid: pos
-                    for nid, pos in topology.positions.items()
-                    if nid not in failed
-                },
-                comm_range=topology.comm_range,
-                area=topology.area,
-            )
-            scratch.remove_node(node)
-            component = scratch.connected_component_of(tree.root)
-            survivors = [
-                n for n in tree.nodes if n not in failed and n != node
-            ]
-            if not all(n in component for n in survivors):
+            excluded = failed | {node}
+            component = topology.connected_component_of(tree.root, excluded)
+            if not all(n in component for n in tree.nodes if n not in excluded):
                 continue
         kept.append((time, node))
         failed.add(node)
@@ -143,11 +131,12 @@ def install_failure_schedule(
 
     Victims are drawn from the tree's non-root nodes using the run's seeded
     ``scenario.failures`` stream, so the schedule is deterministic per seed.
-    Fraction-drawn victims whose removal would physically partition the
+    Fraction-drawn victims whose failure would physically partition the
     surviving tree nodes (cut vertices, checked with
-    :meth:`~repro.net.topology.Topology.remove_node` on a scratch copy) are
-    skipped, so churn sweeps measure protocol repair rather than guaranteed
-    physical partitions; explicit events are honoured as given.
+    :meth:`~repro.net.topology.Topology.connected_component_of` with the
+    failed nodes excluded) are skipped, so churn sweeps measure protocol
+    repair rather than guaranteed physical partitions; explicit events are
+    honoured as given.
     Pass ``suite`` only for an ESSAT suite: failures then route through
     :class:`~repro.core.maintenance.EssatMaintenance` so the tree is repaired
     and shapers resynchronise (Section 4.3).  Without it (the baselines) the

@@ -48,8 +48,8 @@ delivery order are those of the topology's neighbour sets.  The unit-disk
 loop appends the frame to every cached list, then walks only the attached
 radios, and the transmission points at the shared cached tuples (they are
 never mutated; ``unregister`` only rebinds a frame's references to ``()``),
-so no per-frame list or tuple is built.  The table is flushed when the
-topology's ``version`` changes (node removal) and on every
+so no per-frame list or tuple is built.  The placement is static, so the
+covered ids and lists never go stale; the table is flushed only on
 ``register``/``unregister``, which change the attached pairs.
 
 Propagation strategies
@@ -168,7 +168,6 @@ class WirelessChannel:
         "_covering",
         "_draining",
         "_fanout_cache",
-        "_topology_version",
         "_finish_transmission_cb",
         "_end_drain_cb",
         "stats",
@@ -212,10 +211,8 @@ class WirelessChannel:
         #: corrupted reception has ended; see ``_finish_transmission``).
         self._draining: Dict[int, object] = {}
         #: sender id -> its fan-out table entry (see :meth:`_fanout`);
-        #: flushed when the topology's ``version`` changes and on every
-        #: ``register``/``unregister``.
+        #: flushed on every ``register``/``unregister``.
         self._fanout_cache: Dict[int, Fanout] = {}
-        self._topology_version: int = topology.version
         #: Pre-bound end-of-frame and end-of-drain callbacks (one
         #: bound-method allocation per scheduled event otherwise).
         self._finish_transmission_cb = self._finish_transmission
@@ -327,7 +324,7 @@ class WirelessChannel:
     # ------------------------------------------------------------------ #
 
     def _fanout(self, sender: int) -> Fanout:
-        """Cached fan-out table entry of ``sender`` for the current topology.
+        """Cached fan-out table entry of ``sender``.
 
         ``(covered ids, covering lists, attached (id, radio) pairs)``: the
         covered ids are ``(sender,) + neighbours`` in the topology's
@@ -335,13 +332,9 @@ class WirelessChannel:
         those ids, and the attached pairs are the registered neighbours with
         their radios, in neighbour order.
         """
-        topology = self._topology
-        if topology.version != self._topology_version:
-            self._fanout_cache.clear()
-            self._topology_version = topology.version
         entry = self._fanout_cache.get(sender)
         if entry is None:
-            covered = (sender,) + tuple(topology.neighbors(sender))
+            covered = (sender,) + tuple(self._topology.neighbors(sender))
             covering = self._covering
             attached = self._attached
             entry = self._fanout_cache[sender] = (

@@ -62,36 +62,6 @@ class UniformLoss:
         return drop
 
 
-class PerLinkLoss:
-    """Loss probabilities configured per directed link.
-
-    Links not present in the table use ``default`` probability.
-    """
-
-    def __init__(
-        self,
-        link_probabilities: Dict[Tuple[int, int], float],
-        default: float = 0.0,
-        streams: Optional[RandomStreams] = None,
-    ) -> None:
-        for link, probability in link_probabilities.items():
-            if not 0.0 <= probability <= 1.0:
-                raise ValueError(f"loss probability for link {link} must be in [0, 1]")
-        if not 0.0 <= default <= 1.0:
-            raise ValueError(f"default loss probability must be in [0, 1], got {default!r}")
-        self._table = dict(link_probabilities)
-        self._default = default
-        self._rng = (streams or RandomStreams(0)).get("loss.per_link")
-        self.dropped = 0
-
-    def should_drop(self, sender: int, receiver: int, packet: Packet) -> bool:
-        probability = self._table.get((sender, receiver), self._default)
-        drop = self._rng.random() < probability
-        if drop:
-            self.dropped += 1
-        return drop
-
-
 class ScriptedLoss:
     """Drop exactly the frames selected by a user-supplied predicate.
 

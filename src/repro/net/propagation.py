@@ -108,7 +108,7 @@ class PropagationStats:
 
     def __init__(self) -> None:
         #: Sender->receiver pairs excluded from audibility by a negative
-        #: fade margin (counted once per (link, topology version)).
+        #: fade margin (counted once per link).
         self.faded_links = 0
         #: Collisions where the locked frame's SINR cleared the capture
         #: threshold (the locked frame survived; the new frame was lost).
@@ -210,14 +210,12 @@ class LogDistanceShadowing:
         self.stats = PropagationStats()
         self._topology: Optional["Topology"] = None
         self._seed = int(seed)
-        #: directed link -> shadowing gain in dB (a static field: drawn
-        #: once per link, surviving topology changes).
+        #: directed link -> shadowing gain in dB (drawn once per link).
         self._gain_cache: Dict[Tuple[int, int], float] = {}
-        #: directed link -> (topology version, fade margin dB), keyed by
-        #: version like every connectivity cache.
-        self._margin_cache: Dict[Tuple[int, int], Tuple[int, float]] = {}
-        #: sender -> (topology version, audible neighbour tuple).
-        self._audible_cache: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+        #: directed link -> fade margin dB (the placement is static).
+        self._margin_cache: Dict[Tuple[int, int], float] = {}
+        #: sender -> audible neighbour tuple.
+        self._audible_cache: Dict[int, Tuple[int, ...]] = {}
 
     def bind(self, topology: "Topology") -> None:
         """Attach the model to ``topology`` (flushes position-keyed caches)."""
@@ -252,12 +250,11 @@ class LogDistanceShadowing:
 
     def margin_db(self, sender: int, receiver: int) -> float:
         """Fade margin of ``sender -> receiver`` above sensitivity, in dB."""
-        topology = self._topology
-        version = topology.version
         key = (sender, receiver)
-        cached = self._margin_cache.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
+        margin = self._margin_cache.get(key)
+        if margin is not None:
+            return margin
+        topology = self._topology
         distance = topology.distance(sender, receiver)
         if distance <= 0.0:
             margin = float("inf")
@@ -265,7 +262,7 @@ class LogDistanceShadowing:
             margin = 10.0 * self.exponent * math.log10(
                 topology.comm_range / distance
             ) + self.gain_db(sender, receiver)
-        self._margin_cache[key] = (version, margin)
+        self._margin_cache[key] = margin
         return margin
 
     def rx_mw(self, sender: int, receiver: int) -> float:
@@ -278,14 +275,12 @@ class LogDistanceShadowing:
 
     def audible(self, sender: int, neighbors: Tuple[int, ...]) -> Tuple[int, ...]:
         """The disk neighbours whose fade margin is non-negative."""
-        cached = self._audible_cache.get(sender)
-        version = self._topology.version
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        margin = self.margin_db
-        audible = tuple(n for n in neighbors if margin(sender, n) >= 0.0)
-        self.stats.faded_links += len(neighbors) - len(audible)
-        self._audible_cache[sender] = (version, audible)
+        audible = self._audible_cache.get(sender)
+        if audible is None:
+            margin = self.margin_db
+            audible = tuple(n for n in neighbors if margin(sender, n) >= 0.0)
+            self.stats.faded_links += len(neighbors) - len(audible)
+            self._audible_cache[sender] = audible
         return audible
 
     def resolve_collision(

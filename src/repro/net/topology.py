@@ -8,6 +8,12 @@ closest to the centre (Section 5).  This module provides that placement
 used by tests and chain experiments, and exposes the resulting disk-graph
 connectivity as neighbour sets, plus the multi-hop queries built on them
 (:meth:`Topology.is_connected`, :meth:`Topology.connected_component_of`).
+
+A placement is static: the neighbour sets are built once, when the
+topology is constructed, and never change.  A node failure does not edit
+the topology; the network unregisters the failed node from the channel,
+and connectivity questions about the survivors pass the failed nodes to
+:meth:`Topology.connected_component_of` as ``excluded``.
 :class:`FailureSchedule` travels with a scenario and describes scheduled
 permanent node failures that the experiment runner turns into simulator
 events.
@@ -19,7 +25,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..sim.rng import RandomStreams
 
@@ -53,16 +59,19 @@ class Topology:
     positions: Dict[int, Position]
     comm_range: float
     area: Tuple[float, float] = (500.0, 500.0)
-    _neighbors: Dict[int, FrozenSet[int]] = field(default_factory=dict, repr=False)
-    #: Bumped every time the neighbour sets are rebuilt (node removal), so
-    #: consumers caching connectivity (the wireless channel's per-sender
-    #: neighbour tuples) can invalidate without re-deriving the sets.
-    _version: int = field(default=0, repr=False)
+    _neighbors: Dict[int, FrozenSet[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.comm_range <= 0:
             raise ValueError(f"communication range must be positive, got {self.comm_range!r}")
-        self._rebuild_neighbors()
+        nodes = sorted(self.positions)
+        neighbor_map: Dict[int, set] = {node: set() for node in nodes}
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1 :]:
+                if self.positions[a].distance_to(self.positions[b]) <= self.comm_range:
+                    neighbor_map[a].add(b)
+                    neighbor_map[b].add(a)
+        self._neighbors = {node: frozenset(others) for node, others in neighbor_map.items()}
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -169,11 +178,6 @@ class Topology:
         """Identifiers of all nodes within communication range of ``node_id``."""
         return self._neighbors[node_id]
 
-    @property
-    def version(self) -> int:
-        """Connectivity generation counter; changes whenever neighbour sets do."""
-        return self._version
-
     def center_node(self) -> int:
         """The node closest to the centre of the deployment area.
 
@@ -189,39 +193,23 @@ class Topology:
             return True
         return len(self.connected_component_of(next(iter(self.positions)))) == len(self.positions)
 
-    def connected_component_of(self, node_id: int) -> FrozenSet[int]:
-        """All nodes reachable from ``node_id`` over multi-hop links (BFS)."""
+    def connected_component_of(
+        self, node_id: int, excluded: AbstractSet[int] = frozenset()
+    ) -> FrozenSet[int]:
+        """All nodes reachable from ``node_id`` over multi-hop links (BFS).
+
+        Nodes in ``excluded`` (failed ones) neither join the component nor
+        relay; ``node_id`` itself is always in it.
+        """
         neighbors = self._neighbors
         reached = {node_id}
         queue = deque([node_id])
         while queue:
             for other in neighbors[queue.popleft()]:
-                if other not in reached:
+                if other not in reached and other not in excluded:
                     reached.add(other)
                     queue.append(other)
         return frozenset(reached)
-
-    # ------------------------------------------------------------------ #
-    # mutation (used by failure injection)
-    # ------------------------------------------------------------------ #
-
-    def remove_node(self, node_id: int) -> None:
-        """Remove a node (permanent failure) and refresh neighbour sets."""
-        if node_id not in self.positions:
-            raise KeyError(f"unknown node {node_id}")
-        del self.positions[node_id]
-        self._rebuild_neighbors()
-
-    def _rebuild_neighbors(self) -> None:
-        self._version += 1
-        nodes = sorted(self.positions)
-        neighbor_map: Dict[int, set] = {node: set() for node in nodes}
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                if self.positions[a].distance_to(self.positions[b]) <= self.comm_range:
-                    neighbor_map[a].add(b)
-                    neighbor_map[b].add(a)
-        self._neighbors = {node: frozenset(others) for node, others in neighbor_map.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -284,35 +272,6 @@ class FailureSchedule:
 # Connected-topology generation
 # ---------------------------------------------------------------------------
 
-def generate_connected_topology(
-    factory,
-    streams: Optional[RandomStreams] = None,
-    seed: int = 0,
-    max_attempts: int = 200,
-    require_connected_from: Optional[int] = None,
-) -> Topology:
-    """Call ``factory(streams)`` with fresh stream forks until connected.
-
-    By default the whole graph must be connected; when
-    ``require_connected_from`` is given, only the component containing that
-    node must include every node (equivalent, but clearer at call sites that
-    care about the root).
-    """
-    base = streams or RandomStreams(seed)
-    for attempt in range(max_attempts):
-        candidate = factory(base.fork(attempt))
-        if require_connected_from is not None:
-            component = candidate.connected_component_of(require_connected_from)
-            if len(component) == candidate.num_nodes:
-                return candidate
-        elif candidate.is_connected():
-            return candidate
-    raise RuntimeError(
-        f"could not generate a connected topology in {max_attempts} attempts; "
-        "increase density or range"
-    )
-
-
 def generate_connected_random_topology(
     num_nodes: int,
     area: Tuple[float, float] = (500.0, 500.0),
@@ -320,15 +279,20 @@ def generate_connected_random_topology(
     streams: Optional[RandomStreams] = None,
     seed: int = 0,
     max_attempts: int = 200,
-    require_connected_from: Optional[int] = None,
 ) -> Topology:
-    """Draw uniform-random topologies until the connectivity requirement is met."""
-    return generate_connected_topology(
-        lambda forked: Topology.random(
-            num_nodes=num_nodes, area=area, comm_range=comm_range, streams=forked
-        ),
-        streams=streams,
-        seed=seed,
-        max_attempts=max_attempts,
-        require_connected_from=require_connected_from,
+    """Draw uniform-random placements until one is connected.
+
+    Attempt ``i`` draws from ``streams.fork(i)``, so the placement is a
+    function of the seed alone.
+    """
+    base = streams or RandomStreams(seed)
+    for attempt in range(max_attempts):
+        candidate = Topology.random(
+            num_nodes=num_nodes, area=area, comm_range=comm_range, streams=base.fork(attempt)
+        )
+        if candidate.is_connected():
+            return candidate
+    raise RuntimeError(
+        f"could not generate a connected topology in {max_attempts} attempts; "
+        "increase density or range"
     )

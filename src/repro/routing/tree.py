@@ -38,8 +38,9 @@ class RoutingError(RuntimeError):
 class RoutingTree:
     """A rooted tree over a subset of the nodes of a topology.
 
-    The tree is mutable: protocol-maintenance code re-parents nodes and
-    removes failed nodes, after which levels and ranks are recomputed.
+    The tree is mutable: maintenance removes a failed node and re-attaches
+    its orphaned subtrees (:meth:`attach_subtree`), after which levels and
+    ranks are recomputed.
     """
 
     root: int
@@ -195,16 +196,6 @@ class RoutingTree:
         """Whether the subtree under ``node_id`` contains any of ``targets``."""
         return not self.subtree(node_id).isdisjoint(targets)
 
-    def path_to_root(self, node_id: int) -> List[int]:
-        """The node sequence from ``node_id`` up to and including the root."""
-        self._require(node_id)
-        path = [node_id]
-        current = node_id
-        while current != self.root:
-            current = self.parent[current]
-            path.append(current)
-        return path
-
     def _require(self, node_id: int) -> None:
         if node_id not in self._levels:
             raise RoutingError(f"node {node_id} is not part of the routing tree")
@@ -212,34 +203,6 @@ class RoutingTree:
     # ------------------------------------------------------------------ #
     # mutation (protocol maintenance)
     # ------------------------------------------------------------------ #
-
-    def reparent(self, node_id: int, new_parent: int) -> None:
-        """Attach ``node_id`` under ``new_parent`` and recompute levels/ranks.
-
-        Raises :class:`RoutingError` when the change would create a cycle
-        (the new parent lies inside ``node_id``'s own subtree).
-        """
-        self._require(node_id)
-        self._require(new_parent)
-        if node_id == self.root:
-            raise RoutingError("cannot reparent the root")
-        if new_parent in self.subtree(node_id):
-            raise RoutingError(
-                f"reparenting {node_id} under {new_parent} would create a cycle"
-            )
-        self.parent[node_id] = new_parent
-        self._rebuild()
-
-    def remove_subtree(self, node_id: int) -> FrozenSet[int]:
-        """Remove ``node_id`` and its whole subtree; returns the removed set."""
-        self._require(node_id)
-        if node_id == self.root:
-            raise RoutingError("cannot remove the root's subtree")
-        removed = self.subtree(node_id)
-        for node in removed:
-            self.parent.pop(node, None)
-        self._rebuild()
-        return removed
 
     def remove_node(self, node_id: int) -> List[int]:
         """Remove a single failed node; returns its orphaned children.

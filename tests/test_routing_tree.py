@@ -64,11 +64,6 @@ class TestRoutingTreeStructure:
         assert not tree.subtree_contains_any(3, {2})
         assert not tree.subtree_contains_any(1, set())
 
-    def test_path_to_root(self) -> None:
-        tree = chain_tree(4)
-        assert tree.path_to_root(3) == [3, 2, 1, 0]
-        assert tree.path_to_root(0) == [0]
-
     def test_contains_and_len(self) -> None:
         tree = chain_tree(3)
         assert 2 in tree
@@ -90,29 +85,6 @@ class TestRoutingTreeStructure:
 
 
 class TestRoutingTreeMutation:
-    def test_reparent_updates_levels_and_ranks(self) -> None:
-        tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 2})
-        tree.reparent(3, 0)
-        assert tree.level(3) == 1
-        assert tree.rank(1) == 1
-        assert tree.rank(0) == 2
-
-    def test_reparent_cycle_rejected(self) -> None:
-        tree = chain_tree(4)
-        with pytest.raises(RoutingError):
-            tree.reparent(1, 3)
-
-    def test_reparent_root_rejected(self) -> None:
-        tree = chain_tree(3)
-        with pytest.raises(RoutingError):
-            tree.reparent(0, 2)
-
-    def test_remove_subtree(self) -> None:
-        tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 1, 4: 0})
-        removed = tree.remove_subtree(1)
-        assert removed == frozenset({1, 2, 3})
-        assert tree.nodes == [0, 4]
-
     def test_remove_node_detaches_orphans(self) -> None:
         tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 2})
         orphans = tree.remove_node(1)
@@ -332,7 +304,7 @@ def random_trees(draw, max_nodes: int = 14):
 #: the currently valid choices.
 MUTATIONS = st.lists(
     st.tuples(
-        st.sampled_from(("reparent", "remove_node", "remove_subtree", "attach_subtree")),
+        st.sampled_from(("remove_node", "attach_subtree")),
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=0, max_value=10_000),
     ),
@@ -346,12 +318,7 @@ def apply_mutation(
     """Apply one valid mutation; detached subtrees are kept for re-attachment."""
     non_root = sorted(tree.parent)
     parent = dict(tree.parent)
-    if operation == "reparent" and non_root:
-        node = non_root[pick % len(non_root)]
-        below = naive_subtree(parent, tree.root, node)
-        targets = [candidate for candidate in tree.nodes if candidate not in below]
-        tree.reparent(node, targets[other % len(targets)])
-    elif operation == "remove_node" and non_root:
+    if operation == "remove_node" and non_root:
         node = non_root[pick % len(non_root)]
         orphans = naive_children(parent, node)
         shapes = []
@@ -360,11 +327,6 @@ def apply_mutation(
             shapes.append((orphan, {m: parent[m] for m in members if m != orphan}))
         assert tree.remove_node(node) == orphans
         detached.extend(shapes)
-    elif operation == "remove_subtree" and non_root:
-        node = non_root[pick % len(non_root)]
-        members = naive_subtree(parent, tree.root, node)
-        assert tree.remove_subtree(node) == members
-        detached.append((node, {m: parent[m] for m in members if m != node}))
     elif operation == "attach_subtree" and detached:
         subtree_root, edges = detached.pop(pick % len(detached))
         nodes = tree.nodes
@@ -397,17 +359,17 @@ def test_subtree_cache_is_dropped_by_every_mutation() -> None:
     tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 2, 4: 0})
     assert tree.subtree(1) == frozenset({1, 2, 3})
     assert tree.leaf_set == frozenset({3, 4})
-    tree.reparent(3, 4)
-    assert tree.subtree(1) == frozenset({1, 2})
+    assert tree.remove_node(2) == [3]
+    assert tree.subtree(1) == frozenset({1})
+    assert tree.leaf_set == frozenset({1, 4})
+    tree.attach_subtree(3, 4, {})
     assert tree.subtree(4) == frozenset({4, 3})
-    assert tree.leaf_set == frozenset({2, 3})
-    tree.remove_node(4)
-    assert tree.subtree(0) == frozenset({0, 1, 2})
-    assert tree.leaves == [2]
-    tree.attach_subtree(4, 2, {3: 4})
-    assert tree.subtree(1) == frozenset({1, 2, 4, 3})
-    assert tree.leaf_set == frozenset({3})
-    tree.remove_subtree(2)
+    assert tree.subtree(0) == frozenset({0, 1, 3, 4})
+    assert tree.leaf_set == frozenset({1, 3})
+    assert tree.remove_node(4) == [3]
     assert tree.subtree(0) == frozenset({0, 1})
-    assert tree.leaf_set == frozenset({1})
-    assert not tree.subtree_contains_any(1, {2, 3, 4})
+    assert tree.leaves == [1]
+    tree.attach_subtree(4, 1, {3: 4})
+    assert tree.subtree(1) == frozenset({1, 4, 3})
+    assert tree.leaf_set == frozenset({3})
+    assert not tree.subtree_contains_any(1, {2})

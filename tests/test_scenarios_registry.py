@@ -8,12 +8,16 @@ stable.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.config import ScenarioConfig, smoke_scale
 from repro.experiments.runner import (
+    _drop_partitioning_failures,
     build_scenario_topology,
     install_failure_schedule,
     run_single,
@@ -128,3 +132,74 @@ class TestFailureInjection:
         calm, _ = run_single(smoke_scale(), "SPAN", queries, seed=2)
         churned, _ = run_single(self._scenario(0.3), "SPAN", queries, seed=2)
         assert churned != calm
+
+
+def naive_partition_filter(events, explicit, topology, tree) -> list:
+    """The partition filter written out the slow way: for each drawn victim,
+    rebuild a topology from the positions of the nodes still alive and ask
+    whether every surviving tree node reaches the root in it."""
+    kept, failed = [], set()
+    for time, node in events:
+        if node in failed or node == tree.root or node not in tree:
+            continue
+        if (time, node) not in explicit:
+            alive = Topology(
+                positions={
+                    nid: position
+                    for nid, position in topology.positions.items()
+                    if nid not in failed and nid != node
+                },
+                comm_range=topology.comm_range,
+                area=topology.area,
+            )
+            component = alive.connected_component_of(tree.root)
+            if any(n not in component for n in tree.nodes if n not in failed and n != node):
+                continue
+        kept.append((time, node))
+        failed.add(node)
+    return kept
+
+
+@st.composite
+def connected_placements(draw) -> Topology:
+    """8-30 nodes, each within range of an earlier one: connected, and
+    sparse enough that many nodes are cut vertices."""
+    comm_range = 50.0
+    coordinates = [(0.0, 0.0)]
+    for _ in range(draw(st.integers(min_value=7, max_value=29))):
+        x, y = coordinates[draw(st.integers(min_value=0, max_value=len(coordinates) - 1))]
+        angle = draw(st.floats(min_value=0.0, max_value=2 * math.pi))
+        distance = draw(st.floats(min_value=1.0, max_value=comm_range))
+        coordinates.append((x + distance * math.cos(angle), y + distance * math.sin(angle)))
+    return Topology.from_positions(coordinates, comm_range=comm_range)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    topology=connected_placements(),
+    max_distance=st.one_of(st.none(), st.floats(min_value=40.0, max_value=200.0)),
+    fraction=st.sampled_from((0.0, 0.2, 0.5, 0.9)),
+    explicit=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=10.0), st.integers(0, 35)), max_size=4
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(
+    topology=Topology.line(num_nodes=8, spacing=10.0, comm_range=15.0),
+    max_distance=None,
+    fraction=0.9,
+    explicit=[(1.0, 0), (2.0, 3)],
+    seed=0,
+)
+def test_partition_filter_matches_naive_rebuild(
+    topology: Topology, max_distance, fraction: float, explicit: list, seed: int
+) -> None:
+    tree = build_routing_tree(
+        topology, root=topology.center_node(), max_distance_from_root=max_distance
+    )
+    schedule = FailureSchedule(fraction=fraction, window=(0.0, 10.0), explicit=tuple(explicit))
+    candidates = [node for node in tree.nodes if node != tree.root]
+    events = schedule.materialize(candidates, random.Random(seed))
+    explicit_set = set(schedule.explicit)
+    kept = _drop_partitioning_failures(events, explicit_set, topology, tree)
+    assert kept == naive_partition_filter(events, explicit_set, topology, tree)

@@ -235,7 +235,7 @@ class TestSts:
         register(shaper, QUERY, node_id=1, tree=tree)
         before = shaper.expected_send_time(1, 0)
         # Removing the deepest node shrinks node 1's rank from 2 to 1 and M to 2.
-        tree.remove_subtree(3)
+        tree.remove_node(3)
         shaper.refresh_topology(tree)
         after = shaper.expected_send_time(1, 1)
         assert shaper.local_deadline(1) == pytest.approx(0.5)
