@@ -23,7 +23,6 @@ Run with:  python examples/fire_monitoring_adaptive_workload.py
 
 from __future__ import annotations
 
-from repro.core.maintenance import EssatMaintenance
 from repro.core.protocol import EssatProtocolSuite
 from repro.net.node import build_network
 from repro.net.topology import generate_connected_random_topology
@@ -72,16 +71,15 @@ def main() -> None:
     sim.schedule_at(PHASE_1_END, register_surge)
 
     # A relay close to the root fails mid-response.
-    maintenance = EssatMaintenance(suite, network)
     candidates = [n for n in tree.interior_nodes if n != tree.root]
     victim = max(candidates, key=lambda n: len(tree.subtree(n)) if tree.level(n) == 1 else 0)
 
     def fail_relay() -> None:
-        report = maintenance.fail_node(victim)
+        reattached, detached = suite.fail_node(victim)
+        moves = ", ".join(f"{orphan} -> {parent}" for orphan, parent in reattached.items())
         print(
             f"[t={sim.now:6.1f}s] relay {victim} failed; "
-            f"re-parented {sorted(report.repair.reattached)} "
-            f"(disconnected: {report.repair.disconnected})"
+            f"re-attached {moves or 'nothing'} (detached: {detached})"
         )
 
     sim.schedule_at(FAILURE_TIME, fail_relay)
@@ -119,7 +117,6 @@ def main() -> None:
 
     after_failure = [t for _, _, t in deliveries if t > FAILURE_TIME + 2.0]
     print(f"deliveries after the node failure (t > {FAILURE_TIME + 2.0:.0f}s): {len(after_failure)}")
-    print(f"maintenance summary       : {maintenance.maintenance_cost_summary()}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ The package is organised as:
 * :mod:`repro.net` -- topology, wireless channel, packets, nodes,
 * :mod:`repro.radio` -- radio state machine and energy/duty-cycle model,
 * :mod:`repro.mac` -- CSMA/CA MAC layer,
-* :mod:`repro.routing` -- routing-tree construction and maintenance,
+* :mod:`repro.routing` -- routing-tree construction and repair after a
+  node failure,
 * :mod:`repro.query` -- periodic query service with in-network aggregation,
 * :mod:`repro.core` -- the ESSAT contribution: Safe Sleep plus the NTS, STS
   and DTS traffic shapers,

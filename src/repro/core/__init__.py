@@ -5,7 +5,7 @@
   :class:`~repro.core.sts.StaticTrafficShaper`,
   :class:`~repro.core.dts.DynamicTrafficShaper` -- the three traffic shapers,
 * :class:`~repro.core.protocol.EssatProtocolSuite` -- NTS-SS / STS-SS /
-  DTS-SS assembled over a network,
-* :mod:`~repro.core.analysis` -- the closed-form models (Equations 1-3),
-* :class:`~repro.core.maintenance.EssatMaintenance` -- failure handling.
+  DTS-SS assembled over a network; its ``fail_node`` is the failure
+  handling of Section 4.3,
+* :mod:`~repro.core.analysis` -- the closed-form models (Equations 1-3).
 """

@@ -295,18 +295,15 @@ class DynamicTrafficShaper(TrafficShaper):
             dts.last_sequence.pop(child, None)
             dts.requested.pop(child, None)
 
-    def parent_changed(self, query_id: Optional[int] = None) -> None:
-        """Force a phase update on the next report(s) after re-parenting.
+    def parent_changed(self) -> None:
+        """Force a phase update on the next report of every query after re-parenting.
 
         The paper's key robustness argument for DTS-SS: a single phase update
         on the first report to the new parent resynchronises the schedules,
         with no rank recomputation.
         """
-        query_ids = [query_id] if query_id is not None else list(self._dts)
-        for qid in query_ids:
-            dts = self._dts.get(qid)
-            if dts is not None:
-                dts.force_phase_update = True
+        for dts in self._dts.values():
+            dts.force_phase_update = True
 
     def overhead_bits_per_report(self) -> float:
         """Average piggybacked synchronisation overhead per observed report.

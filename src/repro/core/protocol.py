@@ -7,13 +7,14 @@ suite-level API the experiment harness uses:
 
 * :class:`EssatNode` -- the per-node protocol instance,
 * :class:`EssatProtocolSuite` -- installs a protocol on every node of a
-  routing tree, registers queries everywhere, and exposes the per-node
-  shapers/schedulers for metrics collection.
+  routing tree, registers queries everywhere, handles node failures
+  (:meth:`EssatProtocolSuite.fail_node`, Section 4.3), and exposes the
+  per-node shapers/schedulers for metrics collection.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Type
+from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 from ..net.node import Network, Node
 from ..query.query import QuerySpec
@@ -53,9 +54,6 @@ class EssatNode:
         break_even_time: Optional[float] = None,
         setup_until: float = 0.0,
         on_root_delivery: Optional[RootDeliveryCallback] = None,
-        shaper_kwargs: Optional[dict] = None,
-        max_consecutive_misses: int = 3,
-        safe_sleep_enabled: bool = True,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -67,8 +65,6 @@ class EssatNode:
             node.id,
             send_control=node.mac.send,
             on_child_failure=self._on_child_failure,
-            max_consecutive_misses=max_consecutive_misses,
-            **(shaper_kwargs or {}),
         )
         self.service = QueryService(
             sim,
@@ -84,7 +80,6 @@ class EssatNode:
             self.table,
             break_even_time=break_even_time,
             setup_until=setup_until,
-            enabled=safe_sleep_enabled,
         )
         node.attach_power_manager(self)
 
@@ -125,9 +120,6 @@ class EssatProtocolSuite:
         break_even_time: Optional[float] = None,
         setup_until: float = 0.0,
         on_root_delivery: Optional[RootDeliveryCallback] = None,
-        shaper_kwargs: Optional[dict] = None,
-        max_consecutive_misses: int = 3,
-        safe_sleep_enabled: bool = True,
     ) -> None:
         shaper_key = shaper.lower()
         if shaper_key not in SHAPER_CLASSES:
@@ -148,15 +140,55 @@ class EssatProtocolSuite:
                 break_even_time=break_even_time,
                 setup_until=setup_until,
                 on_root_delivery=on_root_delivery,
-                shaper_kwargs=shaper_kwargs,
-                max_consecutive_misses=max_consecutive_misses,
-                safe_sleep_enabled=safe_sleep_enabled,
             )
 
     @property
     def name(self) -> str:
         """The protocol name, e.g. ``"DTS-SS"``."""
         return protocol_name(self.shaper_name)
+
+    def fail_node(self, node_id: int) -> Tuple[Dict[int, int], List[int]]:
+        """Fail ``node_id`` permanently and resynchronise the protocol (Section 4.3).
+
+        The node leaves the channel and is retired.  The tree is repaired
+        (:meth:`~repro.routing.tree.RoutingTree.repair`), and the nodes the
+        repair cut off are retired too, though they stay on the channel.
+        The failed node's parent drops its dependency; each new parent
+        adopts its orphan, which (under DTS) forces one phase update; and
+        every node whose rank changed, then every re-attached orphan,
+        refreshes its shaper (STS recomputes its schedule, NTS needs
+        nothing).  Returns the repair's ``(reattached, detached)``.
+        """
+        tree = self.tree
+        old_parent = tree.parent_of(node_id)
+        ranks_before = {node: tree.rank(node) for node in tree.nodes}
+        self.network.fail_node(node_id)
+        self._retire(node_id)
+        reattached, detached = tree.repair(node_id, self.network.topology.neighbors)
+        for node in detached:
+            self._retire(node)
+        if old_parent is not None:
+            self.nodes[old_parent].service.remove_child_dependency(node_id)
+        for orphan, new_parent in reattached.items():
+            parent, child = self.nodes[new_parent], self.nodes[orphan]
+            parent.service.add_child_dependency(orphan)
+            for query in child.service.registered_queries():
+                parent.shaper.child_added(query.query_id, orphan, child_rank=tree.rank(orphan))
+            child.shaper.parent_changed()
+        for node in tree.nodes:
+            if tree.rank(node) != ranks_before[node]:
+                self.nodes[node].shaper.refresh_topology(tree)
+        # An orphan refreshes even when its rank held: its parent (for STS
+        # the schedule anchor) moved.
+        for orphan in reattached:
+            self.nodes[orphan].shaper.refresh_topology(tree)
+        return reattached, detached
+
+    def _retire(self, node_id: int) -> None:
+        """Take ``node_id`` out of the suite: its queries stop and it never sleeps."""
+        retired = self.nodes.pop(node_id)
+        retired.safe_sleep.enabled = False
+        retired.service.shutdown()
 
     def register_query(self, query: QuerySpec) -> None:
         """Register ``query`` on every node of the routing tree."""

@@ -90,7 +90,6 @@ class SafeSleep:
         *,
         break_even_time: Optional[float] = None,
         setup_until: float = 0.0,
-        enabled: bool = True,
     ) -> None:
         self._sim = sim
         self._radio = radio
@@ -103,7 +102,8 @@ class SafeSleep:
         #: Until this time the node stays awake to serve query/tree setup
         #: traffic (the paper's "setup slot").
         self.setup_until = setup_until
-        self.enabled = enabled
+        #: Cleared when the node is retired (failed or cut off the tree).
+        self.enabled = True
         self.stats = SafeSleepStats()
         self._check_pending = False
         # Pre-bound hot-path callables: the table minimum is read once or

@@ -36,6 +36,10 @@ ControlSender = Callable[[Packet], object]
 #: missing reports: ``callback(query_id, child)``.
 ChildFailureCallback = Callable[[int, int], None]
 
+#: Consecutive collection timeouts a child may miss before it is declared
+#: failed (Section 4.3).
+MAX_CONSECUTIVE_MISSES = 3
+
 
 @dataclass(slots=True)
 class ShaperStats:
@@ -88,7 +92,6 @@ class TrafficShaper(abc.ABC):
         "node_id",
         "_send_control",
         "_on_child_failure",
-        "_max_consecutive_misses",
         "_queries",
         "stats",
     )
@@ -101,14 +104,12 @@ class TrafficShaper(abc.ABC):
         *,
         send_control: Optional[ControlSender] = None,
         on_child_failure: Optional[ChildFailureCallback] = None,
-        max_consecutive_misses: int = 3,
     ) -> None:
         self._sim = sim
         self._table = table
         self.node_id = node_id
         self._send_control = send_control
         self._on_child_failure = on_child_failure
-        self._max_consecutive_misses = max_consecutive_misses
         self._queries: Dict[int, _ShaperQueryState] = {}
         self.stats = ShaperStats()
 
@@ -206,7 +207,7 @@ class TrafficShaper(abc.ABC):
         for child in sorted(missing):
             count = state.consecutive_misses.get(child, 0) + 1
             state.consecutive_misses[child] = count
-            if count >= self._max_consecutive_misses and self._on_child_failure is not None:
+            if count >= MAX_CONSECUTIVE_MISSES and self._on_child_failure is not None:
                 self.stats.children_declared_failed += 1
                 self._on_child_failure(query_id, child)
 
@@ -234,6 +235,10 @@ class TrafficShaper(abc.ABC):
             state.children.append(child)
         state.child_ranks[child] = child_rank
         self._table.set_next_receive(query_id, child, self._sim.now)
+
+    def parent_changed(self) -> None:
+        """The node was re-parented: NTS and STS need nothing; DTS overrides this."""
+        return None
 
     def refresh_topology(self, tree: RoutingTree) -> None:
         """Recompute rank-dependent state after the routing tree changed.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..net.loss import build_loss_from_spec
 from ..net.node import Network, build_network
@@ -125,7 +125,7 @@ def install_failure_schedule(
     network: Network,
     tree: RoutingTree,
     schedule: FailureSchedule,
-    suite=None,
+    fail: Callable[[int], object],
 ) -> List[tuple]:
     """Turn ``schedule`` into simulator events; returns the planned failures.
 
@@ -137,35 +137,29 @@ def install_failure_schedule(
     failed nodes excluded) are skipped, so churn sweeps measure protocol
     repair rather than guaranteed physical partitions; explicit events are
     honoured as given.
-    Pass ``suite`` only for an ESSAT suite: failures then route through
-    :class:`~repro.core.maintenance.EssatMaintenance` so the tree is repaired
-    and shapers resynchronise (Section 4.3).  Without it (the baselines) the
-    node just leaves the channel, and no ESSAT code is imported.
+    Each failure calls ``fail(node_id)``: an ESSAT suite's
+    :meth:`~repro.core.protocol.EssatProtocolSuite.fail_node` repairs the
+    tree and resynchronises the shapers (Section 4.3); a baseline passes
+    :meth:`~repro.net.node.Network.fail_node`, so the node just leaves the
+    channel.
     """
     candidates = [node for node in tree.nodes if node != tree.root]
     drawn = schedule.materialize(candidates, sim.streams.get("scenario.failures"))
     events = _drop_partitioning_failures(
         drawn, set(schedule.explicit), network.topology, tree
     )
-    if not events:
-        return events
-    if suite is not None:
-        from ..core.maintenance import EssatMaintenance
 
-        handler = EssatMaintenance(suite, network).fail_node
-    else:
-        handler = network.fail_node
-
-    def fail(node_id: int) -> None:
+    def fail_if_live(node_id: int) -> None:
         node = network.nodes.get(node_id)
         # Explicit schedules may name the root or a node outside the tree;
-        # neither failure is meaningful (the root IS the experiment).
+        # neither failure is meaningful (the root IS the experiment).  A node
+        # an earlier repair cut off the tree is no longer in it either.
         if node is None or node.failed or node_id == tree.root or node_id not in tree:
             return
-        handler(node_id)
+        fail(node_id)
 
     for time, node_id in events:
-        sim.schedule_at(time, fail, node_id)
+        sim.schedule_at(time, fail_if_live, node_id)
     return events
 
 
@@ -251,8 +245,8 @@ def assemble_run(
     )
     suite.register_queries(queries)
     if scenario.failure_schedule is not None and not scenario.failure_schedule.is_empty:
-        essat_suite = suite if protocol.upper() in ESSAT_PROTOCOLS else None
-        install_failure_schedule(sim, network, tree, scenario.failure_schedule, suite=essat_suite)
+        fail = suite.fail_node if protocol.upper() in ESSAT_PROTOCOLS else network.fail_node
+        install_failure_schedule(sim, network, tree, scenario.failure_schedule, fail)
     return AssembledRun(
         scenario, protocol, queries, sim, topology, network, tree, suite, deliveries
     )

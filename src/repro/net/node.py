@@ -104,9 +104,11 @@ class Network:
     def fail_node(self, node_id: int) -> None:
         """Permanently fail ``node_id``: detach it from the channel.
 
-        The node's radio stops participating; neighbours observe repeated
-        delivery failures, which is what triggers the protocol-maintenance
-        paths of Section 4.3.
+        This is the whole failure for a baseline: its protocol is left
+        running and neighbours just see delivery failures.  An ESSAT suite's
+        :meth:`~repro.core.protocol.EssatProtocolSuite.fail_node` calls this
+        first, then repairs the tree and resynchronises the shapers
+        (Section 4.3).
         """
         node = self.nodes[node_id]
         node.failed = True

@@ -55,10 +55,6 @@ from .report import CollectionState, DataReport
 #: ``callback(query_id, report_index, report, completed_at)``.
 RootDeliveryCallback = Callable[[int, int, DataReport, float], None]
 
-#: Callback invoked when a node declares its parent failed:
-#: ``callback(node_id, parent_id)``.
-ParentFailureCallback = Callable[[int, int], None]
-
 
 class SendPolicy(Protocol):
     """Timing-decision interface implemented by the ESSAT traffic shapers."""
@@ -264,11 +260,7 @@ class QueryService:
         "node_id",
         "policy",
         "_on_root_delivery",
-        "_on_parent_failure",
-        "_max_consecutive_send_failures",
-        "_sample_value_fn",
         "_queries",
-        "_consecutive_send_failures",
         "stats",
         "_policy_send_time",
         "_policy_collection_timeout",
@@ -289,9 +281,6 @@ class QueryService:
         *,
         policy: Optional[SendPolicy] = None,
         on_root_delivery: Optional[RootDeliveryCallback] = None,
-        on_parent_failure: Optional[ParentFailureCallback] = None,
-        max_consecutive_send_failures: int = 3,
-        sample_value_fn: Optional[Callable[[int, int, float], float]] = None,
     ) -> None:
         self._sim = sim
         self._node = node
@@ -299,13 +288,7 @@ class QueryService:
         self.node_id = node.id
         self.policy: SendPolicy = policy if policy is not None else GreedySendPolicy()
         self._on_root_delivery = on_root_delivery
-        self._on_parent_failure = on_parent_failure
-        self._max_consecutive_send_failures = max_consecutive_send_failures
-        # Sample values default to the node id so aggregates are deterministic
-        # and easy to assert on in tests.
-        self._sample_value_fn = sample_value_fn or (lambda node_id, k, t: float(node_id))
         self._queries: Dict[int, _QueryRuntime] = {}
-        self._consecutive_send_failures = 0
         self.stats = QueryServiceStats()
         # Per-packet policy dispatch, bound once (hot path).
         policy_obj = self.policy
@@ -409,10 +392,10 @@ class QueryService:
         state = self._get_or_create_collection(runtime, report_index)
 
         if runtime.is_source:
-            now = self._sim.now
-            sample_value = self._sample_value_fn(self.node_id, report_index, now)
-            sample = PartialAggregate.from_sample(spec.aggregation, sample_value)
-            state.add_own_sample(sample, generated_at=now)
+            # The sample value is the node id, so aggregates are deterministic
+            # and easy to assert on.
+            sample = PartialAggregate.from_sample(spec.aggregation, float(self.node_id))
+            state.add_own_sample(sample, generated_at=self._sim.now)
             self.stats.samples_generated += 1
 
         if runtime.participating_children:
@@ -651,19 +634,8 @@ class QueryService:
         runtime = self._queries.get(packet.query_id)
         if runtime is None:
             return
-        if success:
-            self._consecutive_send_failures = 0
-        else:
+        if not success:
             self.stats.send_failures += 1
-            self._consecutive_send_failures += 1
-            if (
-                self._consecutive_send_failures >= self._max_consecutive_send_failures
-                and self._on_parent_failure is not None
-            ):
-                parent = self._tree.parent_of(self.node_id)
-                if parent is not None:
-                    self._on_parent_failure(self.node_id, parent)
-                self._consecutive_send_failures = 0
         self._policy_report_sent(
             packet.query_id,
             packet.report_index,
@@ -703,7 +675,12 @@ class QueryService:
                 runtime.participating_children.append(child)
 
     def stop_query(self, query_id: int) -> None:
-        """Stop executing ``query_id`` at this node."""
+        """Stop executing ``query_id`` at this node.
+
+        Reports the shaper is holding are dropped with the query: a stopped
+        node must not submit anything (a failed node is no longer in the
+        tree, so it has no parent to send to).
+        """
         runtime = self._queries.get(query_id)
         if runtime is None:
             return
@@ -711,6 +688,7 @@ class QueryService:
         for handle in runtime.timeout_handles.values():
             self._sim.cancel(handle)
         runtime.timeout_handles.clear()
+        runtime.buffered.clear()
 
     def shutdown(self) -> None:
         """Stop every registered query (the node failed or is being retired)."""

@@ -17,15 +17,16 @@ Every node registers every query, and each registration asks for the
 tree's sources and for which children's subtrees hold one.  The views those
 questions read -- the sorted node and leaf lists, their frozensets and each
 node's subtree -- are therefore computed once per tree shape: ``_rebuild``
-(run after every mutation) stores the node and leaf views and empties the
-per-node subtree cache, which fills on first use.
+(run by the constructor and by :meth:`RoutingTree.repair`) stores the node
+and leaf views and empties the per-node subtree cache, which fills on first
+use.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..net.topology import Topology
 
@@ -38,9 +39,9 @@ class RoutingError(RuntimeError):
 class RoutingTree:
     """A rooted tree over a subset of the nodes of a topology.
 
-    The tree is mutable: maintenance removes a failed node and re-attaches
-    its orphaned subtrees (:meth:`attach_subtree`), after which levels and
-    ranks are recomputed.
+    Its one mutation is :meth:`repair`: a failed node leaves the tree and
+    its orphaned subtrees re-attach, after which levels and ranks are
+    recomputed.
     """
 
     root: int
@@ -201,44 +202,57 @@ class RoutingTree:
             raise RoutingError(f"node {node_id} is not part of the routing tree")
 
     # ------------------------------------------------------------------ #
-    # mutation (protocol maintenance)
+    # mutation (node failure, Section 4.3)
     # ------------------------------------------------------------------ #
 
-    def remove_node(self, node_id: int) -> List[int]:
-        """Remove a single failed node; returns its orphaned children.
+    def repair(
+        self, failed: int, neighbors: Callable[[int], Iterable[int]]
+    ) -> Tuple[Dict[int, int], List[int]]:
+        """Remove the failed node ``failed`` and re-attach its orphaned subtrees.
 
-        The orphans (and their subtrees) are detached from the tree until
-        maintenance re-parents them with :meth:`attach_subtree` (see
-        :mod:`repro.routing.maintenance`).
+        Orphans are handled in :meth:`children` order.  Each takes the
+        neighbour (``neighbors(orphan)``, the physical graph) that is in the
+        tree and outside its own subtree with the lowest ``(level, id)``, and
+        its subtree keeps its shape; an orphan re-attached earlier counts,
+        with its subtree, for the orphans after it.  Only the orphan's own
+        neighbours are asked, so a subtree whose members could reach the
+        tree but whose root cannot stays out.
+
+        Returns ``(reattached, detached)``: orphan -> new parent, and every
+        node (sorted) of the orphan subtrees that found no parent, which are
+        no longer part of the tree.
         """
-        self._require(node_id)
-        if node_id == self.root:
-            raise RoutingError("cannot remove the root")
-        orphans = list(self._children[node_id])
-        for orphan in orphans:
-            # Detach the whole orphan subtree; maintenance will re-attach it.
-            for member in self.subtree(orphan):
-                self.parent.pop(member, None)
-        self.parent.pop(node_id, None)
+        self._require(failed)
+        if failed == self.root:
+            raise RoutingError("cannot repair a failure of the root")
+        old_levels = self._levels
+        orphans = self._children[failed]
+        subtrees = [self.subtree(orphan) for orphan in orphans]
+        # Levels of the nodes in the tree; the failed node and the orphan
+        # subtrees are out until re-attached.
+        levels = dict(old_levels)
+        del levels[failed]
+        del self.parent[failed]
+        for members in subtrees:
+            for member in members:
+                del levels[member]
+        reattached: Dict[int, int] = {}
+        detached: List[int] = []
+        for orphan, members in zip(orphans, subtrees):
+            candidates = [node for node in neighbors(orphan) if node in levels]
+            if not candidates:
+                detached.extend(members)
+                continue
+            new_parent = min(candidates, key=lambda node: (levels[node], node))
+            self.parent[orphan] = new_parent
+            reattached[orphan] = new_parent
+            shift = levels[new_parent] + 1 - old_levels[orphan]
+            for member in members:
+                levels[member] = old_levels[member] + shift
+        for member in detached:
+            del self.parent[member]
         self._rebuild()
-        return orphans
-
-    def attach_subtree(
-        self, subtree_root: int, new_parent: int, internal_edges: Dict[int, int]
-    ) -> None:
-        """Attach a detached subtree under ``new_parent``.
-
-        ``internal_edges`` maps each subtree member (other than
-        ``subtree_root``) to its parent inside the subtree, preserving the
-        subtree's original shape.
-        """
-        self._require(new_parent)
-        if subtree_root in self._levels:
-            raise RoutingError(f"node {subtree_root} is already part of the tree")
-        self.parent[subtree_root] = new_parent
-        for child, parent in internal_edges.items():
-            self.parent[child] = parent
-        self._rebuild()
+        return reattached, sorted(detached)
 
 
 def build_routing_tree(

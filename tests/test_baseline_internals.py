@@ -115,7 +115,6 @@ class TestEssatChildFailurePath:
             network,
             tree,
             shaper="dts",
-            max_consecutive_misses=3,
             on_root_delivery=lambda qid, k, report, t: deliveries.append((qid, k, t)),
         )
         suite.register_query(QuerySpec(query_id=1, period=1.0, start_time=1.0))

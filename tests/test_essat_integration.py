@@ -245,7 +245,9 @@ class TestSuiteApi:
         sim = Simulator(seed=0)
         network = build_network(sim, CHAIN, power_profile=IDEAL)
         tree = build_routing_tree(CHAIN, root=0)
-        suite = EssatProtocolSuite(sim, network, tree, shaper="nts", safe_sleep_enabled=False)
+        suite = EssatProtocolSuite(sim, network, tree, shaper="nts")
+        for essat_node in suite.nodes.values():
+            essat_node.safe_sleep.enabled = False
         suite.register_query(QUERY)
         sim.run(until=5.0)
         network.finalize()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.maintenance import EssatMaintenance
 from repro.core.protocol import EssatProtocolSuite
 from repro.net.loss import ScriptedLoss
 from repro.net.node import build_network
@@ -19,6 +18,19 @@ from repro.sim.engine import Simulator
 # node 1's failure can be repaired by re-parenting node 2 under node 5.
 REPAIRABLE = Topology.from_positions(
     [(0, 0), (100, 0), (200, 0), (300, 0), (400, 0), (100, 60)], comm_range=125.0
+)
+
+# A hexagon of side 100 m: each node hears only its two ring neighbours.
+HEXAGON = Topology.from_positions(
+    [(100, 0), (50, 86.6), (-50, 86.6), (-100, 0), (50, -86.6), (-50, -86.6)],
+    comm_range=120.0,
+)
+
+# A pentagon 0-1-2-5-4-0 of side 118 m plus node 3 hanging off node 2: the
+# tree is 0 -> 1 -> 2 -> 3 and 0 -> 4 -> 5, and node 2 also hears node 5.
+PENTAGON = Topology.from_positions(
+    [(0, 100), (-95.1, 30.9), (-58.8, -80.9), (-117.6, -161.8), (95.1, 30.9), (58.8, -80.9)],
+    comm_range=150.0,
 )
 
 QUERY = QuerySpec(query_id=1, period=1.0, start_time=1.0)
@@ -39,13 +51,19 @@ def build_suite(shaper: str, topology: Topology = REPAIRABLE, seed: int = 0, los
     return sim, network, tree, suite, deliveries
 
 
+def fail_at(sim: Simulator, suite: EssatProtocolSuite, time: float, node: int) -> list:
+    """Schedule ``suite.fail_node(node)``; the returned list receives its result."""
+    results: list = []
+    sim.schedule_at(time, lambda: results.append(suite.fail_node(node)))
+    return results
+
+
 class TestNodeFailureRecovery:
     @pytest.mark.parametrize("shaper", ["nts", "sts", "dts"])
     def test_data_keeps_flowing_after_interior_node_fails(self, shaper: str) -> None:
         sim, network, tree, suite, deliveries = build_suite(shaper)
         suite.register_query(QUERY)
-        maintenance = EssatMaintenance(suite, network)
-        sim.schedule_at(5.0, maintenance.fail_node, 1)
+        results = fail_at(sim, suite, 5.0, 1)
         sim.run(until=15.0)
         network.finalize()
         # Reports from the deep leaf (node 4) must still reach the root after
@@ -53,50 +71,84 @@ class TestNodeFailureRecovery:
         late = [entry for entry in deliveries if entry[3] > 6.0]
         assert late, f"{shaper}: no deliveries after the failure"
         assert any(entry[2].contributing_sources >= 1 for entry in late)
-        report = maintenance.handled_failures[0]
-        assert report.repair.reattached == {2: 5}
+        assert results == [({2: 5}, [])]
 
     def test_sts_reschedules_after_rank_change(self) -> None:
         sim, network, tree, suite, deliveries = build_suite("sts")
         suite.register_query(QUERY)
-        maintenance = EssatMaintenance(suite, network)
-        sim.schedule_at(5.0, maintenance.fail_node, 1)
+        adopter = suite.node(5).shaper
+        # M = 4, so l = D / M = 0.25 s.  Before the failure node 5 is a leaf
+        # (rank 0) and sends at each period start.
+        assert adopter.expected_send_time(1, 4) == pytest.approx(QUERY.report_time(4))
+        fail_at(sim, suite, 5.0, 1)
         sim.run(until=12.0)
-        report = maintenance.handled_failures[0]
-        # Node 5 (new parent, rank grew) and node 2 (orphan) must recompute
-        # their STS schedules.
-        assert 5 in report.reschedule_updates or 2 in report.reschedule_updates
-        summary = maintenance.maintenance_cost_summary()
-        assert summary["failures_handled"] == 1
-        assert summary["reschedule_updates"] >= 1
+        # Node 5 adopted node 2 (rank 2) and its rank grew to 3: both its own
+        # send time and its expectation of the orphan follow the new ranks.
+        for k in (6, 10):
+            assert adopter.expected_send_time(1, k) == pytest.approx(QUERY.report_time(k) + 0.75)
+            assert adopter.expected_receive_time(1, 2, k) == pytest.approx(
+                QUERY.report_time(k) + 0.5
+            )
+        assert adopter.table.next_send(1) == pytest.approx(QUERY.report_time(11) + 0.75)
+        # STS never exchanges synchronisation traffic, not even to repair.
+        assert all(s.stats.phase_updates_piggybacked == 0 for s in suite.shapers())
+
+    def test_sts_orphan_reschedules_when_only_the_depth_changes(self) -> None:
+        sim, network, tree, suite, deliveries = build_suite("sts", topology=PENTAGON)
+        assert tree.parent_of(3) == 2 and tree.max_rank == 3
+        suite.register_query(QUERY)
+        orphan = suite.node(2).shaper
+        # Rank 1 of M = 3: l = 1/3 s.
+        assert orphan.expected_send_time(1, 4) == pytest.approx(QUERY.report_time(4) + 1 / 3)
+        results = fail_at(sim, suite, 5.0, 1)
+        sim.run(until=12.0)
+        # Node 2 re-attaches one level deeper, under node 5: its own rank
+        # stays 1, but M grows to 4, so its schedule moves to l = 0.25 s.
+        assert results == [({2: 5}, [])]
+        assert tree.rank(2) == 1 and tree.max_rank == 4
+        assert orphan.expected_send_time(1, 10) == pytest.approx(QUERY.report_time(10) + 0.25)
 
     def test_dts_needs_only_a_phase_update(self) -> None:
         sim, network, tree, suite, deliveries = build_suite("dts")
         suite.register_query(QUERY)
-        maintenance = EssatMaintenance(suite, network)
-        sim.schedule_at(5.0, maintenance.fail_node, 1)
+        orphan, adopter = suite.node(2).shaper, suite.node(5).shaper
+
+        def forced_updates() -> int:
+            # Phase updates the orphan piggybacked beyond its own phase shifts.
+            return orphan.stats.phase_updates_piggybacked - orphan.stats.phase_shifts
+
+        sim.run(until=5.0)
+        before = forced_updates()
+        suite.fail_node(1)
         sim.run(until=12.0)
-        report = maintenance.handled_failures[0]
-        assert report.phase_updates_forced == [2]
-        assert report.reschedule_updates == []
+        # Exactly one forced phase update resynchronises the orphan with its
+        # new parent: no phase request, no control packet, no rank
+        # recomputation.
+        assert forced_updates() - before == 1
+        assert all(s.stats.phase_updates_requested == 0 for s in suite.shapers())
+        assert all(s.stats.control_overhead_bytes == 0 for s in suite.shapers())
+        assert adopter.expected_receive_time(1, 2) == pytest.approx(orphan.expected_send_time(1))
 
     def test_nts_needs_no_reschedule_and_no_phase_update(self) -> None:
         sim, network, tree, suite, deliveries = build_suite("nts")
         suite.register_query(QUERY)
-        maintenance = EssatMaintenance(suite, network)
-        sim.schedule_at(5.0, maintenance.fail_node, 1)
-        sim.run(until=12.0)
-        report = maintenance.handled_failures[0]
-        assert report.reschedule_updates == []
-        assert report.phase_updates_forced == []
+        fail_at(sim, suite, 5.0, 1)
+        sim.run(until=11.5)
+        # NTS's shared schedule does not depend on the tree: the adopter
+        # expects the orphan at the next period start, and nothing is sent
+        # to synchronise.
+        assert suite.node(5).table.next_receive(1, 2) == pytest.approx(QUERY.report_time(11))
+        for shaper in suite.shapers():
+            assert shaper.stats.phase_updates_piggybacked == 0
+            assert shaper.stats.phase_updates_requested == 0
+            assert shaper.stats.control_overhead_bytes == 0
 
     def test_leaf_failure_prunes_dependency(self) -> None:
         # Star root 0 with leaves 1, 2: failing leaf 2 must not stall the query.
         star = Topology.from_positions([(0, 0), (60, 0), (0, 60)], comm_range=80.0)
         sim, network, tree, suite, deliveries = build_suite("dts", topology=star)
         suite.register_query(QUERY)
-        maintenance = EssatMaintenance(suite, network)
-        sim.schedule_at(4.0, maintenance.fail_node, 2)
+        fail_at(sim, suite, 4.0, 2)
         sim.run(until=12.0)
         late = [entry for entry in deliveries if entry[3] > 5.0]
         assert late
@@ -106,11 +158,45 @@ class TestNodeFailureRecovery:
     def test_failed_node_removed_from_suite(self) -> None:
         sim, network, tree, suite, deliveries = build_suite("dts")
         suite.register_query(QUERY)
-        maintenance = EssatMaintenance(suite, network)
-        sim.schedule_at(3.0, maintenance.fail_node, 1)
+        fail_at(sim, suite, 3.0, 1)
         sim.run(until=6.0)
         assert 1 not in suite.nodes
+        assert 1 not in tree
         assert network.node(1).failed
+
+    def test_sts_failure_drops_a_buffered_report(self) -> None:
+        """A report a node buffered is never submitted once the node failed."""
+        sim, network, tree, suite, deliveries = build_suite("sts")
+        suite.register_query(QUERY)
+        relay = suite.node(1).service
+        # Node 1 has rank 3 of M = 4, so it sends 0.75 s into each period;
+        # its children's aggregate is ready well before that and waits.
+        sim.run(until=5.7)
+        assert relay.stats.reports_buffered > relay.stats.reports_sent
+        sent = relay.stats.reports_sent
+        assert suite.fail_node(1) == ({2: 5}, [])
+        sim.run(until=12.0)
+        assert relay.stats.reports_sent == sent
+        assert [entry for entry in deliveries if entry[3] > 7.0]
+
+    @pytest.mark.parametrize("shaper", ["nts", "sts", "dts"])
+    def test_cut_off_subtree_is_retired_but_stays_on_the_channel(self, shaper: str) -> None:
+        # A hexagon 0-1-2-3-5-4-0: the tree is 0 -> 1 -> 2 -> 3 and 0 -> 4 -> 5.
+        # When node 1 fails, orphan 2's only neighbours are 1 and its own
+        # child 3, so repair cuts off {2, 3} although 3 still hears 5.
+        sim, network, tree, suite, deliveries = build_suite(shaper, topology=HEXAGON)
+        assert tree.parent_of(3) == 2
+        suite.register_query(QUERY)
+        results = fail_at(sim, suite, 5.0, 1)
+        sim.run(until=12.0)
+        network.finalize()
+        assert results == [({}, [2, 3])]
+        assert sorted(suite.nodes) == tree.nodes == [0, 4, 5]
+        assert not network.node(2).failed and not network.node(3).failed
+        # Node 5 keeps reporting alone.
+        late = [entry for entry in deliveries if entry[3] > 6.0]
+        assert late
+        assert all(entry[2].contributing_sources == 1 for entry in late)
 
 
 class TestTransientLossRecovery:

@@ -2,8 +2,7 @@
 
 ESSAT's maintenance code (Section 4.3) runs only when nodes fail, so the
 failure schedule is the one scenario axis beyond the paper's static setup
-that the repository keeps.  The file keeps its name so its test ids stay
-stable.
+that the repository keeps.
 """
 
 from __future__ import annotations
@@ -17,18 +16,24 @@ from hypothesis import strategies as st
 
 from repro.experiments.config import ScenarioConfig, smoke_scale
 from repro.experiments.runner import (
+    ALL_PROTOCOLS,
+    ESSAT_PROTOCOLS,
+    AssembledRun,
     _drop_partitioning_failures,
+    assemble_run,
     build_scenario_topology,
     install_failure_schedule,
     run_single,
 )
+from repro.experiments.scenarios import rate_sweep_workload
 from repro.net.node import build_network
 from repro.net.topology import FailureSchedule, Topology
 from repro.orchestrator.jobs import RunJob
-from repro.query.workload import WorkloadSpec
+from repro.query.workload import WorkloadSpec, generate_queries
 from repro.radio.energy import IDEAL
 from repro.routing.tree import build_routing_tree
 from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
 
 
 class TestFailureSchedule:
@@ -80,7 +85,7 @@ class TestFailureInjection:
         network = build_network(sim, topology, power_profile=IDEAL)
         tree = build_routing_tree(topology, root=topology.center_node())
         events = install_failure_schedule(
-            sim, network, tree, scenario.failure_schedule
+            sim, network, tree, scenario.failure_schedule, network.fail_node
         )
         assert events
         assert all(node != tree.root for _, node in events)
@@ -94,7 +99,7 @@ class TestFailureInjection:
         network = build_network(sim, topology, power_profile=IDEAL)
         tree = build_routing_tree(topology, root=1)
         schedule = FailureSchedule(explicit=((1.0, 1), (2.0, 0)))
-        install_failure_schedule(sim, network, tree, schedule)
+        install_failure_schedule(sim, network, tree, schedule, network.fail_node)
         sim.run(until=5.0)
         assert not network.node(1).failed  # the root is never failed
         assert network.node(0).failed
@@ -109,7 +114,7 @@ class TestFailureInjection:
         schedule = FailureSchedule(
             fraction=0.3, window=(2.0, 3.0), explicit=((1.0, 2),)
         )
-        events = install_failure_schedule(sim, network, tree, schedule)
+        events = install_failure_schedule(sim, network, tree, schedule, network.fail_node)
         assert all(node != tree.root for _, node in events)
         sim.run(until=5.0)
         assert not network.node(tree.root).failed
@@ -132,6 +137,75 @@ class TestFailureInjection:
         calm, _ = run_single(smoke_scale(), "SPAN", queries, seed=2)
         churned, _ = run_single(self._scenario(0.3), "SPAN", queries, seed=2)
         assert churned != calm
+
+
+def run_churn(scenario: ScenarioConfig, protocol: str, seed: int) -> AssembledRun:
+    """Run one replication to its end; returns the assembled run for inspection."""
+    queries = generate_queries(rate_sweep_workload(2.0), streams=RandomStreams(seed))
+    run = assemble_run(scenario, protocol, queries, seed)
+    run.execute()
+    return run
+
+
+def assert_retired_nodes_gone(run: AssembledRun) -> None:
+    """An ESSAT suite holds exactly the tree's nodes, and no failed node is
+    left in the tree; every node that left the tree stopped sleeping."""
+    tree, network = run.tree, run.network
+    assert set(run.suite.nodes) == tree.node_set
+    assert not any(network.node(node).failed for node in tree.nodes)
+    for node_id, node in network.nodes.items():
+        if node.power_manager is not None and node_id not in tree:
+            assert not node.power_manager.safe_sleep.enabled
+
+
+CHURN = smoke_scale().with_overrides(
+    failure_schedule=FailureSchedule(fraction=0.3, window=(3.0, 9.0))
+)
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_churn_runs_complete_under_every_protocol(protocol: str) -> None:
+    """30% of the tree fails at smoke scale: every seed runs to its end.
+
+    Seeds 1-20 include STS-SS runs in which a node fails while holding a
+    buffered report (seeds 7, 11, 12, 16, 17, 18) and a repair that cuts a
+    subtree off although its members still hear the tree (seed 12).
+    """
+    for seed in range(1, 21):
+        run = run_churn(CHURN, protocol, seed)
+        if protocol in ESSAT_PROTOCOLS:
+            assert_retired_nodes_gone(run)
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_explicit_cut_vertex_failure_completes(protocol: str) -> None:
+    """An explicit failure may partition the survivors; the run goes on."""
+    seed = 2
+    scenario = smoke_scale()
+    topology = build_scenario_topology(scenario, seed)
+    tree = build_routing_tree(
+        topology,
+        root=topology.center_node(),
+        max_distance_from_root=scenario.max_distance_from_root,
+    )
+    cut_off = {
+        node: [
+            other
+            for other in tree.nodes
+            if other not in topology.connected_component_of(tree.root, frozenset({node}))
+            and other != node
+        ]
+        for node in tree.nodes
+        if node != tree.root
+    }
+    victim = max(cut_off, key=lambda node: len(cut_off[node]))
+    assert cut_off[victim]
+    scenario = scenario.with_overrides(failure_schedule=FailureSchedule(explicit=((4.0, victim),)))
+    run = run_churn(scenario, protocol, seed)
+    assert run.network.node(victim).failed
+    if protocol in ESSAT_PROTOCOLS:
+        assert_retired_nodes_gone(run)
+        assert run.tree.node_set.isdisjoint(cut_off[victim])
 
 
 def naive_partition_filter(events, explicit, topology, tree) -> list:

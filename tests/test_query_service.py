@@ -256,7 +256,7 @@ class TestChurnCompletionExactlyOnce:
     @staticmethod
     def _run_dts_star_with_failure():
         # Star: root 0, source leaves 1 and 2; node 2 fails at t=1.25 via the
-        # scenario failure-injection path, with no EssatMaintenance repair.
+        # scenario failure-injection path, with no tree repair (as for a baseline).
         topo = Topology.from_positions([(0, 0), (60, 0), (0, 60)], comm_range=80.0)
         sim = Simulator(seed=3)
         network = build_network(sim, topo, power_profile=IDEAL)
@@ -270,7 +270,7 @@ class TestChurnCompletionExactlyOnce:
             on_root_delivery=lambda q, k, report, done: deliveries.append((q, k)),
         )
         schedule = FailureSchedule(explicit=((1.25, 2),))
-        events = install_failure_schedule(sim, network, tree, schedule, suite=None)
+        events = install_failure_schedule(sim, network, tree, schedule, network.fail_node)
         assert events == [(1.25, 2)]
         suite.register_query(QuerySpec(query_id=1, period=1.0, start_time=0.0, duration=8.0))
         sim.run(until=12.0)
@@ -318,7 +318,7 @@ class TestChurnCompletionExactlyOnce:
             on_root_delivery=lambda q, k, report, done: deliveries.append((q, k)),
         )
         schedule = FailureSchedule(explicit=((1.25, 2),))
-        install_failure_schedule(sim, network, tree, schedule, suite=None)
+        install_failure_schedule(sim, network, tree, schedule, network.fail_node)
         suite.register_query(QuerySpec(query_id=1, period=1.0, start_time=0.0, duration=8.0))
         sim.run(until=12.0)
         relay = suite.nodes[1]

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.topology import Topology
-from repro.routing.maintenance import TreeMaintenance
 from repro.routing.tree import RoutingError, RoutingTree, build_routing_tree
 
 
@@ -84,25 +83,30 @@ class TestRoutingTreeStructure:
             RoutingTree(root=0, parent={0: 1, 1: 0})
 
 
-class TestRoutingTreeMutation:
-    def test_remove_node_detaches_orphans(self) -> None:
-        tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 2})
-        orphans = tree.remove_node(1)
-        assert orphans == [2]
-        assert tree.nodes == [0]
+def no_neighbors(node: int) -> tuple:
+    return ()
 
-    def test_attach_subtree_restores_structure(self) -> None:
+
+class TestRoutingTreeMutation:
+    def test_repair_detaches_unreachable_orphans(self) -> None:
         tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 2})
-        tree.remove_node(1)
-        tree.attach_subtree(2, 0, internal_edges={3: 2})
+        assert tree.repair(1, no_neighbors) == ({}, [2, 3])
+        assert tree.nodes == [0]
+        assert tree.parent == {}
+
+    def test_repair_restores_structure(self) -> None:
+        tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 2})
+        neighbors = {2: [0, 1, 3]}
+        assert tree.repair(1, lambda node: neighbors[node]) == ({2: 0}, [])
         assert tree.parent_of(2) == 0
         assert tree.parent_of(3) == 2
         assert tree.rank(0) == 2
 
-    def test_attach_existing_node_rejected(self) -> None:
+    def test_repair_of_unknown_node_rejected(self) -> None:
         tree = chain_tree(3)
         with pytest.raises(RoutingError):
-            tree.attach_subtree(2, 0, internal_edges={})
+            tree.repair(7, no_neighbors)
+        assert tree.nodes == [0, 1, 2]
 
 
 class TestBuildRoutingTree:
@@ -151,65 +155,68 @@ class TestBuildRoutingTree:
         assert set(tree.nodes) == {0, 1}
 
 
+# Chain 0 - 1 - 2 - 3 - 4 plus node 5 linked to both 0 and 2.
+BYPASS = Topology.from_positions(
+    [(0, 0), (100, 0), (200, 0), (300, 0), (400, 0), (100, 60)], comm_range=125.0
+)
+
+
 class TestTreeMaintenance:
     def test_failure_reattaches_orphan_to_surviving_neighbor(self) -> None:
-        # Chain 0 - 1 - 2 - 3 - 4 plus node 5 linked to both 0 and 2.
-        topo = Topology.from_positions(
-            [(0, 0), (100, 0), (200, 0), (300, 0), (400, 0), (100, 60)], comm_range=125.0
-        )
-        tree = build_routing_tree(topo, root=0)
+        tree = build_routing_tree(BYPASS, root=0)
         assert tree.parent_of(2) == 1
-        maintenance = TreeMaintenance(tree, topo)
-        result = maintenance.handle_node_failure(1)
-        assert result.failed_node == 1
-        assert result.reattached == {2: 5}
+        assert tree.repair(1, BYPASS.neighbors) == ({2: 5}, [])
         assert 1 not in tree
         assert tree.parent_of(2) == 5
 
     def test_failure_with_no_alternative_disconnects(self) -> None:
         topo = Topology.line(3, spacing=100.0, comm_range=120.0)
         tree = build_routing_tree(topo, root=0)
-        maintenance = TreeMaintenance(tree, topo)
-        result = maintenance.handle_node_failure(1)
-        assert result.disconnected == [2]
+        assert tree.repair(1, topo.neighbors) == ({}, [2])
         assert set(tree.nodes) == {0}
 
     def test_failure_preserves_orphan_subtree_structure(self) -> None:
-        # 0 at the centre, chain 0-1-2-3-4, and node 5 linking 0 and 2.
-        topo = Topology.from_positions(
-            [(0, 0), (100, 0), (200, 0), (300, 0), (400, 0), (100, 60)], comm_range=125.0
-        )
-        tree = build_routing_tree(topo, root=0)
-        assert tree.parent_of(2) == 1
+        tree = build_routing_tree(BYPASS, root=0)
         assert tree.parent_of(3) == 2
-        maintenance = TreeMaintenance(tree, topo)
-        result = maintenance.handle_node_failure(1)
+        reattached, _ = tree.repair(1, BYPASS.neighbors)
         # Node 2 reattaches through node 5 (a neighbour at level 1); its
         # subtree (3, 4) stays intact below it.
-        assert result.reattached[2] == 5
+        assert reattached[2] == 5
         assert tree.parent_of(3) == 2
         assert tree.parent_of(4) == 3
+        assert [tree.level(node) for node in (5, 2, 3, 4)] == [1, 2, 3, 4]
 
     def test_rank_changes_reported(self) -> None:
-        # Chain 0 - 1 - 2 - 3 - 4 plus node 5 linked to both 0 and 2: when
-        # node 1 fails, node 2's subtree moves under node 5, whose rank grows
-        # from 0 (leaf) to 3.
-        topo = Topology.from_positions(
-            [(0, 0), (100, 0), (200, 0), (300, 0), (400, 0), (100, 60)], comm_range=125.0
-        )
-        tree = build_routing_tree(topo, root=0)
+        # When node 1 fails, node 2's subtree moves under node 5, whose rank
+        # grows from 0 (leaf) to 3.
+        tree = build_routing_tree(BYPASS, root=0)
         assert tree.rank(5) == 0
-        maintenance = TreeMaintenance(tree, topo)
-        result = maintenance.handle_node_failure(1)
-        assert result.rank_changes.get(5) == 3
+        tree.repair(1, BYPASS.neighbors)
+        assert tree.rank(5) == 3
         assert tree.rank(0) == 4
+
+    @pytest.mark.parametrize(
+        ("third_neighbors", "expected"),
+        [([1, 4, 7], {2: 7, 3: 7}), ([1, 4], {2: 7, 3: 4})],
+    )
+    def test_earlier_reattachment_counts_for_later_orphans(
+        self, third_neighbors: list, expected: dict
+    ) -> None:
+        # Node 1 fails with orphans 2 (child 4) and 3.  Orphan 2 can only
+        # reach 7 (level 3), which moves 4 from level 3 to level 5; orphan 3
+        # then sees 4 at its new level, or reaches the tree only through it.
+        tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 1, 4: 2, 5: 0, 6: 5, 7: 6})
+        neighbors = {2: [1, 4, 7], 3: third_neighbors}
+        assert tree.repair(1, neighbors.__getitem__) == (expected, [])
+        assert tree.level(4) == 5
+        assert tree.level(3) == tree.level(expected[3]) + 1
 
     def test_root_failure_rejected(self) -> None:
         topo = Topology.line(3, spacing=100.0, comm_range=120.0)
         tree = build_routing_tree(topo, root=0)
-        maintenance = TreeMaintenance(tree, topo)
         with pytest.raises(RoutingError):
-            maintenance.handle_node_failure(0)
+            tree.repair(0, topo.neighbors)
+        assert tree.nodes == [0, 1, 2]
 
 
 @settings(max_examples=30, deadline=None)
@@ -300,46 +307,37 @@ def random_trees(draw, max_nodes: int = 14):
     return RoutingTree(root=ids[0], parent=parent)
 
 
-#: One mutation step: (operation, node pick, second pick); picks index into
-#: the currently valid choices.
-MUTATIONS = st.lists(
-    st.tuples(
-        st.sampled_from(("remove_node", "attach_subtree")),
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=10_000),
-    ),
-    max_size=12,
-)
+#: Ids outside every generated tree that the physical graph may still hold.
+OFF_TREE_NEIGHBORS = (1000, 1001)
 
 
-def apply_mutation(
-    tree: RoutingTree, detached: list, operation: str, pick: int, other: int
-) -> None:
-    """Apply one valid mutation; detached subtrees are kept for re-attachment."""
-    non_root = sorted(tree.parent)
-    parent = dict(tree.parent)
-    if operation == "remove_node" and non_root:
-        node = non_root[pick % len(non_root)]
-        orphans = naive_children(parent, node)
-        shapes = []
-        for orphan in orphans:
-            members = naive_subtree(parent, tree.root, orphan)
-            shapes.append((orphan, {m: parent[m] for m in members if m != orphan}))
-        assert tree.remove_node(node) == orphans
-        detached.extend(shapes)
-    elif operation == "attach_subtree" and detached:
-        subtree_root, edges = detached.pop(pick % len(detached))
-        nodes = tree.nodes
-        tree.attach_subtree(subtree_root, nodes[other % len(nodes)], edges)
+def draw_neighbors(data, tree: RoutingTree):
+    """A physical graph for ``tree``: its edges plus random extra links.
+
+    Returned as the ``neighbors`` callable :meth:`RoutingTree.repair` takes.
+    """
+    ids = [*tree.nodes, *OFF_TREE_NEIGHBORS]
+    pairs = [(a, b) for index, a in enumerate(ids) for b in ids[index + 1 :]]
+    extra = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * len(ids)))
+    graph: dict = {node: set() for node in ids}
+    for a, b in [*tree.parent.items(), *extra]:
+        graph[a].add(b)
+        graph[b].add(a)
+    return lambda node: graph[node]
+
+
+#: Failure picks; each indexes into the tree's non-root nodes at that step.
+FAILURES = st.lists(st.integers(min_value=0, max_value=10_000), max_size=8)
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree=random_trees(), mutations=MUTATIONS, data=st.data())
+@given(tree=random_trees(), failures=FAILURES, data=st.data())
 def test_cached_views_match_naive_recomputation_through_mutations(
-    tree: RoutingTree, mutations: list, data
+    tree: RoutingTree, failures: list, data
 ) -> None:
-    detached: list = []
-    for step in range(len(mutations) + 1):
+    neighbors = draw_neighbors(data, tree)
+    departed: list = []
+    for step in range(len(failures) + 1):
         in_tree = tree.nodes
         targets_pool = [
             [],
@@ -347,29 +345,116 @@ def test_cached_views_match_naive_recomputation_through_mutations(
             list(OUT_OF_TREE_IDS),
             frozenset(data.draw(st.sets(st.sampled_from(in_tree), max_size=3))),
             set(data.draw(st.sets(st.sampled_from(in_tree), max_size=2))) | {OUT_OF_TREE_IDS[0]},
-            # Ids that left the tree through an earlier mutation.
-            [member for shape in detached for member in (shape[0], *shape[1])],
+            # Ids that left the tree through an earlier repair.
+            list(departed),
         ]
         assert_views_match_naive(tree, targets_pool)
-        if step < len(mutations):
-            apply_mutation(tree, detached, *mutations[step])
+        non_root = sorted(tree.parent)
+        if step == len(failures) or not non_root:
+            break
+        failed = non_root[failures[step] % len(non_root)]
+        _, detached = tree.repair(failed, neighbors)
+        departed += [failed, *detached]
+
+
+class ReferenceTree(RoutingTree):
+    """The two-step repair :meth:`RoutingTree.repair` replaced.
+
+    ``remove_node`` detaches the failed node and every orphan subtree and
+    rebuilds; ``attach_subtree`` re-attaches one subtree and rebuilds.
+    """
+
+    def remove_node(self, node_id: int) -> list:
+        self._require(node_id)
+        if node_id == self.root:
+            raise RoutingError("cannot remove the root")
+        orphans = list(self._children[node_id])
+        for orphan in orphans:
+            for member in self.subtree(orphan):
+                self.parent.pop(member, None)
+        self.parent.pop(node_id, None)
+        self._rebuild()
+        return orphans
+
+    def attach_subtree(self, subtree_root: int, new_parent: int, internal_edges: dict) -> None:
+        self._require(new_parent)
+        if subtree_root in self:
+            raise RoutingError(f"node {subtree_root} is already part of the tree")
+        self.parent[subtree_root] = new_parent
+        for child, parent in internal_edges.items():
+            self.parent[child] = parent
+        self._rebuild()
+
+
+def reference_repair(tree: ReferenceTree, failed: int, neighbors) -> tuple:
+    """The naive repair: capture each orphan subtree, remove, re-attach one by one."""
+    members = {}
+    edges = {}
+    for orphan in tree.children(failed):
+        members[orphan] = set(tree.subtree(orphan))
+        edges[orphan] = {m: tree.parent[m] for m in members[orphan] if m != orphan}
+    orphans = tree.remove_node(failed)
+    reattached: dict = {}
+    detached: list = []
+    for orphan in orphans:
+        excluded = members[orphan] | {failed}
+        candidates = [n for n in neighbors(orphan) if n in tree and n not in excluded]
+        if not candidates:
+            detached.extend(members[orphan])
+            continue
+        new_parent = min(candidates, key=lambda n: (tree.level(n), n))
+        tree.attach_subtree(orphan, new_parent, edges[orphan])
+        reattached[orphan] = new_parent
+    return reattached, sorted(detached)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=random_trees(), failures=FAILURES, data=st.data())
+def test_repair_matches_remove_and_attach_reference(
+    tree: RoutingTree, failures: list, data
+) -> None:
+    neighbors = draw_neighbors(data, tree)
+    reference = ReferenceTree(root=tree.root, parent=dict(tree.parent))
+    for pick in failures:
+        non_root = sorted(tree.parent)
+        if not non_root:
+            break
+        failed = non_root[pick % len(non_root)]
+        assert tree.repair(failed, neighbors) == reference_repair(reference, failed, neighbors)
+        assert tree.parent == reference.parent
+        assert tree.nodes == reference.nodes
+        assert [tree.level(node) for node in tree.nodes] == [
+            reference.level(node) for node in reference.nodes
+        ]
+
+
+def test_repair_asks_only_the_orphans_neighbors() -> None:
+    # A hexagon 0-1-2-3-5-4-0 whose tree runs 0-1-2-3 and 0-4-5: node 1's
+    # orphan 2 has no eligible neighbour although its child 3 hears 5.
+    ring = [0, 1, 2, 3, 5, 4]
+    graph = {node: {ring[i - 1], ring[(i + 1) % 6]} for i, node in enumerate(ring)}
+    parent = {1: 0, 2: 1, 3: 2, 4: 0, 5: 4}
+    tree = RoutingTree(root=0, parent=dict(parent))
+    reference = ReferenceTree(root=0, parent=dict(parent))
+    assert tree.repair(1, graph.__getitem__) == ({}, [2, 3])
+    assert reference_repair(reference, 1, graph.__getitem__) == ({}, [2, 3])
+    assert tree.parent == reference.parent == {4: 0, 5: 4}
 
 
 def test_subtree_cache_is_dropped_by_every_mutation() -> None:
     tree = RoutingTree(root=0, parent={1: 0, 2: 1, 3: 2, 4: 0})
     assert tree.subtree(1) == frozenset({1, 2, 3})
     assert tree.leaf_set == frozenset({3, 4})
-    assert tree.remove_node(2) == [3]
+    assert tree.repair(2, lambda node: {3: [2, 4]}[node]) == ({3: 4}, [])
     assert tree.subtree(1) == frozenset({1})
-    assert tree.leaf_set == frozenset({1, 4})
-    tree.attach_subtree(3, 4, {})
     assert tree.subtree(4) == frozenset({4, 3})
     assert tree.subtree(0) == frozenset({0, 1, 3, 4})
     assert tree.leaf_set == frozenset({1, 3})
-    assert tree.remove_node(4) == [3]
-    assert tree.subtree(0) == frozenset({0, 1})
-    assert tree.leaves == [1]
-    tree.attach_subtree(4, 1, {3: 4})
-    assert tree.subtree(1) == frozenset({1, 4, 3})
+    assert tree.repair(4, lambda node: {3: [1, 4]}[node]) == ({3: 1}, [])
+    assert tree.subtree(1) == frozenset({1, 3})
+    assert tree.subtree(0) == frozenset({0, 1, 3})
     assert tree.leaf_set == frozenset({3})
-    assert not tree.subtree_contains_any(1, {2})
+    assert tree.repair(1, no_neighbors) == ({}, [3])
+    assert tree.subtree(0) == frozenset({0})
+    assert tree.leaves == [0]
+    assert not tree.subtree_contains_any(0, {1, 3})

@@ -115,7 +115,8 @@ class TestSleepDecision:
 
     def test_disabled_safe_sleep_never_sleeps(self) -> None:
         sim, network, node, table, _ = make_node_with_safe_sleep()
-        ss_disabled = SafeSleep(sim, network.node(1).radio, network.node(1).mac, table, enabled=False)
+        ss_disabled = SafeSleep(sim, network.node(1).radio, network.node(1).mac, table)
+        ss_disabled.enabled = False
         table.set_next_receive(1, child=0, time=5.0)
         sim.run(until=1.0)
         assert network.node(1).radio.is_awake

@@ -119,7 +119,6 @@ class TestNts:
         shaper = NoTrafficShaping(
             sim, table, node_id=1,
             on_child_failure=lambda q, c: failures.append((q, c)),
-            max_consecutive_misses=3,
         )
         register(shaper, QUERY, node_id=1, tree=make_chain_tree())
         for k in range(3):
@@ -132,7 +131,6 @@ class TestNts:
         shaper = NoTrafficShaping(
             sim, table, node_id=1,
             on_child_failure=lambda q, c: failures.append((q, c)),
-            max_consecutive_misses=3,
         )
         register(shaper, QUERY, node_id=1, tree=make_chain_tree())
         shaper.handle_missing_children(1, 0, missing={2}, period_start=2.0)
@@ -234,8 +232,9 @@ class TestSts:
         shaper = StaticTrafficShaper(sim, table, node_id=1)
         register(shaper, QUERY, node_id=1, tree=tree)
         before = shaper.expected_send_time(1, 0)
-        # Removing the deepest node shrinks node 1's rank from 2 to 1 and M to 2.
-        tree.remove_node(3)
+        # Failing the deepest node (a leaf: nothing to re-attach) shrinks node
+        # 1's rank from 2 to 1 and M to 2.
+        assert tree.repair(3, lambda node: ()) == ({}, [])
         shaper.refresh_topology(tree)
         after = shaper.expected_send_time(1, 1)
         assert shaper.local_deadline(1) == pytest.approx(0.5)

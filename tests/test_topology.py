@@ -131,7 +131,7 @@ class TestRemoveNode:
         network = build_network(sim, topo, power_profile=IDEAL)
         tree = build_routing_tree(topo, root=3)
         schedule = FailureSchedule(fraction=0.4, window=(1.0, 2.0))
-        events = install_failure_schedule(sim, network, tree, schedule)
+        events = install_failure_schedule(sim, network, tree, schedule, network.fail_node)
         sim.run(until=5.0)
         failed = {node for _, node in events}
         assert failed
