@@ -5,14 +5,10 @@ corresponding sweep on the reduced entry of
 :data:`repro.experiments.scenarios.SCALES` (the :func:`scale` fixture),
 prints the series as a table, and asserts the qualitative shape the paper
 reports; paper-scale figures come from ``repro --scale paper figure figN``.
-``pytest-benchmark`` records the wall-clock cost of the sweep; every sweep
-is executed exactly once (``rounds=1``) because a single run already takes
-seconds to minutes.
-
-The orchestrator benchmark (``test_orchestrator_bench.py``) additionally records
-its serial / parallel / warm-store wall-clock numbers via
-:func:`record_orchestrator_bench`, and the hot-path benchmark its events/sec
-cells via :func:`record_hotpath_bench`.
+The figure tests time nothing: sweep timings come from ``perfbench/``
+(its ``fig3_reduced_cli`` workload times the cold parallel sweep and the
+warm replay).  The hot-path benchmark records its events/sec cells via
+:func:`record_hotpath_bench`.
 
 The rate-sweep figure benchmarks (Figures 3, 5, 6, 8 and the headline
 claims) share one session-scoped result store, :func:`sweep_store`: their
@@ -20,12 +16,11 @@ sweeps overlap (the headline test re-runs Figure 3's and Figure 6's jobs),
 and a job one of them ran is replayed by the next instead of re-simulated.
 A warm replay is bit-identical to the run that stored it.
 
-The committed ``BENCH_orchestrator.json`` / ``BENCH_hotpath.json``
-snapshots at the repository root are rewritten only on request
-(``REPRO_BENCH_WRITE=1``), so an ordinary test run leaves the working tree
-clean.  They are written atomically (tempfile + ``os.replace``), so an
-interrupted benchmark run cannot corrupt them.  Setting
-``REPRO_PERF_HISTORY`` to a file path appends each recorded benchmark to
+The committed ``BENCH_hotpath.json`` snapshot at the repository root is
+rewritten only on request (``REPRO_BENCH_WRITE=1``), so an ordinary test
+run leaves the working tree clean.  It is written atomically (tempfile +
+``os.replace``), so an interrupted benchmark run cannot corrupt it.  Setting
+``REPRO_PERF_HISTORY`` to a file path appends the recorded benchmark to
 that append-only perf-history JSONL (see :mod:`repro.obs.history`) --
 opt-in via the environment so casual local benchmark runs do not grow the
 committed history.
@@ -48,37 +43,20 @@ from repro.orchestrator.store import ResultStore
 #: Environment variable selecting the perf-history file to append to.
 PERF_HISTORY_ENV_VAR = "REPRO_PERF_HISTORY"
 
-#: Environment variable that, set to ``1``, rewrites the ``BENCH_*.json``
-#: snapshots at the repository root.
+#: Environment variable that, set to ``1``, rewrites the ``BENCH_hotpath.json``
+#: snapshot at the repository root.
 BENCH_WRITE_ENV_VAR = "REPRO_BENCH_WRITE"
-
-#: Where the orchestrator benchmark numbers land (repository root).
-ORCHESTRATOR_BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_orchestrator.json"
 
 #: Where the hot-path benchmark numbers land (repository root).
 HOTPATH_BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
-
-#: Filled by ``test_orchestrator_bench.py`` during the session; written on exit.
-_orchestrator_bench: dict = {}
 
 #: Filled by ``test_hotpath_bench.py`` during the session; written on exit.
 _hotpath_bench: dict = {}
 
 
-def record_orchestrator_bench(data: dict) -> None:
-    """Stash the orchestrator benchmark numbers for session-end emission."""
-    _orchestrator_bench.update(data)
-
-
 def record_hotpath_bench(data: dict) -> None:
     """Stash the hot-path benchmark numbers for session-end emission."""
     _hotpath_bench.update(data)
-
-
-@pytest.fixture()
-def orchestrator_bench_recorder():
-    """The recorder callable, exposed as a fixture for the benchmark test."""
-    return record_orchestrator_bench
 
 
 @pytest.fixture()
@@ -103,17 +81,13 @@ def _append_history(bench: str, results: dict) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus) -> None:
-    """Emit the benchmark artifacts for whichever benchmarks ran."""
-    write = os.environ.get(BENCH_WRITE_ENV_VAR, "").strip() == "1"
-    for bench, results, path in (
-        ("orchestrator", _orchestrator_bench, ORCHESTRATOR_BENCH_PATH),
-        ("hotpath", _hotpath_bench, HOTPATH_BENCH_PATH),
-    ):
-        if not results:
-            continue
-        if write:
-            atomic_write_text(path, json.dumps(results, indent=2, sort_keys=True) + "\n")
-        _append_history(bench, results)
+    """Emit the hot-path benchmark artifacts if that benchmark ran."""
+    if not _hotpath_bench:
+        return
+    if os.environ.get(BENCH_WRITE_ENV_VAR, "").strip() == "1":
+        text = json.dumps(_hotpath_bench, indent=2, sort_keys=True) + "\n"
+        atomic_write_text(HOTPATH_BENCH_PATH, text)
+    _append_history("hotpath", _hotpath_bench)
 
 
 @pytest.fixture(scope="session")
@@ -153,16 +127,6 @@ class StoreUse(NullProgress):
 def store_use(sweep_store) -> StoreUse:
     """A progress reporter counting this test's use of :func:`sweep_store`."""
     return StoreUse(sweep_store)
-
-
-@pytest.fixture()
-def run_once(benchmark):
-    """Run ``fn`` exactly once under pytest-benchmark and return its result."""
-
-    def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return _run
 
 
 def print_figure(figure) -> None:

@@ -17,8 +17,8 @@ from conftest import print_figure
 from repro.experiments.figures import dts_overhead_vs_rate
 
 
-def test_dts_overhead(scale, run_once) -> None:
-    figure = run_once(dts_overhead_vs_rate, scale.scenario(), rates=scale.rates)
+def test_dts_overhead(scale) -> None:
+    figure = dts_overhead_vs_rate(scale.scenario(), rates=scale.rates)
     print_figure(figure)
 
     series = figure.get("DTS-SS")

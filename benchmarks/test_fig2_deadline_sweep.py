@@ -13,8 +13,8 @@ from conftest import print_figure
 from repro.experiments.figures import figure2_deadline_sweep
 
 
-def test_fig2_deadline_sweep(scale, run_once) -> None:
-    figure = run_once(figure2_deadline_sweep, scale.scenario(), deadlines=scale.deadlines)
+def test_fig2_deadline_sweep(scale) -> None:
+    figure = figure2_deadline_sweep(scale.scenario(), deadlines=scale.deadlines)
     print_figure(figure)
 
     duty = figure.get("duty_cycle_pct")

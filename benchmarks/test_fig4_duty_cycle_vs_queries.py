@@ -12,8 +12,8 @@ from conftest import print_figure
 from repro.experiments.figures import figure4_duty_cycle_vs_queries
 
 
-def test_fig4_duty_cycle_vs_queries(scale, run_once) -> None:
-    figure = run_once(figure4_duty_cycle_vs_queries, scale.scenario(), counts=scale.counts)
+def test_fig4_duty_cycle_vs_queries(scale) -> None:
+    figure = figure4_duty_cycle_vs_queries(scale.scenario(), counts=scale.counts)
     print_figure(figure)
 
     counts = figure.x_values()

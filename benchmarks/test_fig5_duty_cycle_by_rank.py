@@ -18,9 +18,8 @@ def _mean_over_ranks(series, ranks) -> float:
     return sum(values) / len(values)
 
 
-def test_fig5_duty_cycle_by_rank(scale, run_once, store_use) -> None:
-    figure = run_once(
-        figure5_duty_cycle_by_rank,
+def test_fig5_duty_cycle_by_rank(scale, store_use) -> None:
+    figure = figure5_duty_cycle_by_rank(
         scale.scenario(),
         base_rate_hz=5.0,
         store=store_use.store,

@@ -13,9 +13,8 @@ from conftest import print_figure
 from repro.experiments.figures import figure6_latency_vs_rate
 
 
-def test_fig6_latency_vs_rate(scale, run_once, store_use) -> None:
-    figure = run_once(
-        figure6_latency_vs_rate,
+def test_fig6_latency_vs_rate(scale, store_use) -> None:
+    figure = figure6_latency_vs_rate(
         scale.scenario(),
         rates=scale.rates,
         store=store_use.store,

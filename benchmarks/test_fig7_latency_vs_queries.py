@@ -13,8 +13,8 @@ from conftest import print_figure
 from repro.experiments.figures import figure7_latency_vs_queries
 
 
-def test_fig7_latency_vs_queries(scale, run_once) -> None:
-    figure = run_once(figure7_latency_vs_queries, scale.scenario(), counts=scale.counts)
+def test_fig7_latency_vs_queries(scale) -> None:
+    figure = figure7_latency_vs_queries(scale.scenario(), counts=scale.counts)
     print_figure(figure)
 
     counts = figure.x_values()

@@ -15,9 +15,8 @@ from conftest import print_figure
 from repro.experiments.figures import MICA2_BREAK_EVEN, figure8_sleep_interval_histogram
 
 
-def test_fig8_sleep_interval_histogram(scale, run_once, store_use) -> None:
-    figure = run_once(
-        figure8_sleep_interval_histogram,
+def test_fig8_sleep_interval_histogram(scale, store_use) -> None:
+    figure = figure8_sleep_interval_histogram(
         scale.scenario(),
         base_rate_hz=5.0,
         store=store_use.store,

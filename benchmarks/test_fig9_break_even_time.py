@@ -14,9 +14,8 @@ from repro.experiments.figures import figure9_break_even_time
 from repro.experiments.scenarios import BREAK_EVEN_TIMES
 
 
-def test_fig9_break_even_time(scale, run_once) -> None:
-    figure = run_once(
-        figure9_break_even_time,
+def test_fig9_break_even_time(scale) -> None:
+    figure = figure9_break_even_time(
         scale.scenario(),
         rates=scale.rates,
         break_even_times=BREAK_EVEN_TIMES,

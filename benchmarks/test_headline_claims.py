@@ -18,19 +18,15 @@ from repro.experiments.figures import (
 )
 
 
-def _run_headline(scenario, rates, store_use):
-    store, progress = store_use.store, store_use
+def test_headline_claims(scale, store_use) -> None:
+    scenario, rates, store = scale.scenario(), scale.rates, store_use.store
     figure3 = figure3_duty_cycle_vs_rate(
-        scenario, rates=rates, protocols=("DTS-SS", "SPAN"), store=store, progress=progress
+        scenario, rates=rates, protocols=("DTS-SS", "SPAN"), store=store, progress=store_use
     )
     figure6 = figure6_latency_vs_rate(
-        scenario, rates=rates, protocols=("DTS-SS", "PSM", "SYNC"), store=store, progress=progress
+        scenario, rates=rates, protocols=("DTS-SS", "PSM", "SYNC"), store=store, progress=store_use
     )
-    return figure3, figure6, headline_claims(figure3, figure6)
-
-
-def test_headline_claims(scale, run_once, store_use) -> None:
-    figure3, figure6, claims = run_once(_run_headline, scale.scenario(), scale.rates, store_use)
+    claims = headline_claims(figure3, figure6)
     print_figure(figure3)
     print_figure(figure6)
     store_use.assert_stored_jobs_replayed()

@@ -10,7 +10,8 @@ runtime dependencies.  The dependency extras below are the single source of
 truth for every CI job: ``pip install -e .[test]`` replaces the hand-rolled
 per-job package lists the workflows used to carry.  scipy and networkx are
 test oracles only: the suite checks the stdlib Student-t quantile and the
-topology's connectivity queries against them.
+topology's connectivity queries against them.  No pytest plugin is needed:
+the figure benchmarks time nothing, and ``perfbench/`` times the sweeps.
 """
 
 from setuptools import find_packages, setup
@@ -27,10 +28,9 @@ setup(
     python_requires=">=3.10",
     install_requires=[],
     extras_require={
-        # Everything the tier-1 suite and the benchmark harness import.
+        # Everything the tier-1 suite imports, figure benchmarks included.
         "test": [
             "pytest",
-            "pytest-benchmark",
             "hypothesis",
             "networkx",
             "scipy",

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..mac.base import Mac
+from ..mac.csma import CsmaMac
 from ..radio.radio import Radio
 from ..radio.states import RadioState
 from ..sim.engine import Simulator
@@ -85,7 +85,7 @@ class SafeSleep:
         self,
         sim: Simulator,
         radio: Radio,
-        mac: Mac,
+        mac: CsmaMac,
         table: TimingTable,
         *,
         break_even_time: Optional[float] = None,
@@ -115,13 +115,8 @@ class SafeSleep:
         self._check_state_cb = self.check_state
         self._defer = sim.defer
         # Bind the MAC's has_pending property getter once: the descriptor
-        # dispatch per check was measurable.  Falls back to a plain closure
-        # for MAC implementations exposing has_pending as an attribute.
-        getter = getattr(type(mac), "has_pending", None)
-        if isinstance(getter, property):
-            self._mac_has_pending = getter.fget.__get__(mac, type(mac))
-        else:
-            self._mac_has_pending = lambda: mac.has_pending
+        # dispatch per check was measurable.
+        self._mac_has_pending = CsmaMac.has_pending.fget.__get__(mac, CsmaMac)
         table.subscribe(self._check_state_cb)
         radio.on_wake(self._check_state_cb)
         # Re-evaluate whenever the radio returns to idle listening (e.g. it

@@ -15,7 +15,7 @@ diagnostic one:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..net.node import Network
 from ..query.query import QuerySpec
@@ -71,11 +71,12 @@ class RunMetrics:
 
     protocol: str
     duration: float
-    #: Average duty cycle over every node of the routing tree, in [0, 1].
+    #: Average duty cycle over the measured nodes, in [0, 1]: every node of
+    #: the routing tree as assembled, less the planned failure victims.
     average_duty_cycle: float
     #: Duty cycle per node id.
     duty_cycle_per_node: Dict[int, float]
-    #: Mean duty cycle of nodes grouped by rank.
+    #: Mean duty cycle of the measured nodes grouped by assembled rank.
     duty_cycle_by_rank: Dict[int, float]
     #: Mean query latency over every delivered period, in seconds.
     average_query_latency: float
@@ -87,7 +88,7 @@ class RunMetrics:
     delivery_ratio: float
     #: Energy consumed per node, in joules.
     energy_per_node: Dict[int, float]
-    #: All completed sleep-interval lengths across the tree's nodes.
+    #: All completed sleep-interval lengths across the measured nodes.
     sleep_intervals: List[float] = field(default_factory=list)
     #: MAC/channel counters useful for overhead analysis.
     channel_stats: Dict[str, int] = field(default_factory=dict)
@@ -150,8 +151,15 @@ def collect_metrics(
     measure_from: float = 0.0,
     delivery_margin: Optional[float] = None,
     counters: Optional[Dict[str, float]] = None,
+    ranks: Optional[Mapping[int, int]] = None,
 ) -> RunMetrics:
     """Compute the paper's metrics from a finished simulation run.
+
+    ``ranks`` maps each measured node to its rank.  The runner passes the
+    tree as assembled, less the planned failure victims, so that a
+    protocol that repairs its tree and one that does not average over the
+    same nodes; the default is every node of ``tree`` at its current rank.
+    Nodes are summed in id order.
 
     ``delivery_margin`` defaults to one period of the slowest query: periods
     generated within that margin of the end of the run are not counted
@@ -159,19 +167,18 @@ def collect_metrics(
     snapshot (see :func:`repro.obs.adapters.collect_run_counters`) attached
     verbatim.
     """
+    if ranks is None:
+        ranks = {node_id: tree.rank(node_id) for node_id in tree.nodes}
     duty_per_node: Dict[int, float] = {}
     energy_per_node: Dict[int, float] = {}
     sleep_intervals: List[float] = []
-    for node_id in tree.nodes:
-        node = network.node(node_id)
-        tracker = node.radio.tracker
-        duty_per_node[node_id] = tracker.duty_cycle()
+    duty_by_rank: Dict[int, List[float]] = {}
+    for node_id in sorted(ranks):
+        tracker = network.node(node_id).radio.tracker
+        duty = duty_per_node[node_id] = tracker.duty_cycle()
         energy_per_node[node_id] = tracker.energy_consumed()
         sleep_intervals.extend(tracker.sleep_intervals)
-
-    duty_by_rank: Dict[int, List[float]] = {}
-    for node_id in tree.nodes:
-        duty_by_rank.setdefault(tree.rank(node_id), []).append(duty_per_node[node_id])
+        duty_by_rank.setdefault(ranks[node_id], []).append(duty)
     duty_by_rank_mean = {
         rank: sum(values) / len(values) for rank, values in sorted(duty_by_rank.items())
     }

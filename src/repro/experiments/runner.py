@@ -176,6 +176,9 @@ class AssembledRun:
     tree: RoutingTree
     suite: Any
     deliveries: DeliveryLog
+    #: The measured nodes and their ranks: the tree as assembled, less the
+    #: planned failure victims (see :func:`collect_metrics`).
+    ranks: Dict[int, int]
 
     def execute(self) -> tuple[RunMetrics, Dict[str, float]]:
         """Run to the scenario's end; returns the metrics and protocol extras."""
@@ -193,6 +196,7 @@ class AssembledRun:
             scenario.duration,
             measure_from=scenario.measure_from,
             counters=collect_run_counters(self.sim, self.network, suite, wall_seconds=wall_seconds),
+            ranks=self.ranks,
         )
         extras: Dict[str, float] = {}
         if hasattr(suite, "overhead_bits_per_report"):
@@ -244,11 +248,14 @@ def assemble_run(
         break_even_time=scenario.break_even_time,
     )
     suite.register_queries(queries)
+    victims: set = set()
     if scenario.failure_schedule is not None and not scenario.failure_schedule.is_empty:
         fail = suite.fail_node if protocol.upper() in ESSAT_PROTOCOLS else network.fail_node
-        install_failure_schedule(sim, network, tree, scenario.failure_schedule, fail)
+        planned = install_failure_schedule(sim, network, tree, scenario.failure_schedule, fail)
+        victims = {node for _, node in planned}
+    ranks = {node: tree.rank(node) for node in tree.nodes if node not in victims}
     return AssembledRun(
-        scenario, protocol, queries, sim, topology, network, tree, suite, deliveries
+        scenario, protocol, queries, sim, topology, network, tree, suite, deliveries, ranks
     )
 
 

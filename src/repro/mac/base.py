@@ -1,15 +1,13 @@
-"""Abstract interface between the MAC layer and the layers around it.
+"""The MAC's configuration and the callback types it calls upward.
 
 ESSAT is explicitly layered *between* the MAC protocol and the query service
-(Section 4): it hands frames down through this interface and receives frames
-and completion notifications back through the registered callbacks.  Keeping
-the interface abstract lets tests substitute an idealized MAC and lets the
-CSMA/CA implementation stay self-contained.
+(Section 4): it hands frames down to :class:`~repro.mac.csma.CsmaMac` and
+receives frames and completion notifications back through the callbacks
+registered with it.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,32 +50,3 @@ class MacConfig:
         total_bytes = size_bytes + self.header_bytes
         return (total_bytes * 8) / self.bandwidth_bps
 
-
-class Mac(abc.ABC):
-    """Abstract MAC service interface."""
-
-    # Stateless base: an empty __slots__ keeps concrete MACs free of a
-    # per-instance __dict__ (one MAC object per node at city scale).
-    __slots__ = ()
-
-    @abc.abstractmethod
-    def send(self, packet: Packet) -> bool:
-        """Queue ``packet`` for transmission; returns ``False`` on queue overflow."""
-
-    @abc.abstractmethod
-    def set_receive_callback(self, callback: ReceiveCallback) -> None:
-        """Register the upper-layer frame delivery callback."""
-
-    @abc.abstractmethod
-    def set_send_done_callback(self, callback: SendDoneCallback) -> None:
-        """Register the upper-layer send-completion callback."""
-
-    @property
-    @abc.abstractmethod
-    def has_pending(self) -> bool:
-        """Whether any frame is queued or currently being transmitted."""
-
-    @property
-    @abc.abstractmethod
-    def pending_count(self) -> int:
-        """Number of frames queued or in flight."""

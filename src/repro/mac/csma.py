@@ -31,7 +31,7 @@ from ..radio.radio import Radio
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
 from ..radio.states import RadioState
-from .base import Mac, MacConfig, ReceiveCallback, SendDoneCallback
+from .base import MacConfig, ReceiveCallback, SendDoneCallback
 from .queue import TransmitQueue
 from .stats import MacStats
 
@@ -63,7 +63,7 @@ class _Outgoing:
     cw: int = 0
 
 
-class CsmaMac(Mac):
+class CsmaMac:
     """CSMA/CA MAC instance for one node."""
 
     __slots__ = (
@@ -115,11 +115,8 @@ class CsmaMac(Mac):
         self._rng = rng_source.get(f"mac.backoff.{node_id}")
         # ``randint(0, w)`` resolves to ``_randbelow(w + 1)`` inside
         # ``random.Random``; calling it directly skips two wrapper frames per
-        # backoff draw while consuming the identical RNG state (the fallback
-        # covers interpreters without the private helper).
-        self._randbelow = getattr(
-            self._rng, "_randbelow", lambda n: self._rng.randrange(n)
-        )
+        # backoff draw while consuming the identical RNG state.
+        self._randbelow = self._rng._randbelow
         self._queue = TransmitQueue(self.config.queue_capacity)
         self._current: Optional[_Outgoing] = None
         self._state = _MacState.IDLE
@@ -159,7 +156,7 @@ class CsmaMac(Mac):
         radio.on_wake(self._on_radio_wake)
 
     # ------------------------------------------------------------------ #
-    # Mac interface
+    # Upper-layer interface
     # ------------------------------------------------------------------ #
 
     def set_receive_callback(self, callback: ReceiveCallback) -> None:
@@ -190,6 +187,7 @@ class CsmaMac(Mac):
 
     @property
     def has_pending(self) -> bool:
+        """Whether a frame is queued or in flight, or an ACK is due to go out."""
         # Reads the queue's deque directly: this property gates every Safe
         # Sleep decision, and the len(TransmitQueue) indirection showed up.
         return (
@@ -200,6 +198,7 @@ class CsmaMac(Mac):
 
     @property
     def pending_count(self) -> int:
+        """Frames queued or in flight, plus ACKs due to go out."""
         return len(self._queue) + (1 if self._current is not None else 0) + self._pending_acks
 
     @property

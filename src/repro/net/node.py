@@ -18,7 +18,8 @@ from .channel import WirelessChannel
 from .topology import Position, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mac depends on net.packet)
-    from ..mac.base import Mac, MacConfig
+    from ..mac.base import MacConfig
+    from ..mac.csma import CsmaMac
 
 
 class Node:
@@ -30,7 +31,7 @@ class Node:
         node_id: int,
         position: Position,
         radio: Radio,
-        mac: "Mac",
+        mac: "CsmaMac",
     ) -> None:
         self.sim = sim
         self.id = node_id

@@ -64,8 +64,11 @@ from typing import (
 #: characters, and the store skips v5 lines the same way (a cache miss).
 #: v7: scenarios lost the ``topology`` (placement generator) and
 #: ``mobility`` specs; placement is always the paper's uniform random one.
+#: v8: under a failure schedule, duty cycles, energies and the sleep
+#: intervals cover the tree as assembled less the planned victims, for every
+#: protocol (v7 churn records averaged whatever tree the run ended with).
 #: The store keeps each version's lines in a directory of their own.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 T = TypeVar("T")
 

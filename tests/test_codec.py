@@ -44,11 +44,11 @@ WIRE_TYPES = (
 
 #: ``RunJob.digest`` values that pin the wire form of explicit and policy
 #: query sources, of a failure schedule's explicit events, and of the
-#: optional nested specs.  Schema v7 re-pinned them: each equals the v6 wire
-#: form with the ``topology`` and ``mobility`` fields dropped and the
-#: version set to 7.
-FIXED_QUERY_JOB_DIGEST = "3ba3a8a75d5aacae11e8f48e132d8cc2804fdaa466d07bbc1cc2eaecf9108990"
-FAILURE_SCHEDULE_JOB_DIGEST = "0458b710ecc47452617a4b8627f614173f2534b5bf713c7a4c1eac4bae4bb5dc"
+#: optional nested specs.  Schema v8 re-pinned them: each equals the v7 wire
+#: form with the version set to 8 (v7 itself dropped the ``topology`` and
+#: ``mobility`` fields from v6).
+FIXED_QUERY_JOB_DIGEST = "e9858f4918808af4a948484f90f7a0e8d2f615ee031ed63103874e328c9f82a8"
+FAILURE_SCHEDULE_JOB_DIGEST = "34b119fd057f1ffa20b9987a86b6f23264bf7bcb785522f5431283fe666dbfb6"
 
 
 def _sample_metrics() -> RunMetrics:
@@ -212,7 +212,7 @@ class TestVersionGating:
             workload=rate_sweep_workload(1.0),
         )
         payload = job.to_dict()
-        assert payload["version"] == SCHEMA_VERSION == 7
+        assert payload["version"] == SCHEMA_VERSION == 8
         assert RunJob.from_dict(payload) == job
         # A job from a later schema is refused too, not read with today's fields.
         with pytest.raises(CodecError, match=f"v{SCHEMA_VERSION + 1}"):

@@ -177,6 +177,26 @@ def test_churn_runs_complete_under_every_protocol(protocol: str) -> None:
             assert_retired_nodes_gone(run)
 
 
+def test_churn_metrics_average_one_node_set() -> None:
+    """A repairing and a non-repairing protocol measure the same nodes.
+
+    At seed 12 the DTS-SS repair drops failed node 0 and cuts its orphans
+    off the tree, while PSM's tree keeps every node.  Both average over the
+    tree as assembled, less the planned victims, each node at its
+    assembled rank.
+    """
+    seed = 12
+    queries = generate_queries(rate_sweep_workload(2.0), streams=RandomStreams(seed))
+    dts = assemble_run(CHURN, "DTS-SS", queries, seed)
+    dts_metrics, _ = dts.execute()
+    psm_metrics, _ = run_single(CHURN, "PSM", queries, seed)
+    assert set(dts_metrics.duty_cycle_per_node) == set(psm_metrics.duty_cycle_per_node)
+    assert set(dts_metrics.energy_per_node) == set(psm_metrics.energy_per_node)
+    assert 0 not in dts_metrics.duty_cycle_per_node
+    assert set(dts.tree.nodes) < set(dts_metrics.duty_cycle_per_node)
+    assert set(dts_metrics.duty_cycle_by_rank) == set(psm_metrics.duty_cycle_by_rank)
+
+
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 def test_explicit_cut_vertex_failure_completes(protocol: str) -> None:
     """An explicit failure may partition the survivors; the run goes on."""
