@@ -8,33 +8,34 @@ everything into ``BENCH_hotpath.json`` at the repository root (see
    callbacks plus cancelled timers, no model code).  This isolates exactly
    the layers the PR 3 hot-path overhaul rewrote: event allocation, heap
    ordering, lazy deletion, dispatch.
-2. **Paper-scale uniform scenario** -- one full replication per protocol
-   (DTS-SS and the contention-heavy PSM baseline), events/sec over the
-   ``sim.run`` wall time only (topology construction and metric collection
-   excluded).  Skipped when ``REPRO_HOTPATH_QUICK=1`` (the CI smoke job).
-3. **Densest reduced-scale network** -- the same measurement with the
-   reduced scenario's node count doubled to 72 in the same area, serial,
-   plus a ``--jobs``-style parallel sweep of the identical jobs through the
-   orchestrator (parallel events/sec derives from the serial per-run event
-   counts, which are deterministic).
+2. **Densest reduced-scale network** -- one replication per protocol
+   (DTS-SS and the contention-heavy PSM baseline) with the reduced
+   scenario's node count doubled to 72 in the same area, events/sec over
+   the ``sim.run`` wall time only (topology construction and metric
+   collection excluded), plus a ``--jobs``-style parallel sweep of the
+   identical jobs through the orchestrator (parallel events/sec derives
+   from the serial per-run event counts, which are deterministic).
+3. **Propagation models** -- the reduced scenario under the SINR and
+   shadowing reception strategies (no baseline; trajectory only).
 4. **Protocol-layer cells (PR 5)** -- the paper's high-query-count workload
    (Figures 4/7: 0.2 Hz, ``queries_per_class`` at the sweep maximum of 10,
-   i.e. 30 concurrent queries) at paper scale, plus a 16-per-class stress
-   variant.  These are the cells the protocol-layer overhaul (TimingTable
-   incremental minimum, query-service collection pruning, shaper/Safe Sleep
-   dispatch) targets: their cost is dominated by per-event Safe Sleep
-   re-evaluation over many queries, not by the engine or channel.  The CI
-   smoke job runs the reduced-scale variant of the same workload.
+   i.e. 30 concurrent queries) at reduced scale.  Their cost is dominated
+   by per-event Safe Sleep re-evaluation over many queries, not by the
+   engine or channel.
 5. **Layer breakdown** -- a profiled reduced-scale DTS-SS replication with
    ``sim.run`` time bucketed per layer (engine / channel+radio / MAC /
    protocol), the machine-readable source for the README's "where the time
    goes" table.
 
+Each cell runs once.  Paper-scale runs are timed by ``perfbench/`` only:
+its ``paper_queries_dts`` and ``paper_rate_psm`` workloads are the 80-node,
+200-s runs, reported in wall seconds per simulated second.
+
 Speedups are reported against committed pre-overhaul baselines (below).
 The PR 3 cells were measured at commit b64b1b1 (PR 2) and the PR 5 protocol
 cells at commit f67b7e9 (PR 4), each on this repository's dev container
 (best of 2-3), so the *ratios* are the meaningful trajectory numbers; the
-CI guard only fails when a cell regresses more than 2x below its baseline,
+guard only fails when a cell regresses more than 2x below its baseline,
 which absorbs ordinary machine variance.
 """
 
@@ -46,7 +47,7 @@ import platform
 import pstats
 import time
 
-from repro.experiments.config import paper_scale, reduced_scale
+from repro.experiments.config import reduced_scale
 from repro.experiments.runner import assemble_run
 from repro.experiments.scenarios import query_count_workload, rate_sweep_workload
 from repro.net.propagation import PropagationSpec
@@ -60,24 +61,16 @@ from repro.sim.engine import Simulator
 #: recorded below.
 PRE_PR_BASELINES = {
     "kernel": 198_387,
-    "paper_uniform/DTS-SS": 86_155,
-    "paper_uniform/PSM": 48_650,
     "densest_density/DTS-SS": 94_326,
     "densest_density/PSM": 39_898,
     # PR 5 protocol-layer cells (paper workload: 0.2 Hz, 10 queries/class).
-    "paper_queries/DTS-SS": 154_425,
-    "paper_queries/PSM": 137_535,
-    # 16 queries/class: the table-scan cost the PR 5 overhaul removes grows
-    # with the query count, so the stress cell shows the trend's slope.
-    "paper_queries_stress/DTS-SS": 122_487,
     "reduced_queries/DTS-SS": 169_271,
     "reduced_queries/PSM": 151_240,
 }
 
 #: Queries-per-class of the protocol-layer cells: the maximum of the paper's
-#: Figure 4/7 sweep, and the stress variant beyond it.
+#: Figure 4/7 sweep.
 PAPER_QUERIES_PER_CLASS = 10
-STRESS_QUERIES_PER_CLASS = 16
 
 #: A cell fails the benchmark only if it regresses more than this factor
 #: below its committed baseline (machine variance headroom; the committed
@@ -85,11 +78,6 @@ STRESS_QUERIES_PER_CLASS = 16
 REGRESSION_FLOOR = 0.5
 
 PROTOCOLS = ("DTS-SS", "PSM")
-
-QUICK_MODE = os.environ.get("REPRO_HOTPATH_QUICK", "").strip() in {"1", "true", "yes"}
-
-#: Best-of-N repetitions per serial cell (wall-clock noise suppression).
-REPS = 1 if QUICK_MODE else 2
 
 #: Events fired by the kernel storm.
 KERNEL_EVENTS = 400_000
@@ -119,21 +107,17 @@ def _kernel_storm() -> dict:
     }
 
 
-def _run_cell(scenario, workload, protocol: str, reps: int = REPS) -> dict:
+def _run_cell(scenario, workload, protocol: str) -> dict:
     """One full replication; events/sec over the ``sim.run`` time only."""
-    best = None
-    events = 0
-    for _ in range(reps):
-        queries = RunJob(
-            scenario=scenario, protocol=protocol, workload=workload, seed=scenario.seed
-        ).resolve_queries()
-        sim = assemble_run(scenario, protocol, queries, scenario.seed).sim
-        started = time.perf_counter()
-        sim.run(until=scenario.duration)
-        seconds = time.perf_counter() - started
-        events = sim.processed_events
-        best = seconds if best is None or seconds < best else best
-    return {"events": events, "seconds": best, "events_per_sec": events / best}
+    queries = RunJob(
+        scenario=scenario, protocol=protocol, workload=workload, seed=scenario.seed
+    ).resolve_queries()
+    sim = assemble_run(scenario, protocol, queries, scenario.seed).sim
+    started = time.perf_counter()
+    sim.run(until=scenario.duration)
+    seconds = time.perf_counter() - started
+    events = sim.processed_events
+    return {"events": events, "seconds": seconds, "events_per_sec": events / seconds}
 
 
 def _parallel_sweep(scenario, workload, serial_events: int) -> dict:
@@ -225,13 +209,12 @@ def test_hotpath_throughput(hotpath_bench_recorder) -> None:
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
         },
-        "quick_mode": QUICK_MODE,
         "regression_floor": REGRESSION_FLOOR,
         "pre_pr_baselines": dict(PRE_PR_BASELINES),
         "methodology": (
-            "serial cells time sim.run only (best of %d); parallel cells time the "
+            "serial cells time one sim.run each; parallel cells time the "
             "orchestrated sweep wall clock; speedups are vs commit b64b1b1 on the "
-            "same machine" % REPS
+            "same machine"
         ),
     }
 
@@ -278,9 +261,7 @@ def test_hotpath_throughput(hotpath_bench_recorder) -> None:
 
     # Protocol-layer cells (PR 5): the paper's Figure 4/7 multi-query
     # workload, whose per-event cost is dominated by the shaper / timing
-    # table / Safe Sleep machinery rather than the engine or channel.  The
-    # reduced-scale variant runs in the CI smoke job (same workload, smaller
-    # network) under the same regression-floor policy as every other cell.
+    # table / Safe Sleep machinery rather than the engine or channel.
     queries_workload = query_count_workload(PAPER_QUERIES_PER_CLASS)
     reduced_query_cells = {}
     for protocol in PROTOCOLS:
@@ -296,43 +277,6 @@ def test_hotpath_throughput(hotpath_bench_recorder) -> None:
     # DTS-SS replication (the README table's machine-readable source).
     results["layer_breakdown"] = _layer_breakdown(reduced, queries_workload)
 
-    if not QUICK_MODE:
-        paper = paper_scale()
-        paper_cells = {}
-        paper_events_total = 0
-        for protocol in PROTOCOLS:
-            cell = _run_cell(paper, workload, protocol)
-            paper_events_total += cell["events"]
-            paper_cells[protocol] = _with_speedup(f"paper_uniform/{protocol}", cell)
-        paper_cells["scenario"] = {
-            "num_nodes": paper.num_nodes,
-            "duration_s": paper.duration,
-        }
-        paper_cells["parallel"] = _parallel_sweep(paper, workload, paper_events_total)
-        results["paper_uniform"] = paper_cells
-
-        # Best of 3 for the acceptance-gate cells: the protocol-layer
-        # speedup claim rides on them, and single reps on a shared host
-        # wobble by ~10%.
-        paper_query_cells = {}
-        for protocol in PROTOCOLS:
-            cell = _run_cell(paper, queries_workload, protocol, reps=3)
-            paper_query_cells[protocol] = _with_speedup(f"paper_queries/{protocol}", cell)
-        paper_query_cells["workload"] = {
-            "base_rate_hz": 0.2,
-            "queries_per_class": PAPER_QUERIES_PER_CLASS,
-        }
-        results["paper_queries"] = paper_query_cells
-
-        stress = _run_cell(paper, query_count_workload(STRESS_QUERIES_PER_CLASS), "DTS-SS", reps=3)
-        results["paper_queries_stress"] = {
-            "DTS-SS": _with_speedup("paper_queries_stress/DTS-SS", stress),
-            "workload": {
-                "base_rate_hz": 0.2,
-                "queries_per_class": STRESS_QUERIES_PER_CLASS,
-            },
-        }
-
     hotpath_bench_recorder(results)
 
     # Regression guard: every measured cell must stay within REGRESSION_FLOOR
@@ -340,9 +284,7 @@ def test_hotpath_throughput(hotpath_bench_recorder) -> None:
     failures = []
     for key, baseline in PRE_PR_BASELINES.items():
         section, _, protocol = key.partition("/")
-        cell = results.get(section)
-        if cell is None:
-            continue  # paper cells skipped in quick mode
+        cell = results[section]
         if protocol:
             cell = cell[protocol]
         if cell["events_per_sec"] < baseline * REGRESSION_FLOOR:

@@ -40,8 +40,6 @@ class SpanConfig:
 
     #: Interval between coordinator announcements (backbone maintenance).
     announcement_interval: float = 5.0
-    #: Whether leaf nodes run NTS-SS (the paper's configuration) or stay on.
-    leaves_run_nts: bool = True
 
     def __post_init__(self) -> None:
         if self.announcement_interval <= 0:
@@ -74,7 +72,7 @@ class SpanSuite:
 
         for node_id in tree.nodes:
             node = network.node(node_id)
-            if tree.is_leaf(node_id) and self.config.leaves_run_nts:
+            if tree.is_leaf(node_id):
                 self.leaf_nodes[node_id] = EssatNode(
                     sim,
                     node,

@@ -27,10 +27,8 @@ are engineered:
   runs, so no spurious Safe Sleep re-evaluation is scheduled (the paper's
   ``checkState`` only needs to run when an expectation actually moved).
 * The listeners are held as a tuple, so registration cannot mutate the
-  sequence ``_notify`` is iterating: ``subscribe``/``unsubscribe`` rebind a
-  new tuple, and unsubscribing from inside a notification is safe (the
-  in-flight notification completes against the old tuple; subsequent
-  notifications use the new one).
+  sequence ``_notify`` is iterating: ``subscribe`` rebinds a new tuple, and
+  the in-flight notification completes against the old one.
 """
 
 from __future__ import annotations
@@ -100,18 +98,6 @@ class TimingTable:
     def subscribe(self, listener: Callable[[], None]) -> None:
         """Register ``listener`` to be called after every table change."""
         self._listeners = (*self._listeners, listener)
-
-    def unsubscribe(self, listener: Callable[[], None]) -> None:
-        """Remove ``listener`` (idempotent; safe to call mid-notification).
-
-        An unsubscribe performed while a notification is being delivered
-        takes effect from the *next* notification: the in-flight one still
-        completes against the listener list as it was when it started.
-        Listeners compare by equality, not identity, so passing a freshly
-        re-bound method (``table.unsubscribe(obj.cb)``) removes the bound
-        method subscribed earlier.
-        """
-        self._listeners = tuple(entry for entry in self._listeners if entry != listener)
 
     def _notify(self) -> None:
         for listener in self._listeners:
@@ -184,16 +170,6 @@ class TimingTable:
         self._note_write(timing, old, time)
         self._notify()
 
-    def clear_next_send(self, query_id: int) -> None:
-        """Remove the send expectation (e.g. the node became the root)."""
-        timing = self._queries.get(query_id)
-        if timing is None or timing.next_send is None:
-            return
-        old = timing.next_send
-        timing.next_send = None
-        self._note_removal(timing, old)
-        self._notify()
-
     def remove_child(self, query_id: int, child: int) -> None:
         """Drop a child's expectation (the child failed or was re-parented)."""
         timing = self._queries.get(query_id)
@@ -201,19 +177,6 @@ class TimingTable:
             return
         old = timing.next_receive.pop(child)
         self._note_removal(timing, old)
-        self._notify()
-
-    def remove_query(self, query_id: int) -> None:
-        """Drop every expectation of a finished query."""
-        timing = self._queries.pop(query_id, None)
-        if timing is None:
-            return
-        if self._min_valid:
-            cached = self._cached_min
-            if cached is not None and (
-                timing.next_send == cached or cached in timing.next_receive.values()
-            ):
-                self._min_valid = False
         self._notify()
 
     # ------------------------------------------------------------------ #
@@ -233,10 +196,6 @@ class TimingTable:
         if timing is None:
             return None
         return timing.next_send
-
-    def query_ids(self) -> List[int]:
-        """Identifiers of all queries with at least one expectation."""
-        return sorted(self._queries)
 
     def entries(self) -> List[Tuple[int, str, Optional[int], float]]:
         """All expectations as ``(query_id, kind, child, time)`` tuples."""
@@ -271,7 +230,3 @@ class TimingTable:
         self._cached_min = best
         self._min_valid = True
         return best
-
-    def is_empty(self) -> bool:
-        """Whether no expectations are stored at all."""
-        return self.next_wakeup() is None

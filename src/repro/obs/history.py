@@ -184,7 +184,7 @@ def _flatten_hotpath_cells(results: Dict[str, Any]) -> Dict[str, float]:
     """Every ``events_per_sec`` cell in a ``BENCH_hotpath.json`` payload.
 
     Cells are named by their JSON path (``"kernel"``,
-    ``"paper_uniform/DTS-SS"``, ``"densest_density/parallel"``, ...), which
+    ``"densest_density/DTS-SS"``, ``"densest_density/parallel"``, ...), which
     matches the ``PRE_PR_BASELINES`` keys the benchmark already uses.
     """
     cells: Dict[str, float] = {}

@@ -84,8 +84,7 @@ class TraceRecorder:
     def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Remove a previously subscribed listener.
 
-        Copy-on-write and idempotent (parity with
-        ``TimingTable.unsubscribe``): unknown listeners are ignored, and an
+        Copy-on-write and idempotent: unknown listeners are ignored, and an
         in-flight notification completes against the old tuple.
         """
         self._listeners = tuple(

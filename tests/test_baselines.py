@@ -167,13 +167,6 @@ class TestSpan:
         sim, network, tree, suite, deliveries = run_baseline(SpanSuite, TREE, [QUERY], duration=12.0)
         assert suite.coordinator_announcements > 0
 
-    def test_leaves_always_on_when_nts_disabled(self) -> None:
-        sim, network, tree, suite, deliveries = run_baseline(
-            SpanSuite, TREE, [QUERY], duration=8.0, config=SpanConfig(leaves_run_nts=False)
-        )
-        for node_id in tree.nodes:
-            assert duty(network, node_id) == pytest.approx(1.0)
-
 
 class TestProtocolComparison:
     """Cross-protocol sanity checks matching the paper's qualitative story."""

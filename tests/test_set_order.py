@@ -40,9 +40,7 @@ _ORDER_SENSITIVE_CALLS = frozenset(
         "emit",
         "set_next_receive",
         "set_next_send",
-        "clear_next_send",
         "remove_child",
-        "remove_query",
     }
 )
 

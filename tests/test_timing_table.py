@@ -13,8 +13,7 @@ class TestTimingTable:
     def test_empty_table(self) -> None:
         table = TimingTable()
         assert table.next_wakeup() is None
-        assert table.is_empty()
-        assert table.query_ids() == []
+        assert table.entries() == []
 
     def test_set_and_read_expectations(self) -> None:
         table = TimingTable()
@@ -40,35 +39,28 @@ class TestTimingTable:
         table.set_next_receive(1, 2, 1.0)
         table.set_next_send(1, 2.0)
         table.remove_child(1, 2)
-        table.remove_query(1)
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_remove_child_and_query(self) -> None:
+        # Removing every child of a query leaves the query no expectation.
         table = TimingTable()
         table.set_next_receive(1, 2, 1.0)
         table.set_next_receive(1, 3, 2.0)
-        table.set_next_send(1, 5.0)
         table.remove_child(1, 2)
         assert table.next_receive(1, 2) is None
         assert table.next_wakeup() == pytest.approx(2.0)
-        table.remove_query(1)
-        assert table.is_empty()
+        table.remove_child(1, 3)
+        assert table.next_wakeup() is None
 
     def test_remove_missing_entries_is_silent_and_does_not_notify(self) -> None:
         table = TimingTable()
         calls = []
         table.subscribe(lambda: calls.append(1))
         table.remove_child(1, 2)
-        table.remove_query(7)
-        table.clear_next_send(3)
-        assert calls == []
-
-    def test_clear_next_send(self) -> None:
-        table = TimingTable()
-        table.set_next_send(1, 4.0)
-        table.clear_next_send(1)
-        assert table.next_send(1) is None
-        assert table.is_empty()
+        table.set_next_receive(1, 3, 1.0)
+        table.remove_child(1, 2)
+        table.remove_child(7, 3)
+        assert calls == [1]
 
     def test_entries_listing(self) -> None:
         table = TimingTable()
@@ -122,79 +114,17 @@ class TestNoOpWrites:
 
 
 class TestEdgeCases:
-    def test_clear_next_send_on_root_is_silent(self) -> None:
-        # A root's table holds only reception expectations; clearing the
-        # (never set) send expectation must be a silent no-op.
-        table = TimingTable()
-        calls: list = []
-        table.subscribe(lambda: calls.append(1))
-        table.set_next_receive(1, child=2, time=1.0)
-        table.clear_next_send(1)
-        assert len(calls) == 1
-        assert table.next_wakeup() == pytest.approx(1.0)
-
     def test_remove_last_child_of_last_query_reports_idle(self) -> None:
         table = TimingTable()
         table.set_next_receive(1, child=2, time=1.0)
         table.set_next_receive(2, child=3, time=2.0)
-        table.remove_query(1)
-        assert not table.is_empty()
+        table.remove_child(1, 2)
+        assert table.next_wakeup() == pytest.approx(2.0)
         table.remove_child(2, 3)
-        assert table.is_empty()
         assert table.next_wakeup() is None
         # And the table comes back to life after a fresh expectation.
         table.set_next_send(3, 5.0)
         assert table.next_wakeup() == pytest.approx(5.0)
-
-    def test_unsubscribe_stops_notifications(self) -> None:
-        table = TimingTable()
-        calls: list = []
-        listener = lambda: calls.append(1)  # noqa: E731
-        table.subscribe(listener)
-        table.set_next_send(1, 1.0)
-        table.unsubscribe(listener)
-        table.set_next_send(1, 2.0)
-        assert len(calls) == 1
-
-    def test_unsubscribe_unknown_listener_is_noop(self) -> None:
-        table = TimingTable()
-        table.unsubscribe(lambda: None)  # must not raise
-
-    def test_unsubscribe_freshly_rebound_method(self) -> None:
-        # Each attribute access creates a new bound-method object, so the
-        # removal must compare by equality, not identity.
-        class Subscriber:
-            def __init__(self) -> None:
-                self.calls = 0
-
-            def on_change(self) -> None:
-                self.calls += 1
-
-        table = TimingTable()
-        subscriber = Subscriber()
-        table.subscribe(subscriber.on_change)
-        table.set_next_send(1, 1.0)
-        table.unsubscribe(subscriber.on_change)  # a *different* bound object
-        table.set_next_send(1, 2.0)
-        assert subscriber.calls == 1
-
-    def test_unsubscribe_during_notify(self) -> None:
-        # A listener that unsubscribes itself from inside the notification:
-        # the in-flight notification completes (both listeners run), and
-        # subsequent notifications skip the unsubscribed one.
-        table = TimingTable()
-        calls: list = []
-
-        def self_removing() -> None:
-            calls.append("self_removing")
-            table.unsubscribe(self_removing)
-
-        table.subscribe(self_removing)
-        table.subscribe(lambda: calls.append("other"))
-        table.set_next_send(1, 1.0)
-        assert calls == ["self_removing", "other"]
-        table.set_next_send(1, 2.0)
-        assert calls == ["self_removing", "other", "other"]
 
 
 @settings(max_examples=50, deadline=None)
@@ -227,7 +157,7 @@ def test_property_next_wakeup_is_global_minimum(entries) -> None:
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["set_recv", "set_send", "del_child", "clear_send", "del_query"]),
+            st.sampled_from(["set_recv", "set_send", "del_child"]),
             st.integers(min_value=1, max_value=3),  # query id
             st.integers(min_value=0, max_value=3),  # child id
             st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -251,18 +181,10 @@ def test_property_min_cache_survives_mixed_updates_and_removals(ops) -> None:
         elif op == "set_send":
             table.set_next_send(query_id, time)
             model[(query_id, "s", None)] = time
-        elif op == "del_child":
+        else:
             table.remove_child(query_id, child)
             model.pop((query_id, "r", child), None)
-        elif op == "clear_send":
-            table.clear_next_send(query_id)
-            model.pop((query_id, "s", None), None)
-        else:
-            table.remove_query(query_id)
-            for key in [key for key in model if key[0] == query_id]:
-                del model[key]
         if model:
             assert table.next_wakeup() == pytest.approx(min(model.values()))
         else:
             assert table.next_wakeup() is None
-            assert table.is_empty()
