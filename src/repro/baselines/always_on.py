@@ -10,14 +10,15 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from ..net.node import Network
-from ..query.query import QuerySpec
-from ..query.service import GreedySendPolicy, QueryService, RootDeliveryCallback
+from ..query.service import GreedySendPolicy, ProtocolSuite, QueryService, RootDeliveryCallback
 from ..routing.tree import RoutingTree
 from ..sim.engine import Simulator
 
 
-class AlwaysOnSuite:
+class AlwaysOnSuite(ProtocolSuite):
     """Query service on every node, radios permanently on."""
+
+    name = "ALWAYS-ON"
 
     def __init__(
         self,
@@ -27,9 +28,7 @@ class AlwaysOnSuite:
         *,
         on_root_delivery: Optional[RootDeliveryCallback] = None,
     ) -> None:
-        self.sim = sim
-        self.network = network
-        self.tree = tree
+        super().__init__(sim, network, tree)
         self.services: Dict[int, QueryService] = {}
         for node_id in tree.nodes:
             self.services[node_id] = QueryService(
@@ -40,17 +39,5 @@ class AlwaysOnSuite:
                 on_root_delivery=on_root_delivery,
             )
 
-    @property
-    def name(self) -> str:
-        """Protocol name used in reports."""
-        return "ALWAYS-ON"
-
-    def register_query(self, query: QuerySpec) -> None:
-        """Register ``query`` on every node."""
-        for service in self.services.values():
-            service.register_query(query)
-
-    def register_queries(self, queries: Iterable[QuerySpec]) -> None:
-        """Register several queries on every node."""
-        for query in queries:
-            self.register_query(query)
+    def query_services(self) -> Iterable[QueryService]:
+        return self.services.values()

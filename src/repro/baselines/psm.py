@@ -33,7 +33,7 @@ from typing import Dict, Iterable, Optional, Set
 from ..net.node import Network, Node
 from ..net.packet import AtimPacket, Packet
 from ..query.query import QuerySpec
-from ..query.service import GreedySendPolicy, QueryService, RootDeliveryCallback
+from ..query.service import GreedySendPolicy, ProtocolSuite, QueryService, RootDeliveryCallback
 from ..routing.tree import RoutingTree
 from ..sim.engine import Simulator
 from ..sim.events import EventPriority
@@ -115,7 +115,6 @@ class PsmPowerManager:
         self._in_sleep_phase = False
         self.atims_sent = 0
         self.atims_received = 0
-        node.attach_power_manager(self)
         sim.schedule_at(0.0, self._on_beacon, priority=EventPriority.HIGH)
 
     # ------------------------------------------------------------------ #
@@ -190,8 +189,10 @@ class PsmPowerManager:
             self._sim.schedule_in(self.config.sleep_retry_interval, self._try_sleep)
 
 
-class PsmSuite:
+class PsmSuite(ProtocolSuite):
     """PSM installed on every node of a routing tree."""
+
+    name = "PSM"
 
     def __init__(
         self,
@@ -202,9 +203,7 @@ class PsmSuite:
         config: Optional[PsmConfig] = None,
         on_root_delivery: Optional[RootDeliveryCallback] = None,
     ) -> None:
-        self.sim = sim
-        self.network = network
-        self.tree = tree
+        super().__init__(sim, network, tree)
         self.config = config if config is not None else PsmConfig()
         self.services: Dict[int, QueryService] = {}
         self.managers: Dict[int, PsmPowerManager] = {}
@@ -221,21 +220,9 @@ class PsmSuite:
                 on_root_delivery=on_root_delivery,
             )
 
-    @property
-    def name(self) -> str:
-        """Protocol name used in reports."""
-        return "PSM"
+    def query_services(self) -> Iterable[QueryService]:
+        return self.services.values()
 
-    def register_query(self, query: QuerySpec) -> None:
-        """Register ``query`` on every node."""
-        for service in self.services.values():
-            service.register_query(query)
-
-    def register_queries(self, queries: Iterable[QuerySpec]) -> None:
-        """Register several queries on every node."""
-        for query in queries:
-            self.register_query(query)
-
-    def total_atims_sent(self) -> int:
-        """Total ATIM announcement frames transmitted (protocol overhead)."""
-        return sum(manager.atims_sent for manager in self.managers.values())
+    def extras(self) -> Dict[str, float]:
+        """ATIM announcement frames transmitted (protocol overhead)."""
+        return {"atims_sent": float(sum(manager.atims_sent for manager in self.managers.values()))}

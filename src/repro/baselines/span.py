@@ -21,6 +21,7 @@ maintenance overhead appears in the traffic mix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Optional
 
 from ..core.nts import NoTrafficShaping
@@ -28,8 +29,7 @@ from ..core.protocol import EssatNode
 from ..net.addresses import BROADCAST
 from ..net.node import Network
 from ..net.packet import CoordinatorAnnouncement
-from ..query.query import QuerySpec
-from ..query.service import GreedySendPolicy, QueryService, RootDeliveryCallback
+from ..query.service import GreedySendPolicy, ProtocolSuite, QueryService, RootDeliveryCallback
 from ..routing.tree import RoutingTree
 from ..sim.engine import Simulator
 
@@ -48,8 +48,10 @@ class SpanConfig:
             )
 
 
-class SpanSuite:
+class SpanSuite(ProtocolSuite):
     """SPAN installed on every node of a routing tree."""
+
+    name = "SPAN"
 
     def __init__(
         self,
@@ -60,9 +62,7 @@ class SpanSuite:
         config: Optional[SpanConfig] = None,
         on_root_delivery: Optional[RootDeliveryCallback] = None,
     ) -> None:
-        self.sim = sim
-        self.network = network
-        self.tree = tree
+        super().__init__(sim, network, tree)
         self.config = config if config is not None else SpanConfig()
         #: Query service of each backbone (interior) node.
         self.backbone_services: Dict[int, QueryService] = {}
@@ -88,7 +88,6 @@ class SpanSuite:
                     policy=GreedySendPolicy(),
                     on_root_delivery=on_root_delivery,
                 )
-                node.attach_power_manager(self)
                 sim.call_every(
                     self.config.announcement_interval,
                     lambda node_id=node_id: self._announce(node_id),
@@ -105,23 +104,13 @@ class SpanSuite:
     # ------------------------------------------------------------------ #
 
     @property
-    def name(self) -> str:
-        """Protocol name used in reports."""
-        return "SPAN"
-
-    @property
     def coordinators(self) -> list[int]:
         """Node ids forming the always-on backbone."""
         return sorted(self.backbone_services)
 
-    def register_query(self, query: QuerySpec) -> None:
-        """Register ``query`` on every node."""
-        for service in self.backbone_services.values():
-            service.register_query(query)
-        for essat_node in self.leaf_nodes.values():
-            essat_node.register_query(query)
-
-    def register_queries(self, queries: Iterable[QuerySpec]) -> None:
-        """Register several queries on every node."""
-        for query in queries:
-            self.register_query(query)
+    def query_services(self) -> Iterable[QueryService]:
+        """The backbone's services first, then the leaves'."""
+        return chain(
+            self.backbone_services.values(),
+            (essat_node.service for essat_node in self.leaf_nodes.values()),
+        )

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from ..net.node import Network, Node
-from ..query.query import QuerySpec
-from ..query.service import GreedySendPolicy, QueryService, RootDeliveryCallback
+from ..query.service import GreedySendPolicy, ProtocolSuite, QueryService, RootDeliveryCallback
 from ..radio.radio import Radio
 from ..routing.tree import RoutingTree
 from ..sim.engine import Simulator
@@ -56,7 +55,6 @@ class SyncPowerManager:
         self._radio: Radio = node.radio
         self.config = config
         self._in_sleep_window = False
-        node.attach_power_manager(self)
         sim.schedule_at(0.0, self._on_window_start, priority=EventPriority.HIGH)
 
     def _on_window_start(self) -> None:
@@ -82,8 +80,10 @@ class SyncPowerManager:
             self._sim.schedule_in(self.config.sleep_retry_interval, self._try_sleep)
 
 
-class SyncSuite:
+class SyncSuite(ProtocolSuite):
     """SYNC installed on every node of a routing tree."""
+
+    name = "SYNC"
 
     def __init__(
         self,
@@ -94,9 +94,7 @@ class SyncSuite:
         config: Optional[SyncConfig] = None,
         on_root_delivery: Optional[RootDeliveryCallback] = None,
     ) -> None:
-        self.sim = sim
-        self.network = network
-        self.tree = tree
+        super().__init__(sim, network, tree)
         self.config = config if config is not None else SyncConfig()
         self.services: Dict[int, QueryService] = {}
         self.managers: Dict[int, SyncPowerManager] = {}
@@ -111,17 +109,5 @@ class SyncSuite:
             )
             self.managers[node_id] = SyncPowerManager(sim, node, self.config)
 
-    @property
-    def name(self) -> str:
-        """Protocol name used in reports."""
-        return "SYNC"
-
-    def register_query(self, query: QuerySpec) -> None:
-        """Register ``query`` on every node."""
-        for service in self.services.values():
-            service.register_query(query)
-
-    def register_queries(self, queries: Iterable[QuerySpec]) -> None:
-        """Register several queries on every node."""
-        for query in queries:
-            self.register_query(query)
+    def query_services(self) -> Iterable[QueryService]:
+        return self.services.values()

@@ -2,14 +2,15 @@
 
 An *ESSAT protocol* is the combination of a traffic shaper and the Safe
 Sleep scheduler (Section 4): NTS-SS, STS-SS and DTS-SS.  This module wires
-those pieces together on each node of a network and exposes a small
-suite-level API the experiment harness uses:
+those pieces together on each node of a network:
 
 * :class:`EssatNode` -- the per-node protocol instance,
-* :class:`EssatProtocolSuite` -- installs a protocol on every node of a
-  routing tree, registers queries everywhere, handles node failures
-  (:meth:`EssatProtocolSuite.fail_node`, Section 4.3), and exposes the
-  per-node shapers/schedulers for metrics collection.
+* :class:`EssatProtocolSuite` -- the
+  :class:`~repro.query.service.ProtocolSuite` that installs a protocol on
+  every node of a routing tree.  Beyond the shared interface it repairs
+  the tree on a node failure (:meth:`EssatProtocolSuite.fail_node`,
+  Section 4.3), reports the DTS piggyback overhead as its extra, and
+  exposes the per-node shapers/schedulers for metrics collection.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 from ..net.node import Network, Node
-from ..query.query import QuerySpec
-from ..query.service import QueryService, RootDeliveryCallback
+from ..query.service import ProtocolSuite, QueryService, RootDeliveryCallback
 from ..routing.tree import RoutingTree
 from ..sim.engine import Simulator
 from .dts import DynamicTrafficShaper
@@ -81,7 +81,6 @@ class EssatNode:
             break_even_time=break_even_time,
             setup_until=setup_until,
         )
-        node.attach_power_manager(self)
 
     def _on_child_failure(self, query_id: int, child: int) -> None:
         """A child missed too many consecutive reports: drop the dependency.
@@ -97,17 +96,13 @@ class EssatNode:
             )
         self.service.remove_child_dependency(child)
 
-    def register_query(self, query: QuerySpec) -> None:
-        """Register a query at this node."""
-        self.service.register_query(query)
-
     @property
     def name(self) -> str:
         """The protocol name, e.g. ``"DTS-SS"``."""
         return f"{self.shaper.name}-SS"
 
 
-class EssatProtocolSuite:
+class EssatProtocolSuite(ProtocolSuite):
     """An ESSAT protocol installed on every node of a routing tree."""
 
     def __init__(
@@ -126,10 +121,8 @@ class EssatProtocolSuite:
             raise ValueError(
                 f"unknown shaper {shaper!r}; expected one of {sorted(SHAPER_CLASSES)}"
             )
-        self.sim = sim
-        self.network = network
-        self.tree = tree
-        self.shaper_name = shaper_key
+        super().__init__(sim, network, tree)
+        self.name = protocol_name(shaper_key)
         self.nodes: Dict[int, EssatNode] = {}
         for node_id in tree.nodes:
             self.nodes[node_id] = EssatNode(
@@ -142,10 +135,8 @@ class EssatProtocolSuite:
                 on_root_delivery=on_root_delivery,
             )
 
-    @property
-    def name(self) -> str:
-        """The protocol name, e.g. ``"DTS-SS"``."""
-        return protocol_name(self.shaper_name)
+    def query_services(self) -> Iterable[QueryService]:
+        return (essat_node.service for essat_node in self.nodes.values())
 
     def fail_node(self, node_id: int) -> Tuple[Dict[int, int], List[int]]:
         """Fail ``node_id`` permanently and resynchronise the protocol (Section 4.3).
@@ -190,16 +181,6 @@ class EssatProtocolSuite:
         retired.safe_sleep.enabled = False
         retired.service.shutdown()
 
-    def register_query(self, query: QuerySpec) -> None:
-        """Register ``query`` on every node of the routing tree."""
-        for essat_node in self.nodes.values():
-            essat_node.register_query(query)
-
-    def register_queries(self, queries: Iterable[QuerySpec]) -> None:
-        """Register several queries on every node."""
-        for query in queries:
-            self.register_query(query)
-
     def node(self, node_id: int) -> EssatNode:
         """The per-node protocol instance for ``node_id``."""
         return self.nodes[node_id]
@@ -222,3 +203,6 @@ class EssatProtocolSuite:
         if reports == 0:
             return 0.0
         return self.total_piggyback_overhead_bits() / reports
+
+    def extras(self) -> Dict[str, float]:
+        return {"overhead_bits_per_report": self.overhead_bits_per_report()}

@@ -3,9 +3,11 @@
 A traffic shaper (Section 4.2) decides *when* data reports move: it buffers
 reports that are ready early, lets late reports go immediately, and maintains
 the expected send/receive times that Safe Sleep schedules against.  Each
-shaper implements the :class:`~repro.query.service.SendPolicy` interface the
+shaper is a :class:`~repro.query.service.SendPolicy`, the base class the
 query service calls into, and writes its expectations into the shared
-:class:`~repro.core.timing.TimingTable`.
+:class:`~repro.core.timing.TimingTable`.  NTS and STS piggyback nothing and
+exchange no control packets, so they keep the base class's no-op
+``phase_update_for`` and ``control_received``; DTS overrides both.
 
 Concrete shapers:
 
@@ -22,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from ..net.packet import DataReportPacket, Packet
 from ..query.query import QuerySpec
+from ..query.service import SendPolicy
 from ..routing.tree import RoutingTree
 from ..sim.engine import Simulator
 from .timing import TimingTable
@@ -75,7 +78,7 @@ class _ShaperQueryState:
     consecutive_misses: Dict[int, int] = field(default_factory=dict)
 
 
-class TrafficShaper(abc.ABC):
+class TrafficShaper(SendPolicy, abc.ABC):
     """Base class for ESSAT traffic shapers.
 
     Subclasses implement the expected-time arithmetic; the base class
@@ -176,18 +179,8 @@ class TrafficShaper(abc.ABC):
         """Advance the expected send time after the MAC finished a send."""
 
     # ------------------------------------------------------------------ #
-    # SendPolicy interface: defaults shared by NTS and STS
+    # SendPolicy interface: failure accounting and topology changes
     # ------------------------------------------------------------------ #
-
-    def phase_update_for(
-        self, query_id: int, report_index: int, submit_time: float
-    ) -> Optional[float]:
-        """NTS and STS never piggyback anything; DTS overrides this."""
-        return None
-
-    def control_received(self, packet: Packet) -> None:
-        """NTS and STS exchange no control packets; DTS overrides this."""
-        return None
 
     def handle_missing_children(
         self, query_id: int, report_index: int, missing: Set[int], period_start: float

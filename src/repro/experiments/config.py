@@ -57,7 +57,8 @@ class ScenarioConfig:
     break_even_time: Optional[float] = None
     #: MAC configuration (1 Mbps, 802.11b-like timing by default).
     mac_config: MacConfig = field(default_factory=lambda: MacConfig(bandwidth_bps=mbps(1)))
-    #: Start measuring metrics at this time (0 = from the beginning).
+    #: Root deliveries before this time are left out of the latency metrics
+    #: (0 = none); duty cycle, energy and delivery ratio cover the whole run.
     measure_from: float = 0.0
     #: Scheduled permanent node failures (churn); ``None`` = no failures.
     failure_schedule: Optional[FailureSchedule] = None

@@ -149,7 +149,6 @@ def collect_metrics(
     duration: float,
     *,
     measure_from: float = 0.0,
-    delivery_margin: Optional[float] = None,
     counters: Optional[Dict[str, float]] = None,
     ranks: Optional[Mapping[int, int]] = None,
 ) -> RunMetrics:
@@ -161,9 +160,10 @@ def collect_metrics(
     same nodes; the default is every node of ``tree`` at its current rank.
     Nodes are summed in id order.
 
-    ``delivery_margin`` defaults to one period of the slowest query: periods
-    generated within that margin of the end of the run are not counted
-    against the delivery ratio.  ``counters`` is an optional observability
+    ``measure_from`` drops root deliveries before that time from the
+    latency figures only.  Periods due less than one period of the
+    slowest query before the end of the run are not counted against the
+    delivery ratio.  ``counters`` is an optional observability
     snapshot (see :func:`repro.obs.adapters.collect_run_counters`) attached
     verbatim.
     """
@@ -187,8 +187,7 @@ def collect_metrics(
     average_latency = sum(latencies) / len(latencies) if latencies else 0.0
     max_latency = max(latencies) if latencies else 0.0
 
-    if delivery_margin is None:
-        delivery_margin = max((q.period for q in queries), default=0.0)
+    delivery_margin = max((q.period for q in queries), default=0.0)
     expected_by_query = {
         q.query_id: expected_periods(q, duration, margin=delivery_margin) for q in queries
     }

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..net.loss import build_loss_from_spec
 from ..net.node import Network, build_network
@@ -29,6 +29,9 @@ from ..sim.trace import TraceRecorder
 from .config import ScenarioConfig
 from .metrics import DeliveryLog, RunMetrics, collect_metrics
 
+if TYPE_CHECKING:  # pragma: no cover - a store replay loads no protocol code
+    from ..query.service import ProtocolSuite
+
 #: Protocols the runner knows how to install, in the paper's naming.
 ESSAT_PROTOCOLS = ("NTS-SS", "STS-SS", "DTS-SS")
 BASELINE_PROTOCOLS = ("SYNC", "PSM", "SPAN", "ALWAYS-ON")
@@ -43,7 +46,7 @@ def build_protocol_suite(
     *,
     on_root_delivery,
     break_even_time: Optional[float] = None,
-):
+) -> ProtocolSuite:
     """Instantiate the named protocol over an already-built network.
 
     Each suite's module is imported by the branch that builds it, so a run
@@ -137,11 +140,10 @@ def install_failure_schedule(
     failed nodes excluded) are skipped, so churn sweeps measure protocol
     repair rather than guaranteed physical partitions; explicit events are
     honoured as given.
-    Each failure calls ``fail(node_id)``: an ESSAT suite's
-    :meth:`~repro.core.protocol.EssatProtocolSuite.fail_node` repairs the
-    tree and resynchronises the shapers (Section 4.3); a baseline passes
-    :meth:`~repro.net.node.Network.fail_node`, so the node just leaves the
-    channel.
+    Each failure calls ``fail(node_id)``, the suite's
+    :meth:`~repro.query.service.ProtocolSuite.fail_node`: an ESSAT suite
+    repairs the tree and resynchronises the shapers (Section 4.3); a
+    baseline's node just leaves the channel.
     """
     candidates = [node for node in tree.nodes if node != tree.root]
     drawn = schedule.materialize(candidates, sim.streams.get("scenario.failures"))
@@ -174,7 +176,7 @@ class AssembledRun:
     topology: Topology
     network: Network
     tree: RoutingTree
-    suite: Any
+    suite: ProtocolSuite
     deliveries: DeliveryLog
     #: The measured nodes and their ranks: the tree as assembled, less the
     #: planned failure victims (see :func:`collect_metrics`).
@@ -198,12 +200,7 @@ class AssembledRun:
             counters=collect_run_counters(self.sim, self.network, suite, wall_seconds=wall_seconds),
             ranks=self.ranks,
         )
-        extras: Dict[str, float] = {}
-        if hasattr(suite, "overhead_bits_per_report"):
-            extras["overhead_bits_per_report"] = suite.overhead_bits_per_report()
-        if hasattr(suite, "total_atims_sent"):
-            extras["atims_sent"] = float(suite.total_atims_sent())
-        return metrics, extras
+        return metrics, suite.extras()
 
 
 def assemble_run(
@@ -250,8 +247,9 @@ def assemble_run(
     suite.register_queries(queries)
     victims: set = set()
     if scenario.failure_schedule is not None and not scenario.failure_schedule.is_empty:
-        fail = suite.fail_node if protocol.upper() in ESSAT_PROTOCOLS else network.fail_node
-        planned = install_failure_schedule(sim, network, tree, scenario.failure_schedule, fail)
+        planned = install_failure_schedule(
+            sim, network, tree, scenario.failure_schedule, suite.fail_node
+        )
         victims = {node for _, node in planned}
     ranks = {node: tree.rank(node) for node in tree.nodes if node not in victims}
     return AssembledRun(

@@ -61,8 +61,9 @@ class FigureResult:
         values = sorted({x for series in self.series for x in series.x})
         return values
 
-    def to_table(self, float_format: str = "{:.4g}") -> str:
+    def to_table(self) -> str:
         """Render the figure as an aligned plain-text table."""
+        float_format = "{:.4g}"
         header = [self.x_label, *self.series_names()]
         rows: List[List[str]] = []
         for x in self.x_values():

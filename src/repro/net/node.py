@@ -1,10 +1,9 @@
 """Node container assembling the per-node protocol stack.
 
-A :class:`Node` owns one radio and one MAC and provides attachment points
-for the power-management protocol (ESSAT or a baseline) and the application
-(the query service).  The experiment runner builds all nodes from a
-topology, wires them to the shared channel, and then installs the protocol
-under test on each of them.
+A :class:`Node` owns one radio and one MAC.  The experiment runner builds
+all nodes from a topology and wires them to the shared channel; the
+protocol under test (a :class:`~repro.query.service.ProtocolSuite`) then
+drives each node's radio and MAC and keeps its per-node instances itself.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mac depends on net.p
 
 
 class Node:
-    """One sensor node: radio + MAC + (attached later) power manager and app."""
+    """One sensor node: a radio and a MAC."""
 
     def __init__(
         self,
@@ -38,22 +37,8 @@ class Node:
         self.position = position
         self.radio = radio
         self.mac = mac
-        #: The power-management protocol instance controlling the radio.
-        self.power_manager: Optional[Any] = None
-        #: The application / query-service instance running on this node.
-        self.app: Optional[Any] = None
-        #: Free-form per-node annotations (rank, role, ...) set by experiments.
-        self.meta: Dict[str, Any] = {}
         #: Whether the node has been failed by a fault-injection experiment.
         self.failed = False
-
-    def attach_power_manager(self, manager: Any) -> None:
-        """Install the power-management protocol controlling this node's radio."""
-        self.power_manager = manager
-
-    def attach_app(self, app: Any) -> None:
-        """Install the application (query service) running on this node."""
-        self.app = app
 
     def finalize(self) -> None:
         """Close energy accounting at the end of the simulation."""
@@ -105,11 +90,12 @@ class Network:
     def fail_node(self, node_id: int) -> None:
         """Permanently fail ``node_id``: detach it from the channel.
 
-        This is the whole failure for a baseline: its protocol is left
-        running and neighbours just see delivery failures.  An ESSAT suite's
-        :meth:`~repro.core.protocol.EssatProtocolSuite.fail_node` calls this
-        first, then repairs the tree and resynchronises the shapers
-        (Section 4.3).
+        This is the whole failure for a baseline
+        (:meth:`~repro.query.service.ProtocolSuite.fail_node`): its protocol
+        is left running and neighbours just see delivery failures.  An ESSAT
+        suite's :meth:`~repro.core.protocol.EssatProtocolSuite.fail_node`
+        calls this first, then repairs the tree and resynchronises the
+        shapers (Section 4.3).
         """
         node = self.nodes[node_id]
         node.failed = True

@@ -5,16 +5,22 @@ The query service is the *application* of the paper's workload model
 wait for their children's reports, aggregate, and forward a single report to
 their parent, and the root delivers the final aggregate.
 
-All **timing decisions** are delegated to a pluggable :class:`SendPolicy`:
+All **timing decisions** are delegated to a :class:`SendPolicy`, a base
+class whose defaults send immediately and ignore every notification:
 
 * when an aggregated report that became ready at ``t`` should actually be
   handed to the MAC (traffic shaping / buffering),
 * how long to wait for missing children before timing out,
 * what (if anything) to piggyback on outgoing reports (DTS phase updates).
 
-The ESSAT traffic shapers in :mod:`repro.core` implement this interface; the
-default :class:`GreedySendPolicy` (send immediately, period-based timeout) is
-what the SYNC/PSM/SPAN baselines run on.
+The ESSAT traffic shapers in :mod:`repro.core` subclass it; the baselines
+(SYNC, PSM, SPAN) run on :class:`GreedySendPolicy` (send immediately,
+rank-staggered timeout).
+
+:class:`ProtocolSuite` is the layer the paper places between the MAC and
+the query service: ESSAT and every baseline subclass it, so the experiment
+runner registers queries, fails nodes and reads protocol extras through one
+interface.
 
 Hot-path design
 ---------------
@@ -40,9 +46,9 @@ engineered like the engine and channel:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, List, Optional, Protocol, Set
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set
 
-from ..net.node import Node
+from ..net.node import Network, Node
 from ..net.packet import DataReportPacket, Packet
 from ..routing.tree import RoutingTree
 from ..sim.engine import Simulator
@@ -56,8 +62,17 @@ from .report import CollectionState, DataReport
 RootDeliveryCallback = Callable[[int, int, DataReport, float], None]
 
 
-class SendPolicy(Protocol):
-    """Timing-decision interface implemented by the ESSAT traffic shapers."""
+class SendPolicy:
+    """Timing decisions the query service delegates, with no-op defaults.
+
+    The defaults send a report as soon as it is ready and ignore every
+    notification; a policy overrides what it needs.  Only
+    :meth:`collection_timeout` has no sensible default.  The ESSAT traffic
+    shapers (:class:`~repro.core.shaper.TrafficShaper`) and
+    :class:`GreedySendPolicy` subclass this.
+    """
+
+    __slots__ = ()
 
     def query_registered(
         self,
@@ -69,19 +84,19 @@ class SendPolicy(Protocol):
         is_source: bool,
     ) -> None:
         """A query was registered at this node."""
-        ...  # pragma: no cover - protocol definition
+        return None
 
     def send_time(self, query_id: int, report_index: int, ready_time: float) -> float:
         """Absolute time at which the ready report should be handed to the MAC."""
-        ...  # pragma: no cover - protocol definition
+        return ready_time
 
     def collection_timeout(self, query_id: int, report_index: int, period_start: float) -> float:
         """Absolute time at which to stop waiting for children and send."""
-        ...  # pragma: no cover - protocol definition
+        raise NotImplementedError
 
     def report_received(self, query_id: int, child: int, packet: DataReportPacket) -> None:
         """A child's data report arrived."""
-        ...  # pragma: no cover - protocol definition
+        return None
 
     def report_sent(
         self,
@@ -93,30 +108,34 @@ class SendPolicy(Protocol):
         success: bool,
     ) -> None:
         """The MAC finished (successfully or not) sending this node's report."""
-        ...  # pragma: no cover - protocol definition
+        return None
 
     def phase_update_for(
         self, query_id: int, report_index: int, submit_time: float
     ) -> Optional[float]:
         """Value to piggyback in the outgoing report (DTS), or ``None``."""
-        ...  # pragma: no cover - protocol definition
+        return None
 
     def handle_missing_children(
         self, query_id: int, report_index: int, missing: Set[int], period_start: float
     ) -> None:
         """The collection timed out with these children still missing."""
-        ...  # pragma: no cover - protocol definition
+        return None
 
     def control_received(self, packet: Packet) -> None:
         """A non-data-report packet arrived (phase requests/updates)."""
-        ...  # pragma: no cover - protocol definition
+        return None
 
     def child_removed(self, query_id: int, child: int) -> None:
         """A failed child was removed from the node's dependencies."""
-        ...  # pragma: no cover - protocol definition
+        return None
+
+    def child_added(self, query_id: int, child: int, child_rank: int = 0) -> None:
+        """A child was (re-)admitted to the node's dependencies."""
+        return None
 
 
-class GreedySendPolicy:
+class GreedySendPolicy(SendPolicy):
     """Default policy: send as soon as ready, time out based on node rank.
 
     This is the behaviour the baselines (SYNC, PSM, SPAN) run on: the query
@@ -145,34 +164,9 @@ class GreedySendPolicy:
             self._rank = tree.rank(node_id)
             self._max_rank = max(1, tree.max_rank)
 
-    def send_time(self, query_id: int, report_index: int, ready_time: float) -> float:
-        return ready_time
-
     def collection_timeout(self, query_id: int, report_index: int, period_start: float) -> float:
         deadline = self._deadlines.get(query_id, 1.0)
         return period_start + (self._rank + 1) * deadline / self._max_rank
-
-    def report_received(self, query_id: int, child: int, packet: DataReportPacket) -> None:
-        return None
-
-    def report_sent(self, query_id: int, report_index: int, **_: object) -> None:
-        return None
-
-    def phase_update_for(
-        self, query_id: int, report_index: int, submit_time: float
-    ) -> Optional[float]:
-        return None
-
-    def handle_missing_children(
-        self, query_id: int, report_index: int, missing: Set[int], period_start: float
-    ) -> None:
-        return None
-
-    def control_received(self, packet: Packet) -> None:
-        return None
-
-    def child_removed(self, query_id: int, child: int) -> None:
-        return None
 
 
 @dataclass(slots=True)
@@ -306,7 +300,6 @@ class QueryService:
 
         node.mac.set_receive_callback(self._on_mac_receive)
         node.mac.set_send_done_callback(self._on_mac_send_done)
-        node.attach_app(self)
 
     # ------------------------------------------------------------------ #
     # registration
@@ -447,9 +440,7 @@ class QueryService:
                 # transient losses) but is evidently alive: re-admit it.
                 runtime.participating_children.append(child)
                 self.stats.children_readmitted += 1
-                child_added = getattr(self.policy, "child_added", None)
-                if child_added is not None:
-                    child_added(packet.query_id, child, child_rank=self._tree.rank(child))
+                self.policy.child_added(packet.query_id, child, child_rank=self._tree.rank(child))
             else:
                 # A stale child removed by maintenance or an overheard report
                 # not meant for us; ignore.
@@ -694,3 +685,43 @@ class QueryService:
         """Stop every registered query (the node failed or is being retired)."""
         for query_id in list(self._queries):
             self.stop_query(query_id)
+
+
+class ProtocolSuite:
+    """A power-management protocol installed on every node of a routing tree.
+
+    This is the layer the paper places between the MAC and the query
+    service: ESSAT and each baseline build their per-node instances in
+    ``__init__`` and expose the nodes' query services through
+    :meth:`query_services`, which fixes the order queries are registered in.
+    """
+
+    #: The protocol's name in the paper, e.g. ``"PSM"``.
+    name: str = ""
+
+    def __init__(self, sim: Simulator, network: Network, tree: RoutingTree) -> None:
+        self.sim = sim
+        self.network = network
+        self.tree = tree
+
+    def query_services(self) -> Iterable[QueryService]:
+        """Every node's query service, in registration order."""
+        raise NotImplementedError
+
+    def register_query(self, query: QuerySpec) -> None:
+        """Register ``query`` on every node."""
+        for service in self.query_services():
+            service.register_query(query)
+
+    def register_queries(self, queries: Iterable[QuerySpec]) -> None:
+        """Register several queries on every node."""
+        for query in queries:
+            self.register_query(query)
+
+    def fail_node(self, node_id: int) -> object:
+        """Fail ``node_id`` permanently: by default it just leaves the channel."""
+        self.network.fail_node(node_id)
+
+    def extras(self) -> Dict[str, float]:
+        """Protocol-specific figures reported next to the run's metrics."""
+        return {}

@@ -74,17 +74,16 @@ def generate_queries(
     spec: WorkloadSpec,
     streams: Optional[RandomStreams] = None,
     seed: int = 0,
-    first_query_id: int = 1,
 ) -> List[QuerySpec]:
     """Instantiate the queries of ``spec`` with randomized start times.
 
-    Query ids are assigned sequentially starting from ``first_query_id``;
+    Query ids are assigned sequentially starting from 1;
     class ``c``'s queries come before class ``c + 1``'s.
     """
     rng = (streams or RandomStreams(seed)).get("workload.start_times")
     low, high = spec.start_window
     queries: List[QuerySpec] = []
-    query_id = first_query_id
+    query_id = 1
     for class_index in range(spec.num_classes):
         period = spec.class_period(class_index)
         for _ in range(spec.queries_per_class):

@@ -15,13 +15,16 @@ flooded construction is exercised by dedicated tests and by the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from ..net.addresses import BROADCAST
 from ..net.node import Network
 from ..net.packet import Packet, SetupPacket
 from ..sim.engine import Simulator
 from .tree import RoutingError, RoutingTree
+
+#: Upper bound of the uniform random delay before a node rebroadcasts (s).
+REBROADCAST_JITTER = 0.05
 
 
 class FloodSetup:
@@ -32,20 +35,10 @@ class FloodSetup:
     adopts the sender with the smallest advertised level as its parent.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        root: int,
-        *,
-        rebroadcast_jitter: float = 0.05,
-        on_complete: Optional[Callable[[RoutingTree], None]] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, network: Network, root: int) -> None:
         self._sim = sim
         self._network = network
         self.root = root
-        self._jitter = rebroadcast_jitter
-        self._on_complete = on_complete
         self._rng = sim.streams.get("routing.flood_jitter")
         #: node -> (best level heard, parent chosen)
         self._best_level: Dict[int, int] = {}
@@ -80,7 +73,7 @@ class FloodSetup:
             self._parent[node_id] = packet.src
         if not self._rebroadcasted.get(node_id):
             self._rebroadcasted[node_id] = True
-            delay = self._rng.uniform(0.0, self._jitter)
+            delay = self._rng.uniform(0.0, REBROADCAST_JITTER)
             self._sim.schedule_in(
                 delay, self._broadcast_setup, node_id, self._best_level[node_id] + 1
             )

@@ -114,7 +114,7 @@ class TestPsm:
         sim, network, tree, suite, deliveries = run_baseline(PsmSuite, CHAIN, [QUERY], duration=12.0)
         assert suite.name == "PSM"
         assert len(deliveries) >= 7
-        assert suite.total_atims_sent() > 0
+        assert suite.extras()["atims_sent"] > 0
 
     def test_duty_cycle_floor_is_atim_window_fraction(self) -> None:
         # With no queries at all, every node still wakes for the ATIM window.

@@ -17,7 +17,7 @@ from repro.experiments.metrics import (
     collect_metrics,
     expected_periods,
 )
-from repro.experiments.runner import ALL_PROTOCOLS, build_protocol_suite
+from repro.experiments.runner import ALL_PROTOCOLS, ESSAT_PROTOCOLS, build_protocol_suite
 from repro.experiments.scenarios import (
     SCALES,
     deadline_sweep_workload,
@@ -30,6 +30,7 @@ from repro.orchestrator.api import ExperimentSpec, run_sweep
 from repro.net.topology import Topology
 from repro.query.query import QuerySpec
 from repro.query.report import DataReport
+from repro.query.service import ProtocolSuite
 from repro.query.aggregation import AggregationFunction, PartialAggregate
 from repro.radio.energy import IDEAL
 from repro.routing.tree import build_routing_tree
@@ -254,6 +255,13 @@ class TestRunner:
             build_protocol_suite("TDMA", sim, network, tree, on_root_delivery=lambda *a: None)
 
     def test_every_known_protocol_builds(self) -> None:
+        expected_extras = {
+            **{protocol: {"overhead_bits_per_report"} for protocol in ESSAT_PROTOCOLS},
+            "PSM": {"atims_sent"},
+            "SYNC": set(),
+            "SPAN": set(),
+            "ALWAYS-ON": set(),
+        }
         for protocol in ALL_PROTOCOLS:
             sim = Simulator(seed=0)
             topo = Topology.line(3, spacing=100.0, comm_range=120.0)
@@ -262,7 +270,9 @@ class TestRunner:
             suite = build_protocol_suite(
                 protocol, sim, network, tree, on_root_delivery=lambda *a: None
             )
+            assert isinstance(suite, ProtocolSuite)
             assert suite.name == protocol
+            assert set(suite.extras()) == expected_extras[protocol]
 
     def test_run_experiment_requires_exactly_one_workload_source(self) -> None:
         scenario = smoke_scale()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Dict, Tuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -139,23 +140,25 @@ class TestFailureInjection:
         assert churned != calm
 
 
-def run_churn(scenario: ScenarioConfig, protocol: str, seed: int) -> AssembledRun:
-    """Run one replication to its end; returns the assembled run for inspection."""
+def run_churn(scenario: ScenarioConfig, protocol: str, seed: int) -> Tuple[AssembledRun, Dict]:
+    """Run one replication to its end; returns the assembled run and the
+    per-node instances its suite held before the run (ESSAT suites only)."""
     queries = generate_queries(rate_sweep_workload(2.0), streams=RandomStreams(seed))
     run = assemble_run(scenario, protocol, queries, seed)
+    assembled = dict(run.suite.nodes) if protocol in ESSAT_PROTOCOLS else {}
     run.execute()
-    return run
+    return run, assembled
 
 
-def assert_retired_nodes_gone(run: AssembledRun) -> None:
+def assert_retired_nodes_gone(run: AssembledRun, assembled: Dict) -> None:
     """An ESSAT suite holds exactly the tree's nodes, and no failed node is
     left in the tree; every node that left the tree stopped sleeping."""
     tree, network = run.tree, run.network
     assert set(run.suite.nodes) == tree.node_set
     assert not any(network.node(node).failed for node in tree.nodes)
-    for node_id, node in network.nodes.items():
-        if node.power_manager is not None and node_id not in tree:
-            assert not node.power_manager.safe_sleep.enabled
+    for node_id, essat_node in assembled.items():
+        if node_id not in tree:
+            assert not essat_node.safe_sleep.enabled
 
 
 CHURN = smoke_scale().with_overrides(
@@ -172,9 +175,9 @@ def test_churn_runs_complete_under_every_protocol(protocol: str) -> None:
     subtree off although its members still hear the tree (seed 12).
     """
     for seed in range(1, 21):
-        run = run_churn(CHURN, protocol, seed)
+        run, assembled = run_churn(CHURN, protocol, seed)
         if protocol in ESSAT_PROTOCOLS:
-            assert_retired_nodes_gone(run)
+            assert_retired_nodes_gone(run, assembled)
 
 
 def test_churn_metrics_average_one_node_set() -> None:
@@ -221,10 +224,10 @@ def test_explicit_cut_vertex_failure_completes(protocol: str) -> None:
     victim = max(cut_off, key=lambda node: len(cut_off[node]))
     assert cut_off[victim]
     scenario = scenario.with_overrides(failure_schedule=FailureSchedule(explicit=((4.0, victim),)))
-    run = run_churn(scenario, protocol, seed)
+    run, assembled = run_churn(scenario, protocol, seed)
     assert run.network.node(victim).failed
     if protocol in ESSAT_PROTOCOLS:
-        assert_retired_nodes_gone(run)
+        assert_retired_nodes_gone(run, assembled)
         assert run.tree.node_set.isdisjoint(cut_off[victim])
 
 

@@ -25,6 +25,7 @@ def build_query_network(
     root: int | None = None,
     seed: int = 0,
     loss_model=None,
+    policy_cls=GreedySendPolicy,
 ):
     """Wire a network, routing tree and per-node query services together."""
     sim = Simulator(seed=seed)
@@ -41,7 +42,7 @@ def build_query_network(
             sim,
             network.node(node_id),
             tree,
-            policy=GreedySendPolicy(),
+            policy=policy_cls(),
             on_root_delivery=on_root_delivery,
         )
     return sim, network, tree, services, deliveries
@@ -199,6 +200,19 @@ class TestLossRecovery:
         assert dropped
 
 
+class _ChildAddedRecorder(GreedySendPolicy):
+    """Records every ``child_added`` call."""
+
+    __slots__ = ("added",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.added: list = []
+
+    def child_added(self, query_id, child, **kwargs) -> None:
+        self.added.append((query_id, child, kwargs))
+
+
 class TestMaintenanceHooks:
     def test_remove_child_dependency_unblocks_collection(self) -> None:
         topo = Topology.from_positions([(0, 0), (60, 0), (0, 60)], comm_range=80.0)
@@ -216,6 +230,28 @@ class TestMaintenanceHooks:
         assert late
         for _query_id, k, _value, done, _sources in late:
             assert done - query.report_time(k) < 0.5
+
+    @pytest.mark.parametrize(
+        "policy_cls", [GreedySendPolicy, _ChildAddedRecorder], ids=["greedy", "recording"]
+    )
+    def test_report_from_dropped_child_readmits_it(self, policy_cls) -> None:
+        """A child dropped as failed whose report still arrives is re-admitted,
+        and the policy hears of it through ``child_added``."""
+        topo = Topology.line(3, spacing=100.0, comm_range=120.0)
+        sim, network, tree, services, deliveries = build_query_network(
+            topo, root=0, policy_cls=policy_cls
+        )
+        query = QuerySpec(query_id=1, period=1.0, start_time=0.0, duration=3.5)
+        for service in services.values():
+            service.register_query(query)
+        services[1].remove_child_dependency(2)
+        sim.run(until=6.0)
+        assert services[1].stats.children_readmitted == 1
+        assert services[0].stats.children_readmitted == 0
+        assert deliveries
+        if policy_cls is _ChildAddedRecorder:
+            assert services[1].policy.added == [(1, 2, {"child_rank": tree.rank(2)})]
+            assert services[0].policy.added == []
 
     def test_stop_query_halts_generation(self) -> None:
         topo = Topology.line(2, spacing=50.0, comm_range=100.0)
